@@ -3,9 +3,10 @@
 Subcommands: ingest, pairs, eval, sweep, simulate, loss, report.
 Global flags: --seed, --config <file>, --out <dir>, --format {csv,json}.
 
-The config file is a flat JSON object; its keys are merged under any
-explicitly passed flags, and unknown keys are rejected.  All angle I/O at
-this surface is in degrees.  Every report embeds the config echo, the
+The config file is a flat JSON object.  SETTINGS lists each command's
+config keys and defaults; a flag beats its config value, which beats the
+default, and unknown keys are rejected.  All angle I/O at this surface is
+in degrees.  Every report embeds the config echo, the
 seed, the format version, and input-file hashes, so identical inputs give
 identical report bytes.
 """
@@ -24,36 +25,67 @@ import numpy as np
 from . import reports
 from .anchors import AnchorPolicy
 from .camera import CameraPose
-from .errors import RelHpeError, StageCountMismatch
+from .errors import ParseError, RelHpeError, StageCountMismatch
 from .geometry import Rotation, euler_from_rotation
 from .harness import (PairSet, build_easy_pairs, build_hard_pairs, evaluate,
-                      export_canonical, ingest_biwi, ingest_canonical_all,
-                      sweep)
+                      export_canonical, ingest_biwi, ingest_canonical,
+                      ingest_canonical_all, sweep)
 from .losses import LossConfig, StagePrediction, loss_cam
 from .simulate import (AbsoluteSimEstimator, NoiseModel, PoseSampler,
                        RelativeSimEstimator, load_predictions_csv, sample_logs)
 
 EXIT_USAGE = 2
 
+# Each command's accepted config keys, as key -> (conversion, default).  A
+# setting takes its flag when one was given, else its config value, else
+# the default here.  report reads no config.
+SETTINGS = {
+    "ingest": {"input_format": (str, "canonical"),
+               "pose_glob": (str, "frame_*_pose.txt"),
+               "calib_name": (str, "rgb.cal")},
+    "pairs": {"pair_kind": (str, "hard"), "neutral_thresh_deg": (float, 15.0),
+              "extreme_thresh_deg": (float, 45.0), "max_gap_deg": (float, 8.0),
+              "n_pairs": (int, 360)},
+    "eval": {},
+    "sweep": {"axis": (str, "anchor_query_gap"), "bin_width_deg": (float, 5.0),
+              "policy": (str, "fixed_first"), "threshold_deg": (float, None),
+              "abs_base_deg": (float, 2.0), "abs_slope": (float, 0.15),
+              "rel_base_deg": (float, 0.5), "rel_slope": (float, 0.02),
+              "trans_noise_mm": (float, 0.0)},
+    "simulate": {"subjects": (int, 4), "frames_per_log": (int, 100),
+                 "yaw_min": (float, -75.0), "yaw_max": (float, 75.0),
+                 "pitch_min": (float, -60.0), "pitch_max": (float, 60.0),
+                 "roll_min": (float, -40.0), "roll_max": (float, 40.0)},
+    "loss": {"lambda_t": (float, 1.0), "lambda_r": (float, 1.0),
+             "lambda_f": (float, 0.5), "gamma": (float, 0.6),
+             "mode": (str, "full")},
+}
 
-def _load_config(path, known_keys):
-    if path is None:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise RelHpeError(f"{path}: config must be a flat JSON object")
-    unknown = sorted(set(cfg) - set(known_keys))
-    if unknown:
-        raise RelHpeError(f"{path}: unknown config keys: {', '.join(unknown)}")
-    return cfg
 
-
-def _merge(args, cfg, key, default=None):
-    v = getattr(args, key, None)
-    if v is not None:
-        return v
-    return cfg.get(key, default)
+def _settings(args):
+    """(raw config file object, resolved SETTINGS) of args.command."""
+    table = SETTINGS[args.command]
+    cfg = {}
+    if args.config is not None:
+        with open(args.config, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise RelHpeError(f"{args.config}: config must be a flat JSON object")
+        unknown = sorted(set(cfg) - set(table))
+        if unknown:
+            raise RelHpeError(f"{args.config}: unknown config keys: {', '.join(unknown)}")
+    settings = {}
+    for key, (convert, default) in table.items():
+        value = getattr(args, key, None)
+        if value is None:
+            value = cfg.get(key, default)
+        if value is not None or default is not None:
+            try:
+                value = convert(value)
+            except (TypeError, ValueError) as exc:
+                raise RelHpeError(f"{args.config}: {key}: {exc}") from exc
+        settings[key] = value
+    return cfg, settings
 
 
 def _ensure_out(args):
@@ -63,22 +95,20 @@ def _ensure_out(args):
 
 
 def _write_reports(out, stem, env, csv_text, fmt, svg_text=None):
-    written = []
     if fmt in ("json", None):
         path = os.path.join(out, f"{stem}.json")
         reports.write_json(path, env)
-        written.append(path)
+        print(f"wrote {path}")
     if fmt in ("csv", None):
         path = os.path.join(out, f"{stem}.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(csv_text)
-        written.append(path)
+        print(f"wrote {path}")
     if svg_text is not None:
         path = os.path.join(out, f"{stem}.svg")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(svg_text)
-        written.append(path)
-    return written
+        print(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -86,13 +116,10 @@ def _write_reports(out, stem, env, csv_text, fmt, svg_text=None):
 
 
 def cmd_ingest(args):
-    cfg = _load_config(args.config, ("input_format", "pose_glob", "calib_name"))
-    fmt = _merge(args, cfg, "input_format", "canonical")
+    _, s = _settings(args)
     out = _ensure_out(args)
-    if fmt == "biwi":
-        pose_glob = _merge(args, cfg, "pose_glob", "frame_*_pose.txt")
-        calib_name = _merge(args, cfg, "calib_name", "rgb.cal")
-        logs = [ingest_biwi(args.input, pose_glob, calib_name)]
+    if s["input_format"] == "biwi":
+        logs = [ingest_biwi(args.input, s["pose_glob"], s["calib_name"])]
     else:
         logs = ingest_canonical_all(args.input)
     dest = os.path.join(out, "poselog.csv")
@@ -100,7 +127,6 @@ def cmd_ingest(args):
     n_frames = sum(len(l) for l in logs)
     dists = []
     for log in logs:
-        e0 = euler_from_rotation(log.frames[0].pose.rotation)
         for f in log.frames:
             e = euler_from_rotation(f.pose.rotation)
             dists.append((e.yaw, e.pitch, e.roll))
@@ -113,145 +139,98 @@ def cmd_ingest(args):
     return 0
 
 
-_PAIRS_KEYS = ("pair_kind", "neutral_thresh_deg", "extreme_thresh_deg",
-               "max_gap_deg", "n_pairs")
-
-
-def _build_pairs(log, args, cfg, seed):
-    kind = _merge(args, cfg, "pair_kind", "hard")
-    neutral = float(_merge(args, cfg, "neutral_thresh_deg", 15.0))
-    n_pairs = int(_merge(args, cfg, "n_pairs", 360))
-    if kind == "hard":
-        extreme = float(_merge(args, cfg, "extreme_thresh_deg", 45.0))
-        return build_hard_pairs(log, neutral, extreme, n_pairs, seed)
-    max_gap = float(_merge(args, cfg, "max_gap_deg", 8.0))
-    return build_easy_pairs(log, neutral, max_gap, n_pairs, seed)
-
-
 def cmd_pairs(args):
-    cfg = _load_config(args.config, _PAIRS_KEYS)
+    cfg, s = _settings(args)
     out = _ensure_out(args)
-    seed = args.seed if args.seed is not None else 0
     logs = ingest_canonical_all(args.input)
-    written = []
     for log in logs:
-        ps = _build_pairs(log, args, cfg, seed)
+        if s["pair_kind"] == "hard":
+            ps = build_hard_pairs(log, s["neutral_thresh_deg"],
+                                  s["extreme_thresh_deg"], s["n_pairs"], args.seed)
+        else:
+            ps = build_easy_pairs(log, s["neutral_thresh_deg"],
+                                  s["max_gap_deg"], s["n_pairs"], args.seed)
+        payload = reports.pairs_payload(ps)
         env = reports.envelope(
-            "pairs", {**cfg, "subject": log.subject_id}, seed,
-            {args.input: reports.file_sha256(args.input)},
-            reports.pairs_payload(ps))
-        written += _write_reports(out, f"pairs_{log.subject_id}", env,
-                                  reports.pairs_csv(ps), args.format)
-    for path in written:
-        print(f"wrote {path}")
+            "pairs", {**cfg, "subject": log.subject_id}, args.seed,
+            {args.input: reports.file_sha256(args.input)}, payload)
+        _write_reports(out, f"pairs_{log.subject_id}", env,
+                       reports.pairs_csv(payload), args.format)
     return 0
 
 
 def _read_pairs_csv(path) -> PairSet:
     pairs = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            pairs.append((row["anchor_id"], row["query_id"],
-                          float(row["gap_deg"])))
+        reader = csv.DictReader(fh)
+        missing = [c for c in reports.PAIRS_CSV_COLUMNS
+                   if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ParseError(f"{path}:1: missing column(s): {', '.join(missing)}")
+        for row in reader:
+            try:
+                pairs.append((row["anchor_id"], row["query_id"],
+                              float(row["gap_deg"])))
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
     return PairSet("loaded", tuple(pairs), 0)
 
 
 def cmd_eval(args):
-    cfg = _load_config(args.config, ())
+    cfg, _ = _settings(args)
     out = _ensure_out(args)
-    seed = args.seed if args.seed is not None else 0
-    logs = ingest_canonical_all(args.truth)
-    if len(logs) != 1:
-        raise RelHpeError("eval expects a single-subject truth log")
+    truth = ingest_canonical(args.truth)
     pairs = _read_pairs_csv(args.pairs)
     preds = load_predictions_csv(args.predictions)
-    rep = evaluate(pairs, preds, logs[0])
+    rep = evaluate(pairs, preds, truth)
+    payload = reports.metric_payload({"external": rep})
     env = reports.envelope(
-        "eval", cfg, seed,
+        "eval", cfg, args.seed,
         {p: reports.file_sha256(p) for p in (args.truth, args.pairs, args.predictions)},
-        reports.metric_payload({"external": rep}))
-    written = _write_reports(out, "eval", env,
-                             reports.metric_csv({"external": rep}), args.format)
-    for path in written:
-        print(f"wrote {path}")
+        payload)
+    _write_reports(out, "eval", env, reports.metric_csv(payload), args.format)
     print(f"n={rep.n} yaw={rep.yaw_mae:.4f} pitch={rep.pitch_mae:.4f} "
           f"roll={rep.roll_mae:.4f} mae={rep.mae:.4f} geodesic={rep.geodesic_mae:.4f}")
     return 0
 
 
-_SWEEP_KEYS = ("axis", "bin_width_deg", "policy", "threshold_deg",
-               "abs_base_deg", "abs_slope", "rel_base_deg", "rel_slope",
-               "trans_noise_mm")
-
-
-def _policy_from(args, cfg):
-    kind = _merge(args, cfg, "policy", "fixed_first")
-    threshold = _merge(args, cfg, "threshold_deg")
-    return AnchorPolicy(kind, float(threshold) if threshold is not None else None)
-
-
-def _sim_estimators(args, cfg, seed):
-    return [
-        AbsoluteSimEstimator("sim_absolute", NoiseModel(
-            base_deg=float(_merge(args, cfg, "abs_base_deg", 2.0)),
-            slope_deg_per_deg=float(_merge(args, cfg, "abs_slope", 0.15)),
-            trans_noise_mm=float(_merge(args, cfg, "trans_noise_mm", 0.0)),
-            seed=seed)),
-        RelativeSimEstimator("sim_relative", NoiseModel(
-            base_deg=float(_merge(args, cfg, "rel_base_deg", 0.5)),
-            slope_deg_per_deg=float(_merge(args, cfg, "rel_slope", 0.02)),
-            trans_noise_mm=float(_merge(args, cfg, "trans_noise_mm", 0.0)),
-            seed=seed)),
-    ]
-
-
 def cmd_sweep(args):
-    cfg = _load_config(args.config, _SWEEP_KEYS)
+    cfg, s = _settings(args)
     out = _ensure_out(args)
-    seed = args.seed if args.seed is not None else 0
     logs = ingest_canonical_all(args.input)
-    policy = _policy_from(args, cfg)
-    axis = _merge(args, cfg, "axis", "anchor_query_gap")
-    bin_width = float(_merge(args, cfg, "bin_width_deg", 5.0))
-    estimators = _sim_estimators(args, cfg, seed)
-    rep = sweep(logs, estimators, policy, axis, bin_width)
+    policy = AnchorPolicy(s["policy"], s["threshold_deg"])
+    estimators = [
+        AbsoluteSimEstimator("sim_absolute", NoiseModel(
+            base_deg=s["abs_base_deg"], slope_deg_per_deg=s["abs_slope"],
+            trans_noise_mm=s["trans_noise_mm"], seed=args.seed)),
+        RelativeSimEstimator("sim_relative", NoiseModel(
+            base_deg=s["rel_base_deg"], slope_deg_per_deg=s["rel_slope"],
+            trans_noise_mm=s["trans_noise_mm"], seed=args.seed)),
+    ]
+    rep = sweep(logs, estimators, policy, s["axis"], s["bin_width_deg"])
+    payload = reports.sweep_payload(rep)
     env = reports.envelope(
-        "sweep", {**cfg, "axis": axis, "policy": policy.kind}, seed,
-        {args.input: reports.file_sha256(args.input)},
-        reports.sweep_payload(rep))
-    written = _write_reports(out, "sweep", env, reports.sweep_csv(rep),
-                             args.format, svg_text=reports.sweep_svg(rep))
-    for path in written:
-        print(f"wrote {path}")
+        "sweep", {**cfg, "axis": s["axis"], "policy": policy.kind}, args.seed,
+        {args.input: reports.file_sha256(args.input)}, payload)
+    _write_reports(out, "sweep", env, reports.sweep_csv(payload), args.format,
+                   svg_text=reports.sweep_svg(rep))
     return 0
 
 
-_SIM_KEYS = ("subjects", "frames_per_log", "yaw_min", "yaw_max",
-             "pitch_min", "pitch_max", "roll_min", "roll_max")
-
-
 def cmd_simulate(args):
-    cfg = _load_config(args.config, _SIM_KEYS)
+    _, s = _settings(args)
     out = _ensure_out(args)
-    seed = args.seed if args.seed is not None else 0
     sampler = PoseSampler(
-        yaw_range=(float(_merge(args, cfg, "yaw_min", -75.0)),
-                   float(_merge(args, cfg, "yaw_max", 75.0))),
-        pitch_range=(float(_merge(args, cfg, "pitch_min", -60.0)),
-                     float(_merge(args, cfg, "pitch_max", 60.0))),
-        roll_range=(float(_merge(args, cfg, "roll_min", -40.0)),
-                    float(_merge(args, cfg, "roll_max", 40.0))),
-        frames_per_log=int(_merge(args, cfg, "frames_per_log", 100)),
-        subjects=int(_merge(args, cfg, "subjects", 4)),
-        seed=seed)
+        yaw_range=(s["yaw_min"], s["yaw_max"]),
+        pitch_range=(s["pitch_min"], s["pitch_max"]),
+        roll_range=(s["roll_min"], s["roll_max"]),
+        frames_per_log=s["frames_per_log"], subjects=s["subjects"],
+        seed=args.seed)
     logs = sample_logs(sampler)
     dest = os.path.join(out, "simulated_poselog.csv")
     export_canonical(logs, dest)
     print(f"wrote {dest} ({sampler.subjects} subjects x {sampler.frames_per_log} frames)")
     return 0
-
-
-_LOSS_KEYS = ("lambda_t", "lambda_r", "lambda_f", "gamma", "mode")
 
 
 def _read_stage_file(path):
@@ -261,7 +240,12 @@ def _read_stage_file(path):
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or row[0].strip().startswith("#") or row[0].strip() == "k":
                 continue
-            vals = [float(v) for v in row]
+            if len(row) < 10:
+                raise ParseError(f"{path}:{lineno}: expected 10 fields, got {len(row)}")
+            try:
+                vals = [float(v) for v in row]
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
             stages.append((int(vals[0]), CameraPose(
                 t=np.array(vals[1:4]), q=Rotation(*vals[4:8]),
                 fov_h=math.radians(vals[8]), fov_w=math.radians(vals[9]))))
@@ -269,13 +253,9 @@ def _read_stage_file(path):
 
 
 def cmd_loss(args):
-    cfg = _load_config(args.config, _LOSS_KEYS)
+    cfg, s = _settings(args)
     out = _ensure_out(args)
-    lc = LossConfig(lambda_t=float(cfg.get("lambda_t", 1.0)),
-                    lambda_r=float(cfg.get("lambda_r", 1.0)),
-                    lambda_f=float(cfg.get("lambda_f", 0.5)),
-                    gamma=float(cfg.get("gamma", 0.6)),
-                    mode=cfg.get("mode", "full"))
+    lc = LossConfig(**s)
     pred_stages = _read_stage_file(args.predictions)
     true_stages = _read_stage_file(args.truth)
     if [k for k, _ in pred_stages] != [k for k, _ in true_stages]:
@@ -292,8 +272,7 @@ def cmd_loss(args):
                     "fov": b.fov, "total": b.total} for b in breakdown],
     }
     env = reports.envelope(
-        "loss", {**cfg, "mode": lc.mode, "gamma": lc.gamma},
-        args.seed if args.seed is not None else 0,
+        "loss", {**cfg, "mode": lc.mode, "gamma": lc.gamma}, args.seed,
         {p: reports.file_sha256(p) for p in (args.predictions, args.truth)},
         payload)
     dest = os.path.join(out, "loss.json")
@@ -307,43 +286,22 @@ def cmd_loss(args):
 
 
 def cmd_report(args):
-    """Re-emit CSV (and SVG for sweeps) from a JSON report envelope."""
+    """Re-emit the CSV of a sweep, pairs or eval JSON report envelope."""
     out = _ensure_out(args)
     with open(args.input, encoding="utf-8") as fh:
         env = json.load(fh)
-    command = env.get("command")
-    payload = env.get("payload", {})
-    stem = os.path.splitext(os.path.basename(args.input))[0]
-    written = []
-    if command == "sweep":
-        rows = []
-        for b in payload["bins"]:
-            for est in sorted(b["reports"]):
-                r = b["reports"][est]
-                rows.append([b["lo"], b["hi"], est, r["n"], r["yaw_mae"],
-                             r["pitch_mae"], r["roll_mae"], r["mae"],
-                             r["geodesic_mae"], b["pair_count"]])
-        text = reports._csv_string(reports.SWEEP_CSV_COLUMNS, rows)
-    elif command == "pairs":
-        text = reports._csv_string(reports.PAIRS_CSV_COLUMNS,
-                                   [list(p) for p in payload["pairs"]])
-    elif command == "eval":
-        rows = []
-        for est in sorted(payload):
-            r = payload[est]
-            rows.append([est, r["n"], r["yaw_mae"], r["pitch_mae"],
-                         r["roll_mae"], r["mae"], r["geodesic_mae"],
-                         r.get("tx_mae_mm", ""), r.get("ty_mae_mm", ""),
-                         r.get("tz_mae_mm", ""), r.get("t_l2_mm", "")])
-        text = reports._csv_string(reports.METRIC_CSV_COLUMNS, rows)
-    else:
+    command = env.get("command") if isinstance(env, dict) else None
+    build_csv = {"sweep": reports.sweep_csv, "pairs": reports.pairs_csv,
+                 "eval": reports.metric_csv}.get(command)
+    if build_csv is None:
         raise RelHpeError(f"cannot regenerate from a {command!r} report")
-    dest = os.path.join(out, f"{stem}.csv")
-    with open(dest, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    written.append(dest)
-    for path in written:
-        print(f"wrote {path}")
+    try:
+        text = build_csv(env["payload"])
+    except (KeyError, TypeError) as exc:
+        raise RelHpeError(f"{args.input}: malformed {command} report "
+                          f"({type(exc).__name__}: {exc})") from exc
+    stem = os.path.splitext(os.path.basename(args.input))[0]
+    _write_reports(out, stem, env, text, "csv")
     return 0
 
 
@@ -355,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="relhpe",
         description="Relative head-pose toolkit: ingestion, benchmark pairs, "
                     "metrics, sweeps, simulation, and loss evaluation.")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=int, default=0,
                         help="RNG seed (echoed into reports)")
     parser.add_argument("--config", default=None, help="flat JSON config file")
     parser.add_argument("--out", default=None, help="output directory")

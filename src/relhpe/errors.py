@@ -45,6 +45,10 @@ class MissingPrediction(RelHpeError):
         self.query_id = query_id
 
 
+class UnknownFrame(RelHpeError):
+    """A frame id is not in the pose log it was looked up in."""
+
+
 class ParseError(RelHpeError):
     """Malformed input file; message carries line/field context."""
 

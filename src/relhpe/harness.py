@@ -27,15 +27,16 @@ from __future__ import annotations
 import glob as globmod
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .anchors import AnchorPolicy, assign_anchors
 from .camera import Intrinsics
-from .errors import (InsufficientFrames, InvariantViolation, MalformedPoseFile,
-                     MissingCalibration, MissingPrediction, ParseError)
+from .errors import (DomainError, InsufficientFrames, InvariantViolation,
+                     MalformedPoseFile, MissingCalibration, MissingPrediction,
+                     ParseError)
 from .geometry import (Rotation, SE3Pose, apply_anchor, compose,
                        euler_from_rotation, geodesic_deg)
 from .poselog import FrameRecord, PoseLog
@@ -228,7 +229,7 @@ def neutral_reference(log: PoseLog) -> Rotation:
 
 def _distances_to_reference(log: PoseLog):
     ref = neutral_reference(log)
-    return ref, [geodesic_deg(ref, f.pose.rotation) for f in log.frames]
+    return [geodesic_deg(ref, f.pose.rotation) for f in log.frames]
 
 
 def _sample_pairs(candidates, n_pairs, rng):
@@ -241,7 +242,7 @@ def _sample_pairs(candidates, n_pairs, rng):
 def build_hard_pairs(log: PoseLog, neutral_thresh_deg=15.0, extreme_thresh_deg=45.0,
                      n_pairs=360, seed=0) -> PairSet:
     """Near-neutral anchors paired with extreme-pose queries."""
-    _, dist = _distances_to_reference(log)
+    dist = _distances_to_reference(log)
     anchors = [f for f, d in zip(log.frames, dist) if d < neutral_thresh_deg]
     queries = [f for f, d in zip(log.frames, dist) if d > extreme_thresh_deg]
     if not anchors or not queries:
@@ -261,7 +262,7 @@ def build_hard_pairs(log: PoseLog, neutral_thresh_deg=15.0, extreme_thresh_deg=4
 def build_easy_pairs(log: PoseLog, neutral_thresh_deg=15.0, max_gap_deg=8.0,
                      n_pairs=360, seed=0) -> PairSet:
     """Near-neutral anchors paired with near-neutral queries at small gaps."""
-    _, dist = _distances_to_reference(log)
+    dist = _distances_to_reference(log)
     neutral = [f for f, d in zip(log.frames, dist) if d < neutral_thresh_deg]
     candidates = []
     for a in neutral:
@@ -314,8 +315,8 @@ class MetricReport:
         return d
 
 
-def _report_from_samples(samples) -> MetricReport:
-    """Aggregate (|dyaw|, |dpitch|, |droll|, geo, |dt| 3-vector) samples."""
+def report_from_samples(samples) -> MetricReport:
+    """Aggregate error samples (see error_samples) into one MetricReport."""
     if not samples:
         return MetricReport.empty()
     arr = np.array([s[:4] for s in samples])
@@ -338,8 +339,8 @@ def _error_sample(pred: SE3Pose, true: SE3Pose):
             pred.translation - true.translation)
 
 
-def evaluate(pairs: PairSet, predictions, truth: PoseLog) -> MetricReport:
-    """Per-axis MAE, geodesic MAE, and translation error over a pair set.
+def error_samples(pairs: PairSet, predictions, truth: PoseLog) -> list:
+    """One (|dyaw|, |dpitch|, |droll|, geodesic, dt 3-vector) sample per pair.
 
     predictions maps query_id -> predicted SE3Pose (absolute, truth frame).
     """
@@ -348,7 +349,12 @@ def evaluate(pairs: PairSet, predictions, truth: PoseLog) -> MetricReport:
         if query_id not in predictions:
             raise MissingPrediction(query_id)
         samples.append(_error_sample(predictions[query_id], truth.pose_of(query_id)))
-    return _report_from_samples(samples)
+    return samples
+
+
+def evaluate(pairs: PairSet, predictions, truth: PoseLog) -> MetricReport:
+    """Per-axis MAE, geodesic MAE, and translation error over a pair set."""
+    return report_from_samples(error_samples(pairs, predictions, truth))
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +381,18 @@ class SweepReport:
     total_unpaired: int
 
 
-def _predict(estimator, log, assignment, query_pose):
+def predict_query(estimator, subject_id, query_id, anchor_pose: SE3Pose,
+                  query_pose: SE3Pose) -> SE3Pose:
+    """Absolute prediction for one query.
+
+    A relative estimator predicts the anchor-to-query transform, which is
+    composed onto the anchor pose; an absolute estimator ignores the anchor.
+    """
     if estimator.kind == "absolute":
-        return estimator.predict_absolute(log.subject_id, assignment.query_id,
-                                          query_pose)
-    rel = estimator.predict_relative(log.subject_id, assignment.query_id,
-                                     assignment.anchor_pose, query_pose)
-    return apply_anchor(rel, assignment.anchor_pose)
+        return estimator.predict_absolute(subject_id, query_id, query_pose)
+    rel = estimator.predict_relative(subject_id, query_id, anchor_pose,
+                                     query_pose)
+    return apply_anchor(rel, anchor_pose)
 
 
 def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
@@ -397,6 +408,8 @@ def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
         raise ValueError(f"unknown sweep axis {axis!r}")
     if axis == "absolute_query_pose" and policy.kind != "nearest_within":
         raise ValueError("absolute_query_pose sweeps require a nearest_within policy")
+    if not bin_width_deg > 0:
+        raise DomainError(f"bin width must be positive, got {bin_width_deg}")
     if not isinstance(logs, (list, tuple)):
         logs = [logs]
     if not isinstance(estimators, (list, tuple)):
@@ -410,7 +423,7 @@ def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
             preds_ext = (predictions_by_estimator or {}).get(policy.external_source)
         assignments = assign_anchors(log, policy, preds_ext)
         if axis == "absolute_query_pose":
-            ref, dist = _distances_to_reference(log)
+            dist = _distances_to_reference(log)
             dist_by_id = {f.frame_id: d for f, d in zip(log.frames, dist)}
         for assignment in sorted(assignments, key=lambda a: a.query_id):
             if not assignment.paired:
@@ -421,7 +434,8 @@ def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
                      else dist_by_id[assignment.query_id])
             samples = {}
             for est in estimators:
-                pred = _predict(est, log, assignment, query_pose)
+                pred = predict_query(est, log.subject_id, assignment.query_id,
+                                     assignment.anchor_pose, query_pose)
                 samples[est.id] = _error_sample(pred, query_pose)
             rows.append((value, samples))
 
@@ -435,7 +449,7 @@ def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
     for b, items in enumerate(binned):
         reports = {}
         for est in estimators:
-            reports[est.id] = _report_from_samples([s[est.id] for s in items])
+            reports[est.id] = report_from_samples([s[est.id] for s in items])
         bins.append(SweepBin(b * bin_width_deg, (b + 1) * bin_width_deg,
                              reports, len(items)))
     return SweepReport(axis, bin_width_deg, tuple(bins), len(rows), unpaired)

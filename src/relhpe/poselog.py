@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .camera import Intrinsics
-from .errors import EmptyInput, FrameMismatch, InvariantViolation
+from .errors import (EmptyInput, FrameMismatch, InvariantViolation,
+                     UnknownFrame)
 from .geometry import SE3Pose
 
 
@@ -51,4 +52,4 @@ class PoseLog:
         for f in self.frames:
             if f.frame_id == frame_id:
                 return f.pose
-        raise KeyError(frame_id)
+        raise UnknownFrame(f"log {self.subject_id!r} has no frame {frame_id!r}")

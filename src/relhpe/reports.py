@@ -12,7 +12,7 @@ import hashlib
 import io
 import json
 
-from .harness import MetricReport, PairSet, SweepReport
+from .harness import PairSet, SweepReport
 
 REPORT_FORMAT_VERSION = "1"
 
@@ -81,29 +81,33 @@ def _csv_string(columns, rows) -> str:
     return buf.getvalue()
 
 
-def metric_csv(reports: dict) -> str:
+def metric_csv(payload: dict) -> str:
+    """CSV rows of a metric_payload, one per estimator."""
     rows = []
-    for est in sorted(reports):
-        r = reports[est]
-        t = r.t_mae_mm or ("", "", "")
-        rows.append([est, r.n, r.yaw_mae, r.pitch_mae, r.roll_mae, r.mae,
-                     r.geodesic_mae, t[0], t[1], t[2],
-                     r.t_l2_mm if r.t_l2_mm is not None else ""])
+    for est in sorted(payload):
+        r = payload[est]
+        rows.append([est, r["n"], r["yaw_mae"], r["pitch_mae"], r["roll_mae"],
+                     r["mae"], r["geodesic_mae"], r.get("tx_mae_mm", ""),
+                     r.get("ty_mae_mm", ""), r.get("tz_mae_mm", ""),
+                     r.get("t_l2_mm", "")])
     return _csv_string(METRIC_CSV_COLUMNS, rows)
 
 
-def sweep_csv(rep: SweepReport) -> str:
+def sweep_csv(payload: dict) -> str:
+    """CSV rows of a sweep_payload, one per bin and estimator."""
     rows = []
-    for b in rep.bins:
-        for est in sorted(b.reports):
-            r = b.reports[est]
-            rows.append([b.lo, b.hi, est, r.n, r.yaw_mae, r.pitch_mae,
-                         r.roll_mae, r.mae, r.geodesic_mae, b.pair_count])
+    for b in payload["bins"]:
+        for est in sorted(b["reports"]):
+            r = b["reports"][est]
+            rows.append([b["lo"], b["hi"], est, r["n"], r["yaw_mae"],
+                         r["pitch_mae"], r["roll_mae"], r["mae"],
+                         r["geodesic_mae"], b["pair_count"]])
     return _csv_string(SWEEP_CSV_COLUMNS, rows)
 
 
-def pairs_csv(ps: PairSet) -> str:
-    return _csv_string(PAIRS_CSV_COLUMNS, [list(p) for p in ps.pairs])
+def pairs_csv(payload: dict) -> str:
+    """CSV rows of a pairs_payload, one per pair."""
+    return _csv_string(PAIRS_CSV_COLUMNS, payload["pairs"])
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyRange, ParseError
-from .geometry import (EulerAngles, Rotation, SE3Pose, apply_anchor,
-                       geodesic_deg, relative, rotation_from_euler)
-from .harness import MetricReport, PairSet, SweepReport, evaluate, sweep, \
-    build_easy_pairs, build_hard_pairs
+from .geometry import (EulerAngles, Rotation, SE3Pose, geodesic_deg,
+                       relative, rotation_from_euler)
+from .harness import (PairSet, build_easy_pairs, build_hard_pairs,
+                      error_samples, predict_query, report_from_samples, sweep)
 from .poselog import FrameRecord, PoseLog
 
 
@@ -180,36 +180,10 @@ def predict_pairs(log: PoseLog, pairs: PairSet, estimator) -> dict:
     Relative estimators predict against each pair's (ground-truth) anchor
     and compose; absolute estimators ignore the anchor.
     """
-    preds = {}
-    for anchor_id, query_id, _ in pairs.pairs:
-        truth = log.pose_of(query_id)
-        if estimator.kind == "absolute":
-            preds[query_id] = estimator.predict_absolute(log.subject_id,
-                                                         query_id, truth)
-        else:
-            anchor_pose = log.pose_of(anchor_id)
-            rel = estimator.predict_relative(log.subject_id, query_id,
-                                             anchor_pose, truth)
-            preds[query_id] = apply_anchor(rel, anchor_pose)
-    return preds
-
-
-def _pool_reports(reports) -> MetricReport:
-    """Sample-count-weighted pooling of per-log metric reports."""
-    reports = [r for r in reports if r.n > 0]
-    total = sum(r.n for r in reports)
-    if total == 0:
-        return MetricReport.empty()
-
-    def wmean(get):
-        return sum(get(r) * r.n for r in reports) / total
-
-    t_mae = tuple(wmean(lambda r, i=i: r.t_mae_mm[i]) for i in range(3)) \
-        if all(r.t_mae_mm is not None for r in reports) else None
-    t_l2 = wmean(lambda r: r.t_l2_mm) if t_mae is not None else None
-    return MetricReport(wmean(lambda r: r.yaw_mae), wmean(lambda r: r.pitch_mae),
-                        wmean(lambda r: r.roll_mae), wmean(lambda r: r.mae),
-                        wmean(lambda r: r.geodesic_mae), total, t_mae, t_l2)
+    return {query_id: predict_query(estimator, log.subject_id, query_id,
+                                    log.pose_of(anchor_id),
+                                    log.pose_of(query_id))
+            for anchor_id, query_id, _ in pairs.pairs}
 
 
 def run_end_to_end(logs, estimators, policy=None, benchmark=None):
@@ -230,14 +204,13 @@ def run_end_to_end(logs, estimators, policy=None, benchmark=None):
     if kind not in ("easy", "hard"):
         raise ValueError(f"unknown benchmark kind {kind!r}")
     builder = build_easy_pairs if kind == "easy" else build_hard_pairs
+    pair_sets = [(log, builder(log, **benchmark)) for log in logs]
     out = {}
     for est in estimators:
-        per_log = []
-        for log in logs:
-            pairs = builder(log, **benchmark)
-            preds = predict_pairs(log, pairs, est)
-            per_log.append(evaluate(pairs, preds, log))
-        out[est.id] = _pool_reports(per_log)
+        samples = []
+        for log, pairs in pair_sets:
+            samples += error_samples(pairs, predict_pairs(log, pairs, est), log)
+        out[est.id] = report_from_samples(samples)
     return out
 
 

@@ -25,7 +25,7 @@ from relhpe import (AnchorPolicy, CropSpec, EulerAngles, Intrinsics,
 from relhpe.camera import CameraPose
 from relhpe.harness import PairSet
 from relhpe.poselog import FrameRecord
-from relhpe.reports import pairs_csv
+from relhpe.reports import pairs_csv, pairs_payload
 
 from conftest import random_pose, random_rotation
 from test_harness import easy_fixture_log, hard_fixture_log, write_biwi_fixture
@@ -177,12 +177,14 @@ def test_05_benchmark_constructors():
         # seeded determinism, byte for byte
         a = build_hard_pairs(hard_fixture_log(), n_pairs=50, seed=7)
         b = build_hard_pairs(hard_fixture_log(), n_pairs=50, seed=7)
-        assert pairs_csv(a).encode() == pairs_csv(b).encode()
+        assert (pairs_csv(pairs_payload(a)).encode()
+                == pairs_csv(pairs_payload(b)).encode())
         c = build_easy_pairs(log, neutral_thresh_deg=1000.0, max_gap_deg=6.5,
                              n_pairs=8, seed=3)
         d = build_easy_pairs(log, neutral_thresh_deg=1000.0, max_gap_deg=6.5,
                              n_pairs=8, seed=3)
-        assert pairs_csv(c).encode() == pairs_csv(d).encode()
+        assert (pairs_csv(pairs_payload(c)).encode()
+                == pairs_csv(pairs_payload(d)).encode())
 
 
 def test_06_sweep_phenomenology():

@@ -272,24 +272,84 @@ class TestLoss:
 
 
 class TestReport:
-    def test_sweep_csv_regenerated(self, sim_log, tmp_path):
-        out = tmp_path / "s"
-        assert run(["--seed", "2", "--out", out, "sweep", sim_log,
-                    "--policy", "fixed_first"]) == 0
-        out2 = tmp_path / "r"
-        assert run(["--out", out2, "report", out / "sweep.json"]) == 0
-        assert read(out2 / "sweep.csv") == read(out / "sweep.csv")
+    @staticmethod
+    def write_report(kind, sim_log, tmp_path, out):
+        """Run the command that writes a report of this kind; its stem."""
+        if kind == "sweep":
+            assert run(["--seed", "2", "--out", out, "sweep", sim_log,
+                        "--policy", "fixed_first"]) == 0
+            return "sweep"
+        easy = ["--pair-kind", "easy", "--neutral-thresh-deg", "1000",
+                "--max-gap-deg", "40"]
+        if kind == "pairs":
+            assert run(["--seed", "0", "--out", out, "pairs", sim_log] + easy) == 0
+            return "pairs_subj000"
+        # eval: score another seed's poses so every column, the translation
+        # ones included, holds a non-trivial float
+        log = single_subject_log(tmp_path)
+        assert run(["--out", out, "pairs", log] + easy) == 0
+        other = tmp_path / "other"
+        assert run(["--seed", "6", "--out", other, "simulate",
+                    "--subjects", "1", "--frames-per-log", "30"]) == 0
+        preds = tmp_path / "preds.csv"
+        write_perfect_predictions(other / "simulated_poselog.csv",
+                                  out / "pairs_subj000.csv", preds)
+        assert run(["--out", out, "eval", log, out / "pairs_subj000.csv",
+                    preds]) == 0
+        assert float(read(out / "eval.csv").splitlines()[1].split(",")[-1]) > 0
+        return "eval"
 
-    def test_pairs_csv_regenerated(self, sim_log, tmp_path):
-        out = tmp_path / "p"
-        assert run(["--seed", "0", "--out", out, "pairs", sim_log,
-                    "--pair-kind", "easy", "--neutral-thresh-deg", "1000",
-                    "--max-gap-deg", "40"]) == 0
+    @pytest.mark.parametrize("kind", ["sweep", "pairs", "eval"])
+    def test_csv_regenerated(self, kind, sim_log, tmp_path):
+        out = tmp_path / "o"
+        stem = self.write_report(kind, sim_log, tmp_path, out)
         out2 = tmp_path / "r"
-        assert run(["--out", out2, "report", out / "pairs_subj000.json"]) == 0
-        assert read(out2 / "pairs_subj000.csv") == read(out / "pairs_subj000.csv")
+        assert run(["--out", out2, "report", out / f"{stem}.json"]) == 0
+        assert read(out2 / f"{stem}.csv") == read(out / f"{stem}.csv")
 
     def test_unsupported_source(self, tmp_path, capsys):
         src = tmp_path / "loss.json"
         src.write_text(json.dumps({"command": "loss", "payload": {}}))
         assert run(["--out", tmp_path, "report", src]) == 2
+
+
+def malformed_input(case, tmp_path):
+    """argv for one malformed-input case, and text its error must name."""
+    if case == "report_without_bins":
+        src = tmp_path / "sweep.json"
+        src.write_text(json.dumps({"command": "sweep",
+                                   "payload": {"axis": "anchor_query_gap"}}))
+        return ["report", src], "sweep.json"
+    if case == "short_stage_row":
+        pred, true = tmp_path / "pred.csv", tmp_path / "true.csv"
+        write_stage_file(true, [(1, 0, 0, 0, 1, 0, 0, 0, 60, 60)])
+        pred.write_text("k,tx,ty,tz,qw,qx,qy,qz,fov_h_deg,fov_w_deg\n"
+                        "1,0,0,0,1,0,0,0,60\n")
+        return ["loss", pred, true], "pred.csv:2:"
+    log = single_subject_log(tmp_path)
+    if case == "zero_bin_width":
+        return ["sweep", log, "--bin-width-deg", "0"], "bin width"
+    if case == "negative_bin_width":
+        return ["sweep", log, "--bin-width-deg", "-5"], "bin width"
+    preds = tmp_path / "preds.csv"
+    preds.write_text("query_id,qw,qx,qy,qz,tx_mm,ty_mm,tz_mm\n"
+                     "zzz,1,0,0,0,0,0,0\n")
+    pairs = tmp_path / "pairs.csv"
+    if case == "pairs_without_anchor_id":
+        pairs.write_text("query_id,gap_deg\nzzz,1.0\n")
+        return ["eval", log, pairs, preds], "pairs.csv:1:"
+    assert case == "query_not_in_truth"
+    pairs.write_text("anchor_id,query_id,gap_deg\nf0000,zzz,1.0\n")
+    return ["eval", log, pairs, preds], "'zzz'"
+
+
+@pytest.mark.parametrize("case", ["report_without_bins", "pairs_without_anchor_id",
+                                  "query_not_in_truth", "short_stage_row",
+                                  "zero_bin_width", "negative_bin_width"])
+def test_malformed_input_is_a_typed_error(case, tmp_path, capsys):
+    argv, named = malformed_input(case, tmp_path)
+    capsys.readouterr()
+    assert run(["--out", tmp_path / "o"] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert "Traceback" not in err

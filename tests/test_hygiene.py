@@ -1,0 +1,57 @@
+"""Static checks on the package sources, in place of a linter.
+
+Each module under src/relhpe (the package __init__ re-exports and is
+skipped) must use every name it imports, and must not reach into another
+module's private (single-underscore) names.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "relhpe"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _imports(tree):
+    """(bound name, imported module-or-name, is a module, node) per alias."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                yield bound, alias.name, True, node
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                # "from . import reports" binds a module; "from .x import y" a name
+                yield alias.asname or alias.name, alias.name, node.module is None, node
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = sorted({bound for bound, _, _, _ in _imports(tree)} - used)
+    assert not unused, f"{path.name}: unused imports: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_cross_module_reach(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = set()
+    reaches = []
+    for bound, name, is_module, node in _imports(tree):
+        if is_module:
+            modules.add(bound)
+        elif _private(name):
+            reaches.append(f"line {node.lineno}: imports {name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            reaches.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+    assert not reaches, f"{path.name}: private cross-module reach: {reaches}"
