@@ -11,8 +11,9 @@ from .camera import (CameraPose, CropSpec, Intrinsics, compose_crops,
                      crop_update_intrinsics, fov_from_intrinsics,
                      intrinsics_from_fov, logtan_fov, project)
 from .geometry import (EulerAngles, Rotation, SE3Pose, apply_anchor, compose,
-                       euler_from_rotation, geodesic_deg, inverse,
-                       normalize_to_anchor, relative, rotation_from_euler)
+                       euler_from_rotation, geodesic_deg, geodesic_deg_many,
+                       inverse, normalize_to_anchor, relative,
+                       rotation_from_euler)
 from .harness import (FrameRecord, MetricReport, PairSet, PoseLog, SweepBin,
                       SweepReport, build_easy_pairs, build_hard_pairs,
                       evaluate, export_canonical, ingest_biwi,

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import FrameMismatch, MissingPredictions
-from .geometry import SE3Pose, apply_anchor, geodesic_deg, relative
+from .geometry import (SE3Pose, apply_anchor, geodesic_deg, geodesic_deg_many,
+                       relative)
 from .poselog import PoseLog
 
 POLICY_KINDS = ("fixed_first", "nearest_within", "temporal_previous",
@@ -62,7 +63,7 @@ def assign_anchors(log: PoseLog, policy: AnchorPolicy, predictions=None) -> list
     predictions maps frame_id -> SE3Pose and is required (for the anchor
     frames) under external_predicted.
     """
-    frames = log.frames
+    frames, quats = log.frames, log.quats
     out = []
     if policy.kind in ("fixed_first", "external_predicted"):
         anchor = frames[0]
@@ -75,33 +76,24 @@ def assign_anchors(log: PoseLog, policy: AnchorPolicy, predictions=None) -> list
                     f"from estimator {policy.external_source!r}")
             anchor_pose = predictions[anchor.frame_id]
             source = "predicted"
-        for f in frames:
-            gap = geodesic_deg(anchor.pose.rotation, f.pose.rotation)
+        for f, gap in zip(frames, geodesic_deg_many(quats[0], quats).tolist()):
             out.append(AnchorAssignment(f.frame_id, anchor.frame_id,
                                         anchor_pose, source, gap))
     elif policy.kind == "temporal_previous":
-        for i, f in enumerate(frames):
-            if i == 0:
-                out.append(AnchorAssignment(f.frame_id, None, None))
-                continue
-            prev = frames[i - 1]
-            gap = geodesic_deg(prev.pose.rotation, f.pose.rotation)
+        out.append(AnchorAssignment(frames[0].frame_id, None, None))
+        gaps = geodesic_deg_many(quats[:-1], quats[1:]).tolist()
+        for prev, f, gap in zip(frames, frames[1:], gaps):
             out.append(AnchorAssignment(f.frame_id, prev.frame_id,
                                         prev.pose, "ground_truth", gap))
     else:  # nearest_within
         for i, f in enumerate(frames):
-            best = None
-            best_gap = None
-            for j, g in enumerate(frames):
-                if j == i:
-                    continue
-                gap = geodesic_deg(g.pose.rotation, f.pose.rotation)
-                # ties broken by lowest frame index (first hit wins)
-                if best_gap is None or gap < best_gap:
-                    best, best_gap = g, gap
-            if best is not None and best_gap < policy.threshold_deg:
-                out.append(AnchorAssignment(f.frame_id, best.frame_id,
-                                            best.pose, "ground_truth", best_gap))
+            gaps = geodesic_deg_many(quats, quats[i])
+            gaps[i] = float("inf")
+            j = int(gaps.argmin())  # ties broken by lowest frame index
+            if gaps[j] < policy.threshold_deg:
+                out.append(AnchorAssignment(f.frame_id, frames[j].frame_id,
+                                            frames[j].pose, "ground_truth",
+                                            gaps[j].item()))
             else:
                 out.append(AnchorAssignment(f.frame_id, None, None))
     return out

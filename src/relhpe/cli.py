@@ -28,8 +28,8 @@ from .camera import CameraPose
 from .errors import ParseError, RelHpeError, StageCountMismatch
 from .geometry import Rotation, euler_from_rotation
 from .harness import (PairSet, build_easy_pairs, build_hard_pairs, evaluate,
-                      export_canonical, ingest_biwi, ingest_canonical,
-                      ingest_canonical_all, sweep)
+                      export_canonical, finite_floats, ingest_biwi,
+                      ingest_canonical, ingest_canonical_all, row_errors, sweep)
 from .losses import LossConfig, StagePrediction, loss_cam
 from .simulate import (AbsoluteSimEstimator, NoiseModel, PoseSampler,
                        RelativeSimEstimator, load_predictions_csv, sample_logs)
@@ -240,15 +240,13 @@ def _read_stage_file(path):
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or row[0].strip().startswith("#") or row[0].strip() == "k":
                 continue
-            if len(row) < 10:
+            if len(row) != 10:
                 raise ParseError(f"{path}:{lineno}: expected 10 fields, got {len(row)}")
-            try:
-                vals = [float(v) for v in row]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            stages.append((int(vals[0]), CameraPose(
-                t=np.array(vals[1:4]), q=Rotation(*vals[4:8]),
-                fov_h=math.radians(vals[8]), fov_w=math.radians(vals[9]))))
+            with row_errors(path, lineno):
+                vals = finite_floats(row)
+                stages.append((int(vals[0]), CameraPose(
+                    t=np.array(vals[1:4]), q=Rotation(*vals[4:8]),
+                    fov_h=math.radians(vals[8]), fov_w=math.radians(vals[9]))))
     return stages
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, FrameMismatch
+from .errors import DomainError, EmptyInput, FrameMismatch
 
 _UNIT_TOL = 1e-9
 
@@ -42,7 +42,7 @@ def _canonical(q):
 class Rotation:
     """Unit quaternion with canonical sign.
 
-    Accepts any nonzero quaternion; normalizes and canonicalizes on
+    Accepts any nonzero finite quaternion; normalizes and canonicalizes on
     construction.
     """
 
@@ -54,8 +54,8 @@ class Rotation:
     def __post_init__(self):
         n = math.sqrt(self.w * self.w + self.x * self.x
                       + self.y * self.y + self.z * self.z)
-        if n == 0.0:
-            raise ValueError("zero quaternion has no direction")
+        if not 0.0 < n < math.inf:
+            raise DomainError(f"quaternion norm {n} is zero or non-finite")
         if abs(n - 1.0) <= 1e-12:
             # already unit: skip the division so round trips through text
             # serialization are bit-stable
@@ -238,6 +238,24 @@ def geodesic_deg(a: Rotation, b: Rotation) -> float:
     diff = math.sqrt(dw * dw + dx * dx + dy * dy + dz * dz)
     summ = math.sqrt(sw * sw + sx * sx + sy * sy + sz * sz)
     return math.degrees(4.0 * math.atan2(diff, summ))
+
+
+def geodesic_deg_many(p, q) -> np.ndarray:
+    """geodesic_deg over the rows of (4,) or (N, 4) arrays of (w, x, y, z),
+    a (4,) side paired with every row.  Equal to the scalar bit for bit: it
+    repeats its expressions in order and takes math.atan2 (numpy's arctan2
+    can differ in the last bit).
+    """
+    aw, ax, ay, az = np.asarray(p, dtype=float).T
+    bw, bx, by, bz = np.asarray(q, dtype=float).T
+    s = np.where(aw * bw + ax * bx + ay * by + az * bz >= 0.0, 1.0, -1.0)
+    dw, dx, dy, dz = aw - s * bw, ax - s * bx, ay - s * by, az - s * bz
+    sw, sx, sy, sz = aw + s * bw, ax + s * bx, ay + s * by, az + s * bz
+    diff = np.sqrt(dw * dw + dx * dx + dy * dy + dz * dz)
+    summ = np.sqrt(sw * sw + sx * sx + sy * sy + sz * sz)
+    ang = np.fromiter(map(math.atan2, diff.ravel().tolist(),
+                          summ.ravel().tolist()), float, diff.size)
+    return np.degrees(4.0 * ang)
 
 
 def rotation_from_euler(e: EulerAngles) -> Rotation:

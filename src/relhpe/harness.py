@@ -27,6 +27,7 @@ from __future__ import annotations
 import glob as globmod
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,7 +39,7 @@ from .errors import (DomainError, InsufficientFrames, InvariantViolation,
                      MalformedPoseFile, MissingCalibration, MissingPrediction,
                      ParseError)
 from .geometry import (Rotation, SE3Pose, apply_anchor, compose,
-                       euler_from_rotation, geodesic_deg)
+                       euler_from_rotation, geodesic_deg, geodesic_deg_many)
 from .poselog import FrameRecord, PoseLog
 
 FORMAT_VERSION = "v1"
@@ -72,6 +73,24 @@ def export_canonical(logs, path):
                 fh.write(",".join(cols) + "\n")
 
 
+def finite_floats(cells) -> list:
+    """The cells as floats; ValueError on a non-number, nan or inf."""
+    vals = [float(c) for c in cells]
+    if not all(map(math.isfinite, vals)):
+        raise ValueError("non-finite field")
+    return vals
+
+
+@contextmanager
+def row_errors(path, lineno):
+    """Re-raise a ValueError or DomainError from parsing one text row as
+    ParseError '<path>:<lineno>: <message>'."""
+    try:
+        yield
+    except (ValueError, DomainError) as exc:
+        raise ParseError(f"{path}:{lineno}: {exc}") from exc
+
+
 def ingest_canonical_all(path) -> list:
     """Parse a canonical file into one PoseLog per subject (file order)."""
     with open(path, encoding="utf-8") as fh:
@@ -93,21 +112,17 @@ def ingest_canonical_all(path) -> list:
         cols = line.split(",")
         if len(cols) not in (10, 16):
             raise ParseError(f"{path}:{lineno}: expected 10 or 16 fields, got {len(cols)}")
-        try:
-            subject, frame_id = cols[0], cols[1]
+        subject, frame_id = cols[0], cols[1]
+        with row_errors(path, lineno):
             index = int(cols[2])
-            vals = [float(c) for c in cols[3:]]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        qw, qx, qy, qz = vals[0:4]
-        norm = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
-        if abs(norm - 1.0) > 1e-3:
-            raise InvariantViolation(
-                f"{path}:{lineno}: quaternion norm {norm:.6f} deviates from 1 by more than 1e-3")
-        pose = SE3Pose(Rotation(qw, qx, qy, qz), np.array(vals[4:7]), frame_tag)
-        intr = None
-        if len(vals) == 13:
-            intr = Intrinsics(*vals[7:13])
+            vals = finite_floats(cols[3:])
+            qw, qx, qy, qz = vals[0:4]
+            norm = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+            if not abs(norm - 1.0) <= 1e-3:
+                raise InvariantViolation(
+                    f"{path}:{lineno}: quaternion norm {norm:.6f} deviates from 1 by more than 1e-3")
+            pose = SE3Pose(Rotation(qw, qx, qy, qz), np.array(vals[4:7]), frame_tag)
+            intr = Intrinsics(*vals[7:13]) if len(vals) == 13 else None
         if subject not in by_subject:
             by_subject[subject] = []
             order.append(subject)
@@ -155,6 +170,8 @@ def read_biwi_calibration(path):
     rmat = np.array(r_rows)
     if kmat.shape != (3, 3) or rmat.shape != (3, 3) or len(t_row) != 3 or len(dims) != 2:
         raise MissingCalibration(f"{path}: malformed calibration sections")
+    if not all(math.isfinite(v) for row in rows[:8] for v in row):
+        raise MissingCalibration(f"{path}: non-finite number")
     intr = Intrinsics(fx=kmat[0, 0], fy=kmat[1, 1], cx=kmat[0, 2], cy=kmat[1, 2],
                       width=dims[0], height=dims[1])
     transform = SE3Pose(Rotation.from_matrix(rmat), np.array(t_row), "rgb")
@@ -167,6 +184,8 @@ def read_biwi_pose(path) -> SE3Pose:
     vals = [v for row in rows for v in row]
     if len(vals) != 12:
         raise MalformedPoseFile(f"{path}: expected 12 numbers, got {len(vals)}")
+    if not all(map(math.isfinite, vals)):
+        raise MalformedPoseFile(f"{path}: non-finite number")
     rmat = np.array(vals[0:9]).reshape(3, 3)
     rtr = rmat.T @ rmat
     if not np.allclose(rtr, np.eye(3), atol=1e-6):
@@ -218,18 +237,25 @@ def neutral_reference(log: PoseLog) -> Rotation:
     """Per-subject neutral rotation: the frame minimizing the mean geodesic
     distance to all other frames.  Deterministic and annotation-free.
     """
-    rots = [f.pose.rotation for f in log.frames]
-    best_i, best_mean = 0, float("inf")
-    for i, r in enumerate(rots):
-        mean = sum(geodesic_deg(r, other) for other in rots) / len(rots)
-        if mean < best_mean:
-            best_i, best_mean = i, mean
-    return rots[best_i]
+    quats = log.quats
+    means = [sum(geodesic_deg_many(q, quats).tolist()) / len(quats)
+             for q in quats]
+    return log.frames[means.index(min(means))].pose.rotation
 
 
 def _distances_to_reference(log: PoseLog):
-    ref = neutral_reference(log)
-    return [geodesic_deg(ref, f.pose.rotation) for f in log.frames]
+    return geodesic_deg_many(neutral_reference(log).quat, log.quats).tolist()
+
+
+def _candidates(log: PoseLog, anchors, queries):
+    """(anchor_id, query_id, gap_deg) for each pair of distinct frame
+    positions, anchor-major, both lists in their given order."""
+    frames, quats = log.frames, log.quats
+    rows = quats[queries]
+    return [(frames[a].frame_id, frames[q].frame_id, gap)
+            for a in anchors
+            for q, gap in zip(queries, geodesic_deg_many(quats[a], rows).tolist())
+            if a != q]
 
 
 def _sample_pairs(candidates, n_pairs, rng):
@@ -243,18 +269,15 @@ def build_hard_pairs(log: PoseLog, neutral_thresh_deg=15.0, extreme_thresh_deg=4
                      n_pairs=360, seed=0) -> PairSet:
     """Near-neutral anchors paired with extreme-pose queries."""
     dist = _distances_to_reference(log)
-    anchors = [f for f, d in zip(log.frames, dist) if d < neutral_thresh_deg]
-    queries = [f for f, d in zip(log.frames, dist) if d > extreme_thresh_deg]
+    anchors = [i for i, d in enumerate(dist) if d < neutral_thresh_deg]
+    queries = [i for i, d in enumerate(dist) if d > extreme_thresh_deg]
     if not anchors or not queries:
         raise InsufficientFrames(
             f"log {log.subject_id!r}: {len(anchors)} neutral frames "
             f"(< {neutral_thresh_deg} deg), {len(queries)} extreme frames "
             f"(> {extreme_thresh_deg} deg)",
             n_neutral=len(anchors), n_extreme=len(queries))
-    candidates = [
-        (a.frame_id, q.frame_id, geodesic_deg(a.pose.rotation, q.pose.rotation))
-        for a in anchors for q in queries if a.frame_id != q.frame_id
-    ]
+    candidates = _candidates(log, anchors, queries)
     rng = np.random.default_rng(seed)
     return PairSet("hard", tuple(_sample_pairs(candidates, n_pairs, rng)), seed)
 
@@ -263,15 +286,9 @@ def build_easy_pairs(log: PoseLog, neutral_thresh_deg=15.0, max_gap_deg=8.0,
                      n_pairs=360, seed=0) -> PairSet:
     """Near-neutral anchors paired with near-neutral queries at small gaps."""
     dist = _distances_to_reference(log)
-    neutral = [f for f, d in zip(log.frames, dist) if d < neutral_thresh_deg]
-    candidates = []
-    for a in neutral:
-        for q in neutral:
-            if a.frame_id == q.frame_id:
-                continue
-            gap = geodesic_deg(a.pose.rotation, q.pose.rotation)
-            if gap <= max_gap_deg:
-                candidates.append((a.frame_id, q.frame_id, gap))
+    neutral = [i for i, d in enumerate(dist) if d < neutral_thresh_deg]
+    candidates = [c for c in _candidates(log, neutral, neutral)
+                  if c[2] <= max_gap_deg]
     if not candidates:
         raise InsufficientFrames(
             f"log {log.subject_id!r}: no frame pairs under gap {max_gap_deg} deg "

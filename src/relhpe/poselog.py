@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
+
+import numpy as np
 
 from .camera import Intrinsics
 from .errors import (EmptyInput, FrameMismatch, InvariantViolation,
@@ -32,8 +35,9 @@ class PoseLog:
         object.__setattr__(self, "frames", frames)
         if not frames:
             raise EmptyInput(f"log {self.subject_id!r} has no frames")
-        ids = [f.frame_id for f in frames]
-        if len(set(ids)) != len(ids):
+        object.__setattr__(self, "_position",
+                           {f.frame_id: i for i, f in enumerate(frames)})
+        if len(self._position) != len(frames):
             raise InvariantViolation(f"duplicate frame ids in log {self.subject_id!r}")
         for want, f in enumerate(frames):
             if f.index != want:
@@ -48,8 +52,15 @@ class PoseLog:
     def __len__(self):
         return len(self.frames)
 
+    @cached_property
+    def quats(self) -> np.ndarray:
+        """Read-only (N, 4) array of the frames' (w, x, y, z) quaternions."""
+        q = np.array([(r.w, r.x, r.y, r.z)
+                      for r in (f.pose.rotation for f in self.frames)])
+        q.flags.writeable = False
+        return q
+
     def pose_of(self, frame_id: str) -> SE3Pose:
-        for f in self.frames:
-            if f.frame_id == frame_id:
-                return f.pose
-        raise UnknownFrame(f"log {self.subject_id!r} has no frame {frame_id!r}")
+        if frame_id not in self._position:
+            raise UnknownFrame(f"log {self.subject_id!r} has no frame {frame_id!r}")
+        return self.frames[self._position[frame_id]].pose

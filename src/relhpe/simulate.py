@@ -28,7 +28,8 @@ from .errors import EmptyRange, ParseError
 from .geometry import (EulerAngles, Rotation, SE3Pose, geodesic_deg,
                        relative, rotation_from_euler)
 from .harness import (PairSet, build_easy_pairs, build_hard_pairs,
-                      error_samples, predict_query, report_from_samples, sweep)
+                      error_samples, finite_floats, predict_query,
+                      report_from_samples, row_errors, sweep)
 from .poselog import FrameRecord, PoseLog
 
 
@@ -225,10 +226,10 @@ def load_predictions_csv(path) -> dict:
                 continue
             if len(row) != 8:
                 raise ParseError(f"{path}:{lineno}: expected 8 fields, got {len(row)}")
-            try:
-                qid = row[0].strip()
-                vals = [float(v) for v in row[1:]]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            preds[qid] = SE3Pose(Rotation(*vals[0:4]), np.array(vals[4:7]))
+            qid = row[0].strip()
+            if qid in preds:
+                raise ParseError(f"{path}:{lineno}: duplicate query id {qid!r}")
+            with row_errors(path, lineno):
+                vals = finite_floats(row[1:])
+                preds[qid] = SE3Pose(Rotation(*vals[0:4]), np.array(vals[4:7]))
     return preds

@@ -61,7 +61,7 @@ class TestNearestWithin:
                     for j in range(30) if j != i]
             best_gap, best_j = min(gaps)
             assert a.anchor_id == f"f{best_j}"
-            assert abs(a.gap_deg - best_gap) < 1e-12
+            assert a.gap_deg == best_gap
 
     def test_threshold_unpaired(self):
         log = yaw_log([0, 50, 100])

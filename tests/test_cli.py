@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from relhpe import ingest_canonical_all
+from relhpe import Rotation, SE3Pose, ingest_canonical_all
 from relhpe.cli import main
 
 from test_harness import write_biwi_fixture
@@ -320,21 +320,53 @@ def malformed_input(case, tmp_path):
         src.write_text(json.dumps({"command": "sweep",
                                    "payload": {"axis": "anchor_query_gap"}}))
         return ["report", src], "sweep.json"
-    if case == "short_stage_row":
+    stage_rows = {"short_stage_row": "1,0,0,0,1,0,0,0,60",
+                  "long_stage_row": "1,0,0,0,1,0,0,0,60,60,60",
+                  "nan_stage_translation": "1,nan,0,0,1,0,0,0,60,60"}
+    if case in stage_rows:
         pred, true = tmp_path / "pred.csv", tmp_path / "true.csv"
         write_stage_file(true, [(1, 0, 0, 0, 1, 0, 0, 0, 60, 60)])
         pred.write_text("k,tx,ty,tz,qw,qx,qy,qz,fov_h_deg,fov_w_deg\n"
-                        "1,0,0,0,1,0,0,0,60\n")
+                        f"{stage_rows[case]}\n")
         return ["loss", pred, true], "pred.csv:2:"
+    canonical_rows = {"nan_log_quaternion": "s,f1,1,nan,0,0,0,0,0,0",
+                      "inf_log_translation": "s,f1,1,1,0,0,0,0,inf,0",
+                      "bad_log_intrinsics": "s,f1,1,1,0,0,0,0,0,0,-5,5,3,2,6,4"}
+    if case in canonical_rows:
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# poselog v1 frame=world\ns,f0,0,1,0,0,0,0,0,0\n"
+                       f"{canonical_rows[case]}\n")
+        argv = (["ingest", bad] if case != "nan_log_quaternion"
+                else ["sweep", bad, "--policy", "nearest_within"])
+        return argv, "bad.csv:3:"
+    if case in ("nan_biwi_translation", "nan_biwi_calibration"):
+        poses = [SE3Pose(Rotation(1.0, 0.0, 0.0, 0.0), np.zeros(3), "depth")] * 2
+        calib_t = np.array([0.0, 0.0, 0.0 if case == "nan_biwi_translation" else math.nan])
+        write_biwi_fixture(tmp_path / "s01", poses, np.eye(3), np.eye(3), calib_t)
+        bad = tmp_path / "s01" / "frame_00001_pose.txt"
+        if case == "nan_biwi_translation":
+            bad.write_text(bad.read_text().rsplit("\n", 2)[0] + "\nnan 0.0 inf\n")
+        return (["ingest", tmp_path / "s01", "--input-format", "biwi"],
+                bad.name if case == "nan_biwi_translation" else "rgb.cal")
     log = single_subject_log(tmp_path)
     if case == "zero_bin_width":
         return ["sweep", log, "--bin-width-deg", "0"], "bin width"
     if case == "negative_bin_width":
         return ["sweep", log, "--bin-width-deg", "-5"], "bin width"
     preds = tmp_path / "preds.csv"
+    pairs = tmp_path / "pairs.csv"
+    prediction_rows = {"nan_prediction_quaternion": "f0001,nan,0,0,0,0,0,0",
+                       "zero_prediction_quaternion": "f0001,0,0,0,0,0,0,0",
+                       "duplicate_prediction_id": "f0001,1,0,0,0,0,0,0\n"
+                                                  "f0001,1,0,0,0,0,0,0"}
+    if case in prediction_rows:
+        pairs.write_text("anchor_id,query_id,gap_deg\nf0000,f0001,1.0\n")
+        preds.write_text("query_id,qw,qx,qy,qz,tx_mm,ty_mm,tz_mm\n"
+                         f"{prediction_rows[case]}\n")
+        line = 3 if case == "duplicate_prediction_id" else 2
+        return ["eval", log, pairs, preds], f"preds.csv:{line}:"
     preds.write_text("query_id,qw,qx,qy,qz,tx_mm,ty_mm,tz_mm\n"
                      "zzz,1,0,0,0,0,0,0\n")
-    pairs = tmp_path / "pairs.csv"
     if case == "pairs_without_anchor_id":
         pairs.write_text("query_id,gap_deg\nzzz,1.0\n")
         return ["eval", log, pairs, preds], "pairs.csv:1:"
@@ -345,7 +377,15 @@ def malformed_input(case, tmp_path):
 
 @pytest.mark.parametrize("case", ["report_without_bins", "pairs_without_anchor_id",
                                   "query_not_in_truth", "short_stage_row",
-                                  "zero_bin_width", "negative_bin_width"])
+                                  "zero_bin_width", "negative_bin_width",
+                                  "long_stage_row", "nan_stage_translation",
+                                  "nan_log_quaternion", "inf_log_translation",
+                                  "bad_log_intrinsics",
+                                  "nan_prediction_quaternion",
+                                  "zero_prediction_quaternion",
+                                  "duplicate_prediction_id",
+                                  "nan_biwi_translation",
+                                  "nan_biwi_calibration"])
 def test_malformed_input_is_a_typed_error(case, tmp_path, capsys):
     argv, named = malformed_input(case, tmp_path)
     capsys.readouterr()

@@ -1,12 +1,16 @@
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from relhpe import (EulerAngles, Rotation, SE3Pose, apply_anchor, compose,
                     euler_from_rotation, geodesic_deg, inverse,
                     normalize_to_anchor, relative, rotation_from_euler)
-from relhpe.errors import EmptyInput, FrameMismatch
+from relhpe.errors import DomainError, EmptyInput, FrameMismatch
+from relhpe.geometry import geodesic_deg_many
 
 from conftest import random_pose, random_rotation, yaw_pose
 
@@ -31,6 +35,12 @@ class TestRotation:
     def test_canonical_sign_zero_w(self):
         r = Rotation(0.0, -1.0, 0.0, 0.0)
         assert r.x == 1.0
+
+    @pytest.mark.parametrize("q", [(0.0, 0.0, 0.0, 0.0), (math.nan, 0.0, 0.0, 0.0),
+                                   (1.0, math.inf, 0.0, 0.0), (1e200, 1e200, 0.0, 0.0)])
+    def test_zero_or_non_finite_norm_rejected(self, q):
+        with pytest.raises(DomainError):
+            Rotation(*q)
 
     def test_sign_flip_same_matrix(self, rng):
         for _ in range(100):
@@ -192,6 +202,42 @@ class TestGeodesic:
             d = geodesic_deg(a, b)
             assert abs(geodesic_deg(g * a, g * b) - d) < 1e-7
             assert abs(geodesic_deg(a * g, b * g) - d) < 1e-7
+
+
+# Raw (w, x, y, z) rows: geodesic_deg only reads the four attributes, so a
+# namedtuple can carry the non-canonical sign (-q) that Rotation would fold.
+Quat = namedtuple("Quat", "w x y z")
+
+
+def _unit(c):
+    r = Rotation(*c)
+    return Quat(r.w, r.x, r.y, r.z)
+
+
+_SPECIAL = [Quat(1.0, 0.0, 0.0, 0.0), Quat(0.0, 1.0, 0.0, 0.0),
+            Quat(0.0, 0.6, 0.0, -0.8), _unit((1.0, 1e-9, 0.0, 0.0)),
+            _unit((1.0, 0.0, -3e-16, 0.0)), _unit((1e-9, 0.0, 1.0, 0.0)),
+            _unit((2e-16, 0.3, 0.4, 0.5))]
+_quats = st.one_of(
+    st.sampled_from(_SPECIAL),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 4)
+    .filter(lambda c: math.fsum(v * v for v in c) > 1e-6).map(_unit))
+
+
+class TestGeodesicMany:
+    """The batched kernel equals the scalar oracle exactly, pair by pair."""
+
+    @given(p=_quats, qs=st.lists(_quats, max_size=12), flip=st.booleans())
+    @example(p=_SPECIAL[0], qs=[], flip=False)
+    @example(p=_SPECIAL[2], qs=_SPECIAL, flip=True)
+    def test_equals_scalar(self, p, qs, flip):
+        qs = qs + [Quat(*(-v for v in p))] * flip
+        rows = np.array(qs, dtype=float).reshape(-1, 4)
+        other = rows[::-1]
+        assert geodesic_deg_many(p, rows).tolist() == [geodesic_deg(p, q) for q in qs]
+        assert geodesic_deg_many(rows, p).tolist() == [geodesic_deg(q, p) for q in qs]
+        assert geodesic_deg_many(rows, other).tolist() == [
+            geodesic_deg(a, b) for a, b in zip(qs, qs[::-1])]
 
 
 class TestEuler:

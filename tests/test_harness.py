@@ -4,16 +4,19 @@ import os
 import numpy as np
 import pytest
 
+import relhpe.anchors
+import relhpe.harness
 from relhpe import (AnchorPolicy, EulerAngles, NoiseModel, PoseLog,
-                    RelativeSimEstimator, Rotation, SE3Pose, build_easy_pairs,
-                    build_hard_pairs, compose, evaluate, export_canonical,
-                    geodesic_deg, ingest_biwi, ingest_canonical,
-                    ingest_canonical_all, neutral_reference,
+                    RelativeSimEstimator, Rotation, SE3Pose, assign_anchors,
+                    build_easy_pairs, build_hard_pairs, compose, evaluate,
+                    export_canonical, geodesic_deg, ingest_biwi,
+                    ingest_canonical, ingest_canonical_all, neutral_reference,
                     rotation_from_euler, sweep, wrap_deg)
+from relhpe.anchors import POLICY_KINDS
 from relhpe.camera import Intrinsics
 from relhpe.errors import (InsufficientFrames, InvariantViolation,
                            MalformedPoseFile, MissingCalibration,
-                           MissingPrediction, ParseError)
+                           MissingPrediction, ParseError, UnknownFrame)
 from relhpe.poselog import FrameRecord
 
 from conftest import random_pose, yaw_pose
@@ -213,8 +216,8 @@ class TestNeutralReference:
         log = make_log([random_pose(rng) for _ in range(15)])
         ref = neutral_reference(log)
         rots = [f.pose.rotation for f in log.frames]
-        means = [np.mean([geodesic_deg(r, o) for o in rots]) for r in rots]
-        assert ref == rots[int(np.argmin(means))]
+        means = [sum(geodesic_deg(r, o) for o in rots) / len(rots) for r in rots]
+        assert ref == rots[means.index(min(means))]
 
 
 class TestHardPairs:
@@ -296,6 +299,44 @@ class TestEasyPairs:
         ps = build_easy_pairs(easy_fixture_log(), neutral_thresh_deg=1000.0,
                               max_gap_deg=6.5, n_pairs=10 ** 6, seed=0)
         assert ps.stats["gap_max_deg"] <= 6.5
+
+
+class TestFrameSetKernel:
+    def test_no_scalar_geodesic_calls(self, monkeypatch):
+        """Anchor choice, the medoid and both candidate lists go through the
+        batched kernel only; the scalar stays the per-query path."""
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return geodesic_deg(a, b)
+
+        for module in (relhpe.anchors, relhpe.harness):
+            monkeypatch.setattr(module, "geodesic_deg", counting)
+        log = make_log([euler_pose(y, 0.1 * y) for y in np.linspace(-80, 80, 200)])
+        preds = {f.frame_id: f.pose for f in log.frames}
+        for kind in POLICY_KINDS:
+            out = assign_anchors(log, AnchorPolicy(kind, 10.0, "ext"), preds)
+            assert len(out) == 200
+        neutral_reference(log)
+        assert build_easy_pairs(log, n_pairs=50).stats["count"] == 50
+        assert build_hard_pairs(log, n_pairs=50).stats["count"] == 50
+        assert calls == []
+
+
+class TestPoseLog:
+    def test_pose_of(self):
+        log = make_log([yaw_pose(0), yaw_pose(10)])
+        assert log.pose_of("f0001") is log.frames[1].pose
+        with pytest.raises(UnknownFrame, match="'f0002'"):
+            log.pose_of("f0002")
+
+    def test_quats_read_only(self, rng):
+        log = make_log([random_pose(rng) for _ in range(3)])
+        assert log.quats.tolist() == [list(f.pose.rotation.quat)
+                                      for f in log.frames]
+        with pytest.raises(ValueError):
+            log.quats[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------
