@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import FrameMismatch, MissingPredictions
+from .errors import DomainError, FrameMismatch, MissingPredictions
 from .geometry import (SE3Pose, apply_anchor, geodesic_deg, geodesic_deg_many,
                        relative)
 from .poselog import PoseLog
@@ -34,12 +34,12 @@ class AnchorPolicy:
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
-            raise ValueError(f"unknown policy {self.kind!r}")
+            raise DomainError(f"unknown policy {self.kind!r}")
         if self.kind == "nearest_within":
-            if self.threshold_deg is None or self.threshold_deg <= 0:
-                raise ValueError("nearest_within needs threshold_deg > 0")
+            if self.threshold_deg is None or not self.threshold_deg > 0:
+                raise DomainError("nearest_within needs threshold_deg > 0")
         if self.kind == "external_predicted" and not self.external_source:
-            raise ValueError("external_predicted needs external_source")
+            raise DomainError("external_predicted needs external_source")
 
 
 @dataclass(frozen=True)

@@ -50,10 +50,12 @@ class Intrinsics:
     height: float
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise DomainError("focal lengths must be positive")
-        if self.width <= 0 or self.height <= 0:
-            raise DomainError("image dimensions must be positive")
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
+            raise DomainError("focal lengths must be positive and finite")
+        if not (math.isfinite(self.cx) and math.isfinite(self.cy)):
+            raise DomainError("principal point must be finite")
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise DomainError("image dimensions must be positive and finite")
 
 
 @dataclass(frozen=True)

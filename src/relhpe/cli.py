@@ -4,9 +4,10 @@ Subcommands: ingest, pairs, eval, sweep, simulate, loss, report.
 Global flags: --seed, --config <file>, --out <dir>, --format {csv,json}.
 
 The config file is a flat JSON object.  SETTINGS lists each command's
-config keys and defaults; a flag beats its config value, which beats the
-default, and unknown keys are rejected.  All angle I/O at this surface is
-in degrees.  Every report embeds the config echo, the
+config keys, with the conversion that checks a value and the default; a
+flag beats its config value, which beats the default, flag and config
+values are checked alike, and unknown keys are rejected.  All angle I/O at
+this surface is in degrees.  Every report embeds the config echo, the
 seed, the format version, and input-file hashes, so identical inputs give
 identical report bytes.
 """
@@ -23,43 +24,92 @@ import sys
 import numpy as np
 
 from . import reports
-from .anchors import AnchorPolicy
+from .anchors import POLICY_KINDS, AnchorPolicy
 from .camera import CameraPose
 from .errors import ParseError, RelHpeError, StageCountMismatch
 from .geometry import Rotation, euler_from_rotation
-from .harness import (PairSet, build_easy_pairs, build_hard_pairs, evaluate,
-                      export_canonical, finite_floats, ingest_biwi,
-                      ingest_canonical, ingest_canonical_all, row_errors, sweep)
-from .losses import LossConfig, StagePrediction, loss_cam
+from .harness import (SWEEP_AXES, PairSet, build_easy_pairs, build_hard_pairs,
+                      csv_rows, evaluate, export_canonical, finite_floats,
+                      ingest_biwi, ingest_canonical, ingest_canonical_all,
+                      row_errors, sweep)
+from .losses import MODES, LossConfig, StagePrediction, loss_cam
 from .simulate import (AbsoluteSimEstimator, NoiseModel, PoseSampler,
                        RelativeSimEstimator, load_predictions_csv, sample_logs)
 
 EXIT_USAGE = 2
 
-# Each command's accepted config keys, as key -> (conversion, default).  A
-# setting takes its flag when one was given, else its config value, else
-# the default here.  report reads no config.
+
+def _finite(value) -> float:
+    """float(value); ValueError when it is not a finite number."""
+    return finite_floats([value])[0]
+
+
+def _count(value) -> int:
+    """A non-negative int, or its decimal string; ValueError otherwise
+    (a bool or a float is not a count)."""
+    if (isinstance(value, (int, str)) and not isinstance(value, bool)
+            and int(value) >= 0):
+        return int(value)
+    raise ValueError(f"expected a non-negative integer, got {value!r}")
+
+
+def _one_of(*allowed):
+    """Conversion that accepts only the given values."""
+    def convert(value):
+        if value not in allowed:
+            raise ValueError(f"{value!r} is not one of {', '.join(allowed)}")
+        return value
+    return convert
+
+
+# Each command's accepted config keys, as key -> (conversion, default); the
+# conversion checks the value's domain.  A setting takes its flag (--key
+# with '-' for '_') when one was given, else its config value, else the
+# default here.  report reads no config.
 SETTINGS = {
-    "ingest": {"input_format": (str, "canonical"),
+    "ingest": {"input_format": (_one_of("canonical", "biwi"), "canonical"),
                "pose_glob": (str, "frame_*_pose.txt"),
                "calib_name": (str, "rgb.cal")},
-    "pairs": {"pair_kind": (str, "hard"), "neutral_thresh_deg": (float, 15.0),
-              "extreme_thresh_deg": (float, 45.0), "max_gap_deg": (float, 8.0),
-              "n_pairs": (int, 360)},
+    "pairs": {"pair_kind": (_one_of("easy", "hard"), "hard"),
+              "neutral_thresh_deg": (_finite, 15.0),
+              "extreme_thresh_deg": (_finite, 45.0),
+              "max_gap_deg": (_finite, 8.0), "n_pairs": (_count, 360)},
     "eval": {},
-    "sweep": {"axis": (str, "anchor_query_gap"), "bin_width_deg": (float, 5.0),
-              "policy": (str, "fixed_first"), "threshold_deg": (float, None),
-              "abs_base_deg": (float, 2.0), "abs_slope": (float, 0.15),
-              "rel_base_deg": (float, 0.5), "rel_slope": (float, 0.02),
-              "trans_noise_mm": (float, 0.0)},
-    "simulate": {"subjects": (int, 4), "frames_per_log": (int, 100),
-                 "yaw_min": (float, -75.0), "yaw_max": (float, 75.0),
-                 "pitch_min": (float, -60.0), "pitch_max": (float, 60.0),
-                 "roll_min": (float, -40.0), "roll_max": (float, 40.0)},
-    "loss": {"lambda_t": (float, 1.0), "lambda_r": (float, 1.0),
-             "lambda_f": (float, 0.5), "gamma": (float, 0.6),
-             "mode": (str, "full")},
+    "sweep": {"axis": (_one_of(*SWEEP_AXES), "anchor_query_gap"),
+              "bin_width_deg": (_finite, 5.0),
+              # external_predicted needs another estimator's predictions
+              "policy": (_one_of(*(k for k in POLICY_KINDS
+                                   if k != "external_predicted")), "fixed_first"),
+              "threshold_deg": (_finite, None),
+              "abs_base_deg": (_finite, 2.0), "abs_slope": (_finite, 0.15),
+              "rel_base_deg": (_finite, 0.5), "rel_slope": (_finite, 0.02),
+              "trans_noise_mm": (_finite, 0.0)},
+    "simulate": {"subjects": (_count, 4), "frames_per_log": (_count, 100),
+                 "yaw_min": (_finite, -75.0), "yaw_max": (_finite, 75.0),
+                 "pitch_min": (_finite, -60.0), "pitch_max": (_finite, 60.0),
+                 "roll_min": (_finite, -40.0), "roll_max": (_finite, 40.0)},
+    "loss": {"lambda_t": (_finite, 1.0), "lambda_r": (_finite, 1.0),
+             "lambda_f": (_finite, 0.5), "gamma": (_finite, 0.6),
+             "mode": (_one_of(*MODES), "full")},
 }
+
+
+def _read_json(path):
+    """The JSON value in a file; ParseError '<path>: <message>' if it is
+    not UTF-8 JSON."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ParseError(f"{path}: {exc}") from exc
+
+
+def _checked(source, convert, value):
+    """convert(value); RelHpeError '<source>: <message>' when it fails."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise RelHpeError(f"{source}: {exc}") from exc
 
 
 def _settings(args):
@@ -67,8 +117,7 @@ def _settings(args):
     table = SETTINGS[args.command]
     cfg = {}
     if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        cfg = _read_json(args.config)
         if not isinstance(cfg, dict):
             raise RelHpeError(f"{args.config}: config must be a flat JSON object")
         unknown = sorted(set(cfg) - set(table))
@@ -76,14 +125,12 @@ def _settings(args):
             raise RelHpeError(f"{args.config}: unknown config keys: {', '.join(unknown)}")
     settings = {}
     for key, (convert, default) in table.items():
-        value = getattr(args, key, None)
-        if value is None:
-            value = cfg.get(key, default)
+        flag = getattr(args, key, None)
+        value = cfg.get(key, default) if flag is None else flag
         if value is not None or default is not None:
-            try:
-                value = convert(value)
-            except (TypeError, ValueError) as exc:
-                raise RelHpeError(f"{args.config}: {key}: {exc}") from exc
+            source = (f"{args.config}: {key}" if flag is None
+                      else "--" + key.replace("_", "-"))
+            value = _checked(source, convert, value)
         settings[key] = value
     return cfg, settings
 
@@ -160,19 +207,13 @@ def cmd_pairs(args):
 
 
 def _read_pairs_csv(path) -> PairSet:
+    """The pairs command's CSV, read by position: anchor_id,query_id,gap_deg."""
     pairs = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in reports.PAIRS_CSV_COLUMNS
-                   if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ParseError(f"{path}:1: missing column(s): {', '.join(missing)}")
-        for row in reader:
-            try:
-                pairs.append((row["anchor_id"], row["query_id"],
-                              float(row["gap_deg"])))
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
+    for lineno, (anchor_id, query_id, gap) in csv_rows(
+            path, (len(reports.PAIRS_CSV_COLUMNS),),
+            header=reports.PAIRS_CSV_COLUMNS[:1]):
+        with row_errors(path, lineno):
+            pairs.append((anchor_id, query_id, _finite(gap)))
     return PairSet("loaded", tuple(pairs), 0)
 
 
@@ -236,17 +277,12 @@ def cmd_simulate(args):
 def _read_stage_file(path):
     """Per-stage camera poses: k,tx,ty,tz,qw,qx,qy,qz,fov_h_deg,fov_w_deg."""
     stages = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].strip().startswith("#") or row[0].strip() == "k":
-                continue
-            if len(row) != 10:
-                raise ParseError(f"{path}:{lineno}: expected 10 fields, got {len(row)}")
-            with row_errors(path, lineno):
-                vals = finite_floats(row)
-                stages.append((int(vals[0]), CameraPose(
-                    t=np.array(vals[1:4]), q=Rotation(*vals[4:8]),
-                    fov_h=math.radians(vals[8]), fov_w=math.radians(vals[9]))))
+    for lineno, row in csv_rows(path, (10,), header=("k",)):
+        with row_errors(path, lineno):
+            vals = finite_floats(row)
+            stages.append((int(vals[0]), CameraPose(
+                t=np.array(vals[1:4]), q=Rotation(*vals[4:8]),
+                fov_h=math.radians(vals[8]), fov_w=math.radians(vals[9]))))
     return stages
 
 
@@ -286,16 +322,15 @@ def cmd_loss(args):
 def cmd_report(args):
     """Re-emit the CSV of a sweep, pairs or eval JSON report envelope."""
     out = _ensure_out(args)
-    with open(args.input, encoding="utf-8") as fh:
-        env = json.load(fh)
+    env = _read_json(args.input)
     command = env.get("command") if isinstance(env, dict) else None
     build_csv = {"sweep": reports.sweep_csv, "pairs": reports.pairs_csv,
                  "eval": reports.metric_csv}.get(command)
     if build_csv is None:
-        raise RelHpeError(f"cannot regenerate from a {command!r} report")
+        raise RelHpeError(f"{args.input}: cannot regenerate from a {command!r} report")
     try:
         text = build_csv(env["payload"])
-    except (KeyError, TypeError) as exc:
+    except (LookupError, TypeError, csv.Error) as exc:
         raise RelHpeError(f"{args.input}: malformed {command} report "
                           f"({type(exc).__name__}: {exc})") from exc
     stem = os.path.splitext(os.path.basename(args.input))[0]
@@ -311,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="relhpe",
         description="Relative head-pose toolkit: ingestion, benchmark pairs, "
                     "metrics, sweeps, simulation, and loss evaluation.")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="RNG seed (echoed into reports)")
+    parser.add_argument("--seed", default=0,
+                        help="non-negative RNG seed (echoed into reports)")
     parser.add_argument("--config", default=None, help="flat JSON config file")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--format", choices=("csv", "json"), default=None,
@@ -321,24 +356,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="convert input data to the canonical pose-log format")
     p.add_argument("input")
-    p.add_argument("--input-format", dest="input_format",
-                   choices=("canonical", "biwi"), default=None)
-    p.add_argument("--pose-glob", dest="pose_glob", default=None,
-                   help="BIWI per-frame pose file pattern")
-    p.add_argument("--calib-name", dest="calib_name", default=None,
-                   help="BIWI calibration file name")
+    p.add_argument("--input-format")
+    p.add_argument("--pose-glob", help="BIWI per-frame pose file pattern")
+    p.add_argument("--calib-name", help="BIWI calibration file name")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("pairs", help="build easy/hard benchmark pair sets")
     p.add_argument("input", help="canonical pose-log file")
-    p.add_argument("--pair-kind", dest="pair_kind", choices=("easy", "hard"),
-                   default=None)
-    p.add_argument("--neutral-thresh-deg", dest="neutral_thresh_deg",
-                   type=float, default=None)
-    p.add_argument("--extreme-thresh-deg", dest="extreme_thresh_deg",
-                   type=float, default=None)
-    p.add_argument("--max-gap-deg", dest="max_gap_deg", type=float, default=None)
-    p.add_argument("--n-pairs", dest="n_pairs", type=int, default=None)
+    p.add_argument("--pair-kind")
+    p.add_argument("--neutral-thresh-deg")
+    p.add_argument("--extreme-thresh-deg")
+    p.add_argument("--max-gap-deg")
+    p.add_argument("--n-pairs")
     p.set_defaults(func=cmd_pairs)
 
     p = sub.add_parser("eval", help="evaluate external predictions over a pair set")
@@ -349,17 +378,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="binned error sweep with simulated estimators")
     p.add_argument("input", help="canonical pose-log file")
-    p.add_argument("--axis", choices=("anchor_query_gap", "absolute_query_pose"),
-                   default=None)
-    p.add_argument("--policy", choices=("fixed_first", "nearest_within",
-                                        "temporal_previous"), default=None)
-    p.add_argument("--threshold-deg", dest="threshold_deg", type=float, default=None)
-    p.add_argument("--bin-width-deg", dest="bin_width_deg", type=float, default=None)
+    p.add_argument("--axis")
+    p.add_argument("--policy")
+    p.add_argument("--threshold-deg")
+    p.add_argument("--bin-width-deg")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="sample deterministic synthetic pose logs")
-    p.add_argument("--subjects", type=int, default=None)
-    p.add_argument("--frames-per-log", dest="frames_per_log", type=int, default=None)
+    p.add_argument("--subjects")
+    p.add_argument("--frames-per-log")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("loss", help="multi-stage camera loss over stage files")
@@ -377,8 +404,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.seed = _checked("--seed", _count, args.seed)
         return args.func(args)
-    except (RelHpeError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (RelHpeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -13,8 +13,11 @@ class EmptyInput(RelHpeError):
     """An operation received an empty sequence where at least one item is required."""
 
 
-class DomainError(RelHpeError):
-    """A numeric argument lies outside the mathematical domain of the operation."""
+class DomainError(RelHpeError, ValueError):
+    """An argument lies outside the domain of the operation.
+
+    Also a ValueError, so callers that catch ValueError keep working.
+    """
 
 
 class InvalidCrop(RelHpeError):

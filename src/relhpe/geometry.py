@@ -83,7 +83,7 @@ class Rotation:
         ax = np.asarray(axis, dtype=float)
         n = float(np.linalg.norm(ax))
         if n == 0.0:
-            raise ValueError("zero axis")
+            raise DomainError("zero axis")
         ax = ax / n
         h = 0.5 * angle_rad
         s = math.sin(h)

@@ -7,6 +7,7 @@ Canonical pose-log file format (UTF-8, comma separated, '.' decimal point):
     subject_id,frame_id,index,qw,qx,qy,qz,tx_mm,ty_mm,tz_mm[,fx,fy,cx,cy,width,height]
 
 One record per line; the six intrinsics fields are optional per record.
+Blank rows and '#' comment rows are skipped (see csv_rows).
 
 BIWI-style subject directory: one text file per frame holding the 3x3
 rotation matrix (three rows) followed by the translation vector, plus a
@@ -24,6 +25,7 @@ re-expressed in the RGB camera frame (frame_tag "rgb").
 
 from __future__ import annotations
 
+import csv
 import glob as globmod
 import math
 import os
@@ -73,45 +75,68 @@ def export_canonical(logs, path):
                 fh.write(",".join(cols) + "\n")
 
 
+def csv_rows(path, widths, header=()):
+    """(line number, cells) for each data row of a comma-separated file.
+
+    Rows whose cells are all blank and rows whose first cell starts with
+    '#' are skipped, and so is a first row whose first cell, stripped and
+    lower-cased, is in header.  Any other row must have one of the given
+    widths, else ParseError '<path>:<line>: expected N fields, got M'.
+    """
+    expected = " or ".join(map(str, widths))
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            for cells in reader:
+                first = cells[0].strip() if cells else ""
+                if first.startswith("#") or not (
+                        first or any(c.strip() for c in cells)):
+                    continue
+                if reader.line_num == 1 and first.lower() in header:
+                    continue
+                if len(cells) not in widths:
+                    raise ParseError(f"{path}:{reader.line_num}: expected "
+                                     f"{expected} fields, got {len(cells)}")
+                yield reader.line_num, cells
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+
+
 def finite_floats(cells) -> list:
     """The cells as floats; ValueError on a non-number, nan or inf."""
     vals = [float(c) for c in cells]
     if not all(map(math.isfinite, vals)):
-        raise ValueError("non-finite field")
+        raise ValueError("non-finite number")
     return vals
 
 
 @contextmanager
 def row_errors(path, lineno):
-    """Re-raise a ValueError or DomainError from parsing one text row as
-    ParseError '<path>:<lineno>: <message>'."""
+    """Re-raise a ValueError (DomainError is one) from parsing one text row
+    as ParseError '<path>:<lineno>: <message>'."""
     try:
         yield
-    except (ValueError, DomainError) as exc:
+    except ValueError as exc:
         raise ParseError(f"{path}:{lineno}: {exc}") from exc
 
 
 def ingest_canonical_all(path) -> list:
     """Parse a canonical file into one PoseLog per subject (file order)."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith(_HEADER_PREFIX):
+    # csv_rows decodes the whole file strictly and names it on a bad byte
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        first = fh.readline().rstrip("\n")
+    if not first.startswith(_HEADER_PREFIX):
         raise ParseError(f"{path}: missing '{_HEADER_PREFIX}' header line")
-    header = lines[0].split()
+    header = first.split()
     if len(header) < 3 or header[2] != FORMAT_VERSION:
-        raise ParseError(f"{path}: unsupported format version in header: {lines[0]!r}")
+        raise ParseError(f"{path}: unsupported format version in header: {first!r}")
     frame_tag = "world"
     for tok in header[3:]:
         if tok.startswith("frame="):
             frame_tag = tok[len("frame="):]
     by_subject: dict = {}
     order = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cols = line.split(",")
-        if len(cols) not in (10, 16):
-            raise ParseError(f"{path}:{lineno}: expected 10 or 16 fields, got {len(cols)}")
+    for lineno, cols in csv_rows(path, (10, 16)):
         subject, frame_id = cols[0], cols[1]
         with row_errors(path, lineno):
             index = int(cols[2])
@@ -129,7 +154,10 @@ def ingest_canonical_all(path) -> list:
         by_subject[subject].append(FrameRecord(frame_id, index, pose, intr))
     if not order:
         raise ParseError(f"{path}: no records")
-    return [PoseLog(s, tuple(by_subject[s]), frame_tag) for s in order]
+    try:
+        return [PoseLog(s, tuple(by_subject[s]), frame_tag) for s in order]
+    except InvariantViolation as exc:
+        raise InvariantViolation(f"{path}: {exc}") from exc
 
 
 def ingest_canonical(path) -> PoseLog:
@@ -146,7 +174,8 @@ def ingest_canonical(path) -> PoseLog:
 
 def _numeric_rows(path):
     rows = []
-    with open(path, encoding="utf-8") as fh:
+    # undecodable bytes become U+FFFD, so their line is skipped as annotation
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for line in fh:
             toks = line.split()
             if not toks:
@@ -158,6 +187,11 @@ def _numeric_rows(path):
     return rows
 
 
+def _is_rotation(m) -> bool:
+    """Orthonormal with determinant +1 (a reflection is orthonormal too)."""
+    return np.allclose(m.T @ m, np.eye(3), atol=1e-6) and np.linalg.det(m) > 0
+
+
 def read_biwi_calibration(path):
     """(Intrinsics, depth->RGB SE3Pose) from a calibration file."""
     if not os.path.isfile(path):
@@ -165,16 +199,19 @@ def read_biwi_calibration(path):
     rows = _numeric_rows(path)
     if len(rows) < 8:
         raise MissingCalibration(f"{path}: expected 8 numeric rows, got {len(rows)}")
-    k_rows, r_rows, t_row, dims = rows[0:3], rows[3:6], rows[6], rows[7]
-    kmat = np.array(k_rows)
-    rmat = np.array(r_rows)
-    if kmat.shape != (3, 3) or rmat.shape != (3, 3) or len(t_row) != 3 or len(dims) != 2:
+    if [len(row) for row in rows[:8]] != [3, 3, 3, 3, 3, 3, 3, 2]:
         raise MissingCalibration(f"{path}: malformed calibration sections")
     if not all(math.isfinite(v) for row in rows[:8] for v in row):
         raise MissingCalibration(f"{path}: non-finite number")
-    intr = Intrinsics(fx=kmat[0, 0], fy=kmat[1, 1], cx=kmat[0, 2], cy=kmat[1, 2],
-                      width=dims[0], height=dims[1])
-    transform = SE3Pose(Rotation.from_matrix(rmat), np.array(t_row), "rgb")
+    kmat, rmat = np.array(rows[0:3]), np.array(rows[3:6])
+    if not _is_rotation(rmat):
+        raise MissingCalibration(f"{path}: rotation block is not a rotation")
+    try:
+        intr = Intrinsics(fx=kmat[0, 0], fy=kmat[1, 1], cx=kmat[0, 2],
+                          cy=kmat[1, 2], width=rows[7][0], height=rows[7][1])
+    except DomainError as exc:
+        raise MissingCalibration(f"{path}: {exc}") from exc
+    transform = SE3Pose(Rotation.from_matrix(rmat), np.array(rows[6]), "rgb")
     return intr, transform
 
 
@@ -187,9 +224,8 @@ def read_biwi_pose(path) -> SE3Pose:
     if not all(map(math.isfinite, vals)):
         raise MalformedPoseFile(f"{path}: non-finite number")
     rmat = np.array(vals[0:9]).reshape(3, 3)
-    rtr = rmat.T @ rmat
-    if not np.allclose(rtr, np.eye(3), atol=1e-6):
-        raise MalformedPoseFile(f"{path}: rotation block is not orthonormal")
+    if not _is_rotation(rmat):
+        raise MalformedPoseFile(f"{path}: rotation block is not a rotation")
     return SE3Pose(Rotation.from_matrix(rmat), np.array(vals[9:12]), "depth")
 
 
@@ -259,6 +295,8 @@ def _candidates(log: PoseLog, anchors, queries):
 
 
 def _sample_pairs(candidates, n_pairs, rng):
+    if not n_pairs >= 0:
+        raise DomainError(f"n_pairs must be non-negative, got {n_pairs}")
     if n_pairs >= len(candidates):
         return list(candidates)
     idx = rng.choice(len(candidates), size=n_pairs, replace=False)
@@ -399,15 +437,18 @@ class SweepReport:
 
 
 def predict_query(estimator, subject_id, query_id, anchor_pose: SE3Pose,
-                  query_pose: SE3Pose) -> SE3Pose:
+                  query_pose: SE3Pose, anchor_truth: SE3Pose) -> SE3Pose:
     """Absolute prediction for one query.
 
-    A relative estimator predicts the anchor-to-query transform, which is
-    composed onto the anchor pose; an absolute estimator ignores the anchor.
+    A relative estimator sees the anchor and query views, so it predicts
+    the anchor-to-query transform from their true poses (anchor_truth and
+    query_pose); that transform is composed onto anchor_pose, which under
+    external_predicted is another estimator's prediction and otherwise is
+    anchor_truth.  An absolute estimator ignores the anchor.
     """
     if estimator.kind == "absolute":
         return estimator.predict_absolute(subject_id, query_id, query_pose)
-    rel = estimator.predict_relative(subject_id, query_id, anchor_pose,
+    rel = estimator.predict_relative(subject_id, query_id, anchor_truth,
                                      query_pose)
     return apply_anchor(rel, anchor_pose)
 
@@ -422,9 +463,9 @@ def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
     controlled.  Unpaired queries are counted but never evaluated.
     """
     if axis not in SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}")
+        raise DomainError(f"unknown sweep axis {axis!r}")
     if axis == "absolute_query_pose" and policy.kind != "nearest_within":
-        raise ValueError("absolute_query_pose sweeps require a nearest_within policy")
+        raise DomainError("absolute_query_pose sweeps require a nearest_within policy")
     if not bin_width_deg > 0:
         raise DomainError(f"bin width must be positive, got {bin_width_deg}")
     if not isinstance(logs, (list, tuple)):
@@ -447,12 +488,14 @@ def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
                 unpaired += 1
                 continue
             query_pose = log.pose_of(assignment.query_id)
+            anchor_truth = log.pose_of(assignment.anchor_id)
             value = (assignment.gap_deg if axis == "anchor_query_gap"
                      else dist_by_id[assignment.query_id])
             samples = {}
             for est in estimators:
                 pred = predict_query(est, log.subject_id, assignment.query_id,
-                                     assignment.anchor_pose, query_pose)
+                                     assignment.anchor_pose, query_pose,
+                                     anchor_truth)
                 samples[est.id] = _error_sample(pred, query_pose)
             rows.append((value, samples))
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import CameraPose, logtan_fov
-from .errors import EmptyStages, NonContiguousStages
+from .errors import DomainError, EmptyStages, NonContiguousStages
 from .geometry import Rotation, geodesic_deg
 
 MODES = ("full", "no_fov", "rotation_only", "geodesic", "translation_aux")
@@ -41,12 +41,12 @@ class LossConfig:
     mode: str = "full"
 
     def __post_init__(self):
-        if min(self.lambda_t, self.lambda_r, self.lambda_f) < 0:
-            raise ValueError("loss weights must be non-negative")
+        if not all(w >= 0 for w in (self.lambda_t, self.lambda_r, self.lambda_f)):
+            raise DomainError("loss weights must be non-negative")
         if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma={self.gamma} outside (0, 1]")
+            raise DomainError(f"gamma={self.gamma} outside (0, 1]")
         if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+            raise DomainError(f"unknown mode {self.mode!r}; expected one of {MODES}")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -12,6 +13,17 @@ from .camera import Intrinsics
 from .errors import (EmptyInput, FrameMismatch, InvariantViolation,
                      UnknownFrame)
 from .geometry import SE3Pose
+
+# An id the CSV readers would skip as a '#' comment, read as a quoted field,
+# or split (comma, line break): harness.csv_rows could not read it back.
+_UNWRITABLE_ID = re.compile(r'\s*[#"]|[^,\r\n]*[,\r\n]')
+
+
+def _check_id(kind, value):
+    if _UNWRITABLE_ID.match(value):
+        raise InvariantViolation(
+            f"{kind} id {value!r} starts with '#' or '\"' or holds a comma "
+            f"or line break, so it cannot be written to a CSV row")
 
 
 @dataclass(frozen=True)
@@ -35,11 +47,13 @@ class PoseLog:
         object.__setattr__(self, "frames", frames)
         if not frames:
             raise EmptyInput(f"log {self.subject_id!r} has no frames")
+        _check_id("subject", self.subject_id)
         object.__setattr__(self, "_position",
                            {f.frame_id: i for i, f in enumerate(frames)})
         if len(self._position) != len(frames):
             raise InvariantViolation(f"duplicate frame ids in log {self.subject_id!r}")
         for want, f in enumerate(frames):
+            _check_id("frame", f.frame_id)
             if f.index != want:
                 raise InvariantViolation(
                     f"log {self.subject_id!r}: frame {f.frame_id!r} has index "

@@ -17,17 +17,16 @@ serial and parallel runs agree and identical seeds give identical reports.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyRange, ParseError
+from .errors import DomainError, EmptyRange, ParseError
 from .geometry import (EulerAngles, Rotation, SE3Pose, geodesic_deg,
                        relative, rotation_from_euler)
-from .harness import (PairSet, build_easy_pairs, build_hard_pairs,
+from .harness import (PairSet, build_easy_pairs, build_hard_pairs, csv_rows,
                       error_samples, finite_floats, predict_query,
                       report_from_samples, row_errors, sweep)
 from .poselog import FrameRecord, PoseLog
@@ -55,8 +54,9 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.base_deg < 0 or self.slope_deg_per_deg < 0 or self.trans_noise_mm < 0:
-            raise ValueError("noise parameters must be non-negative")
+        if not all(v >= 0 for v in (self.base_deg, self.slope_deg_per_deg,
+                                    self.trans_noise_mm)):
+            raise DomainError("noise parameters must be non-negative")
 
 
 def _perturb(pose: SE3Pose, magnitude_deg: float, trans_mm: float, rng) -> SE3Pose:
@@ -183,7 +183,8 @@ def predict_pairs(log: PoseLog, pairs: PairSet, estimator) -> dict:
     """
     return {query_id: predict_query(estimator, log.subject_id, query_id,
                                     log.pose_of(anchor_id),
-                                    log.pose_of(query_id))
+                                    log.pose_of(query_id),
+                                    log.pose_of(anchor_id))
             for anchor_id, query_id, _ in pairs.pairs}
 
 
@@ -203,7 +204,7 @@ def run_end_to_end(logs, estimators, policy=None, benchmark=None):
     if kind == "sweep":
         return sweep(logs, estimators, policy, benchmark.pop("axis"), **benchmark)
     if kind not in ("easy", "hard"):
-        raise ValueError(f"unknown benchmark kind {kind!r}")
+        raise DomainError(f"unknown benchmark kind {kind!r}")
     builder = build_easy_pairs if kind == "easy" else build_hard_pairs
     pair_sets = [(log, builder(log, **benchmark)) for log in logs]
     out = {}
@@ -218,18 +219,11 @@ def run_end_to_end(logs, estimators, policy=None, benchmark=None):
 def load_predictions_csv(path) -> dict:
     """query_id -> SE3Pose from a CSV of (query_id, qw, qx, qy, qz, tx, ty, tz)."""
     preds = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            if lineno == 1 and row[0].strip().lower() in ("query_id", "frame_id"):
-                continue
-            if len(row) != 8:
-                raise ParseError(f"{path}:{lineno}: expected 8 fields, got {len(row)}")
-            qid = row[0].strip()
-            if qid in preds:
-                raise ParseError(f"{path}:{lineno}: duplicate query id {qid!r}")
-            with row_errors(path, lineno):
-                vals = finite_floats(row[1:])
-                preds[qid] = SE3Pose(Rotation(*vals[0:4]), np.array(vals[4:7]))
+    for lineno, row in csv_rows(path, (8,), header=("query_id", "frame_id")):
+        qid = row[0].strip()
+        if qid in preds:
+            raise ParseError(f"{path}:{lineno}: duplicate query id {qid!r}")
+        with row_errors(path, lineno):
+            vals = finite_floats(row[1:])
+            preds[qid] = SE3Pose(Rotation(*vals[0:4]), np.array(vals[4:7]))
     return preds

@@ -6,7 +6,7 @@ import pytest
 from relhpe import (AnchorPolicy, EulerAngles, Rotation, SE3Pose,
                     apply_anchor, assign_anchors, geodesic_deg,
                     propagate_anchor_error, relative, rotation_from_euler)
-from relhpe.errors import FrameMismatch, MissingPredictions
+from relhpe.errors import DomainError, FrameMismatch, MissingPredictions
 from relhpe.poselog import FrameRecord, PoseLog
 
 from conftest import random_pose, random_rotation, yaw_pose
@@ -145,6 +145,8 @@ class TestPolicyValidation:
             AnchorPolicy("nearest_within")
         with pytest.raises(ValueError):
             AnchorPolicy("nearest_within", threshold_deg=-1.0)
+        with pytest.raises(DomainError):
+            AnchorPolicy("nearest_within", threshold_deg=math.nan)
 
     def test_external_needs_source(self):
         with pytest.raises(ValueError):

@@ -118,6 +118,18 @@ class TestCropUpdateIntrinsics:
             assert abs(before - after) < 1e-9
 
 
+class TestIntrinsics:
+    @pytest.mark.parametrize("field, value", [
+        ("fx", 0.0), ("fx", math.nan), ("fy", math.inf), ("cx", math.nan),
+        ("cy", -math.inf), ("width", -1.0), ("height", math.nan)])
+    def test_domain(self, field, value):
+        kw = dict(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640.0,
+                  height=480.0)
+        kw[field] = value
+        with pytest.raises(DomainError):
+            Intrinsics(**kw)
+
+
 class TestCameraPose:
     def test_vector_encoding(self):
         cp = CameraPose(t=np.array([1.0, 2.0, 3.0]), q=Rotation.identity(),

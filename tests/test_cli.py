@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from relhpe import Rotation, SE3Pose, ingest_canonical_all
-from relhpe.cli import main
+import relhpe.cli
+from relhpe.cli import SETTINGS, build_parser, main
 
 from test_harness import write_biwi_fixture
 from conftest import random_pose
@@ -315,10 +317,16 @@ class TestReport:
 
 def malformed_input(case, tmp_path):
     """argv for one malformed-input case, and text its error must name."""
-    if case == "report_without_bins":
+    reports_json = {"report_without_bins": ("sweep", {"axis": "anchor_query_gap"}),
+                    "report_scalar_pairs": ("pairs", {"pairs": [1]})}
+    if case in reports_json:
+        command, payload = reports_json[case]
+        src = tmp_path / f"{command}.json"
+        src.write_text(json.dumps({"command": command, "payload": payload}))
+        return ["report", src], src.name
+    if case == "truncated_report":
         src = tmp_path / "sweep.json"
-        src.write_text(json.dumps({"command": "sweep",
-                                   "payload": {"axis": "anchor_query_gap"}}))
+        src.write_text('{"command": "sweep"')
         return ["report", src], "sweep.json"
     stage_rows = {"short_stage_row": "1,0,0,0,1,0,0,0,60",
                   "long_stage_row": "1,0,0,0,1,0,0,0,60,60,60",
@@ -339,20 +347,73 @@ def malformed_input(case, tmp_path):
         argv = (["ingest", bad] if case != "nan_log_quaternion"
                 else ["sweep", bad, "--policy", "nearest_within"])
         return argv, "bad.csv:3:"
-    if case in ("nan_biwi_translation", "nan_biwi_calibration"):
+    canonical_files = {"unsupported_log_version": b"# poselog v2 frame=world\n"
+                                                  b"s,f0,0,1,0,0,0,0,0,0\n",
+                       "log_without_records": b"# poselog v1 frame=world\n",
+                       "non_utf8_log": b"# poselog v1 frame=world\n"
+                                       b"s,f0,0,1,0,0,0,0,0,\xff\n",
+                       "quoted_comma_subject": b"# poselog v1 frame=world\n"
+                                               b'"s,1",f0,0,1,0,0,0,0,0,0\n'}
+    if case in canonical_files:
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(canonical_files[case])
+        return ["ingest", bad], "bad.csv"
+    calibrations = {"nan_biwi_calibration": (np.eye(3), np.eye(3), [0, 0, math.nan]),
+                    "non_orthonormal_calibration": (np.eye(3), np.diag([2.0, 3.0, 1.0]),
+                                                    np.zeros(3)),
+                    "reflection_calibration": (np.eye(3), np.diag([1.0, 1.0, -1.0]),
+                                               np.zeros(3)),
+                    "negative_calibration_focal": (np.diag([-5.0, 5.0, 1.0]),
+                                                   np.eye(3), np.zeros(3)),
+                    "ragged_calibration": (np.eye(3), np.eye(3), np.zeros(3)),
+                    "nan_biwi_translation": (np.eye(3), np.eye(3), np.zeros(3)),
+                    "non_utf8_biwi_pose": (np.eye(3), np.eye(3), np.zeros(3))}
+    if case in calibrations:
         poses = [SE3Pose(Rotation(1.0, 0.0, 0.0, 0.0), np.zeros(3), "depth")] * 2
-        calib_t = np.array([0.0, 0.0, 0.0 if case == "nan_biwi_translation" else math.nan])
-        write_biwi_fixture(tmp_path / "s01", poses, np.eye(3), np.eye(3), calib_t)
-        bad = tmp_path / "s01" / "frame_00001_pose.txt"
+        write_biwi_fixture(tmp_path / "s01", poses, *calibrations[case])
+        bad = tmp_path / "s01" / ("rgb.cal" if "calibration" in case
+                                  else "frame_00001_pose.txt")
         if case == "nan_biwi_translation":
             bad.write_text(bad.read_text().rsplit("\n", 2)[0] + "\nnan 0.0 inf\n")
-        return (["ingest", tmp_path / "s01", "--input-format", "biwi"],
-                bad.name if case == "nan_biwi_translation" else "rgb.cal")
+        if case == "non_utf8_biwi_pose":
+            bad.write_bytes(bad.read_bytes().rstrip(b"\n") + b"\xff\n")
+        if case == "ragged_calibration":
+            bad.write_text("1 0 0\n0 1\n0 0 1\n" + bad.read_text().split("\n", 3)[3])
+        return ["ingest", tmp_path / "s01", "--input-format", "biwi"], bad.name
+    if case == "biwi_comment_subject":
+        poses = [SE3Pose(Rotation(1.0, 0.0, 0.0, 0.0), np.zeros(3), "depth")] * 2
+        write_biwi_fixture(tmp_path / "#s01", poses, np.eye(3), np.eye(3), np.zeros(3))
+        return ["ingest", tmp_path / "#s01", "--input-format", "biwi"], "'#s01'"
     log = single_subject_log(tmp_path)
+    configs = {"config_medium_pair_kind": ('{"pair_kind": "medium"}', "pairs", "pair_kind"),
+               "config_upper_input_format": ('{"input_format": "BIWI"}', "ingest",
+                                             "input_format"),
+               "config_nan_lambda": ('{"lambda_t": NaN}', "loss", "lambda_t"),
+               "config_infinite_n_pairs": ('{"n_pairs": 1e400}', "pairs", "n_pairs"),
+               "config_bool_n_pairs": ('{"n_pairs": true}', "pairs", "n_pairs"),
+               "config_fractional_frames": ('{"frames_per_log": 3.7}', "simulate",
+                                            "frames_per_log"),
+               "truncated_config": ('{"pair_kind": "ea', "pairs", "cfg.json")}
+    if case in configs:
+        text, command, named = configs[case]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        inputs = {"loss": [log, log], "simulate": []}.get(command, [log])
+        return ["--config", cfg, command, *inputs], named
     if case == "zero_bin_width":
         return ["sweep", log, "--bin-width-deg", "0"], "bin width"
     if case == "negative_bin_width":
         return ["sweep", log, "--bin-width-deg", "-5"], "bin width"
+    if case == "nan_threshold_flag":
+        return (["sweep", log, "--policy", "nearest_within", "--threshold-deg", "nan"],
+                "--threshold-deg")
+    if case == "negative_n_pairs":
+        return (["pairs", log, "--pair-kind", "easy", "--neutral-thresh-deg", "1000",
+                 "--max-gap-deg", "40", "--n-pairs", "-1"], "--n-pairs")
+    if case == "negative_seed_simulate":
+        return ["--seed", "-1", "simulate"], "--seed"
+    if case == "negative_seed_pairs":
+        return ["--seed", "-1", "pairs", log], "--seed"
     preds = tmp_path / "preds.csv"
     pairs = tmp_path / "pairs.csv"
     prediction_rows = {"nan_prediction_quaternion": "f0001,nan,0,0,0,0,0,0",
@@ -370,6 +431,12 @@ def malformed_input(case, tmp_path):
     if case == "pairs_without_anchor_id":
         pairs.write_text("query_id,gap_deg\nzzz,1.0\n")
         return ["eval", log, pairs, preds], "pairs.csv:1:"
+    pairs_rows = {"non_numeric_pairs_gap": "f0000,zzz,abc",
+                  "nan_pairs_gap": "f0000,zzz,nan",
+                  "extra_pairs_column": "f0000,zzz,1.0,x"}
+    if case in pairs_rows:
+        pairs.write_text(f"anchor_id,query_id,gap_deg\n{pairs_rows[case]}\n")
+        return ["eval", log, pairs, preds], "pairs.csv:2:"
     assert case == "query_not_in_truth"
     pairs.write_text("anchor_id,query_id,gap_deg\nf0000,zzz,1.0\n")
     return ["eval", log, pairs, preds], "'zzz'"
@@ -385,7 +452,24 @@ def malformed_input(case, tmp_path):
                                   "zero_prediction_quaternion",
                                   "duplicate_prediction_id",
                                   "nan_biwi_translation",
-                                  "nan_biwi_calibration"])
+                                  "nan_biwi_calibration",
+                                  "config_medium_pair_kind",
+                                  "config_upper_input_format",
+                                  "nan_threshold_flag", "config_nan_lambda",
+                                  "negative_n_pairs", "truncated_config",
+                                  "truncated_report", "ragged_calibration",
+                                  "non_orthonormal_calibration",
+                                  "non_numeric_pairs_gap",
+                                  "unsupported_log_version",
+                                  "log_without_records",
+                                  "negative_calibration_focal",
+                                  "report_scalar_pairs", "nan_pairs_gap",
+                                  "extra_pairs_column", "non_utf8_log",
+                                  "non_utf8_biwi_pose", "config_infinite_n_pairs",
+                                  "reflection_calibration",
+                                  "negative_seed_simulate", "negative_seed_pairs",
+                                  "config_bool_n_pairs", "config_fractional_frames",
+                                  "biwi_comment_subject", "quoted_comma_subject"])
 def test_malformed_input_is_a_typed_error(case, tmp_path, capsys):
     argv, named = malformed_input(case, tmp_path)
     capsys.readouterr()
@@ -393,3 +477,30 @@ def test_malformed_input_is_a_typed_error(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
     assert "Traceback" not in err
+
+
+def test_main_does_not_hide_value_errors(tmp_path, monkeypatch):
+    def fail(args):
+        raise ValueError("not a typed error")
+    monkeypatch.setattr(relhpe.cli, "cmd_simulate", fail)
+    with pytest.raises(ValueError, match="not a typed error"):
+        run(["--out", tmp_path, "simulate"])
+
+
+def test_subcommand_flags_are_settings():
+    """Every subcommand flag is a SETTINGS key, spelled --key with '-' for
+    '_', whose value only SETTINGS converts and checks."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    bad = []
+    for command, p in sub.choices.items():
+        for action in p._actions:
+            if not action.option_strings or action.dest == "help":
+                continue
+            flag = "--" + action.dest.replace("_", "-")
+            if (action.dest not in SETTINGS[command]
+                    or action.option_strings != [flag]
+                    or action.choices is not None or action.type is not None):
+                bad.append(f"{command} {'/'.join(action.option_strings)}")
+    assert not bad, f"flags outside SETTINGS or with their own checks: {bad}"

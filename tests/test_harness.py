@@ -14,7 +14,8 @@ from relhpe import (AnchorPolicy, EulerAngles, NoiseModel, PoseLog,
                     rotation_from_euler, sweep, wrap_deg)
 from relhpe.anchors import POLICY_KINDS
 from relhpe.camera import Intrinsics
-from relhpe.errors import (InsufficientFrames, InvariantViolation,
+from relhpe.harness import csv_rows
+from relhpe.errors import (DomainError, InsufficientFrames, InvariantViolation,
                            MalformedPoseFile, MissingCalibration,
                            MissingPrediction, ParseError, UnknownFrame)
 from relhpe.poselog import FrameRecord
@@ -35,6 +36,21 @@ def make_log(poses, subject="s1", frame="world", intrinsics=None):
 
 # ---------------------------------------------------------------------------
 # canonical format
+
+
+class TestCsvRows:
+    def test_skipped_rows(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text(" ID,v\n\n  , \n# note\na,1\n#x,2\nid,3\n")
+        assert list(csv_rows(path, (2,), header=("id",))) == [
+            (5, ["a", "1"]), (7, ["id", "3"])]
+
+    def test_width(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text("a,1\nb,2,3\n")
+        with pytest.raises(ParseError,
+                           match="rows.csv:2: expected 2 or 4 fields, got 3"):
+            list(csv_rows(path, (2, 4)))
 
 
 class TestCanonicalFormat:
@@ -90,6 +106,23 @@ class TestCanonicalFormat:
             again = ingest_canonical(path2)
             for fa, fb in zip(back.frames, again.frames):
                 assert fa.pose.rotation == fb.pose.rotation
+
+    def test_unusual_ids_round_trip(self, tmp_path):
+        """Ids the CSV reader takes literally survive export and ingest."""
+        log = PoseLog(" s#1", (FrameRecord('a"b', 0, yaw_pose(0)),
+                               FrameRecord(" x ", 1, yaw_pose(5))))
+        path = tmp_path / "log.csv"
+        export_canonical(log, path)
+        back = ingest_canonical(path)
+        assert back.subject_id == " s#1"
+        assert [f.frame_id for f in back.frames] == ['a"b', " x "]
+
+    @pytest.mark.parametrize("subject, frame_id", [
+        ("#s01", "f0"), (" #s01", "f0"), ('"s"', "f0"), ("s,1", "f0"),
+        ("s", "#f0"), ("s", "f,0"), ("s", "f\n0"), ("s", "f\r0")])
+    def test_unwritable_ids_rejected(self, subject, frame_id):
+        with pytest.raises(InvariantViolation, match="cannot be written"):
+            PoseLog(subject, (FrameRecord(frame_id, 0, yaw_pose(0)),))
 
     def test_multi_subject(self, tmp_path):
         path = tmp_path / "log.csv"
@@ -233,6 +266,13 @@ class TestHardPairs:
                               n_pairs=10, seed=1)
         assert ps.stats["count"] == 1
         assert abs(ps.pairs[0][2] - 75.0) < 1e-9
+
+    def test_negative_n_pairs(self):
+        log = make_log([euler_pose(y) for y in (0.0, 2.0, 60.0)])
+        with pytest.raises(DomainError):
+            build_hard_pairs(log, n_pairs=-1)
+        with pytest.raises(DomainError):
+            build_easy_pairs(log, n_pairs=-1)
 
     def test_mean_gap_engineered_to_70(self):
         ps = build_hard_pairs(hard_fixture_log(), n_pairs=10 ** 6, seed=0)
@@ -452,6 +492,26 @@ class TestSweep:
                     "anchor_query_gap")
         assert sum(b.pair_count for b in rep.bins) == rep.total_paired
         assert rep.total_paired + rep.total_unpaired == 50
+
+    def test_external_anchor_error_propagates(self, rng):
+        # a perfect relative prediction composed onto an anchor prediction
+        # that is off by theta is off by exactly theta, whatever the query:
+        # the geodesic distance is bi-invariant
+        theta = 7.0
+        log = make_log([euler_pose(10.0 * i, t=rng.uniform(-50, 50, 3))
+                        for i in range(8)])
+        anchor = log.frames[0]
+        offset = Rotation.from_axis_angle(rng.normal(size=3), math.radians(theta))
+        predicted = {anchor.frame_id: SE3Pose(offset * anchor.pose.rotation,
+                                              anchor.pose.translation)}
+        rep = sweep(log, perfect_relative(),
+                    AnchorPolicy("external_predicted", external_source="ext"),
+                    "anchor_query_gap", predictions_by_estimator={"ext": predicted})
+        # gaps 0, 10, ..., 70 deg: one query per 5 deg bin
+        filled = [b.reports["perfect"] for b in rep.bins if b.pair_count]
+        assert rep.total_paired == 8 and [r.n for r in filled] == [1] * 8
+        for r in filled:
+            assert r.geodesic_mae == pytest.approx(theta, abs=1e-9)
 
     def test_absolute_axis_requires_nearest_within(self):
         log = make_log([euler_pose(0.0), euler_pose(3.0)])

@@ -199,5 +199,7 @@ class TestLossCam:
             LossConfig(gamma=0.0)
         with pytest.raises(ValueError):
             LossConfig(lambda_t=-1.0)
+        with pytest.raises(DomainError):
+            LossConfig(lambda_r=math.nan)
         with pytest.raises(ValueError):
             LossConfig(mode="bogus")

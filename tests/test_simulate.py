@@ -8,7 +8,7 @@ from relhpe import (AbsoluteSimEstimator, AnchorPolicy, NoiseModel, PoseLog,
                     TableEstimator, apply_anchor, build_easy_pairs,
                     euler_from_rotation, geodesic_deg, load_predictions_csv,
                     predict_pairs, run_end_to_end, sample_logs)
-from relhpe.errors import EmptyRange, ParseError
+from relhpe.errors import DomainError, EmptyRange, ParseError
 from relhpe.poselog import FrameRecord
 from relhpe.simulate import simulate_absolute, simulate_relative, _query_rng
 
@@ -26,6 +26,8 @@ class TestNoiseModel:
             NoiseModel(base_deg=-1.0)
         with pytest.raises(ValueError):
             NoiseModel(trans_noise_mm=-0.1)
+        with pytest.raises(DomainError):
+            NoiseModel(slope_deg_per_deg=math.nan)
 
     def test_zero_noise_is_identity(self, rng):
         nm = NoiseModel()
