@@ -292,10 +292,10 @@ def cmd_loss(args):
     lc = LossConfig(**s)
     pred_stages = _read_stage_file(args.predictions)
     true_stages = _read_stage_file(args.truth)
-    if [k for k, _ in pred_stages] != [k for k, _ in true_stages]:
-        raise StageCountMismatch(
-            f"prediction stages {[k for k, _ in pred_stages]} != "
-            f"truth stages {[k for k, _ in true_stages]}")
+    pred_ks, true_ks = [k for k, _ in pred_stages], [k for k, _ in true_stages]
+    if pred_ks != true_ks:
+        raise StageCountMismatch(f"{args.predictions}: prediction stages {pred_ks} "
+                                 f"!= {args.truth}: truth stages {true_ks}")
     stages = [StagePrediction(k, p, t)
               for (k, p), (_, t) in zip(pred_stages, true_stages)]
     total, breakdown = loss_cam(stages, lc)

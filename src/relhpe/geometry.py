@@ -253,9 +253,7 @@ def geodesic_deg_many(p, q) -> np.ndarray:
     sw, sx, sy, sz = aw + s * bw, ax + s * bx, ay + s * by, az + s * bz
     diff = np.sqrt(dw * dw + dx * dx + dy * dy + dz * dz)
     summ = np.sqrt(sw * sw + sx * sx + sy * sy + sz * sz)
-    ang = np.fromiter(map(math.atan2, diff.ravel().tolist(),
-                          summ.ravel().tolist()), float, diff.size)
-    return np.degrees(4.0 * ang)
+    return np.degrees(4.0 * _per_element(math.atan2, diff, summ))
 
 
 def rotation_from_euler(e: EulerAngles) -> Rotation:
@@ -277,18 +275,135 @@ def euler_from_rotation(r: Rotation) -> EulerAngles:
         R[0,2] / R[2,2] = tan(yaw)        (scaled by cos(pitch))
         R[1,0] / R[1,1] = tan(roll)       (scaled by cos(pitch))
     Near |pitch| = 90 deg yaw and roll are coupled; the degenerate branch
-    fixes roll = 0 and flags gimbal_lock.
+    fixes roll = 0 and flags gimbal_lock.  The entries read are as_matrix's
+    expressions.
     """
-    m = r.as_matrix()
-    sp = -m[1, 2]
+    w, x, y, z = r.w, r.x, r.y, r.z
+    sp = -(2 * (y * z - w * x))
     if sp > 1.0:
         sp = 1.0
     elif sp < -1.0:
         sp = -1.0
     pitch = math.degrees(math.asin(sp))
     if abs(pitch) >= 89.0:
-        yaw = math.degrees(math.atan2(-m[2, 0], m[0, 0]))
+        yaw = math.degrees(math.atan2(-(2 * (x * z - w * y)),
+                                      1 - 2 * (y * y + z * z)))
         return EulerAngles(yaw, pitch, 0.0, gimbal_lock=True)
-    yaw = math.degrees(math.atan2(m[0, 2], m[2, 2]))
-    roll = math.degrees(math.atan2(m[1, 0], m[1, 1]))
+    yaw = math.degrees(math.atan2(2 * (x * z + w * y), 1 - 2 * (x * x + y * y)))
+    roll = math.degrees(math.atan2(2 * (x * y + w * z), 1 - 2 * (x * x + z * z)))
     return EulerAngles(yaw, pitch, roll)
+
+
+# ---------------------------------------------------------------------------
+# batched forms
+#
+# Each helper repeats its scalar's expressions in the same order with
+# elementwise numpy arithmetic, which rounds like Python floats, and takes
+# math.asin/atan2/sin/cos per element (numpy's can differ in the last bit),
+# so every entry equals the scalar result bit for bit.  Quaternions are
+# (N, 4) arrays of (w, x, y, z); a pose array is a pair of (N, 4)
+# quaternions and (N, 3) translations (mm).
+
+
+def _per_element(fn, *arrays) -> np.ndarray:
+    """fn over the elements of equal-size arrays, as a flat float array."""
+    return np.fromiter(map(fn, *(np.ravel(a).tolist() for a in arrays)),
+                       float, np.size(arrays[0]))
+
+
+def pose_arrays(poses):
+    """The pose array of a sequence of SE3Poses."""
+    poses = list(poses)
+    quats = np.array([(p.rotation.w, p.rotation.x, p.rotation.y, p.rotation.z)
+                      for p in poses], dtype=float).reshape(-1, 4)
+    translations = np.array([p.translation for p in poses],
+                            dtype=float).reshape(-1, 3)
+    return quats, translations
+
+
+def canonical_many(q) -> np.ndarray:
+    """Rotation(*row) over the rows of q: normalize unless the norm is within
+    1e-12 of 1, then take the canonical sign."""
+    w, x, y, z = np.asarray(q, dtype=float).T
+    n = np.sqrt(w * w + x * x + y * y + z * z)
+    bad = ~((0.0 < n) & (n < math.inf))
+    if bad.any():
+        raise DomainError(f"quaternion norm {n[bad][0]} is zero or non-finite")
+    n = np.where(np.abs(n - 1.0) <= 1e-12, 1.0, n)  # x / 1.0 is x
+    w, x, y, z = w / n, x / n, y / n, z / n
+    first = np.where(x != 0.0, x, np.where(y != 0.0, y, z))
+    sign = np.where((w < 0.0) | ((w == 0.0) & (first < 0.0)), -1.0, 1.0)
+    return np.stack([np.where(w < 0.0, -w, w), sign * x, sign * y, sign * z],
+                    axis=1)
+
+
+def multiply_many(a, b) -> np.ndarray:
+    """Rotation.__mul__ over rows: the Hamilton products a[i] * b[i]."""
+    w1, x1, y1, z1 = np.asarray(a, dtype=float).T
+    w2, x2, y2, z2 = np.asarray(b, dtype=float).T
+    return canonical_many(np.stack([
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    ], axis=1))
+
+
+def as_matrix_many(q) -> np.ndarray:
+    """Rotation.as_matrix over rows, as a C-contiguous (N, 3, 3) array."""
+    w, x, y, z = np.asarray(q, dtype=float).T
+    return np.stack([
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    ], axis=1).reshape(-1, 3, 3)
+
+
+def rotate_many(q, v) -> np.ndarray:
+    """Rotation.apply over rows: R(q[i]) @ v[i].  A stacked (3, 3) @ (3, 1)
+    matmul runs the same BLAS product as the scalar's (3, 3) @ (3,)."""
+    v = np.asarray(v, dtype=float).reshape(-1, 3, 1)
+    return np.matmul(as_matrix_many(q), v)[:, :, 0]
+
+
+def axis_angle_many(axes, angles_rad) -> np.ndarray:
+    """Rotation.from_axis_angle over rows.  The axis norm is a per-row BLAS
+    dot, as in np.linalg.norm (a plain sum of squares can differ)."""
+    axes = np.asarray(axes, dtype=float).reshape(-1, 3)
+    n = np.sqrt(np.matmul(axes[:, None, :], axes[:, :, None])[:, 0, 0])
+    if not n.all():
+        raise DomainError("zero axis")
+    axes = axes / n[:, None]
+    h = 0.5 * np.asarray(angles_rad, dtype=float)
+    s = _per_element(math.sin, h)
+    return canonical_many(np.stack([_per_element(math.cos, h), s * axes[:, 0],
+                                    s * axes[:, 1], s * axes[:, 2]], axis=1))
+
+
+def inverse_many(p):
+    """inverse over the rows of a pose array."""
+    q, t = p
+    r = canonical_many(np.asarray(q, dtype=float) * [1.0, -1.0, -1.0, -1.0])
+    return r, -rotate_many(r, t)
+
+
+def compose_many(a, b):
+    """compose over the rows of two pose arrays: b[i] first, then a[i]."""
+    (qa, ta), (qb, tb) = a, b
+    return multiply_many(qa, qb), rotate_many(qa, tb) + ta
+
+
+def euler_deg_many(q) -> np.ndarray:
+    """euler_from_rotation over rows: (N, 3) yaw, pitch, roll in degrees
+    (the gimbal_lock flag is not returned)."""
+    w, x, y, z = np.asarray(q, dtype=float).T
+    sp = np.clip(-(2 * (y * z - w * x)), -1.0, 1.0)
+    pitch = np.degrees(_per_element(math.asin, sp))
+    lock = np.abs(pitch) >= 89.0
+    yaw = np.degrees(_per_element(
+        math.atan2,
+        np.where(lock, -(2 * (x * z - w * y)), 2 * (x * z + w * y)),
+        np.where(lock, 1 - 2 * (y * y + z * z), 1 - 2 * (x * x + y * y))))
+    roll = np.degrees(_per_element(math.atan2, 2 * (x * y + w * z),
+                                   1 - 2 * (x * x + z * z)))
+    return np.stack([yaw, pitch, np.where(lock, 0.0, roll)], axis=1)

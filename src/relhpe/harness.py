@@ -30,7 +30,7 @@ import glob as globmod
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -40,8 +40,8 @@ from .camera import Intrinsics
 from .errors import (DomainError, InsufficientFrames, InvariantViolation,
                      MalformedPoseFile, MissingCalibration, MissingPrediction,
                      ParseError)
-from .geometry import (Rotation, SE3Pose, apply_anchor, compose,
-                       euler_from_rotation, geodesic_deg, geodesic_deg_many)
+from .geometry import (Rotation, SE3Pose, compose, compose_many,
+                       euler_deg_many, geodesic_deg_many, pose_arrays)
 from .poselog import FrameRecord, PoseLog
 
 FORMAT_VERSION = "v1"
@@ -134,8 +134,8 @@ def ingest_canonical_all(path) -> list:
     for tok in header[3:]:
         if tok.startswith("frame="):
             frame_tag = tok[len("frame="):]
-    by_subject: dict = {}
-    order = []
+    by_subject: dict = {}  # subject -> its frames so far
+    seen: dict = {}  # subject -> its frame ids so far
     for lineno, cols in csv_rows(path, (10, 16)):
         subject, frame_id = cols[0], cols[1]
         with row_errors(path, lineno):
@@ -148,14 +148,21 @@ def ingest_canonical_all(path) -> list:
                     f"{path}:{lineno}: quaternion norm {norm:.6f} deviates from 1 by more than 1e-3")
             pose = SE3Pose(Rotation(qw, qx, qy, qz), np.array(vals[4:7]), frame_tag)
             intr = Intrinsics(*vals[7:13]) if len(vals) == 13 else None
-        if subject not in by_subject:
-            by_subject[subject] = []
-            order.append(subject)
-        by_subject[subject].append(FrameRecord(frame_id, index, pose, intr))
-    if not order:
+        frames = by_subject.setdefault(subject, [])
+        ids = seen.setdefault(subject, set())
+        if frame_id in ids:
+            raise ParseError(f"{path}:{lineno}: duplicate frame id {frame_id!r} "
+                             f"in log {subject!r}")
+        if index != len(frames):
+            raise ParseError(f"{path}:{lineno}: log {subject!r}: frame {frame_id!r} "
+                             f"has index {index}, expected {len(frames)}")
+        ids.add(frame_id)
+        frames.append(FrameRecord(frame_id, index, pose, intr))
+    if not by_subject:
         raise ParseError(f"{path}: no records")
     try:
-        return [PoseLog(s, tuple(by_subject[s]), frame_tag) for s in order]
+        return [PoseLog(s, tuple(frames), frame_tag)
+                for s, frames in by_subject.items()]
     except InvariantViolation as exc:
         raise InvariantViolation(f"{path}: {exc}") from exc
 
@@ -370,46 +377,54 @@ class MetricReport:
         return d
 
 
-def report_from_samples(samples) -> MetricReport:
-    """Aggregate error samples (see error_samples) into one MetricReport."""
-    if not samples:
+def report_from_samples(angles, dts) -> MetricReport:
+    """Aggregate error rows (see error_arrays) into one MetricReport."""
+    if not len(angles):
         return MetricReport.empty()
-    arr = np.array([s[:4] for s in samples])
-    yaw, pitch, roll, geo = arr.mean(axis=0)
-    dts = np.array([s[4] for s in samples])
+    yaw, pitch, roll, geo = angles.mean(axis=0)
     t_mae = tuple(float(v) for v in np.abs(dts).mean(axis=0))
     t_l2 = float(np.linalg.norm(dts, axis=1).mean())
     return MetricReport(float(yaw), float(pitch), float(roll),
                         float((yaw + pitch + roll) / 3.0), float(geo),
-                        len(samples), t_mae, t_l2)
+                        len(angles), t_mae, t_l2)
 
 
-def _error_sample(pred: SE3Pose, true: SE3Pose):
-    ep = euler_from_rotation(pred.rotation)
-    et = euler_from_rotation(true.rotation)
-    return (abs(wrap_deg(ep.yaw - et.yaw)),
-            abs(wrap_deg(ep.pitch - et.pitch)),
-            abs(wrap_deg(ep.roll - et.roll)),
-            geodesic_deg(pred.rotation, true.rotation),
-            pred.translation - true.translation)
+def error_arrays(pred, truth):
+    """Errors of predicted against true pose arrays, one row per pose:
+    (N, 4) |dyaw|, |dpitch|, |droll|, geodesic (degrees) and (N, 3)
+    translation differences (mm), both C-contiguous."""
+    (pred_q, pred_t), (true_q, true_t) = pred, truth
+    angles = np.empty((len(pred_q), 4))
+    angles[:, :3] = np.abs(wrap_deg(euler_deg_many(pred_q)
+                                    - euler_deg_many(true_q)))
+    angles[:, 3] = geodesic_deg_many(pred_q, true_q)
+    return angles, pred_t - true_t
 
 
-def error_samples(pairs: PairSet, predictions, truth: PoseLog) -> list:
-    """One (|dyaw|, |dpitch|, |droll|, geodesic, dt 3-vector) sample per pair.
+def pool_errors(chunks):
+    """error_arrays results concatenated in order (empty arrays for none)."""
+    chunks = list(chunks)
+    return (np.concatenate([np.empty((0, 4))] + [a for a, _ in chunks]),
+            np.concatenate([np.empty((0, 3))] + [d for _, d in chunks]))
+
+
+def error_samples(pairs: PairSet, predictions, truth: PoseLog):
+    """error_arrays of each pair's query, in pair order.
 
     predictions maps query_id -> predicted SE3Pose (absolute, truth frame).
     """
-    samples = []
+    preds, rows = [], []
     for _, query_id, _ in pairs.pairs:
         if query_id not in predictions:
             raise MissingPrediction(query_id)
-        samples.append(_error_sample(predictions[query_id], truth.pose_of(query_id)))
-    return samples
+        preds.append(predictions[query_id])
+        rows.append(truth.position(query_id))
+    return error_arrays(pose_arrays(preds), _rows(truth, rows))
 
 
 def evaluate(pairs: PairSet, predictions, truth: PoseLog) -> MetricReport:
     """Per-axis MAE, geodesic MAE, and translation error over a pair set."""
-    return report_from_samples(error_samples(pairs, predictions, truth))
+    return report_from_samples(*error_samples(pairs, predictions, truth))
 
 
 # ---------------------------------------------------------------------------
@@ -436,21 +451,51 @@ class SweepReport:
     total_unpaired: int
 
 
-def predict_query(estimator, subject_id, query_id, anchor_pose: SE3Pose,
-                  query_pose: SE3Pose, anchor_truth: SE3Pose) -> SE3Pose:
-    """Absolute prediction for one query.
+def _rows(log: PoseLog, positions):
+    """The pose array of the log's frames at the given positions."""
+    positions = np.asarray(positions, dtype=int)
+    return log.quats[positions], log.translations[positions]
+
+
+@dataclass(frozen=True)
+class QueryBatch:
+    """Queries of one log as pose arrays, row i for query frame_ids[i].
+
+    query and anchor_truth are the true poses an estimator sees; anchor is
+    the pose a relative prediction is composed onto: another estimator's
+    prediction under external_predicted, else anchor_truth.  streams is
+    scratch space the estimators of one batch share (simulate keeps each
+    query's noise draws there).
+    """
+
+    subject_id: str
+    frame_ids: list
+    query: tuple
+    anchor_truth: tuple
+    anchor: tuple
+    streams: dict = field(default_factory=dict)
+
+
+def query_batch(log: PoseLog, queries, anchors, anchor=None) -> QueryBatch:
+    """QueryBatch of the frames at positions queries, each anchored on the
+    frame at the same row of anchors; anchor (a pose array) defaults to
+    the anchor frames' true poses."""
+    anchor_truth = _rows(log, anchors)
+    return QueryBatch(log.subject_id, [log.frames[i].frame_id for i in queries],
+                      _rows(log, queries), anchor_truth,
+                      anchor_truth if anchor is None else anchor)
+
+
+def predict_batch(estimator, batch: QueryBatch):
+    """Absolute predictions for every row of a batch, as a pose array.
 
     A relative estimator sees the anchor and query views, so it predicts
-    the anchor-to-query transform from their true poses (anchor_truth and
-    query_pose); that transform is composed onto anchor_pose, which under
-    external_predicted is another estimator's prediction and otherwise is
-    anchor_truth.  An absolute estimator ignores the anchor.
+    the anchor-to-query transforms from their true poses; these are
+    composed onto batch.anchor.  An absolute estimator ignores the anchor.
     """
     if estimator.kind == "absolute":
-        return estimator.predict_absolute(subject_id, query_id, query_pose)
-    rel = estimator.predict_relative(subject_id, query_id, anchor_truth,
-                                     query_pose)
-    return apply_anchor(rel, anchor_pose)
+        return estimator.predict_absolute_many(batch)
+    return compose_many(estimator.predict_relative_many(batch), batch.anchor)
 
 
 def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
@@ -460,7 +505,8 @@ def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
     axis "anchor_query_gap" bins by the anchor-query geodesic gap;
     "absolute_query_pose" bins by the query's distance to the per-subject
     neutral reference and requires a nearest_within policy so the gap stays
-    controlled.  Unpaired queries are counted but never evaluated.
+    controlled.  Unpaired queries are counted but never evaluated.  Within
+    a bin, queries keep log order and query_id order within a log.
     """
     if axis not in SWEEP_AXES:
         raise DomainError(f"unknown sweep axis {axis!r}")
@@ -473,43 +519,42 @@ def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
     if not isinstance(estimators, (list, tuple)):
         estimators = [estimators]
 
-    rows = []  # (axis_value, {est_id: sample})
+    values = [np.empty(0)]  # axis value per paired query
+    errors = [[] for _ in estimators]  # error_arrays per estimator and log
     unpaired = 0
     for log in logs:
         preds_ext = None
         if policy.kind == "external_predicted":
             preds_ext = (predictions_by_estimator or {}).get(policy.external_source)
         assignments = assign_anchors(log, policy, preds_ext)
-        if axis == "absolute_query_pose":
-            dist = _distances_to_reference(log)
-            dist_by_id = {f.frame_id: d for f, d in zip(log.frames, dist)}
-        for assignment in sorted(assignments, key=lambda a: a.query_id):
-            if not assignment.paired:
-                unpaired += 1
-                continue
-            query_pose = log.pose_of(assignment.query_id)
-            anchor_truth = log.pose_of(assignment.anchor_id)
-            value = (assignment.gap_deg if axis == "anchor_query_gap"
-                     else dist_by_id[assignment.query_id])
-            samples = {}
-            for est in estimators:
-                pred = predict_query(est, log.subject_id, assignment.query_id,
-                                     assignment.anchor_pose, query_pose,
-                                     anchor_truth)
-                samples[est.id] = _error_sample(pred, query_pose)
-            rows.append((value, samples))
+        paired = sorted((a for a in assignments if a.paired),
+                        key=lambda a: a.query_id)
+        unpaired += len(assignments) - len(paired)
+        queries = [log.position(a.query_id) for a in paired]
+        batch = query_batch(log, queries,
+                            [log.position(a.anchor_id) for a in paired],
+                            pose_arrays(a.anchor_pose for a in paired))
+        if axis == "anchor_query_gap":
+            values.append(np.array([a.gap_deg for a in paired], dtype=float))
+        else:
+            values.append(np.array(_distances_to_reference(log))[queries])
+        for per_log, est in zip(errors, estimators):
+            per_log.append(error_arrays(predict_batch(est, batch), batch.query))
 
-    max_value = max((v for v, _ in rows), default=0.0)
+    values = np.concatenate(values)
+    max_value = values.max() if len(values) else 0.0
     n_bins = max(1, int(math.floor(max_value / bin_width_deg)) + 1)
-    binned = [[] for _ in range(n_bins)]
-    for value, samples in rows:
-        b = min(int(value // bin_width_deg), n_bins - 1)
-        binned[b].append(samples)
-    bins = []
-    for b, items in enumerate(binned):
-        reports = {}
-        for est in estimators:
-            reports[est.id] = report_from_samples([s[est.id] for s in items])
-        bins.append(SweepBin(b * bin_width_deg, (b + 1) * bin_width_deg,
-                             reports, len(items)))
-    return SweepReport(axis, bin_width_deg, tuple(bins), len(rows), unpaired)
+    which = np.minimum(np.floor_divide(values, bin_width_deg).astype(int),
+                       n_bins - 1)
+    order = np.argsort(which, kind="stable")
+    counts = np.bincount(which, minlength=n_bins).tolist()
+    spans = [(end - n, end) for n, end in zip(counts, np.cumsum(counts).tolist())]
+    reports = [{} for _ in spans]
+    for est, per_log in zip(estimators, errors):
+        angles, dts = pool_errors(per_log)
+        angles, dts = angles[order], dts[order]
+        for (lo, hi), by_id in zip(spans, reports):
+            by_id[est.id] = report_from_samples(angles[lo:hi], dts[lo:hi])
+    bins = tuple(SweepBin(b * bin_width_deg, (b + 1) * bin_width_deg, by_id, n)
+                 for b, (by_id, n) in enumerate(zip(reports, counts)))
+    return SweepReport(axis, bin_width_deg, bins, len(values), unpaired)

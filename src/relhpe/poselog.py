@@ -12,7 +12,7 @@ import numpy as np
 from .camera import Intrinsics
 from .errors import (EmptyInput, FrameMismatch, InvariantViolation,
                      UnknownFrame)
-from .geometry import SE3Pose
+from .geometry import SE3Pose, pose_arrays
 
 # An id the CSV readers would skip as a '#' comment, read as a quoted field,
 # or split (comma, line break): harness.csv_rows could not read it back.
@@ -67,14 +67,26 @@ class PoseLog:
         return len(self.frames)
 
     @cached_property
+    def _arrays(self):
+        quats, translations = pose_arrays(f.pose for f in self.frames)
+        quats.flags.writeable = translations.flags.writeable = False
+        return quats, translations
+
+    @property
     def quats(self) -> np.ndarray:
         """Read-only (N, 4) array of the frames' (w, x, y, z) quaternions."""
-        q = np.array([(r.w, r.x, r.y, r.z)
-                      for r in (f.pose.rotation for f in self.frames)])
-        q.flags.writeable = False
-        return q
+        return self._arrays[0]
 
-    def pose_of(self, frame_id: str) -> SE3Pose:
+    @property
+    def translations(self) -> np.ndarray:
+        """Read-only (N, 3) array of the frames' translations (mm)."""
+        return self._arrays[1]
+
+    def position(self, frame_id: str) -> int:
+        """Index of a frame in the log."""
         if frame_id not in self._position:
             raise UnknownFrame(f"log {self.subject_id!r} has no frame {frame_id!r}")
-        return self.frames[self._position[frame_id]].pose
+        return self._position[frame_id]
+
+    def pose_of(self, frame_id: str) -> SE3Pose:
+        return self.frames[self.position(frame_id)].pose

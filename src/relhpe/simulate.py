@@ -11,8 +11,15 @@ error assertions tight.
 * Relative estimators model error growing with the anchor-query gap:
   magnitude = base + slope * gap.
 
-RNG streams are derived per query from (seed, subject_id, frame_id), so
-serial and parallel runs agree and identical seeds give identical reports.
+RNG streams are keyed per query by (seed, subject_id, frame_id), so serial
+and parallel runs agree and identical seeds give identical reports.  A
+query's stream yields unit vectors in order: the rotation axis when the
+magnitude is > 0, then the translation direction when trans_noise_mm > 0.
+Estimators with equal seeds therefore draw the same vectors, and the batched
+path (predict_absolute_many / predict_relative_many) derives each query's
+stream once per batch and seed and shares its vectors between them.  The
+scalar simulate_absolute / simulate_relative are the reference the batched
+path equals bit for bit.
 """
 
 from __future__ import annotations
@@ -24,11 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyRange, ParseError
-from .geometry import (EulerAngles, Rotation, SE3Pose, geodesic_deg,
-                       relative, rotation_from_euler)
+from .geometry import (EulerAngles, Rotation, SE3Pose, axis_angle_many,
+                       compose_many, geodesic_deg, geodesic_deg_many,
+                       inverse_many, multiply_many, pose_arrays, relative,
+                       rotation_from_euler)
 from .harness import (PairSet, build_easy_pairs, build_hard_pairs, csv_rows,
-                      error_samples, finite_floats, predict_query,
-                      report_from_samples, row_errors, sweep)
+                      error_samples, finite_floats, pool_errors, predict_batch,
+                      query_batch, report_from_samples, row_errors, sweep)
 from .poselog import FrameRecord, PoseLog
 
 
@@ -44,6 +53,31 @@ def _random_unit_vector(rng):
         n = np.linalg.norm(v)
         if n > 1e-12:
             return v / n
+
+
+def _unit_vectors(batch, seed, counts) -> np.ndarray:
+    """(N, K, 3) array whose row i starts with the first counts[i] unit
+    vectors of query i's stream.
+
+    The vectors are kept in batch.streams under the seed, so estimators with
+    equal seeds derive each stream once.  A row is derived again only when
+    an estimator needs more vectors than an earlier one drew; since a stream
+    always yields the same vectors in order, that changes no value.
+    """
+    counts = np.asarray(counts, dtype=int)
+    have, vectors = batch.streams.get(
+        seed, (np.zeros(len(counts), dtype=int), np.zeros((len(counts), 0, 3))))
+    short = np.flatnonzero(counts > have)
+    if short.size:
+        depth = max(vectors.shape[1], int(counts.max()))
+        vectors = np.concatenate(
+            [vectors, np.zeros((len(counts), depth - vectors.shape[1], 3))], axis=1)
+        for i in short.tolist():
+            rng = _query_rng(seed, batch.subject_id, batch.frame_ids[i])
+            for k in range(counts[i]):
+                vectors[i, k] = _random_unit_vector(rng)
+        batch.streams[seed] = (np.maximum(have, counts), vectors)
+    return vectors
 
 
 @dataclass(frozen=True)
@@ -68,6 +102,25 @@ def _perturb(pose: SE3Pose, magnitude_deg: float, trans_mm: float, rng) -> SE3Po
     if trans_mm > 0:
         t = t + trans_mm * _random_unit_vector(rng)
     return SE3Pose(rot, t, pose.frame_tag)
+
+
+def _perturb_many(batch, pose, magnitudes, nm: NoiseModel):
+    """_perturb over the rows of a pose array, drawing from the batch's
+    shared streams."""
+    quats, translations = pose
+    rotated = magnitudes > 0
+    moved = nm.trans_noise_mm > 0
+    after_axis = rotated.astype(int)  # index of the translation direction
+    vectors = _unit_vectors(batch, nm.seed, after_axis + moved)
+    rows = np.flatnonzero(rotated)
+    if rows.size:
+        quats = quats.copy()
+        noise = axis_angle_many(vectors[rows, 0], np.radians(magnitudes[rows]))
+        quats[rows] = multiply_many(noise, quats[rows])
+    if moved:
+        direction = vectors[np.arange(len(rotated)), after_axis]
+        translations = translations + nm.trans_noise_mm * direction
+    return quats, translations
 
 
 def simulate_absolute(truth: SE3Pose, nm: NoiseModel, canonical_ref: Rotation,
@@ -101,6 +154,13 @@ class AbsoluteSimEstimator:
         rng = _query_rng(self.noise.seed, subject_id, frame_id)
         return simulate_absolute(true_pose, self.noise, self.canonical_ref, rng)
 
+    def predict_absolute_many(self, batch):
+        """predict_absolute for every row of a harness.QueryBatch."""
+        nm = self.noise
+        distance = geodesic_deg_many(batch.query[0], self.canonical_ref.quat)
+        return _perturb_many(batch, batch.query,
+                             nm.base_deg + nm.slope_deg_per_deg * distance, nm)
+
 
 class RelativeSimEstimator:
     """Relative pose-level estimator with gap-proportional noise."""
@@ -115,6 +175,14 @@ class RelativeSimEstimator:
                          true_query: SE3Pose) -> SE3Pose:
         rng = _query_rng(self.noise.seed, subject_id, frame_id)
         return simulate_relative(anchor_pose, true_query, self.noise, rng)
+
+    def predict_relative_many(self, batch):
+        """predict_relative for every row of a harness.QueryBatch."""
+        nm = self.noise
+        gap = geodesic_deg_many(batch.anchor_truth[0], batch.query[0])
+        rel = compose_many(batch.query, inverse_many(batch.anchor_truth))
+        return _perturb_many(batch, rel, nm.base_deg + nm.slope_deg_per_deg * gap,
+                             nm)
 
 
 class TableEstimator:
@@ -132,6 +200,13 @@ class TableEstimator:
             raise KeyError(f"estimator {self.id!r}: no prediction for {frame_id!r}")
         pred = self.predictions[frame_id]
         return SE3Pose(pred.rotation, pred.translation, true_pose.frame_tag)
+
+    def predict_absolute_many(self, batch):
+        """predict_absolute for every row of a harness.QueryBatch."""
+        missing = [f for f in batch.frame_ids if f not in self.predictions]
+        if missing:
+            raise KeyError(f"estimator {self.id!r}: no prediction for {missing[0]!r}")
+        return pose_arrays(self.predictions[f] for f in batch.frame_ids)
 
 
 @dataclass(frozen=True)
@@ -179,13 +254,15 @@ def predict_pairs(log: PoseLog, pairs: PairSet, estimator) -> dict:
     """Absolute predictions for every query in a pair set.
 
     Relative estimators predict against each pair's (ground-truth) anchor
-    and compose; absolute estimators ignore the anchor.
+    and compose; absolute estimators ignore the anchor.  A query in several
+    pairs keeps the prediction of its last pair.
     """
-    return {query_id: predict_query(estimator, log.subject_id, query_id,
-                                    log.pose_of(anchor_id),
-                                    log.pose_of(query_id),
-                                    log.pose_of(anchor_id))
-            for anchor_id, query_id, _ in pairs.pairs}
+    batch = query_batch(log, [log.position(q) for _, q, _ in pairs.pairs],
+                        [log.position(a) for a, _, _ in pairs.pairs])
+    quats, translations = predict_batch(estimator, batch)
+    return {query_id: SE3Pose(Rotation(*q), t, log.frame_tag)
+            for query_id, q, t in zip(batch.frame_ids, quats.tolist(),
+                                      translations.tolist())}
 
 
 def run_end_to_end(logs, estimators, policy=None, benchmark=None):
@@ -209,10 +286,9 @@ def run_end_to_end(logs, estimators, policy=None, benchmark=None):
     pair_sets = [(log, builder(log, **benchmark)) for log in logs]
     out = {}
     for est in estimators:
-        samples = []
-        for log, pairs in pair_sets:
-            samples += error_samples(pairs, predict_pairs(log, pairs, est), log)
-        out[est.id] = report_from_samples(samples)
+        out[est.id] = report_from_samples(*pool_errors(
+            error_samples(pairs, predict_pairs(log, pairs, est), log)
+            for log, pairs in pair_sets))
     return out
 
 

@@ -271,6 +271,9 @@ class TestLoss:
         write_stage_file(true, [(k, 0, 0, 0, 1, 0, 0, 0, 60, 60)
                                 for k in range(1, 3)])
         assert run(["--out", tmp_path, "loss", pred, true]) == 2
+        err = capsys.readouterr().err
+        assert f"{pred}: prediction stages [1]" in err
+        assert f"{true}: truth stages [1, 2]" in err
 
 
 class TestReport:
@@ -339,7 +342,9 @@ def malformed_input(case, tmp_path):
         return ["loss", pred, true], "pred.csv:2:"
     canonical_rows = {"nan_log_quaternion": "s,f1,1,nan,0,0,0,0,0,0",
                       "inf_log_translation": "s,f1,1,1,0,0,0,0,inf,0",
-                      "bad_log_intrinsics": "s,f1,1,1,0,0,0,0,0,0,-5,5,3,2,6,4"}
+                      "bad_log_intrinsics": "s,f1,1,1,0,0,0,0,0,0,-5,5,3,2,6,4",
+                      "out_of_order_log_index": "s,f1,5,1,0,0,0,0,0,0",
+                      "duplicate_log_frame_id": "s,f0,1,1,0,0,0,0,0,0"}
     if case in canonical_rows:
         bad = tmp_path / "bad.csv"
         bad.write_text("# poselog v1 frame=world\ns,f0,0,1,0,0,0,0,0,0\n"
@@ -469,7 +474,9 @@ def malformed_input(case, tmp_path):
                                   "reflection_calibration",
                                   "negative_seed_simulate", "negative_seed_pairs",
                                   "config_bool_n_pairs", "config_fractional_frames",
-                                  "biwi_comment_subject", "quoted_comma_subject"])
+                                  "biwi_comment_subject", "quoted_comma_subject",
+                                  "out_of_order_log_index",
+                                  "duplicate_log_frame_id"])
 def test_malformed_input_is_a_typed_error(case, tmp_path, capsys):
     argv, named = malformed_input(case, tmp_path)
     capsys.readouterr()

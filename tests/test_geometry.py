@@ -10,7 +10,9 @@ from relhpe import (EulerAngles, Rotation, SE3Pose, apply_anchor, compose,
                     euler_from_rotation, geodesic_deg, inverse,
                     normalize_to_anchor, relative, rotation_from_euler)
 from relhpe.errors import DomainError, EmptyInput, FrameMismatch
-from relhpe.geometry import geodesic_deg_many
+from relhpe.geometry import (as_matrix_many, axis_angle_many, canonical_many,
+                             compose_many, euler_deg_many, geodesic_deg_many,
+                             inverse_many, multiply_many, rotate_many)
 
 from conftest import random_pose, random_rotation, yaw_pose
 
@@ -289,3 +291,137 @@ class TestEuler:
         expected = ry @ rx @ rz
         got = rotation_from_euler(EulerAngles(yaw, pitch, roll)).as_matrix()
         assert np.allclose(got, expected, atol=1e-12)
+
+
+# Raw rows for the normalize-and-sign rule: unnormalized, already unit (kept
+# as is), within 1e-12 of unit, and w = 0 or -0.0 with either sign first.
+_RAW_SPECIAL = [Quat(1.0, 0.0, 0.0, 0.0), Quat(-1.0, 0.0, 0.0, 0.0),
+                Quat(1.0 + 5e-13, 0.0, 0.0, 0.0), Quat(0.0, -0.6, 0.0, 0.8),
+                Quat(-0.0, 0.0, -1.0, 0.0), Quat(0.0, 0.0, 0.0, -2.0),
+                Quat(-0.5, 0.5, -0.5, 0.5), Quat(3.0, -4.0, 0.0, 0.0)]
+_raw_quats = st.one_of(
+    st.sampled_from(_RAW_SPECIAL),
+    st.tuples(*[st.floats(-10.0, 10.0)] * 4)
+    .filter(lambda c: math.fsum(v * v for v in c) > 1e-6).map(lambda c: Quat(*c)))
+# unit quaternions with either sign: rows a batch may hold before canonical
+_signed_quats = st.tuples(_quats, st.booleans()).map(
+    lambda qf: Quat(*(-v for v in qf[0])) if qf[1] else qf[0])
+_vectors = st.tuples(*[st.floats(-500.0, 500.0)] * 3)
+
+
+def _rows(qs):
+    return np.array(qs, dtype=float).reshape(-1, 4)
+
+
+def _pose(q, t):
+    return SE3Pose(Rotation(*q), np.array(t, dtype=float))
+
+
+def _as_tuple(r):
+    return (r.w, r.x, r.y, r.z)
+
+
+class TestBatchedHelpers:
+    """Each batched helper equals its scalar exactly, row by row."""
+
+    @given(qs=st.lists(_raw_quats, max_size=12))
+    @example(qs=[])
+    @example(qs=_RAW_SPECIAL)
+    def test_canonical(self, qs):
+        assert canonical_many(_rows(qs)).tolist() == [
+            list(_as_tuple(Rotation(*q))) for q in qs]
+
+    @given(pairs=st.lists(st.tuples(_signed_quats, _signed_quats), max_size=12))
+    @example(pairs=[])
+    @example(pairs=[(q, Quat(*(-v for v in q))) for q in _SPECIAL])
+    def test_multiply(self, pairs):
+        a, b = _rows([p for p, _ in pairs]), _rows([q for _, q in pairs])
+        assert multiply_many(a, b).tolist() == [
+            list(_as_tuple(Rotation.__mul__(p, q))) for p, q in pairs]
+
+    @given(rows=st.lists(st.tuples(_signed_quats, _vectors), max_size=12))
+    @example(rows=[])
+    @example(rows=[(q, (1.0, -2.0, 3.0)) for q in _SPECIAL])
+    def test_matrix_and_rotate(self, rows):
+        q = _rows([r for r, _ in rows])
+        v = np.array([t for _, t in rows], dtype=float).reshape(-1, 3)
+        mats = [Rotation.as_matrix(r) for r, _ in rows]
+        assert as_matrix_many(q).tolist() == [m.tolist() for m in mats]
+        assert rotate_many(q, v).tolist() == [
+            (m @ np.array(t, dtype=float)).tolist() for m, (_, t) in zip(mats, rows)]
+
+    @given(rows=st.lists(st.tuples(_vectors, st.floats(-7.0, 7.0)), max_size=12)
+           .map(lambda rs: [r for r in rs
+                            if math.fsum(v * v for v in r[0]) > 1e-6]))
+    @example(rows=[])
+    def test_axis_angle(self, rows):
+        axes = np.array([a for a, _ in rows], dtype=float).reshape(-1, 3)
+        angles = np.array([h for _, h in rows], dtype=float)
+        assert axis_angle_many(axes, angles).tolist() == [
+            list(_as_tuple(Rotation.from_axis_angle(a, h))) for a, h in rows]
+
+    @given(rows=st.lists(st.tuples(_quats, _vectors, _quats, _vectors), max_size=10))
+    @example(rows=[])
+    @example(rows=[(q, (0.0, 0.0, 0.0), q, (1.0, 2.0, 3.0)) for q in _SPECIAL])
+    def test_inverse_and_compose(self, rows):
+        a = [_pose(qa, ta) for qa, ta, _, _ in rows]
+        b = [_pose(qb, tb) for _, _, qb, tb in rows]
+
+        def arrays(poses):
+            return (_rows([_as_tuple(p.rotation) for p in poses]),
+                    np.array([p.translation for p in poses]).reshape(-1, 3))
+
+        def as_lists(quats, translations):
+            return quats.tolist(), translations.tolist()
+
+        assert as_lists(*inverse_many(arrays(a))) == as_lists(
+            *arrays([inverse(p) for p in a]))
+        assert as_lists(*compose_many(arrays(a), arrays(b))) == as_lists(
+            *arrays([compose(p, q) for p, q in zip(a, b)]))
+
+    @given(qs=st.lists(st.one_of(
+        _signed_quats,
+        # gimbal lock: |pitch| >= 89 deg takes the degenerate branch
+        st.tuples(st.floats(-180.0, 180.0), st.floats(89.0, 90.0),
+                  st.floats(-180.0, 180.0), st.booleans())
+        .map(lambda e: _unit(_as_tuple(rotation_from_euler(
+            EulerAngles(e[0], e[1] if e[3] else -e[1], e[2])))))), max_size=12))
+    @example(qs=[])
+    @example(qs=_SPECIAL + [Quat(*(-v for v in q)) for q in _SPECIAL])
+    def test_euler(self, qs):
+        expected = [euler_from_rotation(q) for q in qs]
+        assert euler_deg_many(_rows(qs)).tolist() == [
+            [e.yaw, e.pitch, e.roll] for e in expected]
+
+
+_poses = st.tuples(_quats, _vectors).map(lambda qt: _pose(*qt))
+
+
+def _close(a: SE3Pose, b: SE3Pose, tol=1e-9):
+    return (geodesic_deg(a.rotation, b.rotation) < tol
+            and np.allclose(a.translation, b.translation, rtol=0, atol=tol * 1e3))
+
+
+class TestAlgebraicLaws:
+    @given(a=_poses, b=_poses, c=_poses)
+    def test_compose_associative(self, a, b, c):
+        assert _close(compose(compose(a, b), c), compose(a, compose(b, c)))
+
+    @given(query=_poses, anchor=_poses)
+    def test_relative_then_apply_anchor_is_identity(self, query, anchor):
+        assert _close(apply_anchor(relative(query, anchor), anchor), query)
+        assert _close(relative(apply_anchor(query, anchor), anchor), query)
+
+    @given(a=_quats, b=_quats, c=_quats)
+    def test_geodesic_symmetric_and_triangle(self, a, b, c):
+        ab = geodesic_deg(a, b)
+        assert ab == geodesic_deg(b, a) and 0.0 <= ab <= 180.0
+        assert geodesic_deg(a, c) <= ab + geodesic_deg(b, c) + 1e-9
+
+    @given(yaw=st.floats(-179.0, 179.0), pitch=st.floats(-88.0, 88.0),
+           roll=st.floats(-179.0, 179.0))
+    def test_euler_round_trip(self, yaw, pitch, roll):
+        e = euler_from_rotation(rotation_from_euler(EulerAngles(yaw, pitch, roll)))
+        assert not e.gimbal_lock
+        assert (e.yaw, e.pitch, e.roll) == pytest.approx((yaw, pitch, roll),
+                                                         rel=0, abs=1e-6)

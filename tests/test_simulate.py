@@ -1,18 +1,29 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import relhpe.anchors
+import relhpe.cli
+import relhpe.geometry
+import relhpe.harness
+import relhpe.simulate
 
 from relhpe import (AbsoluteSimEstimator, AnchorPolicy, NoiseModel, PoseLog,
                     PoseSampler, RelativeSimEstimator, Rotation, SE3Pose,
                     TableEstimator, apply_anchor, build_easy_pairs,
-                    euler_from_rotation, geodesic_deg, load_predictions_csv,
+                    euler_from_rotation, export_canonical, geodesic_deg,
+                    load_predictions_csv,
                     predict_pairs, run_end_to_end, sample_logs)
 from relhpe.errors import DomainError, EmptyRange, ParseError
+from relhpe.harness import predict_batch, query_batch
 from relhpe.poselog import FrameRecord
 from relhpe.simulate import simulate_absolute, simulate_relative, _query_rng
 
-from conftest import random_pose, yaw_pose
+from conftest import random_pose, random_rotation, yaw_pose
 
 
 def make_log(poses, subject="s1"):
@@ -277,3 +288,108 @@ class TestLoadPredictionsCsv:
         path.write_text("f0,one,0,0,0,0,0,0\n")
         with pytest.raises(ParseError):
             load_predictions_csv(path)
+
+
+_noise = st.builds(NoiseModel, base_deg=st.sampled_from([0.0, 0.5, 3.0]),
+                   slope_deg_per_deg=st.sampled_from([0.0, 0.05]),
+                   trans_noise_mm=st.sampled_from([0.0, 2.5]),
+                   seed=st.integers(0, 3))
+
+
+class TestBatchedEstimators:
+    """The batched path equals the scalar simulate_absolute/simulate_relative
+    driven by each query's _query_rng, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(abs_noise=_noise, rel_noise=_noise, n=st.integers(0, 10),
+           log_seed=st.integers(0, 100), relative_first=st.booleans())
+    def test_equals_scalar(self, abs_noise, rel_noise, n, log_seed,
+                           relative_first):
+        rng = np.random.default_rng(log_seed)
+        # frame 0 sits on the reference, so base 0 gives it zero magnitude
+        log = make_log([SE3Pose.identity()] + [random_pose(rng) for _ in range(n)])
+        anchors = rng.integers(0, len(log), len(log)).tolist()
+        ests = [AbsoluteSimEstimator("a", abs_noise),
+                RelativeSimEstimator("r", rel_noise)]
+        if relative_first:
+            ests.reverse()
+        # one batch for both, so equal seeds share (and top up) draws
+        batch = query_batch(log, range(len(log)), anchors)
+        for est in ests:
+            quats, translations = predict_batch(est, batch)
+            expected = []
+            for f, a in zip(log.frames, anchors):
+                stream = _query_rng(est.noise.seed, log.subject_id, f.frame_id)
+                if est.kind == "absolute":
+                    pose = simulate_absolute(f.pose, est.noise, Rotation.identity(),
+                                             stream)
+                else:
+                    anchor = log.frames[a].pose
+                    pose = apply_anchor(simulate_relative(anchor, f.pose, est.noise,
+                                                          stream), anchor)
+                expected.append(pose)
+            assert quats.tolist() == [list(p.rotation.quat) for p in expected]
+            assert translations.tolist() == [p.translation.tolist()
+                                             for p in expected]
+
+    def test_canonical_reference(self, rng):
+        ref = random_rotation(rng)
+        est = AbsoluteSimEstimator("a", NoiseModel(1.0, 0.1, 1.0, 4), ref)
+        log = make_log([random_pose(rng) for _ in range(8)])
+        quats, _ = predict_batch(est, query_batch(log, range(8), range(8)))
+        assert quats.tolist() == [
+            list(est.predict_absolute(log.subject_id, f.frame_id, f.pose)
+                 .rotation.quat) for f in log.frames]
+
+    def test_table_estimator(self, rng):
+        log = make_log([random_pose(rng) for _ in range(4)])
+        stored = {f.frame_id: random_pose(rng) for f in log.frames}
+        est = TableEstimator("t", stored)
+        quats, translations = predict_batch(
+            est, query_batch(log, [2, 0], [0, 0]))
+        assert quats.tolist() == [list(stored[k].rotation.quat)
+                                  for k in ("f0002", "f0000")]
+        assert translations.tolist() == [stored[k].translation.tolist()
+                                         for k in ("f0002", "f0000")]
+        with pytest.raises(KeyError):
+            predict_batch(TableEstimator("t", {}), query_batch(log, [1], [0]))
+
+
+class TestSweepCallCounts:
+    """A CLI sweep runs as one array pass per log: no scalar geodesic or
+    Euler call, and one noise stream per paired query when the two
+    estimators share the seed."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--policy", "fixed_first"],
+        ["--policy", "temporal_previous"],
+        ["--policy", "nearest_within", "--threshold-deg", "10"],
+        ["--policy", "nearest_within", "--threshold-deg", "10",
+         "--axis", "absolute_query_pose"]])
+    def test_counts(self, argv, tmp_path, monkeypatch):
+        calls = {"geodesic_deg": 0, "euler_from_rotation": 0, "_query_rng": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        modules = (relhpe.geometry, relhpe.anchors, relhpe.harness,
+                   relhpe.simulate, relhpe.cli)
+        for name in calls:
+            fn = getattr(relhpe.simulate if name == "_query_rng" else relhpe.geometry,
+                         name)
+            for module in modules:
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counting(name, fn))
+        log = tmp_path / "log.csv"
+        export_canonical(sample_logs(PoseSampler(frames_per_log=200, subjects=1,
+                                                 seed=8)), log)
+        assert relhpe.cli.main(["--out", str(tmp_path), "sweep", str(log)]
+                               + argv) == 0
+        paired = json.loads((tmp_path / "sweep.json").read_text())[
+            "payload"]["total_paired"]
+        assert paired > 100
+        assert calls == {"geodesic_deg": 0, "euler_from_rotation": 0,
+                         "_query_rng": paired}
