@@ -6,7 +6,9 @@ Four regimes:
                       pose per subject).
 * nearest_within    - the same-log frame minimizing the geodesic gap,
                       accepted only below a threshold; otherwise the query
-                      stays unpaired.
+                      stays unpaired.  Only the frames that pass an exact
+                      screen (geometry.pairs_within_deg) reach the geodesic
+                      kernel, in blocks of 16 queries: memory O(16 x N).
 * temporal_previous - frame i-1 anchors frame i; frame 0 is unpaired.
 * external_predicted - anchor frame as fixed_first, but the anchor pose
                       comes from an external estimator's prediction.
@@ -14,12 +16,15 @@ Four regimes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import DomainError, FrameMismatch, MissingPredictions
 from .geometry import (SE3Pose, apply_anchor, geodesic_deg, geodesic_deg_many,
-                       relative)
+                       pairs_within_deg, relative)
 from .poselog import PoseLog
 
 POLICY_KINDS = ("fixed_first", "nearest_within", "temporal_previous",
@@ -36,8 +41,9 @@ class AnchorPolicy:
         if self.kind not in POLICY_KINDS:
             raise DomainError(f"unknown policy {self.kind!r}")
         if self.kind == "nearest_within":
-            if self.threshold_deg is None or not self.threshold_deg > 0:
-                raise DomainError("nearest_within needs threshold_deg > 0")
+            if self.threshold_deg is None or not 0 < self.threshold_deg < math.inf:
+                raise DomainError("nearest_within needs a finite threshold_deg > 0",
+                                  setting="threshold_deg")
         if self.kind == "external_predicted" and not self.external_source:
             raise DomainError("external_predicted needs external_source")
 
@@ -86,16 +92,23 @@ def assign_anchors(log: PoseLog, policy: AnchorPolicy, predictions=None) -> list
             out.append(AnchorAssignment(f.frame_id, prev.frame_id,
                                         prev.pose, "ground_truth", gap))
     else:  # nearest_within
-        for i, f in enumerate(frames):
-            gaps = geodesic_deg_many(quats, quats[i])
-            gaps[i] = float("inf")
-            j = int(gaps.argmin())  # ties broken by lowest frame index
-            if gaps[j] < policy.threshold_deg:
-                out.append(AnchorAssignment(f.frame_id, frames[j].frame_id,
-                                            frames[j].pose, "ground_truth",
-                                            gaps[j].item()))
-            else:
+        anchor = np.full(len(frames), -1)
+        gap = np.zeros(len(frames))
+        for rows, cols, gaps in pairs_within_deg(quats, policy.threshold_deg):
+            # by row, then gap; the stable sort keeps the lowest frame index
+            # first among equal gaps, as argmin would
+            order = np.lexsort((gaps, rows))
+            rows, first = np.unique(rows[order], return_index=True)
+            best = order[first]
+            ok = gaps[best] < policy.threshold_deg
+            anchor[rows[ok]] = cols[best[ok]]
+            gap[rows[ok]] = gaps[best[ok]]
+        for f, j, g in zip(frames, anchor.tolist(), gap.tolist()):
+            if j < 0:
                 out.append(AnchorAssignment(f.frame_id, None, None))
+            else:
+                out.append(AnchorAssignment(f.frame_id, frames[j].frame_id,
+                                            frames[j].pose, "ground_truth", g))
     return out
 
 

@@ -6,7 +6,9 @@ Global flags: --seed, --config <file>, --out <dir>, --format {csv,json}.
 The config file is a flat JSON object.  SETTINGS lists each command's
 config keys, with the conversion that checks a value and the default; a
 flag beats its config value, which beats the default, flag and config
-values are checked alike, and unknown keys are rejected.  All angle I/O at
+values are checked alike, and unknown keys are rejected.  An error names
+the flag or '<config file>: <key>' a bad value came from, also when the
+library rejects it (a DomainError naming its setting).  All angle I/O at
 this surface is in degrees.  Every report embeds the config echo, the
 seed, the format version, and input-file hashes, so identical inputs give
 identical report bytes.
@@ -124,12 +126,15 @@ def _settings(args):
         if unknown:
             raise RelHpeError(f"{args.config}: unknown config keys: {', '.join(unknown)}")
     settings = {}
+    args.sources = {}  # key -> where a value not from the default came from
     for key, (convert, default) in table.items():
         flag = getattr(args, key, None)
         value = cfg.get(key, default) if flag is None else flag
+        source = (f"{args.config}: {key}" if flag is None
+                  else "--" + key.replace("_", "-"))
+        if flag is not None or key in cfg:
+            args.sources[key] = source
         if value is not None or default is not None:
-            source = (f"{args.config}: {key}" if flag is None
-                      else "--" + key.replace("_", "-"))
             value = _checked(source, convert, value)
         settings[key] = value
     return cfg, settings
@@ -407,7 +412,9 @@ def main(argv=None) -> int:
         args.seed = _checked("--seed", _count, args.seed)
         return args.func(args)
     except (RelHpeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a library DomainError about one setting is named by its source
+        source = getattr(args, "sources", {}).get(getattr(exc, "setting", None))
+        print(f"error: {source + ': ' if source else ''}{exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

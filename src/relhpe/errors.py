@@ -17,7 +17,13 @@ class DomainError(RelHpeError, ValueError):
     """An argument lies outside the domain of the operation.
 
     Also a ValueError, so callers that catch ValueError keep working.
+    setting names the offending argument when it is one setting (the CLI
+    then names where that setting's value came from).
     """
+
+    def __init__(self, message, setting=None):
+        super().__init__(message)
+        self.setting = setting
 
 
 class InvalidCrop(RelHpeError):

@@ -407,3 +407,103 @@ def euler_deg_many(q) -> np.ndarray:
     roll = np.degrees(_per_element(math.atan2, 2 * (x * y + w * z),
                                    1 - 2 * (x * x + z * z)))
     return np.stack([yaw, pitch, np.where(lock, 0.0, roll)], axis=1)
+
+
+# ---------------------------------------------------------------------------
+# exact screens for frame-set decisions
+#
+# The decisions over every pair of a log's frames (the nearest frame within
+# a threshold, the frames within a gap, the medoid) are made by
+# geodesic_deg_many, one math.atan2 per pair.  A cheap screen first drops
+# the pairs or rows that provably cannot change the decision; the exact
+# kernel then decides on the rest, so results equal the unscreened ones.
+
+SCREEN_ROWS = 16                # rows of p per screen block
+WITHIN_DOT_SLACK = 1e-12        # see screen_blocks, "threshold"
+MEDOID_MARGIN_DEG = 1e-4        # see screen_blocks, "mean"
+
+
+def screen_blocks(p, q):
+    """Screen values between every row of p and every row of q: yields
+    (start, c) per block of at most SCREEN_ROWS rows of p, where
+    c[i, j] = |u[start + i] . v[j]| and u, v are the rows of p and q
+    divided by their norms.  Memory is O(SCREEN_ROWS x len(q)).
+
+    Bounds, for rows within 1e-12 of unit norm (as Rotation makes them).
+    Let phi be the angle in R^4 between the sign-aligned unit directions
+    of two rows; their rotation angle is theta = 2 phi (the quaternion
+    and rotation-angle metrics are equivalent: Huynh, "Metrics for 3D
+    Rotations", JMIV 2009).
+
+    * The exact kernel.  For rows a = n_a u and b = n_b v with
+      n = (n_a + n_b) / 2 and d = (n_a - n_b) / 2, u - v and u + v are
+      orthogonal, so |a - b|^2 = n^2 |u - v|^2 + d^2 |u + v|^2 and
+      |a + b|^2 = n^2 |u + v|^2 + d^2 |u - v|^2.  With phi <= 90 deg,
+      4 atan2(|a - b|, |a + b|) is thus within 4 |d| / n (4e-12 rad)
+      above theta and within O(d^2) below it, plus a few ulp of rounding.
+    * The screen.  Normalizing costs a few ulp per component, and the
+      four-term dot then lies within delta = 1e-15 of cos phi.
+    * Threshold.  A pair whose exact angle is <= t deg has
+      phi <= t / 2 + 1e-14 rad, so c >= cos(t / 2) - 1e-14: keeping the
+      pairs with c >= cos(t / 2) - WITHIN_DOT_SLACK keeps all of them.
+      For t >= 180 every pair is kept.
+    * Mean.  arccos is decreasing and concave on [0, 1], so moving its
+      argument by delta moves it by at most arccos(1 - delta), about
+      sqrt(2 delta): each 2 arccos(min(c, 1)) lies within
+      e = 2 sqrt(2e-15) rad + 4e-12 rad ~ 5.1e-6 deg of the exact angle,
+      and a row mean of them within e plus its summation error
+      (N 2^-53 180 deg, 2e-8 deg at N = 10^6) of the exact mean.  A row
+      whose screened mean exceeds the least one by more than twice that
+      has an exact mean above the exact mean of the screened argmin, so
+      it cannot be the medoid; MEDOID_MARGIN_DEG is about ten times the
+      bound.
+    """
+    u = _unit_rows(p)
+    vw, vx, vy, vz = np.ascontiguousarray(_unit_rows(q).T)
+    for start in range(0, len(u), SCREEN_ROWS):
+        # elementwise, not a BLAS matmul: no BLAS work buffers to allocate
+        uw, ux, uy, uz = u[start:start + SCREEN_ROWS].T[:, :, None]
+        yield start, np.abs(uw * vw + ux * vx + uy * vy + uz * vz)
+
+
+def _unit_rows(a) -> np.ndarray:
+    a = np.asarray(a, dtype=float).reshape(-1, 4)
+    return a / np.sqrt((a * a).sum(axis=1))[:, None]
+
+
+def pairs_within_deg(quats, max_deg):
+    """Every ordered pair (i, j), i != j, of rows of quats whose
+    geodesic_deg_many is <= max_deg, with that gap.  Yields (rows, cols,
+    gaps) arrays per block of SCREEN_ROWS rows, in row-major order; only
+    the pairs that pass the threshold screen (see screen_blocks) go to
+    the exact kernel.
+    """
+    if not max_deg >= 0:  # no gap is negative (or below nan)
+        return
+    quats = np.asarray(quats, dtype=float)
+    floor = math.cos(math.radians(min(max_deg, 180.0)) / 2.0) - WITHIN_DOT_SLACK
+    for start, c in screen_blocks(quats, quats):
+        keep = c >= floor
+        diagonal = np.arange(len(keep))
+        keep[diagonal, start + diagonal] = False
+        rows, cols = keep.nonzero()
+        rows += start
+        gaps = geodesic_deg_many(quats[rows], quats[cols])
+        within = gaps <= max_deg
+        yield rows[within], cols[within], gaps[within]
+
+
+def medoid_index(quats) -> int:
+    """Index of the row minimizing the mean geodesic_deg_many to all rows
+    (sum / N, in row order), lowest index on ties.  The exact mean is taken
+    only for the rows whose screened mean is within MEDOID_MARGIN_DEG of
+    the least (see screen_blocks).
+    """
+    n = len(quats)
+    screened = np.concatenate([np.arccos(np.minimum(c, 1.0)).sum(axis=1)
+                               for _, c in screen_blocks(quats, quats)])
+    screened *= math.degrees(2.0) / n
+    rows = np.flatnonzero(screened <= screened.min() + MEDOID_MARGIN_DEG)
+    means = [sum(geodesic_deg_many(quats[i], quats).tolist()) / n
+             for i in rows.tolist()]
+    return int(rows[means.index(min(means))])

@@ -41,7 +41,8 @@ from .errors import (DomainError, InsufficientFrames, InvariantViolation,
                      MalformedPoseFile, MissingCalibration, MissingPrediction,
                      ParseError)
 from .geometry import (Rotation, SE3Pose, compose, compose_many,
-                       euler_deg_many, geodesic_deg_many, pose_arrays)
+                       euler_deg_many, geodesic_deg_many, medoid_index,
+                       pairs_within_deg, pose_arrays)
 from .poselog import FrameRecord, PoseLog
 
 FORMAT_VERSION = "v1"
@@ -278,12 +279,11 @@ class PairSet:
 
 def neutral_reference(log: PoseLog) -> Rotation:
     """Per-subject neutral rotation: the frame minimizing the mean geodesic
-    distance to all other frames.  Deterministic and annotation-free.
+    distance to all other frames (lowest index on ties).  Deterministic and
+    annotation-free.  An exact screen (geometry.medoid_index) leaves the
+    exact mean to the frames that can win; memory O(16 x N).
     """
-    quats = log.quats
-    means = [sum(geodesic_deg_many(q, quats).tolist()) / len(quats)
-             for q in quats]
-    return log.frames[means.index(min(means))].pose.rotation
+    return log.frames[medoid_index(log.quats)].pose.rotation
 
 
 def _distances_to_reference(log: PoseLog):
@@ -329,11 +329,20 @@ def build_hard_pairs(log: PoseLog, neutral_thresh_deg=15.0, extreme_thresh_deg=4
 
 def build_easy_pairs(log: PoseLog, neutral_thresh_deg=15.0, max_gap_deg=8.0,
                      n_pairs=360, seed=0) -> PairSet:
-    """Near-neutral anchors paired with near-neutral queries at small gaps."""
+    """Near-neutral anchors paired with near-neutral queries at small gaps.
+
+    The candidates are the ordered pairs of distinct neutral frames at gap
+    <= max_gap_deg, anchor-major in log order; an exact screen
+    (geometry.pairs_within_deg) sends only the pairs that can qualify to
+    the geodesic kernel, in blocks of 16 anchors: memory O(16 x N).
+    """
     dist = _distances_to_reference(log)
     neutral = [i for i, d in enumerate(dist) if d < neutral_thresh_deg]
-    candidates = [c for c in _candidates(log, neutral, neutral)
-                  if c[2] <= max_gap_deg]
+    ids = [log.frames[i].frame_id for i in neutral]
+    candidates = [(ids[a], ids[q], gap)
+                  for rows, cols, gaps in pairs_within_deg(log.quats[neutral],
+                                                           max_gap_deg)
+                  for a, q, gap in zip(rows.tolist(), cols.tolist(), gaps.tolist())]
     if not candidates:
         raise InsufficientFrames(
             f"log {log.subject_id!r}: no frame pairs under gap {max_gap_deg} deg "
@@ -513,7 +522,8 @@ def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
     if axis == "absolute_query_pose" and policy.kind != "nearest_within":
         raise DomainError("absolute_query_pose sweeps require a nearest_within policy")
     if not bin_width_deg > 0:
-        raise DomainError(f"bin width must be positive, got {bin_width_deg}")
+        raise DomainError(f"bin width must be positive, got {bin_width_deg}",
+                          setting="bin_width_deg")
     if not isinstance(logs, (list, tuple)):
         logs = [logs]
     if not isinstance(estimators, (list, tuple)):

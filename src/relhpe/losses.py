@@ -41,12 +41,15 @@ class LossConfig:
     mode: str = "full"
 
     def __post_init__(self):
-        if not all(w >= 0 for w in (self.lambda_t, self.lambda_r, self.lambda_f)):
-            raise DomainError("loss weights must be non-negative")
+        for name in ("lambda_t", "lambda_r", "lambda_f"):
+            if not getattr(self, name) >= 0:
+                raise DomainError(f"loss weights must be non-negative, got "
+                                  f"{name}={getattr(self, name)}", setting=name)
         if not 0.0 < self.gamma <= 1.0:
-            raise DomainError(f"gamma={self.gamma} outside (0, 1]")
+            raise DomainError(f"gamma={self.gamma} outside (0, 1]", setting="gamma")
         if self.mode not in MODES:
-            raise DomainError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+            raise DomainError(f"unknown mode {self.mode!r}; expected one of {MODES}",
+                              setting="mode")
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from .geometry import (EulerAngles, Rotation, SE3Pose, axis_angle_many,
                        inverse_many, multiply_many, pose_arrays, relative,
                        rotation_from_euler)
 from .harness import (PairSet, build_easy_pairs, build_hard_pairs, csv_rows,
-                      error_samples, finite_floats, pool_errors, predict_batch,
+                      error_arrays, finite_floats, pool_errors, predict_batch,
                       query_batch, report_from_samples, row_errors, sweep)
 from .poselog import FrameRecord, PoseLog
 
@@ -250,15 +250,21 @@ def sample_logs(sampler: PoseSampler) -> list:
     return logs
 
 
+def _pair_batch(log: PoseLog, pairs: PairSet):
+    """QueryBatch with one row per pair, in pair order."""
+    return query_batch(log, [log.position(q) for _, q, _ in pairs.pairs],
+                       [log.position(a) for a, _, _ in pairs.pairs])
+
+
 def predict_pairs(log: PoseLog, pairs: PairSet, estimator) -> dict:
     """Absolute predictions for every query in a pair set.
 
     Relative estimators predict against each pair's (ground-truth) anchor
     and compose; absolute estimators ignore the anchor.  A query in several
-    pairs keeps the prediction of its last pair.
+    pairs keeps the prediction of its last pair (run_end_to_end scores each
+    pair on its own prediction instead).
     """
-    batch = query_batch(log, [log.position(q) for _, q, _ in pairs.pairs],
-                        [log.position(a) for a, _, _ in pairs.pairs])
+    batch = _pair_batch(log, pairs)
     quats, translations = predict_batch(estimator, batch)
     return {query_id: SE3Pose(Rotation(*q), t, log.frame_tag)
             for query_id, q, t in zip(batch.frame_ids, quats.tolist(),
@@ -271,6 +277,10 @@ def run_end_to_end(logs, estimators, policy=None, benchmark=None):
     benchmark is a dict:
       {"kind": "sweep", "axis": ..., "bin_width_deg": 5.0}  -> SweepReport
       {"kind": "easy"|"hard", ... pair-builder kwargs}      -> {est_id: MetricReport}
+
+    Pairs are scored one by one: a relative estimator's prediction for a
+    pair is composed onto that pair's anchor, even where a query is in
+    several pairs.
     """
     if not isinstance(logs, (list, tuple)):
         logs = [logs]
@@ -283,13 +293,11 @@ def run_end_to_end(logs, estimators, policy=None, benchmark=None):
     if kind not in ("easy", "hard"):
         raise DomainError(f"unknown benchmark kind {kind!r}")
     builder = build_easy_pairs if kind == "easy" else build_hard_pairs
-    pair_sets = [(log, builder(log, **benchmark)) for log in logs]
-    out = {}
-    for est in estimators:
-        out[est.id] = report_from_samples(*pool_errors(
-            error_samples(pairs, predict_pairs(log, pairs, est), log)
-            for log, pairs in pair_sets))
-    return out
+    batches = [_pair_batch(log, builder(log, **benchmark)) for log in logs]
+    return {est.id: report_from_samples(*pool_errors(
+                error_arrays(predict_batch(est, batch), batch.query)
+                for batch in batches))
+            for est in estimators}
 
 
 def load_predictions_csv(path) -> dict:

@@ -398,7 +398,17 @@ def malformed_input(case, tmp_path):
                "config_bool_n_pairs": ('{"n_pairs": true}', "pairs", "n_pairs"),
                "config_fractional_frames": ('{"frames_per_log": 3.7}', "simulate",
                                             "frames_per_log"),
-               "truncated_config": ('{"pair_kind": "ea', "pairs", "cfg.json")}
+               "truncated_config": ('{"pair_kind": "ea', "pairs", "cfg.json"),
+               # values the library rejects are named by their source too
+               "config_negative_threshold": (
+                   '{"policy": "nearest_within", "threshold_deg": -3}', "sweep",
+                   "cfg.json: threshold_deg: "),
+               "config_infinite_threshold": (
+                   '{"policy": "nearest_within", "threshold_deg": Infinity}', "sweep",
+                   "cfg.json: threshold_deg: "),
+               "config_negative_gamma": ('{"gamma": -1}', "loss", "cfg.json: gamma: "),
+               "config_negative_lambda": ('{"lambda_r": -1}', "loss",
+                                          "cfg.json: lambda_r: ")}
     if case in configs:
         text, command, named = configs[case]
         cfg = tmp_path / "cfg.json"
@@ -412,6 +422,9 @@ def malformed_input(case, tmp_path):
     if case == "nan_threshold_flag":
         return (["sweep", log, "--policy", "nearest_within", "--threshold-deg", "nan"],
                 "--threshold-deg")
+    if case == "negative_threshold_flag":
+        return (["sweep", log, "--policy", "nearest_within", "--threshold-deg", "-3"],
+                "--threshold-deg: nearest_within")
     if case == "negative_n_pairs":
         return (["pairs", log, "--pair-kind", "easy", "--neutral-thresh-deg", "1000",
                  "--max-gap-deg", "40", "--n-pairs", "-1"], "--n-pairs")
@@ -476,7 +489,11 @@ def malformed_input(case, tmp_path):
                                   "config_bool_n_pairs", "config_fractional_frames",
                                   "biwi_comment_subject", "quoted_comma_subject",
                                   "out_of_order_log_index",
-                                  "duplicate_log_frame_id"])
+                                  "duplicate_log_frame_id",
+                                  "config_negative_threshold",
+                                  "config_infinite_threshold",
+                                  "config_negative_gamma", "config_negative_lambda",
+                                  "negative_threshold_flag"])
 def test_malformed_input_is_a_typed_error(case, tmp_path, capsys):
     argv, named = malformed_input(case, tmp_path)
     capsys.readouterr()

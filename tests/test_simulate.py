@@ -15,6 +15,7 @@ import relhpe.simulate
 from relhpe import (AbsoluteSimEstimator, AnchorPolicy, NoiseModel, PoseLog,
                     PoseSampler, RelativeSimEstimator, Rotation, SE3Pose,
                     TableEstimator, apply_anchor, build_easy_pairs,
+                    build_hard_pairs,
                     euler_from_rotation, export_canonical, geodesic_deg,
                     load_predictions_csv,
                     predict_pairs, run_end_to_end, sample_logs)
@@ -234,6 +235,18 @@ class TestEndToEnd:
         r1 = run_end_to_end(logs, est, benchmark=dict(bench))["a"]
         r2 = run_end_to_end(logs, est, benchmark=dict(bench))["a"]
         assert r1 == r2
+
+    def test_query_in_two_pairs_scored_per_pair(self):
+        # neutral frames at yaw 0 and 5 both anchor the one extreme frame at
+        # 60: gaps 60 and 55, so relative noise 6 and 5.5 deg; each pair is
+        # scored on the prediction composed onto its own anchor
+        log = make_log([yaw_pose(0.0), yaw_pose(5.0), yaw_pose(60.0)])
+        est = RelativeSimEstimator("r", NoiseModel(slope_deg_per_deg=0.1, seed=3))
+        out = run_end_to_end(log, est, benchmark={"kind": "hard", "n_pairs": 10})
+        pairs = build_hard_pairs(log, n_pairs=10).pairs
+        assert [(a, q) for a, q, _ in pairs] == [("f0000", "f0002"), ("f0001", "f0002")]
+        assert out["r"].n == 2
+        assert abs(out["r"].geodesic_mae - 5.75) < 1e-9
 
     def test_unknown_benchmark(self):
         with pytest.raises(ValueError):
