@@ -55,6 +55,20 @@ def _count(value) -> int:
     raise ValueError(f"expected a non-negative integer, got {value!r}")
 
 
+def _at_least(least, convert):
+    """Conversion by convert that also rejects values below least."""
+    def check(value):
+        value = convert(value)
+        if not value >= least:
+            raise ValueError(f"expected at least {least}, got {value!r}")
+        return value
+    return check
+
+
+_non_negative = _at_least(0.0, _finite)
+_positive_count = _at_least(1, _count)
+
+
 def _one_of(*allowed):
     """Conversion that accepts only the given values."""
     def convert(value):
@@ -65,9 +79,10 @@ def _one_of(*allowed):
 
 
 # Each command's accepted config keys, as key -> (conversion, default); the
-# conversion checks the value's domain.  A setting takes its flag (--key
-# with '-' for '_') when one was given, else its config value, else the
-# default here.  report reads no config.
+# conversion checks the value's domain, and a key `<name>_min` must not
+# exceed its `<name>_max`.  A setting takes its flag (--key with '-' for
+# '_') when one was given, else its config value, else the default here.
+# report reads no config.
 SETTINGS = {
     "ingest": {"input_format": (_one_of("canonical", "biwi"), "canonical"),
                "pose_glob": (str, "frame_*_pose.txt"),
@@ -83,10 +98,13 @@ SETTINGS = {
               "policy": (_one_of(*(k for k in POLICY_KINDS
                                    if k != "external_predicted")), "fixed_first"),
               "threshold_deg": (_finite, None),
-              "abs_base_deg": (_finite, 2.0), "abs_slope": (_finite, 0.15),
-              "rel_base_deg": (_finite, 0.5), "rel_slope": (_finite, 0.02),
-              "trans_noise_mm": (_finite, 0.0)},
-    "simulate": {"subjects": (_count, 4), "frames_per_log": (_count, 100),
+              "abs_base_deg": (_non_negative, 2.0),
+              "abs_slope": (_non_negative, 0.15),
+              "rel_base_deg": (_non_negative, 0.5),
+              "rel_slope": (_non_negative, 0.02),
+              "trans_noise_mm": (_non_negative, 0.0)},
+    "simulate": {"subjects": (_positive_count, 4),
+                 "frames_per_log": (_positive_count, 100),
                  "yaw_min": (_finite, -75.0), "yaw_max": (_finite, 75.0),
                  "pitch_min": (_finite, -60.0), "pitch_max": (_finite, 60.0),
                  "roll_min": (_finite, -40.0), "roll_max": (_finite, 40.0)},
@@ -137,6 +155,11 @@ def _settings(args):
         if value is not None or default is not None:
             value = _checked(source, convert, value)
         settings[key] = value
+    for key in table:
+        hi_key = key[:-4] + "_max"
+        if key.endswith("_min") and hi_key in table and settings[key] > settings[hi_key]:
+            raise RelHpeError(f"{args.sources.get(key, key)} {settings[key]} > "
+                              f"{args.sources.get(hi_key, hi_key)} {settings[hi_key]}")
     return cfg, settings
 
 

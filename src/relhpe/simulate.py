@@ -13,28 +13,35 @@ error assertions tight.
 
 RNG streams are keyed per query by (seed, subject_id, frame_id), so serial
 and parallel runs agree and identical seeds give identical reports.  A
-query's stream yields unit vectors in order: the rotation axis when the
-magnitude is > 0, then the translation direction when trans_noise_mm > 0.
-Estimators with equal seeds therefore draw the same vectors, and the batched
-path (predict_absolute_many / predict_relative_many) derives each query's
-stream once per batch and seed and shares its vectors between them.  The
-scalar simulate_absolute / simulate_relative are the reference the batched
-path equals bit for bit.
+query's stream is numpy's: a PCG64 generator seeded by
+SeedSequence([seed, *the first four little-endian words of
+SHA-256("subject_id/frame_id")]) (_query_rng), yielding unit vectors in
+order: the rotation axis when the magnitude is > 0, then the translation
+direction when trans_noise_mm > 0.  Estimators with equal seeds therefore
+draw the same vectors, and the batched path (predict_absolute_many /
+predict_relative_many) derives each query's stream once per batch and seed
+and shares its vectors between them.  It computes the SeedSequence states
+of a whole batch in one array pass (the hash is 32-bit integer
+arithmetic), then per row runs PCG64's set-seed step and draws the row's
+normals from one PCG64 set to that state.  The scalar simulate_absolute /
+simulate_relative on _query_rng are the reference the batched path equals
+bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, EmptyRange, ParseError
-from .geometry import (EulerAngles, Rotation, SE3Pose, axis_angle_many,
-                       compose_many, geodesic_deg, geodesic_deg_many,
-                       inverse_many, multiply_many, pose_arrays, relative,
-                       rotation_from_euler)
+from .geometry import (Rotation, SE3Pose, axis_angle_many, compose_many,
+                       geodesic_deg, geodesic_deg_many, inverse_many,
+                       multiply_many, pose_arrays, relative,
+                       rotation_from_euler_many)
 from .harness import (PairSet, build_easy_pairs, build_hard_pairs, csv_rows,
                       error_arrays, finite_floats, pool_errors, predict_batch,
                       query_batch, report_from_samples, row_errors, sweep)
@@ -47,12 +54,124 @@ def _query_rng(seed, subject_id, frame_id):
     return np.random.default_rng([int(seed)] + words)
 
 
+_MIN_NORM = 1e-12  # a normal draw this short is drawn again
+
+
 def _random_unit_vector(rng):
     while True:
         v = rng.normal(size=3)
         n = np.linalg.norm(v)
-        if n > 1e-12:
+        if n > _MIN_NORM:
             return v / n
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier (O'Neill, "PCG: A Family of Simple Fast
+# Space-Efficient Statistically Good Algorithms for Random Number
+# Generation", 2014)
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
+_PCG64_MULT = 0x2360ed051fc65da44385df649fccf645
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+_FOUR_U64 = struct.Struct("<4Q")  # a generate_state(4, np.uint64) row
+
+
+def _limbs(n):
+    """The 32-bit words of a non-negative int, low first (at least one)."""
+    words = [n & _M32]
+    while n > _M32:
+        n >>= 32
+        words.append(n & _M32)
+    return words
+
+
+def _hashmix(const, mult):
+    """SeedSequence's hashmix over uint32 arrays, with its running hash
+    constant starting at const."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _M32
+        value = value * const
+        return value ^ value >> 16
+    return hashmix
+
+
+def _seed_sequence_words(entropy):
+    """SeedSequence(row).generate_state(8) for each row of an (N, E)
+    uint32 entropy array with E >= 4 (the pool size): eight uint32 arrays,
+    the little-endian words of generate_state(4, np.uint64).  uint32 numpy
+    arithmetic wraps like the reference's."""
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ result >> 16
+
+    pool = [hashmix(column) for column in entropy.T[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for column in entropy.T[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(column))
+    hashmix = _hashmix(_INIT_B, _MULT_B)
+    return [hashmix(pool[i % 4]) for i in range(8)]
+
+
+def _seed_states(seed, subject_id, frame_ids) -> bytes:
+    """SeedSequence([seed, *key words]).generate_state(4, np.uint64) of
+    _query_rng(seed, subject_id, f) for each f, as 32 little-endian bytes
+    per row: one SHA-256 per row, then one array pass over all rows."""
+    seed = int(seed)
+    if seed < 0:
+        raise DomainError(f"seed {seed} is negative")
+    key = bytearray(16 * len(frame_ids))
+    for r, frame_id in enumerate(frame_ids):
+        key[16 * r:16 * r + 16] = hashlib.sha256(
+            f"{subject_id}/{frame_id}".encode()).digest()[:16]
+    words = np.frombuffer(key, "<u4").reshape(-1, 4)
+    entropy = np.hstack([np.tile(np.array(_limbs(seed), np.uint32),
+                                 (len(words), 1)), words])
+    return np.stack(_seed_sequence_words(entropy), axis=1).astype("<u4").tobytes()
+
+
+def _pcg64_state(state_hi, state_lo, seq_hi, seq_lo) -> dict:
+    """The state of a PCG64 seeded with the generate_state(4, np.uint64)
+    words (state high, state low, seq high, seq low): PCG64 sets
+    inc = 2 seq + 1, then state = (inc + state) MULT + inc, mod 2**128."""
+    inc = (seq_hi << 65 | seq_lo << 1 | 1) & _M128
+    state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _M128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def _stream_vectors(seed, subject_id, frame_ids, depth) -> np.ndarray:
+    """(N, depth, 3): the first depth _random_unit_vector draws of
+    _query_rng(seed, subject_id, f) for each frame id f.
+
+    The SeedSequence states of all rows come from one array pass; each row
+    then sets one PCG64 to its _pcg64_state and draws its normals.  A row
+    with a draw at most _MIN_NORM long, which the scalar path would draw
+    again, is taken from _query_rng instead.
+    """
+    states = _seed_states(seed, subject_id, frame_ids)
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    raw = np.empty((len(frame_ids), depth, 3))
+    for r, words in enumerate(_FOUR_U64.iter_unpack(states)):
+        bits.state = _pcg64_state(*words)
+        raw[r] = gen.normal(size=(depth, 3))
+    # per-row BLAS dot, as np.linalg.norm takes it
+    norms = np.sqrt(np.matmul(raw[:, :, None, :], raw[:, :, :, None])[:, :, 0])
+    vectors = raw / norms
+    for r in np.flatnonzero((norms <= _MIN_NORM).any(axis=(1, 2))):
+        rng = _query_rng(seed, subject_id, frame_ids[r])
+        vectors[r] = [_random_unit_vector(rng) for _ in range(depth)]
+    return vectors
 
 
 def _unit_vectors(batch, seed, counts) -> np.ndarray:
@@ -60,9 +179,9 @@ def _unit_vectors(batch, seed, counts) -> np.ndarray:
     vectors of query i's stream.
 
     The vectors are kept in batch.streams under the seed, so estimators with
-    equal seeds derive each stream once.  A row is derived again only when
-    an estimator needs more vectors than an earlier one drew; since a stream
-    always yields the same vectors in order, that changes no value.
+    equal seeds derive each stream once.  Rows short of vectors are derived
+    again to the new depth; since a stream always yields the same vectors
+    in order, that changes no value.
     """
     counts = np.asarray(counts, dtype=int)
     have, vectors = batch.streams.get(
@@ -72,11 +191,12 @@ def _unit_vectors(batch, seed, counts) -> np.ndarray:
         depth = max(vectors.shape[1], int(counts.max()))
         vectors = np.concatenate(
             [vectors, np.zeros((len(counts), depth - vectors.shape[1], 3))], axis=1)
-        for i in short.tolist():
-            rng = _query_rng(seed, batch.subject_id, batch.frame_ids[i])
-            for k in range(counts[i]):
-                vectors[i, k] = _random_unit_vector(rng)
-        batch.streams[seed] = (np.maximum(have, counts), vectors)
+        frame_ids = (batch.frame_ids if short.size == len(counts)
+                     else [batch.frame_ids[i] for i in short])
+        vectors[short] = _stream_vectors(seed, batch.subject_id, frame_ids, depth)
+        have = have.copy()
+        have[short] = depth
+        batch.streams[seed] = (have, vectors)
     return vectors
 
 
@@ -150,12 +270,9 @@ class AbsoluteSimEstimator:
         self.noise = noise
         self.canonical_ref = canonical_ref or Rotation.identity()
 
-    def predict_absolute(self, subject_id, frame_id, true_pose: SE3Pose) -> SE3Pose:
-        rng = _query_rng(self.noise.seed, subject_id, frame_id)
-        return simulate_absolute(true_pose, self.noise, self.canonical_ref, rng)
-
     def predict_absolute_many(self, batch):
-        """predict_absolute for every row of a harness.QueryBatch."""
+        """simulate_absolute for every row of a harness.QueryBatch, each
+        row on its query's stream."""
         nm = self.noise
         distance = geodesic_deg_many(batch.query[0], self.canonical_ref.quat)
         return _perturb_many(batch, batch.query,
@@ -171,13 +288,9 @@ class RelativeSimEstimator:
         self.id = id
         self.noise = noise
 
-    def predict_relative(self, subject_id, frame_id, anchor_pose: SE3Pose,
-                         true_query: SE3Pose) -> SE3Pose:
-        rng = _query_rng(self.noise.seed, subject_id, frame_id)
-        return simulate_relative(anchor_pose, true_query, self.noise, rng)
-
     def predict_relative_many(self, batch):
-        """predict_relative for every row of a harness.QueryBatch."""
+        """simulate_relative for every row of a harness.QueryBatch, each
+        row on its query's stream."""
         nm = self.noise
         gap = geodesic_deg_many(batch.anchor_truth[0], batch.query[0])
         rel = compose_many(batch.query, inverse_many(batch.anchor_truth))
@@ -195,14 +308,9 @@ class TableEstimator:
         self.id = id
         self.predictions = dict(predictions)
 
-    def predict_absolute(self, subject_id, frame_id, true_pose: SE3Pose) -> SE3Pose:
-        if frame_id not in self.predictions:
-            raise KeyError(f"estimator {self.id!r}: no prediction for {frame_id!r}")
-        pred = self.predictions[frame_id]
-        return SE3Pose(pred.rotation, pred.translation, true_pose.frame_tag)
-
     def predict_absolute_many(self, batch):
-        """predict_absolute for every row of a harness.QueryBatch."""
+        """The stored prediction of every row of a harness.QueryBatch;
+        KeyError when one is missing."""
         missing = [f for f in batch.frame_ids if f not in self.predictions]
         if missing:
             raise KeyError(f"estimator {self.id!r}: no prediction for {missing[0]!r}")
@@ -232,21 +340,25 @@ class PoseSampler:
 
 def sample_logs(sampler: PoseSampler) -> list:
     """Deterministic synthetic logs; frame 0 of each log is the identity pose
-    so fixed-anchor policies and neutral-reference selection are well posed."""
+    so fixed-anchor policies and neutral-reference selection are well posed.
+
+    Each later frame takes six uniform draws in order (yaw, pitch, roll
+    and the three translation components), log after log, from one
+    generator; one broadcast draw returns them all in that order.
+    """
     rng = np.random.default_rng(sampler.seed)
+    n = sampler.frames_per_log - 1
+    lows, highs = zip(sampler.yaw_range, sampler.pitch_range, sampler.roll_range,
+                      *[sampler.trans_range_mm] * 3)
+    draws = rng.uniform(lows, highs, size=(sampler.subjects, n, 6))
     logs = []
     for s in range(sampler.subjects):
-        subject = f"subj{s:03d}"
+        quats = rotation_from_euler_many(draws[s, :, :3])
         frames = [FrameRecord("f0000", 0, SE3Pose.identity("world"))]
-        for i in range(1, sampler.frames_per_log):
-            yaw = rng.uniform(*sampler.yaw_range)
-            pitch = rng.uniform(*sampler.pitch_range)
-            roll = rng.uniform(*sampler.roll_range)
-            t = rng.uniform(*sampler.trans_range_mm, size=3)
-            pose = SE3Pose(rotation_from_euler(EulerAngles(yaw, pitch, roll)),
-                           t, "world")
-            frames.append(FrameRecord(f"f{i:04d}", i, pose))
-        logs.append(PoseLog(subject, tuple(frames), "world"))
+        for i, (q, t) in enumerate(zip(zip(*quats.T.tolist()), draws[s, :, 3:]), 1):
+            frames.append(FrameRecord(f"f{i:04d}", i,
+                                      SE3Pose(Rotation(*q), t, "world")))
+        logs.append(PoseLog(f"subj{s:03d}", tuple(frames), "world"))
     return logs
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from relhpe import (CropSpec, Intrinsics, compose_crops, crop_update_intrinsics,
                     fov_from_intrinsics, intrinsics_from_fov, logtan_fov,
@@ -116,6 +118,56 @@ class TestCropUpdateIntrinsics:
             g2 = fov_from_intrinsics(crop_update_intrinsics(k2, crop))[0]
             after = logtan_fov(g2) - logtan_fov(g1)
             assert abs(before - after) < 1e-9
+
+
+_fractions = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+_intrinsics = st.tuples(st.floats(50.0, 5000.0), st.floats(50.0, 5000.0),
+                        st.floats(32.0, 4096.0), st.floats(32.0, 4096.0),
+                        _fractions, _fractions).map(
+    lambda v: Intrinsics(v[0], v[1], v[4] * v[2], v[5] * v[3], v[2], v[3]))
+
+
+def _crops(width, height):
+    """Square crops inside a width x height image, resized to out_size; a
+    fraction of 0 or 1 puts the crop on the image border (1 on the far one,
+    and a side fraction of 1 spans the shorter image side)."""
+    def crop(v):
+        side = max(v[2], 1e-3) * min(width, height)
+        return CropSpec(v[0] * (width - side), v[1] * (height - side), side, v[3])
+    return st.tuples(_fractions, _fractions, _fractions,
+                     st.one_of(st.sampled_from([64.0, 224.0]),
+                               st.floats(16.0, 1024.0))).map(crop)
+
+
+class TestCropCompositionLaws:
+    @given(data=st.data(), k=_intrinsics)
+    def test_update_by_composition_is_the_two_updates(self, data, k):
+        a = data.draw(_crops(k.width, k.height))
+        b = data.draw(_crops(a.out_size, a.out_size))
+        twice = crop_update_intrinsics(crop_update_intrinsics(k, a), b)
+        once = crop_update_intrinsics(k, compose_crops(a, b))
+        scale = twice.fx / k.fx
+        assert (once.width, once.height) == (twice.width, twice.height)
+        assert once.fx == pytest.approx(twice.fx, rel=1e-12)
+        assert once.fy == pytest.approx(twice.fy, rel=1e-12)
+        # the principal point cancels crop corners: absolute error bound
+        tol = 1e-12 * scale * (abs(k.cx) + abs(k.cy) + 2 * (k.width + k.height))
+        assert abs(once.cx - twice.cx) <= tol
+        assert abs(once.cy - twice.cy) <= tol
+
+    @given(data=st.data(), width=st.floats(32.0, 4096.0),
+           height=st.floats(32.0, 4096.0))
+    def test_compose_crops_associative(self, data, width, height):
+        a = data.draw(_crops(width, height))
+        b = data.draw(_crops(a.out_size, a.out_size))
+        c = data.draw(_crops(b.out_size, b.out_size))
+        left = compose_crops(compose_crops(a, b), c)
+        right = compose_crops(a, compose_crops(b, c))
+        assert left.out_size == right.out_size == c.out_size
+        assert left.side == pytest.approx(right.side, rel=1e-12)
+        tol = 1e-12 * (width + height)
+        assert abs(left.x0 - right.x0) <= tol
+        assert abs(left.y0 - right.y0) <= tol
 
 
 class TestIntrinsics:

@@ -408,7 +408,19 @@ def malformed_input(case, tmp_path):
                    "cfg.json: threshold_deg: "),
                "config_negative_gamma": ('{"gamma": -1}', "loss", "cfg.json: gamma: "),
                "config_negative_lambda": ('{"lambda_r": -1}', "loss",
-                                          "cfg.json: lambda_r: ")}
+                                          "cfg.json: lambda_r: "),
+               "config_negative_abs_base": ('{"abs_base_deg": -1}', "sweep",
+                                            "cfg.json: abs_base_deg: "),
+               "config_negative_rel_slope": ('{"rel_slope": -0.1}', "sweep",
+                                             "cfg.json: rel_slope: "),
+               "config_negative_trans_noise": ('{"trans_noise_mm": -0.5}', "sweep",
+                                               "cfg.json: trans_noise_mm: "),
+               "config_zero_frames": ('{"frames_per_log": 0}', "simulate",
+                                      "cfg.json: frames_per_log: "),
+               "config_zero_subjects": ('{"subjects": 0}', "simulate",
+                                        "cfg.json: subjects: "),
+               "config_yaw_min_above_max": ('{"yaw_min": 10, "yaw_max": 0}',
+                                            "simulate", "cfg.json: yaw_min 10.0 > ")}
     if case in configs:
         text, command, named = configs[case]
         cfg = tmp_path / "cfg.json"
@@ -428,6 +440,8 @@ def malformed_input(case, tmp_path):
     if case == "negative_n_pairs":
         return (["pairs", log, "--pair-kind", "easy", "--neutral-thresh-deg", "1000",
                  "--max-gap-deg", "40", "--n-pairs", "-1"], "--n-pairs")
+    if case == "zero_frames_flag":
+        return ["simulate", "--frames-per-log", "0"], "--frames-per-log: "
     if case == "negative_seed_simulate":
         return ["--seed", "-1", "simulate"], "--seed"
     if case == "negative_seed_pairs":
@@ -493,7 +507,12 @@ def malformed_input(case, tmp_path):
                                   "config_negative_threshold",
                                   "config_infinite_threshold",
                                   "config_negative_gamma", "config_negative_lambda",
-                                  "negative_threshold_flag"])
+                                  "negative_threshold_flag",
+                                  "config_negative_abs_base",
+                                  "config_negative_rel_slope",
+                                  "config_negative_trans_noise",
+                                  "config_zero_frames", "config_zero_subjects",
+                                  "config_yaw_min_above_max", "zero_frames_flag"])
 def test_malformed_input_is_a_typed_error(case, tmp_path, capsys):
     argv, named = malformed_input(case, tmp_path)
     capsys.readouterr()
@@ -501,6 +520,19 @@ def test_malformed_input_is_a_typed_error(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, expected", [
+    ('{"yaw_min": 10, "yaw_max": 0}', "{cfg}: yaw_min 10.0 > {cfg}: yaw_max 0.0"),
+    # a default is named by its key alone
+    ('{"pitch_max": -70}', "pitch_min -60.0 > {cfg}: pitch_max -70.0"),
+])
+def test_min_above_max_names_both_keys(text, expected, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run(["--out", tmp_path / "o", "--config", cfg, "simulate"]) == 2
+    assert capsys.readouterr().err == f"error: {expected.format(cfg=cfg)}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_main_does_not_hide_value_errors(tmp_path, monkeypatch):

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import relhpe.anchors
@@ -12,8 +14,8 @@ import relhpe.geometry
 import relhpe.harness
 import relhpe.simulate
 
-from relhpe import (AbsoluteSimEstimator, AnchorPolicy, NoiseModel, PoseLog,
-                    PoseSampler, RelativeSimEstimator, Rotation, SE3Pose,
+from relhpe import (AbsoluteSimEstimator, AnchorPolicy, NoiseModel, PairSet,
+                    PoseLog, PoseSampler, RelativeSimEstimator, Rotation, SE3Pose,
                     TableEstimator, apply_anchor, build_easy_pairs,
                     build_hard_pairs,
                     euler_from_rotation, export_canonical, geodesic_deg,
@@ -22,7 +24,10 @@ from relhpe import (AbsoluteSimEstimator, AnchorPolicy, NoiseModel, PoseLog,
 from relhpe.errors import DomainError, EmptyRange, ParseError
 from relhpe.harness import predict_batch, query_batch
 from relhpe.poselog import FrameRecord
-from relhpe.simulate import simulate_absolute, simulate_relative, _query_rng
+from relhpe.geometry import EulerAngles, rotation_from_euler
+from relhpe.simulate import (simulate_absolute, simulate_relative,
+                             _pcg64_state, _query_rng, _seed_sequence_words,
+                             _seed_states, _stream_vectors)
 
 from conftest import random_pose, random_rotation, yaw_pose
 
@@ -30,6 +35,13 @@ from conftest import random_pose, random_rotation, yaw_pose
 def make_log(poses, subject="s1"):
     frames = tuple(FrameRecord(f"f{i:04d}", i, p) for i, p in enumerate(poses))
     return PoseLog(subject, frames, "world")
+
+
+def oracle_absolute(est, subject_id, frame_id, truth):
+    """The scalar reference for est's prediction of one query:
+    simulate_absolute on the query's own stream."""
+    return simulate_absolute(truth, est.noise, est.canonical_ref,
+                             _query_rng(est.noise.seed, subject_id, frame_id))
 
 
 class TestNoiseModel:
@@ -100,8 +112,8 @@ class TestDeterminism:
         truth = random_pose(rng)
         a = AbsoluteSimEstimator("a", NoiseModel(base_deg=4.0, seed=7))
         b = AbsoluteSimEstimator("b", NoiseModel(base_deg=4.0, seed=7))
-        pa = a.predict_absolute("s1", "f0001", truth)
-        pb = b.predict_absolute("s1", "f0001", truth)
+        pa = oracle_absolute(a, "s1", "f0001", truth)
+        pb = oracle_absolute(b, "s1", "f0001", truth)
         assert pa.rotation == pb.rotation
         assert np.array_equal(pa.translation, pb.translation)
 
@@ -109,18 +121,18 @@ class TestDeterminism:
         truth = random_pose(rng)
         a = AbsoluteSimEstimator("a", NoiseModel(base_deg=4.0, seed=7))
         b = AbsoluteSimEstimator("b", NoiseModel(base_deg=4.0, seed=8))
-        pa = a.predict_absolute("s1", "f0001", truth)
-        pb = b.predict_absolute("s1", "f0001", truth)
+        pa = oracle_absolute(a, "s1", "f0001", truth)
+        pb = oracle_absolute(b, "s1", "f0001", truth)
         assert pa.rotation != pb.rotation
 
     def test_stream_independent_of_order(self, rng):
         # per-query streams come from (seed, subject, frame), not call order
         truth1, truth2 = random_pose(rng), random_pose(rng)
         est = AbsoluteSimEstimator("e", NoiseModel(base_deg=3.0, seed=1))
-        forward = [est.predict_absolute("s", "fA", truth1),
-                   est.predict_absolute("s", "fB", truth2)]
-        backward = [est.predict_absolute("s", "fB", truth2),
-                    est.predict_absolute("s", "fA", truth1)]
+        forward = [oracle_absolute(est, "s", "fA", truth1),
+                   oracle_absolute(est, "s", "fB", truth2)]
+        backward = [oracle_absolute(est, "s", "fB", truth2),
+                    oracle_absolute(est, "s", "fA", truth1)]
         assert forward[0].rotation == backward[1].rotation
         assert forward[1].rotation == backward[0].rotation
 
@@ -168,20 +180,62 @@ class TestSampleLogs:
         with pytest.raises(EmptyRange):
             PoseSampler(frames_per_log=0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(subjects=st.integers(1, 3), frames=st.integers(1, 12),
+           seed=st.one_of(st.integers(0, 2**70), st.sampled_from([0, 2**32])),
+           ranges=st.lists(st.sampled_from(
+               [(-75.0, 75.0), (0.0, 0.0), (-400.0, 300.0), (179.0, 181.0),
+                (-100.0, 100.0)]), min_size=4, max_size=4))
+    def test_equals_scalar_reference(self, subjects, frames, seed, ranges):
+        sampler = PoseSampler(*ranges, frames_per_log=frames, subjects=subjects,
+                              seed=seed)
+        assert _log_bytes(sample_logs(sampler)) == _log_bytes(
+            _sample_logs_reference(sampler))
+
+
+def _sample_logs_reference(sampler):
+    """sample_logs as a loop: six scalar draws per frame, in order."""
+    rng = np.random.default_rng(sampler.seed)
+    logs = []
+    for s in range(sampler.subjects):
+        frames = [FrameRecord("f0000", 0, SE3Pose.identity("world"))]
+        for i in range(1, sampler.frames_per_log):
+            yaw = rng.uniform(*sampler.yaw_range)
+            pitch = rng.uniform(*sampler.pitch_range)
+            roll = rng.uniform(*sampler.roll_range)
+            t = rng.uniform(*sampler.trans_range_mm, size=3)
+            pose = SE3Pose(rotation_from_euler(EulerAngles(yaw, pitch, roll)),
+                           t, "world")
+            frames.append(FrameRecord(f"f{i:04d}", i, pose))
+        logs.append(PoseLog(f"subj{s:03d}", tuple(frames), "world"))
+    return logs
+
+
+def _log_bytes(logs):
+    """Every field of every frame, floats as bytes (so signed zeros count)."""
+    return [(log.subject_id, log.frame_tag,
+             [(f.frame_id, f.index, f.pose.frame_tag,
+               np.array(f.pose.rotation.quat).tobytes(),
+               f.pose.translation.tobytes()) for f in log.frames])
+            for log in logs]
+
 
 class TestTableEstimator:
+    def _pairs(self):
+        return PairSet("one", (("f0000", "f0000", 0.0),), 0)
+
     def test_lookup(self, rng):
         truth = random_pose(rng)
         stored = random_pose(rng)
-        est = TableEstimator("t", {"f1": stored})
-        out = est.predict_absolute("s", "f1", truth)
+        est = TableEstimator("t", {"f0000": stored})
+        out = predict_pairs(make_log([truth]), self._pairs(), est)["f0000"]
         assert out.rotation == stored.rotation
         assert out.frame_tag == truth.frame_tag
 
     def test_missing(self, rng):
         est = TableEstimator("t", {})
         with pytest.raises(KeyError):
-            est.predict_absolute("s", "f1", random_pose(rng))
+            predict_pairs(make_log([random_pose(rng)]), self._pairs(), est)
 
 
 class TestEndToEnd:
@@ -303,10 +357,15 @@ class TestLoadPredictionsCsv:
             load_predictions_csv(path)
 
 
+# small seeds often coincide, so estimators share streams; numpy splits a
+# seed into 32-bit words, so seeds past 2**32 and 2**64 take more of them
+_seeds = st.one_of(st.integers(0, 3),
+                   st.sampled_from([2**32 - 1, 2**32, 2**64 - 1, 2**64 + 3]),
+                   st.integers(0, 2**130))
 _noise = st.builds(NoiseModel, base_deg=st.sampled_from([0.0, 0.5, 3.0]),
                    slope_deg_per_deg=st.sampled_from([0.0, 0.05]),
                    trans_noise_mm=st.sampled_from([0.0, 2.5]),
-                   seed=st.integers(0, 3))
+                   seed=_seeds)
 
 
 class TestBatchedEstimators:
@@ -351,7 +410,7 @@ class TestBatchedEstimators:
         log = make_log([random_pose(rng) for _ in range(8)])
         quats, _ = predict_batch(est, query_batch(log, range(8), range(8)))
         assert quats.tolist() == [
-            list(est.predict_absolute(log.subject_id, f.frame_id, f.pose)
+            list(oracle_absolute(est, log.subject_id, f.frame_id, f.pose)
                  .rotation.quat) for f in log.frames]
 
     def test_table_estimator(self, rng):
@@ -368,9 +427,87 @@ class TestBatchedEstimators:
             predict_batch(TableEstimator("t", {}), query_batch(log, [1], [0]))
 
 
+_frame_ids = st.lists(st.text(max_size=8), min_size=1, max_size=6)
+
+
+def _scalar_vectors(seed, subject_id, frame_ids, depth):
+    rows = []
+    for frame_id in frame_ids:
+        rng = _query_rng(seed, subject_id, frame_id)
+        rows.append([relhpe.simulate._random_unit_vector(rng) for _ in range(depth)])
+    return np.array(rows, dtype=float).reshape(-1, depth, 3)
+
+
+class TestBatchedStreams:
+    """Streams seeded in batches equal numpy's SeedSequence and PCG64 and
+    the scalar _query_rng path."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.integers(4, 9).flatmap(lambda width: st.lists(
+        st.lists(st.integers(0, 2**32 - 1), min_size=width, max_size=width),
+        min_size=1, max_size=4)))
+    def test_seed_sequence_words(self, rows):
+        words = _seed_sequence_words(np.array(rows, dtype=np.uint32))
+        got = np.stack(words, axis=1).astype("<u4")
+        for row, out in zip(rows, got):
+            expected = np.random.SeedSequence(row).generate_state(4, np.uint64)
+            assert out.tobytes() == expected.astype("<u8").tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=_seeds, subject=st.text(max_size=8), frame_ids=_frame_ids)
+    @example(seed=0, subject="s1", frame_ids=["f0001", "fünf", "帧/7", ""])
+    @example(seed=2**32 - 1, subject="sübj", frame_ids=["f0000"])
+    @example(seed=2**32, subject="s", frame_ids=["f0000", "f0001"])
+    @example(seed=2**64 + 5, subject="s", frame_ids=["\N{SNOWMAN}"])
+    def test_seed_states_and_pcg64_state(self, seed, subject, frame_ids):
+        states = _seed_states(seed, subject, frame_ids)
+        for r, frame_id in enumerate(frame_ids):
+            digest = hashlib.sha256(f"{subject}/{frame_id}".encode()).digest()
+            words = [int.from_bytes(digest[i:i + 4], "little")
+                     for i in range(0, 16, 4)]
+            sequence = np.random.SeedSequence([seed, *words])
+            row = states[32 * r:32 * r + 32]
+            assert row == sequence.generate_state(4, np.uint64).astype("<u8").tobytes()
+            state = _pcg64_state(*struct.unpack("<4Q", row))
+            assert state == np.random.PCG64(sequence).state
+            assert state == _query_rng(seed, subject, frame_id).bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=_seeds, subject=st.text(max_size=8), frame_ids=_frame_ids,
+           depth=st.integers(1, 3))
+    def test_stream_vectors(self, seed, subject, frame_ids, depth):
+        assert (_stream_vectors(seed, subject, frame_ids, depth).tobytes()
+                == _scalar_vectors(seed, subject, frame_ids, depth).tobytes())
+
+    def test_short_draw_rows_fall_back_to_scalar(self, monkeypatch):
+        # with the redraw bound at 1, about a fifth of the draws are
+        # redrawn, shifting the rest of their streams
+        monkeypatch.setattr(relhpe.simulate, "_MIN_NORM", 1.0)
+        calls = []
+        scalar_rng = relhpe.simulate._query_rng
+        monkeypatch.setattr(relhpe.simulate, "_query_rng",
+                            lambda *key: calls.append(key) or scalar_rng(*key))
+        log = make_log([random_pose(np.random.default_rng(5)) for _ in range(40)])
+        est = AbsoluteSimEstimator("a", NoiseModel(2.0, 0.1, 1.5, seed=9))
+        quats, translations = predict_batch(est, query_batch(log, range(40),
+                                                             range(40)))
+        assert 0 < len(calls) < 40
+        expected = [oracle_absolute(est, log.subject_id, f.frame_id, f.pose)
+                    for f in log.frames]
+        assert quats.tolist() == [list(p.rotation.quat) for p in expected]
+        assert translations.tolist() == [p.translation.tolist() for p in expected]
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            _query_rng(-1, "s", "f0000")
+        with pytest.raises(ValueError):
+            _seed_states(-1, "s", ["f0000"])
+
+
 class TestSweepCallCounts:
     """A CLI sweep runs as one array pass per log: no scalar geodesic or
-    Euler call, and one noise stream per paired query when the two
+    Euler call, no per-query _query_rng (the streams are seeded in
+    batches), and one noise stream seeded per paired query when the two
     estimators share the seed."""
 
     @pytest.mark.parametrize("argv", [
@@ -381,6 +518,14 @@ class TestSweepCallCounts:
          "--axis", "absolute_query_pose"]])
     def test_counts(self, argv, tmp_path, monkeypatch):
         calls = {"geodesic_deg": 0, "euler_from_rotation": 0, "_query_rng": 0}
+        seeded = []  # the frame id of every stream seeded
+        seed_states = relhpe.simulate._seed_states
+
+        def seeding(seed, subject_id, frame_ids):
+            seeded.extend(frame_ids)
+            return seed_states(seed, subject_id, frame_ids)
+
+        monkeypatch.setattr(relhpe.simulate, "_seed_states", seeding)
 
         def counting(name, fn):
             def wrapper(*args):
@@ -405,4 +550,5 @@ class TestSweepCallCounts:
             "payload"]["total_paired"]
         assert paired > 100
         assert calls == {"geodesic_deg": 0, "euler_from_rotation": 0,
-                         "_query_rng": paired}
+                         "_query_rng": 0}
+        assert len(seeded) == paired
