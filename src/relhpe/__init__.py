@@ -24,7 +24,7 @@ from .losses import (LossConfig, StageBreakdown, StagePrediction, loss_cam,
                      loss_translation)
 from .simulate import (AbsoluteSimEstimator, NoiseModel, PoseSampler,
                        RelativeSimEstimator, TableEstimator,
-                       load_predictions_csv, predict_pairs, run_end_to_end,
-                       sample_logs, simulate_absolute, simulate_relative)
+                       load_predictions_csv, run_end_to_end, sample_logs,
+                       simulate_absolute, simulate_relative)
 
 __version__ = "0.1.0"

@@ -127,7 +127,14 @@ def crop_update_intrinsics(k: Intrinsics, crop: CropSpec) -> Intrinsics:
 
 
 def compose_crops(first: CropSpec, second: CropSpec) -> CropSpec:
-    """Single CropSpec equivalent to applying first, then second."""
+    """Single CropSpec equivalent to applying first, then second.
+
+    crop_update_intrinsics checks the composed crop against the original
+    image, which the second step alone cannot see: the first step's output
+    may hold padding where the first crop overhangs the image.  So a second
+    crop lying wholly in that padding passes step by step but is rejected
+    (InvalidCrop) once composed, as it shows no image pixel.
+    """
     s1 = first.scale
     return CropSpec(
         x0=first.x0 + second.x0 / s1,

@@ -29,7 +29,7 @@ from . import reports
 from .anchors import POLICY_KINDS, AnchorPolicy
 from .camera import CameraPose
 from .errors import ParseError, RelHpeError, StageCountMismatch
-from .geometry import Rotation, euler_from_rotation
+from .geometry import Rotation, euler_deg_many
 from .harness import (SWEEP_AXES, PairSet, build_easy_pairs, build_hard_pairs,
                       csv_rows, evaluate, export_canonical, finite_floats,
                       ingest_biwi, ingest_canonical, ingest_canonical_all,
@@ -200,12 +200,7 @@ def cmd_ingest(args):
     dest = os.path.join(out, "poselog.csv")
     export_canonical(logs, dest)
     n_frames = sum(len(l) for l in logs)
-    dists = []
-    for log in logs:
-        for f in log.frames:
-            e = euler_from_rotation(f.pose.rotation)
-            dists.append((e.yaw, e.pitch, e.roll))
-    arr = np.array(dists)
+    arr = euler_deg_many(np.concatenate([log.quats for log in logs]))
     print(f"subjects: {len(logs)}  frames: {n_frames}")
     print(f"yaw range:   [{arr[:, 0].min():.2f}, {arr[:, 0].max():.2f}] deg")
     print(f"pitch range: [{arr[:, 1].min():.2f}, {arr[:, 1].max():.2f}] deg")

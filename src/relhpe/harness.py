@@ -286,45 +286,51 @@ def neutral_reference(log: PoseLog) -> Rotation:
     return log.frames[medoid_index(log.quats)].pose.rotation
 
 
-def _distances_to_reference(log: PoseLog):
-    return geodesic_deg_many(neutral_reference(log).quat, log.quats).tolist()
+def _distances_to_reference(log: PoseLog) -> np.ndarray:
+    return geodesic_deg_many(neutral_reference(log).quat, log.quats)
 
 
-def _candidates(log: PoseLog, anchors, queries):
-    """(anchor_id, query_id, gap_deg) for each pair of distinct frame
-    positions, anchor-major, both lists in their given order."""
-    frames, quats = log.frames, log.quats
-    rows = quats[queries]
-    return [(frames[a].frame_id, frames[q].frame_id, gap)
-            for a in anchors
-            for q, gap in zip(queries, geodesic_deg_many(quats[a], rows).tolist())
-            if a != q]
-
-
-def _sample_pairs(candidates, n_pairs, rng):
+def _sampled_pairs(name, log: PoseLog, anchors, queries, n_pairs, seed) -> PairSet:
+    """PairSet of candidate pairs given as frame-position arrays, row i
+    pairing anchors[i] with queries[i]: all of them when n_pairs is at
+    least their count, else the rows default_rng(seed).choice(count,
+    n_pairs, replace=False) picks, in candidate order.  Only the kept pairs
+    get a gap and become tuples."""
     if not n_pairs >= 0:
         raise DomainError(f"n_pairs must be non-negative, got {n_pairs}")
-    if n_pairs >= len(candidates):
-        return list(candidates)
-    idx = rng.choice(len(candidates), size=n_pairs, replace=False)
-    return [candidates[i] for i in sorted(idx)]
+    if n_pairs < len(anchors):
+        keep = np.sort(np.random.default_rng(seed).choice(
+            len(anchors), size=n_pairs, replace=False))
+        anchors, queries = anchors[keep], queries[keep]
+    gaps = geodesic_deg_many(log.quats[anchors], log.quats[queries])
+    frames = log.frames
+    return PairSet(name, tuple(
+        (frames[a].frame_id, frames[q].frame_id, gap)
+        for a, q, gap in zip(anchors.tolist(), queries.tolist(), gaps.tolist())),
+        seed)
 
 
 def build_hard_pairs(log: PoseLog, neutral_thresh_deg=15.0, extreme_thresh_deg=45.0,
                      n_pairs=360, seed=0) -> PairSet:
-    """Near-neutral anchors paired with extreme-pose queries."""
+    """Near-neutral anchors paired with extreme-pose queries.
+
+    The candidates are the pairs of distinct frames, one neutral and one
+    extreme, anchor-major in log order; they are kept as position arrays
+    and only the sampled ones are measured.
+    """
     dist = _distances_to_reference(log)
-    anchors = [i for i, d in enumerate(dist) if d < neutral_thresh_deg]
-    queries = [i for i, d in enumerate(dist) if d > extreme_thresh_deg]
-    if not anchors or not queries:
+    anchors = np.flatnonzero(dist < neutral_thresh_deg)
+    queries = np.flatnonzero(dist > extreme_thresh_deg)
+    if not len(anchors) or not len(queries):
         raise InsufficientFrames(
             f"log {log.subject_id!r}: {len(anchors)} neutral frames "
             f"(< {neutral_thresh_deg} deg), {len(queries)} extreme frames "
             f"(> {extreme_thresh_deg} deg)",
             n_neutral=len(anchors), n_extreme=len(queries))
-    candidates = _candidates(log, anchors, queries)
-    rng = np.random.default_rng(seed)
-    return PairSet("hard", tuple(_sample_pairs(candidates, n_pairs, rng)), seed)
+    a = np.repeat(anchors, len(queries))
+    q = np.tile(queries, len(anchors))
+    distinct = a != q  # a frame can be both when the thresholds overlap
+    return _sampled_pairs("hard", log, a[distinct], q[distinct], n_pairs, seed)
 
 
 def build_easy_pairs(log: PoseLog, neutral_thresh_deg=15.0, max_gap_deg=8.0,
@@ -334,22 +340,21 @@ def build_easy_pairs(log: PoseLog, neutral_thresh_deg=15.0, max_gap_deg=8.0,
     The candidates are the ordered pairs of distinct neutral frames at gap
     <= max_gap_deg, anchor-major in log order; an exact screen
     (geometry.pairs_within_deg) sends only the pairs that can qualify to
-    the geodesic kernel, in blocks of 16 anchors: memory O(16 x N).
+    the geodesic kernel, in blocks of 16 anchors: memory O(16 x N) beyond
+    the candidates' position arrays.
     """
-    dist = _distances_to_reference(log)
-    neutral = [i for i, d in enumerate(dist) if d < neutral_thresh_deg]
-    ids = [log.frames[i].frame_id for i in neutral]
-    candidates = [(ids[a], ids[q], gap)
-                  for rows, cols, gaps in pairs_within_deg(log.quats[neutral],
-                                                           max_gap_deg)
-                  for a, q, gap in zip(rows.tolist(), cols.tolist(), gaps.tolist())]
-    if not candidates:
+    neutral = np.flatnonzero(_distances_to_reference(log) < neutral_thresh_deg)
+    rows, cols = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
+    for r, c, _ in pairs_within_deg(log.quats[neutral], max_gap_deg):
+        rows.append(r)
+        cols.append(c)
+    anchors, queries = neutral[np.concatenate(rows)], neutral[np.concatenate(cols)]
+    if not len(anchors):
         raise InsufficientFrames(
             f"log {log.subject_id!r}: no frame pairs under gap {max_gap_deg} deg "
             f"among {len(neutral)} neutral frames",
             n_neutral=len(neutral), n_extreme=0)
-    rng = np.random.default_rng(seed)
-    return PairSet("easy", tuple(_sample_pairs(candidates, n_pairs, rng)), seed)
+    return _sampled_pairs("easy", log, anchors, queries, n_pairs, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +552,7 @@ def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
         if axis == "anchor_query_gap":
             values.append(np.array([a.gap_deg for a in paired], dtype=float))
         else:
-            values.append(np.array(_distances_to_reference(log))[queries])
+            values.append(_distances_to_reference(log)[queries])
         for per_log, est in zip(errors, estimators):
             per_log.append(error_arrays(predict_batch(est, batch), batch.query))
 

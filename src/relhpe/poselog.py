@@ -48,6 +48,10 @@ class PoseLog:
         if not frames:
             raise EmptyInput(f"log {self.subject_id!r} has no frames")
         _check_id("subject", self.subject_id)
+        if any(c.isspace() for c in self.frame_tag):
+            raise InvariantViolation(
+                f"frame tag {self.frame_tag!r} holds whitespace, so it cannot "
+                f"be written to a poselog header")
         object.__setattr__(self, "_position",
                            {f.frame_id: i for i, f in enumerate(frames)})
         if len(self._position) != len(frames):
@@ -87,6 +91,3 @@ class PoseLog:
         if frame_id not in self._position:
             raise UnknownFrame(f"log {self.subject_id!r} has no frame {frame_id!r}")
         return self._position[frame_id]
-
-    def pose_of(self, frame_id: str) -> SE3Pose:
-        return self.frames[self.position(frame_id)].pose

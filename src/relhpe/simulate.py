@@ -174,30 +174,17 @@ def _stream_vectors(seed, subject_id, frame_ids, depth) -> np.ndarray:
     return vectors
 
 
-def _unit_vectors(batch, seed, counts) -> np.ndarray:
-    """(N, K, 3) array whose row i starts with the first counts[i] unit
-    vectors of query i's stream.
+def _unit_vectors(batch, seed) -> np.ndarray:
+    """(N, 2, 3): the first two unit vectors of each query's stream, the
+    most a perturbation draws (rotation axis, translation direction).
 
     The vectors are kept in batch.streams under the seed, so estimators with
-    equal seeds derive each stream once.  Rows short of vectors are derived
-    again to the new depth; since a stream always yields the same vectors
-    in order, that changes no value.
+    equal seeds derive each stream once.
     """
-    counts = np.asarray(counts, dtype=int)
-    have, vectors = batch.streams.get(
-        seed, (np.zeros(len(counts), dtype=int), np.zeros((len(counts), 0, 3))))
-    short = np.flatnonzero(counts > have)
-    if short.size:
-        depth = max(vectors.shape[1], int(counts.max()))
-        vectors = np.concatenate(
-            [vectors, np.zeros((len(counts), depth - vectors.shape[1], 3))], axis=1)
-        frame_ids = (batch.frame_ids if short.size == len(counts)
-                     else [batch.frame_ids[i] for i in short])
-        vectors[short] = _stream_vectors(seed, batch.subject_id, frame_ids, depth)
-        have = have.copy()
-        have[short] = depth
-        batch.streams[seed] = (have, vectors)
-    return vectors
+    if seed not in batch.streams:
+        batch.streams[seed] = _stream_vectors(seed, batch.subject_id,
+                                              batch.frame_ids, 2)
+    return batch.streams[seed]
 
 
 @dataclass(frozen=True)
@@ -230,15 +217,17 @@ def _perturb_many(batch, pose, magnitudes, nm: NoiseModel):
     quats, translations = pose
     rotated = magnitudes > 0
     moved = nm.trans_noise_mm > 0
-    after_axis = rotated.astype(int)  # index of the translation direction
-    vectors = _unit_vectors(batch, nm.seed, after_axis + moved)
+    if not (moved or rotated.any()):
+        return quats, translations
+    vectors = _unit_vectors(batch, nm.seed)
     rows = np.flatnonzero(rotated)
     if rows.size:
         quats = quats.copy()
         noise = axis_angle_many(vectors[rows, 0], np.radians(magnitudes[rows]))
         quats[rows] = multiply_many(noise, quats[rows])
     if moved:
-        direction = vectors[np.arange(len(rotated)), after_axis]
+        # a row's translation direction follows its rotation axis, if any
+        direction = vectors[np.arange(len(rotated)), rotated.astype(int)]
         translations = translations + nm.trans_noise_mm * direction
     return quats, translations
 
@@ -366,21 +355,6 @@ def _pair_batch(log: PoseLog, pairs: PairSet):
     """QueryBatch with one row per pair, in pair order."""
     return query_batch(log, [log.position(q) for _, q, _ in pairs.pairs],
                        [log.position(a) for a, _, _ in pairs.pairs])
-
-
-def predict_pairs(log: PoseLog, pairs: PairSet, estimator) -> dict:
-    """Absolute predictions for every query in a pair set.
-
-    Relative estimators predict against each pair's (ground-truth) anchor
-    and compose; absolute estimators ignore the anchor.  A query in several
-    pairs keeps the prediction of its last pair (run_end_to_end scores each
-    pair on its own prediction instead).
-    """
-    batch = _pair_batch(log, pairs)
-    quats, translations = predict_batch(estimator, batch)
-    return {query_id: SE3Pose(Rotation(*q), t, log.frame_tag)
-            for query_id, q, t in zip(batch.frame_ids, quats.tolist(),
-                                      translations.tolist())}
 
 
 def run_end_to_end(logs, estimators, policy=None, benchmark=None):

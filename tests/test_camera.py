@@ -169,6 +169,17 @@ class TestCropCompositionLaws:
         assert abs(left.x0 - right.x0) <= tol
         assert abs(left.y0 - right.y0) <= tol
 
+    def test_second_crop_in_padding_rejected_once_composed(self):
+        """a overhangs the right image edge; b lies wholly in a's padding,
+        which the second step cannot tell from image, but the composed crop
+        is checked against the image itself."""
+        k = Intrinsics(500, 500, 320, 240, 640, 480)
+        a = CropSpec(600, 0, 100, 100)
+        b = CropSpec(60, 0, 30, 30)
+        crop_update_intrinsics(crop_update_intrinsics(k, a), b)
+        with pytest.raises(InvalidCrop, match="does not intersect"):
+            crop_update_intrinsics(k, compose_crops(a, b))
+
 
 class TestIntrinsics:
     @pytest.mark.parametrize("field, value", [

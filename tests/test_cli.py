@@ -7,7 +7,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from relhpe import Rotation, SE3Pose, ingest_canonical_all
+from relhpe import (EulerAngles, PoseLog, Rotation, SE3Pose,
+                    euler_from_rotation, export_canonical,
+                    ingest_canonical_all, rotation_from_euler)
+from relhpe.poselog import FrameRecord
 import relhpe.cli
 from relhpe.cli import SETTINGS, build_parser, main
 
@@ -61,6 +64,25 @@ class TestIngest:
         assert read(out / "poselog.csv") == read(sim_log)
         text = capsys.readouterr().out
         assert "subjects: 2" in text and "frames: 80" in text
+
+    def test_range_summary_matches_scalar(self, tmp_path, rng, capsys):
+        """The printed ranges equal the scalar Euler conversion of every
+        frame, gimbal-locked ones (|pitch| >= 89, roll 0) included."""
+        logs = [PoseLog(s, tuple(FrameRecord(f"f{i}", i, p) for i, p in enumerate(poses)))
+                for s, poses in (
+                    ("a", [random_pose(rng) for _ in range(30)]),
+                    ("b", [SE3Pose(rotation_from_euler(EulerAngles(*e)), np.zeros(3))
+                           for e in ((30.0, 89.5, 10.0), (-170.0, -89.9, 5.0),
+                                     (179.9, 0.0, -179.9))]))]
+        export_canonical(logs, tmp_path / "log.csv")
+        assert run(["--out", tmp_path / "o", "ingest", tmp_path / "log.csv"]) == 0
+        text = capsys.readouterr().out
+        angles = [euler_from_rotation(f.pose.rotation)
+                  for log in logs for f in log.frames]
+        for axis in ("yaw", "pitch", "roll"):
+            values = [getattr(e, axis) for e in angles]
+            assert (f"{axis + ' range:':<13}[{min(values):.2f}, "
+                    f"{max(values):.2f}] deg\n") in text
 
     def test_biwi(self, tmp_path, rng, capsys):
         poses = [random_pose(rng, frame="depth") for _ in range(4)]
@@ -150,7 +172,7 @@ def write_perfect_predictions(log_path, pairs_csv, dest):
             if qid in seen:
                 continue
             seen.add(qid)
-            p = log.pose_of(qid)
+            p = log.frames[log.position(qid)].pose
             q, t = p.rotation, p.translation
             lines.append(",".join([qid] + [repr(float(v)) for v in
                                            (q.w, q.x, q.y, q.z, t[0], t[1], t[2])]))

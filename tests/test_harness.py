@@ -9,9 +9,9 @@ import relhpe.harness
 from relhpe import (AnchorPolicy, EulerAngles, NoiseModel, PoseLog,
                     RelativeSimEstimator, Rotation, SE3Pose, assign_anchors,
                     build_easy_pairs, build_hard_pairs, compose, evaluate,
-                    export_canonical, geodesic_deg, ingest_biwi,
-                    ingest_canonical, ingest_canonical_all, neutral_reference,
-                    rotation_from_euler, sweep, wrap_deg)
+                    export_canonical, geodesic_deg, geodesic_deg_many,
+                    ingest_biwi, ingest_canonical, ingest_canonical_all,
+                    neutral_reference, rotation_from_euler, sweep, wrap_deg)
 from relhpe.anchors import POLICY_KINDS
 from relhpe.camera import Intrinsics
 from relhpe.harness import csv_rows
@@ -291,8 +291,10 @@ class TestHardPairs:
         ps = build_hard_pairs(log, n_pairs=100, seed=0)
         ref = neutral_reference(log)
         for anchor_id, query_id, _ in ps.pairs:
-            assert geodesic_deg(ref, log.pose_of(anchor_id).rotation) < 15.0
-            assert geodesic_deg(ref, log.pose_of(query_id).rotation) > 45.0
+            anchor = log.frames[log.position(anchor_id)].pose
+            query = log.frames[log.position(query_id)].pose
+            assert geodesic_deg(ref, anchor.rotation) < 15.0
+            assert geodesic_deg(ref, query.rotation) > 45.0
 
 
 def easy_fixture_log():
@@ -364,13 +366,39 @@ class TestFrameSetKernel:
         assert build_hard_pairs(log, n_pairs=50).stats["count"] == 50
         assert calls == []
 
+    def test_hard_pairs_measure_only_kept_rows(self, monkeypatch):
+        """build_hard_pairs runs the kernel on each frame's distance to the
+        neutral reference, then on the sampled pairs only: no row per
+        candidate."""
+        log = make_log([euler_pose(y, 0.1 * y) for y in np.linspace(-80, 80, 400)])
+        dist = geodesic_deg_many(neutral_reference(log).quat, log.quats)
+        n_pairs = 50
+        assert (dist < 15.0).sum() * (dist > 45.0).sum() > 10 * n_pairs
+        rows = []
+        kernel = relhpe.harness.geodesic_deg_many
+
+        def counting(p, q):
+            rows.append(max(len(np.atleast_2d(p)), len(np.atleast_2d(q))))
+            return kernel(p, q)
+
+        monkeypatch.setattr(relhpe.harness, "geodesic_deg_many", counting)
+        assert len(build_hard_pairs(log, n_pairs=n_pairs).pairs) == n_pairs
+        assert sum(rows) <= len(log) + n_pairs
+
 
 class TestPoseLog:
-    def test_pose_of(self):
+    def test_position(self):
         log = make_log([yaw_pose(0), yaw_pose(10)])
-        assert log.pose_of("f0001") is log.frames[1].pose
+        assert log.position("f0001") == 1
         with pytest.raises(UnknownFrame, match="'f0002'"):
-            log.pose_of("f0002")
+            log.position("f0002")
+
+    @pytest.mark.parametrize("tag", ["my frame", "a\nb", "tab\t", "\u2003"])
+    def test_frame_tag_with_whitespace_rejected(self, tag):
+        """The canonical header splits on whitespace, so such a tag would
+        not read back ('my frame' as 'my'; 'a\nb' breaks the file)."""
+        with pytest.raises(InvariantViolation, match="frame tag"):
+            make_log([SE3Pose(Rotation.identity(), np.zeros(3), tag)], frame=tag)
 
     def test_quats_read_only(self, rng):
         log = make_log([random_pose(rng) for _ in range(3)])
@@ -445,11 +473,11 @@ class TestEvaluate:
         # brute-force recomputation per sample
         yaw_errs, geos = [], []
         for _, qid, _ in pairs:
+            truth = log.frames[log.position(qid)].pose
             ep = euler_from_rotation(preds[qid].rotation)
-            et = euler_from_rotation(log.pose_of(qid).rotation)
+            et = euler_from_rotation(truth.rotation)
             yaw_errs.append(abs(wrap_deg(ep.yaw - et.yaw)))
-            geos.append(geodesic_deg(preds[qid].rotation,
-                                     log.pose_of(qid).rotation))
+            geos.append(geodesic_deg(preds[qid].rotation, truth.rotation))
         assert abs(rep.yaw_mae - np.mean(yaw_errs)) < 1e-12
         assert abs(rep.geodesic_mae - np.mean(geos)) < 1e-12
         assert abs(rep.mae - (rep.yaw_mae + rep.pitch_mae + rep.roll_mae) / 3) < 1e-12

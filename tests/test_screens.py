@@ -2,7 +2,8 @@
 
 The oracles below are the decisions as made before the screens: every
 query scanned against every frame, every row's exact mean, every
-neutral x neutral gap.  The screened library must return the same values
+neutral x neutral gap, and (for hard pairs, which need no screen) every
+neutral x extreme gap by the scalar kernel.  The screened library must return the same values
 bit for bit, on ties, sign-flipped rows, identical and clustered logs, and
 thresholds one ulp either side of an actual gap.
 """
@@ -15,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relhpe import (AnchorPolicy, EulerAngles, Rotation, SE3Pose,
-                    assign_anchors, build_easy_pairs, geodesic_deg_many,
-                    neutral_reference, rotation_from_euler)
+                    assign_anchors, build_easy_pairs, build_hard_pairs,
+                    geodesic_deg, geodesic_deg_many, neutral_reference,
+                    rotation_from_euler)
 from relhpe.errors import DomainError, InsufficientFrames
 from relhpe.geometry import (MEDOID_MARGIN_DEG, medoid_index,
                              pairs_within_deg, screen_blocks)
@@ -62,6 +64,26 @@ def easy_oracle(log, neutral_thresh_deg, max_gap_deg):
             for a in neutral
             for q, gap in zip(neutral, geodesic_deg_many(quats[a], quats[neutral]).tolist())
             if a != q and gap <= max_gap_deg]
+
+
+def hard_oracle(log, neutral_thresh_deg, extreme_thresh_deg, n_pairs, seed):
+    """Every neutral x extreme pair of distinct frames by the scalar
+    kernel, anchor-major in log order, then the builder's draw; None when
+    no frame is neutral or none extreme."""
+    frames = log.frames
+    ref = frames[medoid_oracle(log.quats)].pose.rotation
+    dist = [geodesic_deg(ref, f.pose.rotation) for f in frames]
+    if min(dist) >= neutral_thresh_deg or max(dist) <= extreme_thresh_deg:
+        return None
+    candidates = [(a.frame_id, q.frame_id, geodesic_deg(a.pose.rotation, q.pose.rotation))
+                  for a, da in zip(frames, dist) if da < neutral_thresh_deg
+                  for q, dq in zip(frames, dist)
+                  if dq > extreme_thresh_deg and q is not a]
+    if n_pairs >= len(candidates):
+        return candidates
+    idx = np.random.default_rng(seed).choice(len(candidates), size=n_pairs,
+                                             replace=False)
+    return [candidates[i] for i in sorted(idx)]
 
 
 def pairs_oracle(quats, max_deg):
@@ -162,6 +184,21 @@ class TestScreenedEqualsUnscreened:
                 build_easy_pairs(log, neutral, max_gap, n_pairs=10 ** 6)
         else:
             got = build_easy_pairs(log, neutral, max_gap, n_pairs=10 ** 6)
+            assert list(got.pairs) == expected
+
+    @settings(deadline=None, max_examples=300)
+    @given(log=logs(), neutral=st.sampled_from([5.0, 15.0, 60.0, 1000.0]),
+           extreme=st.sampled_from([0.0, 1.0, 10.0, 45.0]),
+           n_pairs=st.integers(0, 60), seed=st.integers(0, 2 ** 32))
+    def test_hard_pairs(self, log, neutral, extreme, n_pairs, seed):
+        """Thresholds may overlap (a frame both neutral and extreme); n_pairs
+        falls below and above the candidate count (at most 14 x 13)."""
+        expected = hard_oracle(log, neutral, extreme, n_pairs, seed)
+        if expected is None:
+            with pytest.raises(InsufficientFrames):
+                build_hard_pairs(log, neutral, extreme, n_pairs, seed)
+        else:
+            got = build_hard_pairs(log, neutral, extreme, n_pairs, seed)
             assert list(got.pairs) == expected
 
     @settings(deadline=None)

@@ -14,13 +14,12 @@ import relhpe.geometry
 import relhpe.harness
 import relhpe.simulate
 
-from relhpe import (AbsoluteSimEstimator, AnchorPolicy, NoiseModel, PairSet,
+from relhpe import (AbsoluteSimEstimator, AnchorPolicy, NoiseModel,
                     PoseLog, PoseSampler, RelativeSimEstimator, Rotation, SE3Pose,
                     TableEstimator, apply_anchor, build_easy_pairs,
                     build_hard_pairs,
                     euler_from_rotation, export_canonical, geodesic_deg,
-                    load_predictions_csv,
-                    predict_pairs, run_end_to_end, sample_logs)
+                    load_predictions_csv, run_end_to_end, sample_logs)
 from relhpe.errors import DomainError, EmptyRange, ParseError
 from relhpe.harness import predict_batch, query_batch
 from relhpe.poselog import FrameRecord
@@ -221,21 +220,18 @@ def _log_bytes(logs):
 
 
 class TestTableEstimator:
-    def _pairs(self):
-        return PairSet("one", (("f0000", "f0000", 0.0),), 0)
-
     def test_lookup(self, rng):
-        truth = random_pose(rng)
         stored = random_pose(rng)
         est = TableEstimator("t", {"f0000": stored})
-        out = predict_pairs(make_log([truth]), self._pairs(), est)["f0000"]
-        assert out.rotation == stored.rotation
-        assert out.frame_tag == truth.frame_tag
+        quats, translations = predict_batch(
+            est, query_batch(make_log([random_pose(rng)]), [0], [0]))
+        assert Rotation(*quats[0]) == stored.rotation
+        assert np.array_equal(translations[0], stored.translation)
 
     def test_missing(self, rng):
         est = TableEstimator("t", {})
         with pytest.raises(KeyError):
-            predict_pairs(make_log([random_pose(rng)]), self._pairs(), est)
+            predict_batch(est, query_batch(make_log([random_pose(rng)]), [0], [0]))
 
 
 class TestEndToEnd:
@@ -308,7 +304,7 @@ class TestEndToEnd:
                            benchmark={"kind": "bogus"})
 
 
-class TestPredictPairs:
+class TestPredictBatch:
     def test_relative_composition_identity(self, rng):
         # composing a zero-noise relative prediction with its anchor must
         # recover the ground-truth query exactly
@@ -316,10 +312,12 @@ class TestPredictPairs:
         pairs = build_easy_pairs(log, neutral_thresh_deg=1000.0,
                                  max_gap_deg=15.0, n_pairs=10, seed=0)
         est = RelativeSimEstimator("r", NoiseModel())
-        preds = predict_pairs(log, pairs, est)
-        for _, query_id, _ in pairs.pairs:
-            truth = log.pose_of(query_id)
-            assert geodesic_deg(preds[query_id].rotation, truth.rotation) < 1e-9
+        batch = query_batch(log, [log.position(q) for _, q, _ in pairs.pairs],
+                            [log.position(a) for a, _, _ in pairs.pairs])
+        quats, _ = predict_batch(est, batch)
+        for (_, query_id, _), q in zip(pairs.pairs, quats):
+            truth = log.frames[log.position(query_id)].pose
+            assert geodesic_deg(Rotation(*q), truth.rotation) < 1e-9
 
 
 class TestLoadPredictionsCsv:
