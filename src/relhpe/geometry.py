@@ -38,12 +38,13 @@ def _canonical(q):
     return (w, x, y, z)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Rotation:
     """Unit quaternion with canonical sign.
 
     Accepts any nonzero finite quaternion; normalizes and canonicalizes on
-    construction.
+    construction.  Components are stored as Python floats, whatever the
+    input type, so the scalar algebra below runs on plain floats.
     """
 
     w: float
@@ -51,19 +52,17 @@ class Rotation:
     y: float
     z: float
 
-    def __post_init__(self):
-        n = math.sqrt(self.w * self.w + self.x * self.x
-                      + self.y * self.y + self.z * self.z)
+    def __init__(self, w: float, x: float, y: float, z: float):
+        n = math.sqrt(w * w + x * x + y * y + z * z)
         if not 0.0 < n < math.inf:
             raise DomainError(f"quaternion norm {n} is zero or non-finite")
         if abs(n - 1.0) <= 1e-12:
             # already unit: skip the division so round trips through text
             # serialization are bit-stable
-            w, x, y, z = _canonical((float(self.w), float(self.x),
-                                     float(self.y), float(self.z)))
+            w, x, y, z = _canonical((float(w), float(x), float(y), float(z)))
         else:
-            w, x, y, z = _canonical((self.w / n, self.x / n,
-                                     self.y / n, self.z / n))
+            w, x, y, z = _canonical((float(w / n), float(x / n),
+                                     float(y / n), float(z / n)))
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -122,11 +121,12 @@ class Rotation:
 
     def as_matrix(self) -> np.ndarray:
         w, x, y, z = self.w, self.x, self.y, self.z
-        return np.array([
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ])
+        # one flat tuple converts about twice as fast as nested lists
+        return np.array((
+            1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+        ), dtype=float).reshape(3, 3)
 
     def __mul__(self, other: "Rotation") -> "Rotation":
         """Hamilton product; self applied after other."""
@@ -161,7 +161,7 @@ class EulerAngles:
     gimbal_lock: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SE3Pose:
     """Rigid transform: rotation plus translation (mm) in a named frame."""
 
@@ -169,9 +169,11 @@ class SE3Pose:
     translation: np.ndarray
     frame_tag: str = "world"
 
-    def __post_init__(self):
-        t = np.asarray(self.translation, dtype=float).reshape(3)
-        object.__setattr__(self, "translation", t)
+    def __init__(self, rotation: Rotation, translation, frame_tag: str = "world"):
+        object.__setattr__(self, "rotation", rotation)
+        object.__setattr__(self, "translation",
+                           np.asarray(translation, dtype=float).reshape(3))
+        object.__setattr__(self, "frame_tag", frame_tag)
 
     @staticmethod
     def identity(frame_tag: str = "world") -> "SE3Pose":
@@ -204,8 +206,10 @@ def apply_anchor(rel: SE3Pose, anchor: SE3Pose) -> SE3Pose:
     """Recover the absolute query pose by composing a relative transform
     with the anchor pose.
     """
-    out = compose(rel, anchor)
-    return SE3Pose(out.rotation, out.translation, anchor.frame_tag)
+    r = rel.rotation
+    return SE3Pose(r * anchor.rotation,
+                   r.apply(anchor.translation) + rel.translation,
+                   anchor.frame_tag)
 
 
 def normalize_to_anchor(poses) -> list:

@@ -74,6 +74,19 @@ class TestRotation:
             r = Rotation.from_axis_angle(axis, math.radians(179.5))
             assert geodesic_deg(Rotation.from_matrix(r.as_matrix()), r) < 1e-9
 
+    def test_numpy_components_stored_as_floats(self, rng):
+        # same values numpy scalar arithmetic gives, held as Python floats
+        for _ in range(200):
+            w, x, y, z = rng.normal(size=4)
+            r = Rotation(w, x, y, z)
+            n = math.sqrt(w * w + x * x + y * y + z * z)
+            sign = 1.0 if w >= 0.0 else -1.0
+            assert all(type(c) is float for c in (r.w, r.x, r.y, r.z))
+            assert (r.w, r.x, r.y, r.z) == (sign * w / n, sign * x / n,
+                                            sign * y / n, sign * z / n)
+        unit = Rotation(*np.array([0.5, -0.5, 0.5, -0.5]))
+        assert type(unit.w) is float and unit == Rotation(w=0.5, x=-0.5, y=0.5, z=-0.5)
+
 
 class TestCompose:
     def test_identity(self, rng):
