@@ -15,16 +15,15 @@ from .geometry import (EulerAngles, Rotation, SE3Pose, apply_anchor, compose,
                        inverse, normalize_to_anchor, relative,
                        rotation_from_euler)
 from .harness import (FrameRecord, MetricReport, PairSet, PoseLog, SweepBin,
-                      SweepReport, build_easy_pairs, build_hard_pairs,
-                      evaluate, export_canonical, ingest_biwi,
-                      ingest_canonical, ingest_canonical_all,
-                      neutral_reference, sweep, wrap_deg)
+                      SweepReport, TableEstimator, build_easy_pairs,
+                      build_hard_pairs, evaluate, export_canonical,
+                      ingest_biwi, ingest_canonical, ingest_canonical_all,
+                      neutral_reference, run_end_to_end, sweep, wrap_deg)
 from .losses import (LossConfig, StageBreakdown, StagePrediction, loss_cam,
                      loss_fov, loss_rotation_geodesic, loss_rotation_quat,
                      loss_translation)
 from .simulate import (AbsoluteSimEstimator, NoiseModel, PoseSampler,
-                       RelativeSimEstimator, TableEstimator,
-                       load_predictions_csv, run_end_to_end, sample_logs,
+                       RelativeSimEstimator, load_predictions_csv, sample_logs,
                        simulate_absolute, simulate_relative)
 
 __version__ = "0.1.0"

@@ -1,5 +1,5 @@
 """Benchmark harness: pose-log ingestion (canonical format plus a BIWI-style
-adapter), easy/hard pair construction, metric computation, and binned sweeps.
+adapter), easy/hard pair construction and scoring, metrics, and binned sweeps.
 
 Canonical pose-log file format (UTF-8, comma separated, '.' decimal point):
 
@@ -290,18 +290,20 @@ def _distances_to_reference(log: PoseLog) -> np.ndarray:
     return geodesic_deg_many(neutral_reference(log).quat, log.quats)
 
 
-def _sampled_pairs(name, log: PoseLog, anchors, queries, n_pairs, seed) -> PairSet:
-    """PairSet of candidate pairs given as frame-position arrays, row i
-    pairing anchors[i] with queries[i]: all of them when n_pairs is at
-    least their count, else the rows default_rng(seed).choice(count,
-    n_pairs, replace=False) picks, in candidate order.  Only the kept pairs
-    get a gap and become tuples."""
+def _sampled_pairs(name, log: PoseLog, count, rows, n_pairs, seed) -> PairSet:
+    """PairSet of count candidate pairs, where rows(k) gives the anchor and
+    query frame-position arrays of the candidates at the sorted indices k:
+    all of them when n_pairs is at least count, else the indices
+    default_rng(seed).choice(count, n_pairs, replace=False) picks, in
+    candidate order.  Only the kept pairs get a gap and become tuples."""
     if not n_pairs >= 0:
         raise DomainError(f"n_pairs must be non-negative, got {n_pairs}")
-    if n_pairs < len(anchors):
+    if n_pairs < count:
         keep = np.sort(np.random.default_rng(seed).choice(
-            len(anchors), size=n_pairs, replace=False))
-        anchors, queries = anchors[keep], queries[keep]
+            count, size=n_pairs, replace=False))
+    else:
+        keep = np.arange(count)
+    anchors, queries = rows(keep)
     gaps = geodesic_deg_many(log.quats[anchors], log.quats[queries])
     frames = log.frames
     return PairSet(name, tuple(
@@ -315,8 +317,8 @@ def build_hard_pairs(log: PoseLog, neutral_thresh_deg=15.0, extreme_thresh_deg=4
     """Near-neutral anchors paired with extreme-pose queries.
 
     The candidates are the pairs of distinct frames, one neutral and one
-    extreme, anchor-major in log order; they are kept as position arrays
-    and only the sampled ones are measured.
+    extreme, anchor-major in log order; a candidate's frames come from its
+    index and the per-anchor counts, so only the sampled ones are measured.
     """
     dist = _distances_to_reference(log)
     anchors = np.flatnonzero(dist < neutral_thresh_deg)
@@ -327,10 +329,16 @@ def build_hard_pairs(log: PoseLog, neutral_thresh_deg=15.0, extreme_thresh_deg=4
             f"(< {neutral_thresh_deg} deg), {len(queries)} extreme frames "
             f"(> {extreme_thresh_deg} deg)",
             n_neutral=len(anchors), n_extreme=len(queries))
-    a = np.repeat(anchors, len(queries))
-    q = np.tile(queries, len(anchors))
-    distinct = a != q  # a frame can be both when the thresholds overlap
-    return _sampled_pairs("hard", log, a[distinct], q[distinct], n_pairs, seed)
+    own = np.isin(anchors, queries)  # a frame is both if the thresholds overlap
+    ends = np.cumsum(len(queries) - own)  # an anchor is not its own query
+
+    def rows(k):
+        i = np.searchsorted(ends, k, side="right")
+        j = k - ends[i] + len(queries) - own[i]
+        j += own[i] & (j >= np.searchsorted(queries, anchors[i]))
+        return anchors[i], queries[j]
+
+    return _sampled_pairs("hard", log, int(ends[-1]), rows, n_pairs, seed)
 
 
 def build_easy_pairs(log: PoseLog, neutral_thresh_deg=15.0, max_gap_deg=8.0,
@@ -354,7 +362,8 @@ def build_easy_pairs(log: PoseLog, neutral_thresh_deg=15.0, max_gap_deg=8.0,
             f"log {log.subject_id!r}: no frame pairs under gap {max_gap_deg} deg "
             f"among {len(neutral)} neutral frames",
             n_neutral=len(neutral), n_extreme=0)
-    return _sampled_pairs("easy", log, anchors, queries, n_pairs, seed)
+    return _sampled_pairs("easy", log, len(anchors),
+                          lambda k: (anchors[k], queries[k]), n_pairs, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -422,23 +431,13 @@ def pool_errors(chunks):
             np.concatenate([np.empty((0, 3))] + [d for _, d in chunks]))
 
 
-def error_samples(pairs: PairSet, predictions, truth: PoseLog):
-    """error_arrays of each pair's query, in pair order.
+def evaluate(pairs: PairSet, predictions, truth: PoseLog) -> MetricReport:
+    """Per-axis MAE, geodesic MAE, and translation error over a pair set.
 
     predictions maps query_id -> predicted SE3Pose (absolute, truth frame).
     """
-    preds, rows = [], []
-    for _, query_id, _ in pairs.pairs:
-        if query_id not in predictions:
-            raise MissingPrediction(query_id)
-        preds.append(predictions[query_id])
-        rows.append(truth.position(query_id))
-    return error_arrays(pose_arrays(preds), _rows(truth, rows))
-
-
-def evaluate(pairs: PairSet, predictions, truth: PoseLog) -> MetricReport:
-    """Per-axis MAE, geodesic MAE, and translation error over a pair set."""
-    return report_from_samples(*error_samples(pairs, predictions, truth))
+    return _score(TableEstimator("external", predictions),
+                  [pair_batch(truth, pairs)])
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +445,7 @@ def evaluate(pairs: PairSet, predictions, truth: PoseLog) -> MetricReport:
 
 
 SWEEP_AXES = ("anchor_query_gap", "absolute_query_pose")
+_MIN_BIN_WIDTH_DEG = 0.018  # 10,000 bins over [0, 180] deg, both axes' range
 
 
 @dataclass(frozen=True)
@@ -500,6 +500,13 @@ def query_batch(log: PoseLog, queries, anchors, anchor=None) -> QueryBatch:
                       anchor_truth if anchor is None else anchor)
 
 
+def pair_batch(log: PoseLog, pairs: PairSet) -> QueryBatch:
+    """QueryBatch with one row per pair, in pair order; UnknownFrame when
+    a pair's query or anchor is not a frame of the log."""
+    return query_batch(log, [log.position(q) for _, q, _ in pairs.pairs],
+                       [log.position(a) for a, _, _ in pairs.pairs])
+
+
 def predict_batch(estimator, batch: QueryBatch):
     """Absolute predictions for every row of a batch, as a pose array.
 
@@ -510,6 +517,31 @@ def predict_batch(estimator, batch: QueryBatch):
     if estimator.kind == "absolute":
         return estimator.predict_absolute_many(batch)
     return compose_many(estimator.predict_relative_many(batch), batch.anchor)
+
+
+class TableEstimator:
+    """Absolute estimator backed by a fixed prediction table (e.g. a CSV of
+    real model outputs evaluated through the same harness)."""
+
+    kind = "absolute"
+
+    def __init__(self, id, predictions):
+        self.id = id
+        self.predictions = dict(predictions)
+
+    def predict_absolute_many(self, batch):
+        """Each row's stored prediction; MissingPrediction if one is missing."""
+        missing = [f for f in batch.frame_ids if f not in self.predictions]
+        if missing:
+            raise MissingPrediction(missing[0])
+        return pose_arrays(self.predictions[f] for f in batch.frame_ids)
+
+
+def _score(estimator, batches) -> MetricReport:
+    """One estimator's MetricReport over the rows of all batches, in order."""
+    return report_from_samples(*pool_errors(
+        error_arrays(predict_batch(estimator, batch), batch.query)
+        for batch in batches))
 
 
 def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
@@ -526,9 +558,9 @@ def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
         raise DomainError(f"unknown sweep axis {axis!r}")
     if axis == "absolute_query_pose" and policy.kind != "nearest_within":
         raise DomainError("absolute_query_pose sweeps require a nearest_within policy")
-    if not bin_width_deg > 0:
-        raise DomainError(f"bin width must be positive, got {bin_width_deg}",
-                          setting="bin_width_deg")
+    if not _MIN_BIN_WIDTH_DEG <= bin_width_deg < math.inf:
+        raise DomainError(f"bin width must be finite and at least {_MIN_BIN_WIDTH_DEG} "
+                          f"deg, got {bin_width_deg}", setting="bin_width_deg")
     if not isinstance(logs, (list, tuple)):
         logs = [logs]
     if not isinstance(estimators, (list, tuple)):
@@ -573,3 +605,29 @@ def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
     bins = tuple(SweepBin(b * bin_width_deg, (b + 1) * bin_width_deg, by_id, n)
                  for b, (by_id, n) in enumerate(zip(reports, counts)))
     return SweepReport(axis, bin_width_deg, bins, len(values), unpaired)
+
+
+def run_end_to_end(logs, estimators, policy=None, benchmark=None):
+    """Wire logs -> anchors/pairs -> predictions -> metrics.
+
+    benchmark is a dict:
+      {"kind": "sweep", "axis": ..., "bin_width_deg": 5.0}  -> SweepReport
+      {"kind": "easy"|"hard", ... pair-builder kwargs}      -> {est_id: MetricReport}
+
+    Pairs are scored one by one: a relative estimator's prediction for a
+    pair is composed onto that pair's anchor, even where a query is in
+    several pairs.
+    """
+    if not isinstance(logs, (list, tuple)):
+        logs = [logs]
+    if not isinstance(estimators, (list, tuple)):
+        estimators = [estimators]
+    benchmark = dict(benchmark or {"kind": "sweep", "axis": "anchor_query_gap"})
+    kind = benchmark.pop("kind")
+    if kind == "sweep":
+        return sweep(logs, estimators, policy, benchmark.pop("axis"), **benchmark)
+    if kind not in ("easy", "hard"):
+        raise DomainError(f"unknown benchmark kind {kind!r}")
+    builder = build_easy_pairs if kind == "easy" else build_hard_pairs
+    batches = [pair_batch(log, builder(log, **benchmark)) for log in logs]
+    return {est.id: _score(est, batches) for est in estimators}

@@ -40,11 +40,8 @@ import numpy as np
 from .errors import DomainError, EmptyRange, ParseError
 from .geometry import (Rotation, SE3Pose, axis_angle_many, compose_many,
                        geodesic_deg, geodesic_deg_many, inverse_many,
-                       multiply_many, pose_arrays, relative,
-                       rotation_from_euler_many)
-from .harness import (PairSet, build_easy_pairs, build_hard_pairs, csv_rows,
-                      error_arrays, finite_floats, pool_errors, predict_batch,
-                      query_batch, report_from_samples, row_errors, sweep)
+                       multiply_many, relative, rotation_from_euler_many)
+from .harness import csv_rows, finite_floats, row_errors
 from .poselog import FrameRecord, PoseLog
 
 
@@ -287,25 +284,6 @@ class RelativeSimEstimator:
                              nm)
 
 
-class TableEstimator:
-    """Absolute estimator backed by a fixed prediction table (e.g. a CSV of
-    real model outputs evaluated through the same harness)."""
-
-    kind = "absolute"
-
-    def __init__(self, id, predictions):
-        self.id = id
-        self.predictions = dict(predictions)
-
-    def predict_absolute_many(self, batch):
-        """The stored prediction of every row of a harness.QueryBatch;
-        KeyError when one is missing."""
-        missing = [f for f in batch.frame_ids if f not in self.predictions]
-        if missing:
-            raise KeyError(f"estimator {self.id!r}: no prediction for {missing[0]!r}")
-        return pose_arrays(self.predictions[f] for f in batch.frame_ids)
-
-
 @dataclass(frozen=True)
 class PoseSampler:
     """Uniform pose sampling ranges (degrees / mm) for synthetic logs."""
@@ -349,41 +327,6 @@ def sample_logs(sampler: PoseSampler) -> list:
                                       SE3Pose(Rotation(*q), t, "world")))
         logs.append(PoseLog(f"subj{s:03d}", tuple(frames), "world"))
     return logs
-
-
-def _pair_batch(log: PoseLog, pairs: PairSet):
-    """QueryBatch with one row per pair, in pair order."""
-    return query_batch(log, [log.position(q) for _, q, _ in pairs.pairs],
-                       [log.position(a) for a, _, _ in pairs.pairs])
-
-
-def run_end_to_end(logs, estimators, policy=None, benchmark=None):
-    """Wire logs -> anchors/pairs -> predictions -> metrics.
-
-    benchmark is a dict:
-      {"kind": "sweep", "axis": ..., "bin_width_deg": 5.0}  -> SweepReport
-      {"kind": "easy"|"hard", ... pair-builder kwargs}      -> {est_id: MetricReport}
-
-    Pairs are scored one by one: a relative estimator's prediction for a
-    pair is composed onto that pair's anchor, even where a query is in
-    several pairs.
-    """
-    if not isinstance(logs, (list, tuple)):
-        logs = [logs]
-    if not isinstance(estimators, (list, tuple)):
-        estimators = [estimators]
-    benchmark = dict(benchmark or {"kind": "sweep", "axis": "anchor_query_gap"})
-    kind = benchmark.pop("kind")
-    if kind == "sweep":
-        return sweep(logs, estimators, policy, benchmark.pop("axis"), **benchmark)
-    if kind not in ("easy", "hard"):
-        raise DomainError(f"unknown benchmark kind {kind!r}")
-    builder = build_easy_pairs if kind == "easy" else build_hard_pairs
-    batches = [_pair_batch(log, builder(log, **benchmark)) for log in logs]
-    return {est.id: report_from_samples(*pool_errors(
-                error_arrays(predict_batch(est, batch), batch.query)
-                for batch in batches))
-            for est in estimators}
 
 
 def load_predictions_csv(path) -> dict:

@@ -453,6 +453,8 @@ def malformed_input(case, tmp_path):
         return ["sweep", log, "--bin-width-deg", "0"], "bin width"
     if case == "negative_bin_width":
         return ["sweep", log, "--bin-width-deg", "-5"], "bin width"
+    if case == "tiny_bin_width":
+        return ["sweep", log, "--bin-width-deg", "1e-300"], "--bin-width-deg: bin width"
     if case == "nan_threshold_flag":
         return (["sweep", log, "--policy", "nearest_within", "--threshold-deg", "nan"],
                 "--threshold-deg")
@@ -491,6 +493,11 @@ def malformed_input(case, tmp_path):
     if case in pairs_rows:
         pairs.write_text(f"anchor_id,query_id,gap_deg\n{pairs_rows[case]}\n")
         return ["eval", log, pairs, preds], "pairs.csv:2:"
+    if case == "anchor_not_in_truth":
+        pairs.write_text("anchor_id,query_id,gap_deg\nzzz,f0001,1.0\n")
+        preds.write_text("query_id,qw,qx,qy,qz,tx_mm,ty_mm,tz_mm\n"
+                         "f0001,1,0,0,0,0,0,0\n")
+        return ["eval", log, pairs, preds], "'zzz'"
     assert case == "query_not_in_truth"
     pairs.write_text("anchor_id,query_id,gap_deg\nf0000,zzz,1.0\n")
     return ["eval", log, pairs, preds], "'zzz'"
@@ -534,7 +541,8 @@ def malformed_input(case, tmp_path):
                                   "config_negative_rel_slope",
                                   "config_negative_trans_noise",
                                   "config_zero_frames", "config_zero_subjects",
-                                  "config_yaw_min_above_max", "zero_frames_flag"])
+                                  "config_yaw_min_above_max", "zero_frames_flag",
+                                  "tiny_bin_width", "anchor_not_in_truth"])
 def test_malformed_input_is_a_typed_error(case, tmp_path, capsys):
     argv, named = malformed_input(case, tmp_path)
     capsys.readouterr()

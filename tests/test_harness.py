@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ import pytest
 import relhpe.anchors
 import relhpe.harness
 from relhpe import (AnchorPolicy, EulerAngles, NoiseModel, PoseLog,
-                    RelativeSimEstimator, Rotation, SE3Pose, assign_anchors,
-                    build_easy_pairs, build_hard_pairs, compose, evaluate,
-                    export_canonical, geodesic_deg, geodesic_deg_many,
-                    ingest_biwi, ingest_canonical, ingest_canonical_all,
-                    neutral_reference, rotation_from_euler, sweep, wrap_deg)
+                    PoseSampler, RelativeSimEstimator, Rotation, SE3Pose,
+                    TableEstimator, assign_anchors, build_easy_pairs,
+                    build_hard_pairs, compose, evaluate, export_canonical,
+                    geodesic_deg, geodesic_deg_many, ingest_biwi,
+                    ingest_canonical, ingest_canonical_all, neutral_reference,
+                    rotation_from_euler, run_end_to_end, sample_logs, sweep,
+                    wrap_deg)
 from relhpe.anchors import POLICY_KINDS
 from relhpe.camera import Intrinsics
 from relhpe.harness import csv_rows
@@ -296,6 +299,21 @@ class TestHardPairs:
             assert geodesic_deg(ref, anchor.rotation) < 15.0
             assert geodesic_deg(ref, query.rotation) > 45.0
 
+    def test_sampling_memory_not_neutral_times_extreme(self):
+        """At thresholds (180, 0) every frame is both neutral and extreme:
+        about 4M candidates at 2000 frames, which took some 130 MB as
+        position arrays.  Drawing 360 of them needs positions for those
+        only."""
+        log = sample_logs(PoseSampler(frames_per_log=2000, subjects=1))[0]
+        tracemalloc.start()
+        try:
+            ps = build_hard_pairs(log, 180.0, 0.0, n_pairs=360)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ps.pairs) == 360
+        assert peak < 5 * 2 ** 20
+
 
 def easy_fixture_log():
     """Yaw clusters 30 degrees apart; within each cluster one pair whose gap
@@ -461,6 +479,17 @@ class TestEvaluate:
         with pytest.raises(MissingPrediction):
             evaluate(ps, {}, log)
 
+    def test_scored_as_run_end_to_end_scores_a_table(self, rng):
+        log = hard_fixture_log()
+        preds = {f.frame_id: random_pose(rng) for f in log.frames}
+        kwargs = {"neutral_thresh_deg": 15.0, "extreme_thresh_deg": 45.0,
+                  "n_pairs": 100, "seed": 3}
+        ps = build_hard_pairs(log, **kwargs)
+        assert len(ps.pairs) == 100  # drawn from 20 x 10 candidates
+        assert evaluate(ps, preds, log) == run_end_to_end(
+            log, TableEstimator("external", preds),
+            benchmark={"kind": "hard", **kwargs})["external"]
+
     def test_per_sample_recomputation_oracle(self, rng):
         from relhpe import PairSet, euler_from_rotation
         log = make_log([random_pose(rng) for _ in range(20)])
@@ -541,6 +570,15 @@ class TestSweep:
         assert rep.total_paired == 8 and [r.n for r in filled] == [1] * 8
         for r in filled:
             assert r.geodesic_mae == pytest.approx(theta, abs=1e-9)
+
+    @pytest.mark.parametrize("width", [math.inf, math.nan, 1e-300, 0.0179])
+    def test_bin_width_out_of_range(self, width):
+        # more than 10,000 bins over [0, 180] deg is refused before any work
+        log = make_log([euler_pose(0.0), euler_pose(3.0)])
+        with pytest.raises(DomainError, match="bin width") as e:
+            sweep(log, perfect_relative(), AnchorPolicy("fixed_first"),
+                  "anchor_query_gap", bin_width_deg=width)
+        assert e.value.setting == "bin_width_deg"
 
     def test_absolute_axis_requires_nearest_within(self):
         log = make_log([euler_pose(0.0), euler_pose(3.0)])

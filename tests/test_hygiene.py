@@ -2,15 +2,18 @@
 
 Each module under src/relhpe (the package __init__ re-exports and is
 skipped) must use every name it imports, and must not reach into another
-module's private (single-underscore) names.
+module's private (single-underscore) names.  The README's library table
+must name only what its modules define.
 """
 
 import ast
+import importlib
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "relhpe"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "relhpe"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -55,3 +58,29 @@ def test_no_private_cross_module_reach(path):
                 and node.value.id in modules):
             reaches.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
     assert not reaches, f"{path.name}: private cross-module reach: {reaches}"
+
+
+def _readme_library_rows():
+    """(module, backticked identifiers) per `relhpe.<module>` table row."""
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        cells = line.split("|")
+        if len(cells) == 4 and cells[1].strip().startswith("`relhpe."):
+            names = [n for n in cells[2].split("`")[1::2] if n.isidentifier()]
+            yield cells[1].strip().strip("`"), names
+
+
+@pytest.mark.parametrize("module, names", [
+    pytest.param(module, names, id=module)
+    for module, names in _readme_library_rows()])
+def test_readme_library_table_names_exist(module, names):
+    """Each name is an attribute of the module or of a class it defines, or
+    a string in one of its module-level tuples (such as POLICY_KINDS)."""
+    mod = importlib.import_module(module)
+    known = set(dir(mod))
+    for value in vars(mod).values():
+        if isinstance(value, type) and value.__module__ == module:
+            known.update(dir(value))
+        elif isinstance(value, tuple):
+            known.update(v for v in value if isinstance(v, str))
+    stale = [n for n in names if n not in known]
+    assert not stale, f"README names missing from {module}: {stale}"

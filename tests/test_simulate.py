@@ -20,7 +20,7 @@ from relhpe import (AbsoluteSimEstimator, AnchorPolicy, NoiseModel,
                     build_hard_pairs,
                     euler_from_rotation, export_canonical, geodesic_deg,
                     load_predictions_csv, run_end_to_end, sample_logs)
-from relhpe.errors import DomainError, EmptyRange, ParseError
+from relhpe.errors import DomainError, EmptyRange, MissingPrediction, ParseError
 from relhpe.harness import predict_batch, query_batch
 from relhpe.poselog import FrameRecord
 from relhpe.geometry import EulerAngles, rotation_from_euler
@@ -230,7 +230,7 @@ class TestTableEstimator:
 
     def test_missing(self, rng):
         est = TableEstimator("t", {})
-        with pytest.raises(KeyError):
+        with pytest.raises(MissingPrediction):
             predict_batch(est, query_batch(make_log([random_pose(rng)]), [0], [0]))
 
 
@@ -421,7 +421,7 @@ class TestBatchedEstimators:
                                   for k in ("f0002", "f0000")]
         assert translations.tolist() == [stored[k].translation.tolist()
                                          for k in ("f0002", "f0000")]
-        with pytest.raises(KeyError):
+        with pytest.raises(MissingPrediction):
             predict_batch(TableEstimator("t", {}), query_batch(log, [1], [0]))
 
 
