@@ -3,27 +3,51 @@
 SE(3) relative-transform targets, composition-based absolute pose recovery,
 the full training-objective math, anchor-selection strategies, and a
 controlled benchmark harness with pose-level simulated estimators.
+
+The public names below load on first use (PEP 562): importing the package
+imports none of its modules, so a command that needs no numpy loads none.
 """
 
-from .anchors import AnchorAssignment, AnchorPolicy, assign_anchors, \
-    propagate_anchor_error
-from .camera import (CameraPose, CropSpec, Intrinsics, compose_crops,
-                     crop_update_intrinsics, fov_from_intrinsics,
-                     intrinsics_from_fov, logtan_fov, project)
-from .geometry import (EulerAngles, Rotation, SE3Pose, apply_anchor, compose,
-                       euler_from_rotation, geodesic_deg, geodesic_deg_many,
-                       inverse, normalize_to_anchor, relative,
-                       rotation_from_euler)
-from .harness import (FrameRecord, MetricReport, PairSet, PoseLog, SweepBin,
-                      SweepReport, TableEstimator, build_easy_pairs,
-                      build_hard_pairs, evaluate, export_canonical,
-                      ingest_biwi, ingest_canonical, ingest_canonical_all,
-                      neutral_reference, run_end_to_end, sweep, wrap_deg)
-from .losses import (LossConfig, StageBreakdown, StagePrediction, loss_cam,
-                     loss_fov, loss_rotation_geodesic, loss_rotation_quat,
-                     loss_translation)
-from .simulate import (AbsoluteSimEstimator, NoiseModel, PoseSampler,
-                       RelativeSimEstimator, load_predictions_csv, sample_logs,
-                       simulate_absolute, simulate_relative)
+import importlib
 
+# module -> the public names re-exported from it
+_EXPORTS = {
+    "anchors": ("AnchorAssignment", "AnchorPolicy", "assign_anchors",
+                "propagate_anchor_error"),
+    "camera": ("CameraPose", "CropSpec", "Intrinsics", "compose_crops",
+               "crop_update_intrinsics", "fov_from_intrinsics",
+               "intrinsics_from_fov", "logtan_fov", "project"),
+    "geometry": ("EulerAngles", "Rotation", "SE3Pose", "apply_anchor", "compose",
+                 "euler_from_rotation", "geodesic_deg", "geodesic_deg_many",
+                 "inverse", "normalize_to_anchor", "relative",
+                 "rotation_from_euler"),
+    "poselog": ("FrameRecord", "PoseLog"),
+    "harness": ("MetricReport", "PairSet", "SweepBin", "SweepReport",
+                "TableEstimator", "build_easy_pairs", "build_hard_pairs",
+                "evaluate", "export_canonical", "ingest_biwi", "ingest_canonical",
+                "ingest_canonical_all", "neutral_reference", "run_end_to_end",
+                "sweep", "wrap_deg"),
+    "losses": ("LossConfig", "StageBreakdown", "StagePrediction", "loss_cam",
+               "loss_fov", "loss_rotation_geodesic", "loss_rotation_quat",
+               "loss_translation"),
+    "simulate": ("AbsoluteSimEstimator", "NoiseModel", "PoseSampler",
+                 "RelativeSimEstimator", "load_predictions_csv", "sample_logs",
+                 "simulate_absolute", "simulate_relative"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

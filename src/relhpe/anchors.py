@@ -26,9 +26,7 @@ from .errors import DomainError, FrameMismatch, MissingPredictions
 from .geometry import (SE3Pose, apply_anchor, geodesic_deg, geodesic_deg_many,
                        pairs_within_deg, relative)
 from .poselog import PoseLog
-
-POLICY_KINDS = ("fixed_first", "nearest_within", "temporal_previous",
-                "external_predicted")
+from .vocab import POLICY_KINDS
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,10 @@ library rejects it (a DomainError naming its setting).  All angle I/O at
 this surface is in degrees.  Every report embeds the config echo, the
 seed, the format version, and input-file hashes, so identical inputs give
 identical report bytes.
+
+Only the standard library and the stdlib-only reports, errors and vocab
+modules load with this module; each command imports the library modules
+it runs, so `report` runs without numpy.
 """
 
 from __future__ import annotations
@@ -23,26 +27,16 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import reports
-from .anchors import POLICY_KINDS, AnchorPolicy
-from .camera import CameraPose
 from .errors import ParseError, RelHpeError, StageCountMismatch
-from .geometry import Rotation, euler_deg_many
-from .harness import (SWEEP_AXES, PairSet, build_easy_pairs, build_hard_pairs,
-                      csv_rows, evaluate, export_canonical, finite_floats,
-                      ingest_biwi, ingest_canonical, ingest_canonical_all,
-                      row_errors, sweep)
-from .losses import MODES, LossConfig, StagePrediction, loss_cam
-from .simulate import (AbsoluteSimEstimator, NoiseModel, PoseSampler,
-                       RelativeSimEstimator, load_predictions_csv, sample_logs)
+from .vocab import MODES, POLICY_KINDS, SWEEP_AXES
 
 EXIT_USAGE = 2
 
 
 def _finite(value) -> float:
     """float(value); ValueError when it is not a finite number."""
+    from .harness import finite_floats
     return finite_floats([value])[0]
 
 
@@ -191,6 +185,10 @@ def _write_reports(out, stem, env, csv_text, fmt, svg_text=None):
 
 
 def cmd_ingest(args):
+    import numpy as np
+
+    from .geometry import euler_deg_many
+    from .harness import export_canonical, ingest_biwi, ingest_canonical_all
     _, s = _settings(args)
     out = _ensure_out(args)
     if s["input_format"] == "biwi":
@@ -210,6 +208,7 @@ def cmd_ingest(args):
 
 
 def cmd_pairs(args):
+    from .harness import build_easy_pairs, build_hard_pairs, ingest_canonical_all
     cfg, s = _settings(args)
     out = _ensure_out(args)
     logs = ingest_canonical_all(args.input)
@@ -229,18 +228,25 @@ def cmd_pairs(args):
     return 0
 
 
-def _read_pairs_csv(path) -> PairSet:
-    """The pairs command's CSV, read by position: anchor_id,query_id,gap_deg."""
+def _read_pairs_csv(path):
+    """The pairs command's CSV as a PairSet, read by position:
+    anchor_id,query_id,gap_deg, with each gap in [0, 180] degrees."""
+    from .harness import PairSet, csv_rows, row_errors
     pairs = []
     for lineno, (anchor_id, query_id, gap) in csv_rows(
             path, (len(reports.PAIRS_CSV_COLUMNS),),
             header=reports.PAIRS_CSV_COLUMNS[:1]):
         with row_errors(path, lineno):
-            pairs.append((anchor_id, query_id, _finite(gap)))
+            gap = _finite(gap)
+            if not 0.0 <= gap <= 180.0:
+                raise ValueError(f"gap_deg {gap!r} is outside [0, 180]")
+            pairs.append((anchor_id, query_id, gap))
     return PairSet("loaded", tuple(pairs), 0)
 
 
 def cmd_eval(args):
+    from .harness import evaluate, ingest_canonical
+    from .simulate import load_predictions_csv
     cfg, _ = _settings(args)
     out = _ensure_out(args)
     truth = ingest_canonical(args.truth)
@@ -259,6 +265,9 @@ def cmd_eval(args):
 
 
 def cmd_sweep(args):
+    from .anchors import AnchorPolicy
+    from .harness import ingest_canonical_all, sweep
+    from .simulate import AbsoluteSimEstimator, NoiseModel, RelativeSimEstimator
     cfg, s = _settings(args)
     out = _ensure_out(args)
     logs = ingest_canonical_all(args.input)
@@ -282,6 +291,8 @@ def cmd_sweep(args):
 
 
 def cmd_simulate(args):
+    from .harness import export_canonical
+    from .simulate import PoseSampler, sample_logs
     _, s = _settings(args)
     out = _ensure_out(args)
     sampler = PoseSampler(
@@ -299,6 +310,11 @@ def cmd_simulate(args):
 
 def _read_stage_file(path):
     """Per-stage camera poses: k,tx,ty,tz,qw,qx,qy,qz,fov_h_deg,fov_w_deg."""
+    import numpy as np
+
+    from .camera import CameraPose
+    from .geometry import Rotation
+    from .harness import csv_rows, finite_floats, row_errors
     stages = []
     for lineno, row in csv_rows(path, (10,), header=("k",)):
         with row_errors(path, lineno):
@@ -310,6 +326,7 @@ def _read_stage_file(path):
 
 
 def cmd_loss(args):
+    from .losses import LossConfig, StagePrediction, loss_cam
     cfg, s = _settings(args)
     out = _ensure_out(args)
     lc = LossConfig(**s)

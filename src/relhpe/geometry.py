@@ -241,7 +241,7 @@ def geodesic_deg(a: Rotation, b: Rotation) -> float:
     sw, sx, sy, sz = a.w + s * b.w, a.x + s * b.x, a.y + s * b.y, a.z + s * b.z
     diff = math.sqrt(dw * dw + dx * dx + dy * dy + dz * dz)
     summ = math.sqrt(sw * sw + sx * sx + sy * sy + sz * sz)
-    return math.degrees(4.0 * math.atan2(diff, summ))
+    return min(math.degrees(4.0 * math.atan2(diff, summ)), 180.0)
 
 
 def geodesic_deg_many(p, q) -> np.ndarray:
@@ -257,7 +257,7 @@ def geodesic_deg_many(p, q) -> np.ndarray:
     sw, sx, sy, sz = aw + s * bw, ax + s * bx, ay + s * by, az + s * bz
     diff = np.sqrt(dw * dw + dx * dx + dy * dy + dz * dz)
     summ = np.sqrt(sw * sw + sx * sx + sy * sy + sz * sz)
-    return np.degrees(4.0 * _per_element(math.atan2, diff, summ))
+    return np.minimum(np.degrees(4.0 * _per_element(math.atan2, diff, summ)), 180.0)
 
 
 def rotation_from_euler(e: EulerAngles) -> Rotation:

@@ -44,6 +44,7 @@ from .geometry import (Rotation, SE3Pose, compose, compose_many,
                        euler_deg_many, geodesic_deg_many, medoid_index,
                        pairs_within_deg, pose_arrays)
 from .poselog import FrameRecord, PoseLog
+from .vocab import SWEEP_AXES
 
 FORMAT_VERSION = "v1"
 _HEADER_PREFIX = "# poselog"
@@ -444,7 +445,6 @@ def evaluate(pairs: PairSet, predictions, truth: PoseLog) -> MetricReport:
 # binned sweeps
 
 
-SWEEP_AXES = ("anchor_query_gap", "absolute_query_pose")
 _MIN_BIN_WIDTH_DEG = 0.018  # 10,000 bins over [0, 180] deg, both axes' range
 
 

@@ -22,8 +22,7 @@ import numpy as np
 from .camera import CameraPose, logtan_fov
 from .errors import DomainError, EmptyStages, NonContiguousStages
 from .geometry import Rotation, geodesic_deg
-
-MODES = ("full", "no_fov", "rotation_only", "geodesic", "translation_aux")
+from .vocab import MODES
 
 
 @dataclass(frozen=True)

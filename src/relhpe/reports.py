@@ -11,8 +11,10 @@ import csv
 import hashlib
 import io
 import json
+from typing import TYPE_CHECKING
 
-from .harness import PairSet, SweepReport
+if TYPE_CHECKING:  # annotations only: the report command runs without numpy
+    from .harness import PairSet, SweepReport
 
 REPORT_FORMAT_VERSION = "1"
 

@@ -2,6 +2,9 @@ import argparse
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -16,6 +19,8 @@ from relhpe.cli import SETTINGS, build_parser, main
 
 from test_harness import write_biwi_fixture
 from conftest import random_pose
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run(argv):
@@ -328,10 +333,24 @@ class TestReport:
 
     @pytest.mark.parametrize("kind", ["sweep", "pairs", "eval"])
     def test_csv_regenerated(self, kind, sim_log, tmp_path):
+        """`python -m relhpe.cli report` writes the same CSV, and never
+        imports numpy: -X importtime logs every module a run imports."""
         out = tmp_path / "o"
         stem = self.write_report(kind, sim_log, tmp_path, out)
         out2 = tmp_path / "r"
-        assert run(["--out", out2, "report", out / f"{stem}.json"]) == 0
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "relhpe.cli",
+             "--out", str(out2), "report", str(out / f"{stem}.json")],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        imported = [line.rsplit("|", 1)[1].strip()
+                    for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "relhpe.reports" in imported
+        assert [m for m in imported if m.split(".")[0] == "numpy"] == []
         assert read(out2 / f"{stem}.csv") == read(out / f"{stem}.csv")
 
     def test_unsupported_source(self, tmp_path, capsys):
@@ -489,6 +508,8 @@ def malformed_input(case, tmp_path):
         return ["eval", log, pairs, preds], "pairs.csv:1:"
     pairs_rows = {"non_numeric_pairs_gap": "f0000,zzz,abc",
                   "nan_pairs_gap": "f0000,zzz,nan",
+                  "pairs_gap_above_180": "f0000,zzz,999",
+                  "negative_pairs_gap": "f0000,zzz,-5",
                   "extra_pairs_column": "f0000,zzz,1.0,x"}
     if case in pairs_rows:
         pairs.write_text(f"anchor_id,query_id,gap_deg\n{pairs_rows[case]}\n")
@@ -542,7 +563,8 @@ def malformed_input(case, tmp_path):
                                   "config_negative_trans_noise",
                                   "config_zero_frames", "config_zero_subjects",
                                   "config_yaw_min_above_max", "zero_frames_flag",
-                                  "tiny_bin_width", "anchor_not_in_truth"])
+                                  "tiny_bin_width", "anchor_not_in_truth",
+                                  "pairs_gap_above_180", "negative_pairs_gap"])
 def test_malformed_input_is_a_typed_error(case, tmp_path, capsys):
     argv, named = malformed_input(case, tmp_path)
     capsys.readouterr()

@@ -234,6 +234,8 @@ _SPECIAL = [Quat(1.0, 0.0, 0.0, 0.0), Quat(0.0, 1.0, 0.0, 0.0),
             Quat(0.0, 0.6, 0.0, -0.8), _unit((1.0, 1e-9, 0.0, 0.0)),
             _unit((1.0, 0.0, -3e-16, 0.0)), _unit((1e-9, 0.0, 1.0, 0.0)),
             _unit((2e-16, 0.3, 0.4, 0.5))]
+# rounds to 180.00000000000003 deg from _SPECIAL[4] unless the kernels clamp
+_NEAR_HALF_TURN = _unit((2.220446049250313e-16, 0.5, 0.6875, 0.0))
 _quats = st.one_of(
     st.sampled_from(_SPECIAL),
     st.tuples(*[st.floats(-1.0, 1.0)] * 4)
@@ -246,6 +248,7 @@ class TestGeodesicMany:
     @given(p=_quats, qs=st.lists(_quats, max_size=12), flip=st.booleans())
     @example(p=_SPECIAL[0], qs=[], flip=False)
     @example(p=_SPECIAL[2], qs=_SPECIAL, flip=True)
+    @example(p=_SPECIAL[4], qs=[_NEAR_HALF_TURN], flip=False)
     def test_equals_scalar(self, p, qs, flip):
         qs = qs + [Quat(*(-v for v in p))] * flip
         rows = np.array(qs, dtype=float).reshape(-1, 4)
@@ -437,6 +440,7 @@ class TestAlgebraicLaws:
         assert _close(relative(apply_anchor(query, anchor), anchor), query)
 
     @given(a=_quats, b=_quats, c=_quats)
+    @example(a=_SPECIAL[4], b=_NEAR_HALF_TURN, c=_SPECIAL[0])
     def test_geodesic_symmetric_and_triangle(self, a, b, c):
         ab = geodesic_deg(a, b)
         assert ab == geodesic_deg(b, a) and 0.0 <= ab <= 180.0
