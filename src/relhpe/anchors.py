@@ -12,6 +12,9 @@ Four regimes:
 * temporal_previous - frame i-1 anchors frame i; frame 0 is unpaired.
 * external_predicted - anchor frame as fixed_first, but the anchor pose
                       comes from an external estimator's prediction.
+
+anchor_arrays makes these decisions as arrays over a log's frames;
+assign_anchors gives the same decisions as one AnchorAssignment per frame.
 """
 
 from __future__ import annotations
@@ -61,37 +64,43 @@ class AnchorAssignment:
         return self.anchor_id is not None
 
 
-def assign_anchors(log: PoseLog, policy: AnchorPolicy, predictions=None) -> list:
-    """Anchor assignment for every frame of the log.
+@dataclass(frozen=True)
+class AnchorArrays:
+    """Array form of assign_anchors, row i for frame i of the log: anchor[i]
+    is the anchor frame's position (-1 when unpaired) and gap_deg[i] the
+    anchor-query geodesic gap (0 when unpaired).  When source is
+    "predicted", every paired query's anchor pose is predicted_pose, an
+    external estimator's prediction; else it is the anchor frame's pose."""
+
+    anchor: np.ndarray
+    gap_deg: np.ndarray
+    source: str = "ground_truth"
+    predicted_pose: Optional[SE3Pose] = None
+
+
+def anchor_arrays(log: PoseLog, policy: AnchorPolicy,
+                  predictions=None) -> AnchorArrays:
+    """Anchor assignment for every frame of the log, as arrays.
 
     predictions maps frame_id -> SE3Pose and is required (for the anchor
     frames) under external_predicted.
     """
-    frames, quats = log.frames, log.quats
-    out = []
+    quats, n = log.quats, len(log)
+    anchor, gap = np.full(n, -1), np.zeros(n)
     if policy.kind in ("fixed_first", "external_predicted"):
-        anchor = frames[0]
-        anchor_pose = anchor.pose
-        source = "ground_truth"
+        anchor[:] = 0
+        gap = geodesic_deg_many(quats[0], quats)
         if policy.kind == "external_predicted":
-            if predictions is None or anchor.frame_id not in predictions:
+            first = log.frame_ids[0]
+            if predictions is None or first not in predictions:
                 raise MissingPredictions(
-                    f"no prediction for anchor frame {anchor.frame_id!r} "
+                    f"no prediction for anchor frame {first!r} "
                     f"from estimator {policy.external_source!r}")
-            anchor_pose = predictions[anchor.frame_id]
-            source = "predicted"
-        for f, gap in zip(frames, geodesic_deg_many(quats[0], quats).tolist()):
-            out.append(AnchorAssignment(f.frame_id, anchor.frame_id,
-                                        anchor_pose, source, gap))
+            return AnchorArrays(anchor, gap, "predicted", predictions[first])
     elif policy.kind == "temporal_previous":
-        out.append(AnchorAssignment(frames[0].frame_id, None, None))
-        gaps = geodesic_deg_many(quats[:-1], quats[1:]).tolist()
-        for prev, f, gap in zip(frames, frames[1:], gaps):
-            out.append(AnchorAssignment(f.frame_id, prev.frame_id,
-                                        prev.pose, "ground_truth", gap))
+        anchor[1:] = np.arange(n - 1)
+        gap[1:] = geodesic_deg_many(quats[:-1], quats[1:])
     else:  # nearest_within
-        anchor = np.full(len(frames), -1)
-        gap = np.zeros(len(frames))
         for rows, cols, gaps in pairs_within_deg(quats, policy.threshold_deg):
             # by row, then gap; the stable sort keeps the lowest frame index
             # first among equal gaps, as argmin would
@@ -101,13 +110,17 @@ def assign_anchors(log: PoseLog, policy: AnchorPolicy, predictions=None) -> list
             ok = gaps[best] < policy.threshold_deg
             anchor[rows[ok]] = cols[best[ok]]
             gap[rows[ok]] = gaps[best[ok]]
-        for f, j, g in zip(frames, anchor.tolist(), gap.tolist()):
-            if j < 0:
-                out.append(AnchorAssignment(f.frame_id, None, None))
-            else:
-                out.append(AnchorAssignment(f.frame_id, frames[j].frame_id,
-                                            frames[j].pose, "ground_truth", g))
-    return out
+    return AnchorArrays(anchor, gap)
+
+
+def assign_anchors(log: PoseLog, policy: AnchorPolicy, predictions=None) -> list:
+    """anchor_arrays as one AnchorAssignment per frame of the log."""
+    arrays = anchor_arrays(log, policy, predictions)
+    ids, pose = log.frame_ids, arrays.predicted_pose
+    return [AnchorAssignment(q, None, None) if j < 0 else
+            AnchorAssignment(q, ids[j], log.frames[j].pose if pose is None else pose,
+                             arrays.source, g)
+            for q, j, g in zip(ids, arrays.anchor.tolist(), arrays.gap_deg.tolist())]
 
 
 def propagate_anchor_error(true_anchor: SE3Pose, predicted_anchor: SE3Pose,

@@ -58,6 +58,15 @@ class Intrinsics:
             raise DomainError("image dimensions must be positive and finite")
 
 
+def intrinsics_ok_many(k) -> np.ndarray:
+    """Intrinsics' checks over the rows of an (N, 6) array of fx, fy, cx,
+    cy, width, height: True where Intrinsics(*row) would be accepted."""
+    fx, fy, cx, cy, width, height = np.asarray(k, dtype=float).T
+    return ((0 < fx) & (fx < math.inf) & (0 < fy) & (fy < math.inf)
+            & np.isfinite(cx) & np.isfinite(cy) & (0 < width)
+            & (width < math.inf) & (0 < height) & (height < math.inf))
+
+
 @dataclass(frozen=True)
 class CropSpec:
     """Square crop: top-left corner, side length, and output resolution."""

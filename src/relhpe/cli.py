@@ -228,11 +228,21 @@ def cmd_pairs(args):
     return 0
 
 
+# How far (degrees) a pairs-CSV gap may lie from the gap of its frames in
+# the truth log.  `pairs` writes the gap geodesic_deg_many gives, with repr,
+# so its files over the same log match exactly; the slack admits a gap that
+# another tool computed in double precision (the arccos-of-trace form is
+# off by up to about 2e-6 degrees near 0 and 180) or printed to three
+# decimals.  A pair set made over another log is off by far more.
+GAP_TOLERANCE_DEG = 1e-3
+
+
 def _read_pairs_csv(path):
     """The pairs command's CSV as a PairSet, read by position:
-    anchor_id,query_id,gap_deg, with each gap in [0, 180] degrees."""
+    anchor_id,query_id,gap_deg, with each gap in [0, 180] degrees; and the
+    line number of each pair."""
     from .harness import PairSet, csv_rows, row_errors
-    pairs = []
+    pairs, lines = [], []
     for lineno, (anchor_id, query_id, gap) in csv_rows(
             path, (len(reports.PAIRS_CSV_COLUMNS),),
             header=reports.PAIRS_CSV_COLUMNS[:1]):
@@ -241,7 +251,25 @@ def _read_pairs_csv(path):
             if not 0.0 <= gap <= 180.0:
                 raise ValueError(f"gap_deg {gap!r} is outside [0, 180]")
             pairs.append((anchor_id, query_id, gap))
-    return PairSet("loaded", tuple(pairs), 0)
+            lines.append(lineno)
+    return PairSet("loaded", tuple(pairs), 0), lines
+
+
+def _check_gaps(path, lines, pairs, truth):
+    """ParseError '<path>:<line>: ...' at the first pair whose gap is more
+    than GAP_TOLERANCE_DEG from its frames' gap in the truth log (one
+    geodesic_deg_many over the pairs); UnknownFrame for an id the log lacks."""
+    from .geometry import geodesic_deg_many
+    from .harness import pair_batch
+    batch = pair_batch(truth, pairs)
+    true_gaps = geodesic_deg_many(batch.anchor_truth[0], batch.query[0]).tolist()
+    for lineno, (anchor_id, query_id, gap), true_gap in zip(
+            lines, pairs.pairs, true_gaps):
+        if not abs(gap - true_gap) <= GAP_TOLERANCE_DEG:
+            raise ParseError(
+                f"{path}:{lineno}: gap_deg {gap!r} of {anchor_id!r} -> "
+                f"{query_id!r} is {true_gap!r} in the truth log (tolerance "
+                f"{GAP_TOLERANCE_DEG} deg)")
 
 
 def cmd_eval(args):
@@ -250,8 +278,9 @@ def cmd_eval(args):
     cfg, _ = _settings(args)
     out = _ensure_out(args)
     truth = ingest_canonical(args.truth)
-    pairs = _read_pairs_csv(args.pairs)
+    pairs, lines = _read_pairs_csv(args.pairs)
     preds = load_predictions_csv(args.predictions)
+    _check_gaps(args.pairs, lines, pairs, truth)
     rep = evaluate(pairs, preds, truth)
     payload = reports.metric_payload({"external": rep})
     env = reports.envelope(

@@ -163,16 +163,22 @@ class EulerAngles:
 
 @dataclass(frozen=True, init=False)
 class SE3Pose:
-    """Rigid transform: rotation plus translation (mm) in a named frame."""
+    """Rigid transform: rotation plus translation (mm) in a named frame.
+
+    DomainError when a translation component is nan or infinite.
+    """
 
     rotation: Rotation
     translation: np.ndarray
     frame_tag: str = "world"
 
     def __init__(self, rotation: Rotation, translation, frame_tag: str = "world"):
+        translation = np.asarray(translation, dtype=float).reshape(3)
+        x, y, z = translation.tolist()
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise DomainError(f"translation {[x, y, z]} is not finite")
         object.__setattr__(self, "rotation", rotation)
-        object.__setattr__(self, "translation",
-                           np.asarray(translation, dtype=float).reshape(3))
+        object.__setattr__(self, "translation", translation)
         object.__setattr__(self, "frame_tag", frame_tag)
 
     @staticmethod

@@ -21,6 +21,16 @@ rigid transform:
 
 Blank lines between sections are ignored.  All ingested poses are
 re-expressed in the RGB camera frame (frame_tag "rgb").
+
+Logs are handled as columns (see poselog): the readers build PoseLogs with
+PoseLog.from_arrays, export_canonical writes from the columns, and the
+pair builders, query batches and sweep (on anchors.anchor_arrays) index
+them, so none of these builds an object per frame.  ingest_canonical_all
+converts each row's cells with int() and float() as csv_rows yields it,
+into one float array (holding every row's cells as strings would take
+more memory than the frame objects did), then checks the rows as arrays;
+the first bad row in file order is named with the message a row-by-row
+reader gives it.
 """
 
 from __future__ import annotations
@@ -29,25 +39,27 @@ import csv
 import glob as globmod
 import math
 import os
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .anchors import AnchorPolicy, assign_anchors
-from .camera import Intrinsics
+from .anchors import AnchorPolicy, anchor_arrays
+from .camera import Intrinsics, intrinsics_ok_many
 from .errors import (DomainError, InsufficientFrames, InvariantViolation,
                      MalformedPoseFile, MissingCalibration, MissingPrediction,
                      ParseError)
-from .geometry import (Rotation, SE3Pose, compose, compose_many,
+from .geometry import (Rotation, SE3Pose, compose_many,
                        euler_deg_many, geodesic_deg_many, medoid_index,
                        pairs_within_deg, pose_arrays)
-from .poselog import FrameRecord, PoseLog
+from .poselog import PoseLog
 from .vocab import SWEEP_AXES
 
 FORMAT_VERSION = "v1"
 _HEADER_PREFIX = "# poselog"
+_NO_INTRINSICS = (math.nan,) * 6  # the intrinsics columns of a row without
 
 
 # ---------------------------------------------------------------------------
@@ -64,17 +76,15 @@ def export_canonical(logs, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{_HEADER_PREFIX} {FORMAT_VERSION} frame={tags.pop()}\n")
         for log in logs:
-            for f in log.frames:
-                q = f.pose.rotation
-                t = f.pose.translation
-                cols = [log.subject_id, f.frame_id, str(f.index),
-                        repr(float(q.w)), repr(float(q.x)), repr(float(q.y)), repr(float(q.z)),
-                        repr(float(t[0])), repr(float(t[1])), repr(float(t[2]))]
-                if f.intrinsics is not None:
-                    k = f.intrinsics
-                    cols += [repr(float(k.fx)), repr(float(k.fy)), repr(float(k.cx)), repr(float(k.cy)),
-                             repr(float(k.width)), repr(float(k.height))]
-                fh.write(",".join(cols) + "\n")
+            columns = [log.quats, log.translations]
+            if log.intrinsics is not None:
+                columns.append(log.intrinsics)
+            for i, (frame_id, row) in enumerate(zip(
+                    log.frame_ids, np.hstack(columns).tolist())):
+                if len(row) > 7 and math.isnan(row[7]):
+                    del row[7:]  # a frame without intrinsics
+                fh.write(f"{log.subject_id},{frame_id},{i},"
+                         + ",".join(map(repr, row)) + "\n")
 
 
 def csv_rows(path, widths, header=()):
@@ -136,37 +146,84 @@ def ingest_canonical_all(path) -> list:
     for tok in header[3:]:
         if tok.startswith("frame="):
             frame_tag = tok[len("frame="):]
-    by_subject: dict = {}  # subject -> its frames so far
-    seen: dict = {}  # subject -> its frame ids so far
-    for lineno, cols in csv_rows(path, (10, 16)):
-        subject, frame_id = cols[0], cols[1]
-        with row_errors(path, lineno):
-            index = int(cols[2])
-            vals = finite_floats(cols[3:])
-            qw, qx, qy, qz = vals[0:4]
-            norm = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
-            if not abs(norm - 1.0) <= 1e-3:
-                raise InvariantViolation(
-                    f"{path}:{lineno}: quaternion norm {norm:.6f} deviates from 1 by more than 1e-3")
-            pose = SE3Pose(Rotation(qw, qx, qy, qz), np.array(vals[4:7]), frame_tag)
-            intr = Intrinsics(*vals[7:13]) if len(vals) == 13 else None
-        frames = by_subject.setdefault(subject, [])
-        ids = seen.setdefault(subject, set())
-        if frame_id in ids:
-            raise ParseError(f"{path}:{lineno}: duplicate frame id {frame_id!r} "
-                             f"in log {subject!r}")
-        if index != len(frames):
-            raise ParseError(f"{path}:{lineno}: log {subject!r}: frame {frame_id!r} "
-                             f"has index {index}, expected {len(frames)}")
-        ids.add(frame_id)
-        frames.append(FrameRecord(frame_id, index, pose, intr))
-    if not by_subject:
+    lines, keys, index, wide = [], [], [], []
+    numbers = array("d")  # 13 per row: pose, then intrinsics or NaN
+    stop = None  # a row that cannot be read ends the reading
+    try:
+        for lineno, cols in csv_rows(path, (10, 16)):
+            try:
+                idx, vals = int(cols[2]), list(map(float, cols[3:]))
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            lines.append(lineno)
+            keys.append((cols[0], cols[1]))
+            index.append(idx)
+            wide.append(len(vals) == 13)
+            if len(vals) == 7:
+                vals += _NO_INTRINSICS
+            numbers.extend(vals)
+    except ParseError as exc:
+        stop = exc
+    values = np.frombuffer(numbers).reshape(-1, 13)
+    k = values[:, 7:]
+    wide = np.array(wide, dtype=bool)
+    groups: dict = {}  # subject -> its row positions, in file order
+    expected = []  # per row, the index its position in its log gives
+    for row, (subject, _) in enumerate(keys):
+        expected.append(len(groups.setdefault(subject, [])))
+        groups[subject].append(row)
+    w, x, y, z = values[:, :4].T
+    with np.errstate(over="ignore"):  # a norm past 1e154 is inf, as in math
+        norm = np.sqrt(w * w + x * x + y * y + z * z)
+    # (rows failing, error, message) per check, in the order the checks
+    # apply to one row; the first row in file order failing one is named,
+    # unless the reading stopped at an earlier row
+    faults = (
+        (~(np.isfinite(values[:, :7]).all(axis=1)
+           & (~wide | np.isfinite(k).all(axis=1))),
+         ParseError, lambda i: "non-finite number"),
+        (~(np.abs(norm - 1.0) <= 1e-3), InvariantViolation,
+         lambda i: f"quaternion norm {norm[i]:.6f} deviates from 1 by more "
+                   f"than 1e-3"),
+        (wide & ~intrinsics_ok_many(k), ParseError,
+         lambda i: _intrinsics_fault(k[i])),
+        (_repeats(keys), ParseError,
+         lambda i: f"duplicate frame id {keys[i][1]!r} in log {keys[i][0]!r}"),
+        (np.array(index) != expected, ParseError,
+         lambda i: f"log {keys[i][0]!r}: frame {keys[i][1]!r} has index "
+                   f"{index[i]}, expected {expected[i]}"),
+    )
+    bad_row = min((int(bad.argmax()) for bad, _, _ in faults if bad.any()),
+                  default=None)
+    for bad, error, message in faults:
+        if bad_row is not None and bad[bad_row]:
+            raise error(f"{path}:{lines[bad_row]}: {message(bad_row)}")
+    if stop is not None:
+        raise stop
+    if not keys:
         raise ParseError(f"{path}: no records")
     try:
-        return [PoseLog(s, tuple(frames), frame_tag)
-                for s, frames in by_subject.items()]
+        return [PoseLog.from_arrays(
+            subject, [keys[i][1] for i in rows], values[rows, :4],
+            values[rows, 4:7], frame_tag, k[rows] if wide[rows].any() else None)
+            for subject, rows in groups.items()]
     except InvariantViolation as exc:
         raise InvariantViolation(f"{path}: {exc}") from exc
+
+
+def _repeats(keys) -> np.ndarray:
+    """True at each position whose key occurs at an earlier one."""
+    first: dict = {}
+    return np.array([first.setdefault(k, i) != i for i, k in enumerate(keys)],
+                    dtype=bool)
+
+
+def _intrinsics_fault(row) -> str:
+    """The message of the DomainError Intrinsics(*row) raises."""
+    try:
+        Intrinsics(*row.tolist())
+    except DomainError as exc:
+        return str(exc)
 
 
 def ingest_canonical(path) -> PoseLog:
@@ -246,14 +303,13 @@ def ingest_biwi(subject_dir, pose_glob="frame_*_pose.txt",
     if not paths:
         raise MalformedPoseFile(
             f"no pose files matching {pose_glob!r} in {subject_dir}")
-    frames = []
-    for index, path in enumerate(paths):
-        depth_pose = read_biwi_pose(path)
-        rgb_pose = compose(depth_to_rgb, depth_pose)
-        frame_id = os.path.splitext(os.path.basename(path))[0]
-        frames.append(FrameRecord(frame_id, index, rgb_pose, intr))
+    quats, translations = pose_arrays(read_biwi_pose(p) for p in paths)
+    to_rgb = pose_arrays([depth_to_rgb] * len(paths))
     subject = os.path.basename(os.path.normpath(subject_dir))
-    return PoseLog(subject, tuple(frames), "rgb")
+    return PoseLog.from_arrays(
+        subject, [os.path.splitext(os.path.basename(p))[0] for p in paths],
+        *compose_many(to_rgb, (quats, translations)), "rgb",
+        [(intr.fx, intr.fy, intr.cx, intr.cy, intr.width, intr.height)] * len(paths))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +340,7 @@ def neutral_reference(log: PoseLog) -> Rotation:
     annotation-free.  An exact screen (geometry.medoid_index) leaves the
     exact mean to the frames that can win; memory O(16 x N).
     """
-    return log.frames[medoid_index(log.quats)].pose.rotation
+    return Rotation(*log.quats[medoid_index(log.quats)].tolist())
 
 
 def _distances_to_reference(log: PoseLog) -> np.ndarray:
@@ -306,9 +362,9 @@ def _sampled_pairs(name, log: PoseLog, count, rows, n_pairs, seed) -> PairSet:
         keep = np.arange(count)
     anchors, queries = rows(keep)
     gaps = geodesic_deg_many(log.quats[anchors], log.quats[queries])
-    frames = log.frames
+    ids = log.frame_ids
     return PairSet(name, tuple(
-        (frames[a].frame_id, frames[q].frame_id, gap)
+        (ids[a], ids[q], gap)
         for a, q, gap in zip(anchors.tolist(), queries.tolist(), gaps.tolist())),
         seed)
 
@@ -495,7 +551,7 @@ def query_batch(log: PoseLog, queries, anchors, anchor=None) -> QueryBatch:
     frame at the same row of anchors; anchor (a pose array) defaults to
     the anchor frames' true poses."""
     anchor_truth = _rows(log, anchors)
-    return QueryBatch(log.subject_id, [log.frames[i].frame_id for i in queries],
+    return QueryBatch(log.subject_id, [log.frame_ids[i] for i in queries],
                       _rows(log, queries), anchor_truth,
                       anchor_truth if anchor is None else anchor)
 
@@ -573,16 +629,17 @@ def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
         preds_ext = None
         if policy.kind == "external_predicted":
             preds_ext = (predictions_by_estimator or {}).get(policy.external_source)
-        assignments = assign_anchors(log, policy, preds_ext)
-        paired = sorted((a for a in assignments if a.paired),
-                        key=lambda a: a.query_id)
-        unpaired += len(assignments) - len(paired)
-        queries = [log.position(a.query_id) for a in paired]
-        batch = query_batch(log, queries,
-                            [log.position(a.anchor_id) for a in paired],
-                            pose_arrays(a.anchor_pose for a in paired))
+        rows = anchor_arrays(log, policy, preds_ext)
+        queries = sorted(np.flatnonzero(rows.anchor >= 0).tolist(),
+                         key=log.frame_ids.__getitem__)
+        unpaired += len(log) - len(queries)
+        anchor = rows.predicted_pose
+        if anchor is not None:
+            anchor = (np.tile(anchor.rotation.quat, (len(queries), 1)),
+                      np.tile(anchor.translation, (len(queries), 1)))
+        batch = query_batch(log, queries, rows.anchor[queries], anchor)
         if axis == "anchor_query_gap":
-            values.append(np.array([a.gap_deg for a in paired], dtype=float))
+            values.append(rows.gap_deg[queries])
         else:
             values.append(_distances_to_reference(log)[queries])
         for per_log, est in zip(errors, estimators):

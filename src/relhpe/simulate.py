@@ -42,7 +42,7 @@ from .geometry import (Rotation, SE3Pose, axis_angle_many, compose_many,
                        geodesic_deg, geodesic_deg_many, inverse_many,
                        multiply_many, relative, rotation_from_euler_many)
 from .harness import csv_rows, finite_floats, row_errors
-from .poselog import FrameRecord, PoseLog
+from .poselog import PoseLog
 
 
 def _query_rng(seed, subject_id, frame_id):
@@ -318,15 +318,13 @@ def sample_logs(sampler: PoseSampler) -> list:
     lows, highs = zip(sampler.yaw_range, sampler.pitch_range, sampler.roll_range,
                       *[sampler.trans_range_mm] * 3)
     draws = rng.uniform(lows, highs, size=(sampler.subjects, n, 6))
-    logs = []
-    for s in range(sampler.subjects):
-        quats = rotation_from_euler_many(draws[s, :, :3])
-        frames = [FrameRecord("f0000", 0, SE3Pose.identity("world"))]
-        for i, (q, t) in enumerate(zip(zip(*quats.T.tolist()), draws[s, :, 3:]), 1):
-            frames.append(FrameRecord(f"f{i:04d}", i,
-                                      SE3Pose(Rotation(*q), t, "world")))
-        logs.append(PoseLog(f"subj{s:03d}", tuple(frames), "world"))
-    return logs
+    ids = [f"f{i:04d}" for i in range(n + 1)]
+    identity = np.array([[1.0, 0.0, 0.0, 0.0]])
+    return [PoseLog.from_arrays(
+        f"subj{s:03d}", ids,
+        np.vstack([identity, rotation_from_euler_many(draws[s, :, :3])]),
+        np.vstack([np.zeros((1, 3)), draws[s, :, 3:]]), "world")
+        for s in range(sampler.subjects)]
 
 
 def load_predictions_csv(path) -> dict:

@@ -6,6 +6,7 @@ import pytest
 from relhpe import (AnchorPolicy, EulerAngles, Rotation, SE3Pose,
                     apply_anchor, assign_anchors, geodesic_deg,
                     propagate_anchor_error, relative, rotation_from_euler)
+from relhpe.anchors import anchor_arrays
 from relhpe.errors import DomainError, FrameMismatch, MissingPredictions
 from relhpe.poselog import FrameRecord, PoseLog
 
@@ -133,6 +134,33 @@ class TestExternalPredicted:
             assign_anchors(log, policy)
         with pytest.raises(MissingPredictions):
             assign_anchors(log, policy, predictions={"f1": yaw_pose(1)})
+
+
+@pytest.mark.parametrize("policy", [
+    AnchorPolicy("fixed_first"), AnchorPolicy("temporal_previous"),
+    AnchorPolicy("nearest_within", threshold_deg=40.0),
+    AnchorPolicy("external_predicted", external_source="est1")],
+    ids=lambda p: p.kind)
+def test_list_form_is_the_array_form(policy, rng):
+    """assign_anchors' AnchorAssignments carry anchor_arrays' decisions."""
+    log = make_log([random_pose(rng) for _ in range(60)])
+    predicted = random_pose(rng)
+    out = assign_anchors(log, policy, {"f0": predicted})
+    arrays = anchor_arrays(log, policy, {"f0": predicted})
+    assert [a.query_id for a in out] == list(log.frame_ids)
+    assert [log.position(a.anchor_id) if a.paired else -1
+            for a in out] == arrays.anchor.tolist()
+    assert [a.gap_deg for a in out] == arrays.gap_deg.tolist()
+    assert 0 < sum(a.paired for a in out)
+    for a in out:
+        if not a.paired:
+            assert (a.anchor_pose, a.anchor_pose_source) == (None, "ground_truth")
+        elif policy.kind == "external_predicted":
+            assert a.anchor_pose is predicted
+            assert a.anchor_pose_source == arrays.source == "predicted"
+        else:
+            assert a.anchor_pose is log.frames[log.position(a.anchor_id)].pose
+            assert a.anchor_pose_source == arrays.source == "ground_truth"
 
 
 class TestPolicyValidation:

@@ -201,6 +201,31 @@ class TestEval:
         assert rep["geodesic_mae"] < 1e-9
         assert rep["mae"] < 1e-9
 
+    @pytest.mark.parametrize("shift, rc", [(0.0, 0), (0.9e-3, 0), (-0.9e-3, 0),
+                                           (1.1e-3, 2), (-2.0, 2)])
+    def test_gap_checked_against_truth(self, shift, rc, tmp_path, capsys):
+        """A pairs-CSV gap within relhpe.cli.GAP_TOLERANCE_DEG of its frames'
+        gap in the truth log passes; a farther one names its file and line."""
+        log = single_subject_log(tmp_path)
+        out = tmp_path / "e"
+        assert run(["--seed", "0", "--out", out, "pairs", log,
+                    "--pair-kind", "easy", "--neutral-thresh-deg", "1000",
+                    "--max-gap-deg", "40", "--n-pairs", "15"]) == 0
+        pairs = out / "pairs_subj000.csv"
+        preds = tmp_path / "preds.csv"
+        write_perfect_predictions(log, pairs, preds)
+        lines = read(pairs).splitlines()
+        anchor_id, query_id, gap = lines[4].split(",")
+        lines[4] = f"{anchor_id},{query_id},{float(gap) + shift!r}"
+        pairs.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["--out", out, "eval", log, pairs, preds]) == rc
+        err = capsys.readouterr().err
+        assert (err == "") == (rc == 0)
+        if rc:
+            assert err.startswith(f"error: {pairs}:5: gap_deg ")
+            assert f"{anchor_id!r} -> {query_id!r} is {float(gap)!r}" in err
+
     def test_missing_prediction(self, tmp_path, capsys):
         log = single_subject_log(tmp_path)
         out = tmp_path / "e"

@@ -88,6 +88,13 @@ class TestRotation:
         assert type(unit.w) is float and unit == Rotation(w=0.5, x=-0.5, y=0.5, z=-0.5)
 
 
+@pytest.mark.parametrize("t", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0),
+                               (0.0, 0.0, -math.inf)])
+def test_non_finite_translation_rejected(t):
+    with pytest.raises(DomainError, match="not finite"):
+        SE3Pose(Rotation.identity(), t)
+
+
 class TestCompose:
     def test_identity(self, rng):
         p = random_pose(rng)
