@@ -83,7 +83,8 @@ def anchor_arrays(log: PoseLog, policy: AnchorPolicy,
     """Anchor assignment for every frame of the log, as arrays.
 
     predictions maps frame_id -> SE3Pose and is required (for the anchor
-    frames) under external_predicted.
+    frames) under external_predicted; FrameMismatch when the anchor
+    prediction is tagged with another frame than the log.
     """
     quats, n = log.quats, len(log)
     anchor, gap = np.full(n, -1), np.zeros(n)
@@ -96,7 +97,13 @@ def anchor_arrays(log: PoseLog, policy: AnchorPolicy,
                 raise MissingPredictions(
                     f"no prediction for anchor frame {first!r} "
                     f"from estimator {policy.external_source!r}")
-            return AnchorArrays(anchor, gap, "predicted", predictions[first])
+            pose = predictions[first]
+            if pose.frame_tag != log.frame_tag:
+                raise FrameMismatch(
+                    f"anchor prediction for frame {first!r} from estimator "
+                    f"{policy.external_source!r} is tagged {pose.frame_tag!r}, "
+                    f"log is {log.frame_tag!r}")
+            return AnchorArrays(anchor, gap, "predicted", pose)
     elif policy.kind == "temporal_previous":
         anchor[1:] = np.arange(n - 1)
         gap[1:] = geodesic_deg_many(quats[:-1], quats[1:])

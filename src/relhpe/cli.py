@@ -338,7 +338,8 @@ def cmd_simulate(args):
 
 
 def _read_stage_file(path):
-    """Per-stage camera poses: k,tx,ty,tz,qw,qx,qy,qz,fov_h_deg,fov_w_deg."""
+    """Per-stage camera poses: k,tx,ty,tz,qw,qx,qy,qz,fov_h_deg,fov_w_deg,
+    with k an integer."""
     import numpy as np
 
     from .camera import CameraPose
@@ -347,10 +348,10 @@ def _read_stage_file(path):
     stages = []
     for lineno, row in csv_rows(path, (10,), header=("k",)):
         with row_errors(path, lineno):
-            vals = finite_floats(row)
-            stages.append((int(vals[0]), CameraPose(
-                t=np.array(vals[1:4]), q=Rotation(*vals[4:8]),
-                fov_h=math.radians(vals[8]), fov_w=math.radians(vals[9]))))
+            k, vals = int(row[0]), finite_floats(row[1:])
+            stages.append((k, CameraPose(
+                t=np.array(vals[0:3]), q=Rotation(*vals[3:7]),
+                fov_h=math.radians(vals[7]), fov_w=math.radians(vals[8]))))
     return stages
 
 

@@ -22,8 +22,6 @@ import numpy as np
 
 from .errors import DomainError, EmptyInput, FrameMismatch
 
-_UNIT_TOL = 1e-9
-
 
 def _canonical(q):
     w, x, y, z = q

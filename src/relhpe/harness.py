@@ -26,11 +26,8 @@ Logs are handled as columns (see poselog): the readers build PoseLogs with
 PoseLog.from_arrays, export_canonical writes from the columns, and the
 pair builders, query batches and sweep (on anchors.anchor_arrays) index
 them, so none of these builds an object per frame.  ingest_canonical_all
-converts each row's cells with int() and float() as csv_rows yields it,
-into one float array (holding every row's cells as strings would take
-more memory than the frame objects did), then checks the rows as arrays;
-the first bad row in file order is named with the message a row-by-row
-reader gives it.
+checks each row as csv_rows yields it, so the first bad row ends the read
+and is named by its line; a subject's numbers go into one float array.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from .anchors import AnchorPolicy, anchor_arrays
-from .camera import Intrinsics, intrinsics_ok_many
+from .camera import Intrinsics
 from .errors import (DomainError, InsufficientFrames, InvariantViolation,
                      MalformedPoseFile, MissingCalibration, MissingPrediction,
                      ParseError)
@@ -146,84 +143,48 @@ def ingest_canonical_all(path) -> list:
     for tok in header[3:]:
         if tok.startswith("frame="):
             frame_tag = tok[len("frame="):]
-    lines, keys, index, wide = [], [], [], []
-    numbers = array("d")  # 13 per row: pose, then intrinsics or NaN
-    stop = None  # a row that cannot be read ends the reading
-    try:
-        for lineno, cols in csv_rows(path, (10, 16)):
-            try:
-                idx, vals = int(cols[2]), list(map(float, cols[3:]))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            lines.append(lineno)
-            keys.append((cols[0], cols[1]))
-            index.append(idx)
-            wide.append(len(vals) == 13)
-            if len(vals) == 7:
-                vals += _NO_INTRINSICS
-            numbers.extend(vals)
-    except ParseError as exc:
-        stop = exc
-    values = np.frombuffer(numbers).reshape(-1, 13)
-    k = values[:, 7:]
-    wide = np.array(wide, dtype=bool)
-    groups: dict = {}  # subject -> its row positions, in file order
-    expected = []  # per row, the index its position in its log gives
-    for row, (subject, _) in enumerate(keys):
-        expected.append(len(groups.setdefault(subject, [])))
-        groups[subject].append(row)
-    w, x, y, z = values[:, :4].T
-    with np.errstate(over="ignore"):  # a norm past 1e154 is inf, as in math
-        norm = np.sqrt(w * w + x * x + y * y + z * z)
-    # (rows failing, error, message) per check, in the order the checks
-    # apply to one row; the first row in file order failing one is named,
-    # unless the reading stopped at an earlier row
-    faults = (
-        (~(np.isfinite(values[:, :7]).all(axis=1)
-           & (~wide | np.isfinite(k).all(axis=1))),
-         ParseError, lambda i: "non-finite number"),
-        (~(np.abs(norm - 1.0) <= 1e-3), InvariantViolation,
-         lambda i: f"quaternion norm {norm[i]:.6f} deviates from 1 by more "
-                   f"than 1e-3"),
-        (wide & ~intrinsics_ok_many(k), ParseError,
-         lambda i: _intrinsics_fault(k[i])),
-        (_repeats(keys), ParseError,
-         lambda i: f"duplicate frame id {keys[i][1]!r} in log {keys[i][0]!r}"),
-        (np.array(index) != expected, ParseError,
-         lambda i: f"log {keys[i][0]!r}: frame {keys[i][1]!r} has index "
-                   f"{index[i]}, expected {expected[i]}"),
-    )
-    bad_row = min((int(bad.argmax()) for bad, _, _ in faults if bad.any()),
-                  default=None)
-    for bad, error, message in faults:
-        if bad_row is not None and bad[bad_row]:
-            raise error(f"{path}:{lines[bad_row]}: {message(bad_row)}")
-    if stop is not None:
-        raise stop
-    if not keys:
+    subjects: dict = {}  # subject -> (its frame ids as keys, 13 numbers a row)
+    for lineno, cols in csv_rows(path, (10, 16)):
+        subject, frame_id = cols[0], cols[1]
+        try:
+            index, vals = int(cols[2]), finite_floats(cols[3:])
+            w, x, y, z = vals[:4]
+            norm = math.sqrt(w * w + x * x + y * y + z * z)
+            if not abs(norm - 1.0) <= 1e-3:
+                raise InvariantViolation(
+                    f"{path}:{lineno}: quaternion norm {norm:.6f} deviates "
+                    f"from 1 by more than 1e-3")
+            # finite_floats leaves only the sizes' sign to check
+            if len(vals) == 13 and not min(vals[7], vals[8], vals[11], vals[12]) > 0:
+                Intrinsics(*vals[7:])  # raises, naming the fault
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if subject not in subjects:
+            subjects[subject] = ({}, array("d"))
+        ids, numbers = subjects[subject]
+        if frame_id in ids:
+            raise ParseError(f"{path}:{lineno}: duplicate frame id {frame_id!r} "
+                             f"in log {subject!r}")
+        if index != len(ids):
+            raise ParseError(f"{path}:{lineno}: log {subject!r}: frame "
+                             f"{frame_id!r} has index {index}, expected {len(ids)}")
+        ids[frame_id] = None
+        numbers.extend(vals)
+        if len(vals) == 7:
+            numbers.extend(_NO_INTRINSICS)
+    if not subjects:
         raise ParseError(f"{path}: no records")
+    logs = []
     try:
-        return [PoseLog.from_arrays(
-            subject, [keys[i][1] for i in rows], values[rows, :4],
-            values[rows, 4:7], frame_tag, k[rows] if wide[rows].any() else None)
-            for subject, rows in groups.items()]
+        for subject, (ids, numbers) in subjects.items():
+            values = np.frombuffer(numbers).reshape(-1, 13)
+            k = values[:, 7:]
+            logs.append(PoseLog.from_arrays(
+                subject, ids, values[:, :4], values[:, 4:7], frame_tag,
+                None if np.isnan(k[:, 0]).all() else k))
     except InvariantViolation as exc:
         raise InvariantViolation(f"{path}: {exc}") from exc
-
-
-def _repeats(keys) -> np.ndarray:
-    """True at each position whose key occurs at an earlier one."""
-    first: dict = {}
-    return np.array([first.setdefault(k, i) != i for i, k in enumerate(keys)],
-                    dtype=bool)
-
-
-def _intrinsics_fault(row) -> str:
-    """The message of the DomainError Intrinsics(*row) raises."""
-    try:
-        Intrinsics(*row.tolist())
-    except DomainError as exc:
-        return str(exc)
+    return logs
 
 
 def ingest_canonical(path) -> PoseLog:

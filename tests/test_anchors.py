@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from relhpe import (AnchorPolicy, EulerAngles, Rotation, SE3Pose,
-                    apply_anchor, assign_anchors, geodesic_deg,
-                    propagate_anchor_error, relative, rotation_from_euler)
+from relhpe import (AnchorPolicy, EulerAngles, NoiseModel,
+                    RelativeSimEstimator, Rotation, SE3Pose, apply_anchor,
+                    assign_anchors, geodesic_deg, propagate_anchor_error,
+                    relative, rotation_from_euler, sweep)
 from relhpe.anchors import anchor_arrays
 from relhpe.errors import DomainError, FrameMismatch, MissingPredictions
 from relhpe.poselog import FrameRecord, PoseLog
@@ -134,6 +135,25 @@ class TestExternalPredicted:
             assign_anchors(log, policy)
         with pytest.raises(MissingPredictions):
             assign_anchors(log, policy, predictions={"f1": yaw_pose(1)})
+
+    def test_prediction_in_another_frame(self):
+        """A "depth" anchor prediction on a "world" log is refused, naming
+        both tags, before any pose is composed with it."""
+        log = yaw_log([0, 10, 20, 30, 40])
+        policy = AnchorPolicy("external_predicted", external_source="est1")
+        predicted = {"f0": SE3Pose.identity("depth")}
+        perfect = RelativeSimEstimator("perfect", NoiseModel())
+        calls = [lambda: anchor_arrays(log, policy, predicted),
+                 lambda: assign_anchors(log, policy, predicted),
+                 lambda: sweep(log, perfect, policy, "anchor_query_gap",
+                               predictions_by_estimator={"est1": predicted})]
+        for call in calls:
+            with pytest.raises(FrameMismatch, match="'depth', log is 'world'"):
+                call()
+        # in the log's frame the same prediction pairs every query
+        rep = sweep(log, perfect, policy, "anchor_query_gap",
+                    predictions_by_estimator={"est1": {"f0": SE3Pose.identity()}})
+        assert rep.total_paired == 5
 
 
 @pytest.mark.parametrize("policy", [

@@ -399,7 +399,9 @@ def malformed_input(case, tmp_path):
         return ["report", src], "sweep.json"
     stage_rows = {"short_stage_row": "1,0,0,0,1,0,0,0,60",
                   "long_stage_row": "1,0,0,0,1,0,0,0,60,60,60",
-                  "nan_stage_translation": "1,nan,0,0,1,0,0,0,60,60"}
+                  "nan_stage_translation": "1,nan,0,0,1,0,0,0,60,60",
+                  "fractional_stage_index": "1.7,0,0,0,1,0,0,0,60,60",
+                  "huge_stage_index": "1e300,0,0,0,1,0,0,0,60,60"}
     if case in stage_rows:
         pred, true = tmp_path / "pred.csv", tmp_path / "true.csv"
         write_stage_file(true, [(1, 0, 0, 0, 1, 0, 0, 0, 60, 60)])
@@ -553,6 +555,7 @@ def malformed_input(case, tmp_path):
                                   "query_not_in_truth", "short_stage_row",
                                   "zero_bin_width", "negative_bin_width",
                                   "long_stage_row", "nan_stage_translation",
+                                  "fractional_stage_index", "huge_stage_index",
                                   "nan_log_quaternion", "inf_log_translation",
                                   "bad_log_intrinsics",
                                   "nan_prediction_quaternion",

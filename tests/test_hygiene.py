@@ -2,8 +2,9 @@
 
 Each module under src/relhpe (the package __init__ re-exports and is
 skipped) must use every name it imports, and must not reach into another
-module's private (single-underscore) names.  The README's library table
-must name only what its modules define.
+module's private (single-underscore) names, and must use every private
+name it defines at module level.  The README's library table must name
+only what its modules define.
 """
 
 import ast
@@ -58,6 +59,31 @@ def test_no_private_cross_module_reach(path):
                 and node.value.id in modules):
             reaches.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
     assert not reaches, f"{path.name}: private cross-module reach: {reaches}"
+
+
+def _module_level_names(tree):
+    """(name, line) per name a module's top-level statements define."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        yield n.id, node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_private_names(path):
+    """A private module-level name is private to its module (see above), so
+    one that the module never loads is dead code."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    loaded = {n.id for n in ast.walk(tree)
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    dead = [f"line {line}: {name}" for name, line in _module_level_names(tree)
+            if _private(name) and name not in loaded]
+    assert not dead, f"{path.name}: private names never used: {dead}"
 
 
 def _readme_library_rows():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from relhpe import (PoseLog, Rotation, SE3Pose, export_canonical,
                     ingest_canonical_all)
 from relhpe.camera import Intrinsics
-from relhpe.cli import main
+from relhpe.cli import _read_stage_file, main
 from relhpe.errors import (DomainError, EmptyInput, InvariantViolation,
                            ParseError, RelHpeError)
 from relhpe.harness import csv_rows, finite_floats, row_errors
@@ -130,8 +130,8 @@ def test_from_arrays_checks(change, error, match):
 
 
 def reference_ingest(path):
-    """The row-by-row canonical reader that the columnar one replaced,
-    kept as the oracle for its results and messages."""
+    """A canonical reader built from PoseLog's FrameRecord constructor,
+    kept as the oracle for ingest_canonical_all's results and messages."""
     frame_tag = "world"
     with open(path, encoding="utf-8", errors="replace") as fh:
         first = fh.readline().rstrip("\n")
@@ -226,6 +226,21 @@ def test_first_bad_row_is_named(first, second, tmp_path):
         assert f"log.csv:{len(GOOD) + 2}:" in message
 
 
+@pytest.mark.parametrize("column", range(10, 16))
+@pytest.mark.parametrize("value", ["0", "-1e-300", "-5"])
+def test_each_intrinsics_column_is_checked_on_its_row(column, value, tmp_path):
+    """A focal length or image size that is not positive fails on its own
+    line, as Intrinsics words it; the principal point may take any value."""
+    cells = GOOD[1].split(",")
+    cells[column] = value
+    path = tmp_path / "log.csv"
+    path.write_text("# poselog v1 frame=world\n" + "\n".join(
+        [GOOD[0], ",".join(cells)] + GOOD[2:]) + "\n")
+    assert_reads_like_reference(path)
+    _, error = outcome(ingest_canonical_all, path)
+    assert (error is None) == (column in (12, 13))
+
+
 LOG_TOKENS = [b",", b"\n", b"#", b'"', b"nan", b"1e400", b"\xff", b"-", b"9",
               b"0", b"f1", b" ", b"x"]
 
@@ -260,6 +275,34 @@ def test_export_ingest_export_is_byte_stable(subjects, tmp_path):
     assert first.read_bytes() == second.read_bytes()
     for log, again in zip(logs, back, strict=True):
         assert_same_log(log, again)
+
+
+@settings(derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(stages=st.lists(st.tuples(st.integers(-10 ** 9, 10 ** 9), translation,
+                                 quaternion, st.floats(1e-3, 179.0),
+                                 st.floats(1e-3, 179.0)),
+                       min_size=1, max_size=6),
+       header=st.booleans())
+def test_stage_file_round_trip(stages, header, tmp_path):
+    """k, t and q written with repr read back exactly, and the FoVs in
+    degrees as math.radians of the written value, with or without the
+    header row."""
+    path = tmp_path / "stages.csv"
+    lines = ["k,tx,ty,tz,qw,qx,qy,qz,fov_h_deg,fov_w_deg"] if header else []
+    for k, t, q, fov_h, fov_w in stages:
+        r = Rotation(*q)
+        lines.append(",".join([str(k)] + [repr(v) for v in
+                                          (*t, r.w, r.x, r.y, r.z, fov_h, fov_w)]))
+    path.write_text("\n".join(lines) + "\n")
+    back = _read_stage_file(path)
+    assert [k for k, _ in back] == [k for k, *_ in stages]
+    for (_, cam), (_, t, q, fov_h, fov_w) in zip(back, stages, strict=True):
+        r = Rotation(*q)
+        assert bits(cam.t.tolist()) == bits(t)
+        assert bits([cam.q.w, cam.q.x, cam.q.y, cam.q.z]) == bits([r.w, r.x, r.y, r.z])
+        assert bits([cam.fov_h, cam.fov_w]) == bits([math.radians(fov_h),
+                                                     math.radians(fov_w)])
 
 
 def run(argv):

@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import relhpe.anchors
@@ -29,6 +29,7 @@ from relhpe.simulate import (simulate_absolute, simulate_relative,
                              _seed_states, _stream_vectors)
 
 from conftest import random_pose, random_rotation, yaw_pose
+from test_poselog import bits, quaternion, translation
 
 
 def make_log(poses, subject="s1"):
@@ -321,20 +322,25 @@ class TestPredictBatch:
 
 
 class TestLoadPredictionsCsv:
-    def test_round_trip(self, tmp_path, rng):
+    @settings(derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.tuples(quaternion, translation), min_size=1, max_size=8),
+           header=st.booleans())
+    def test_round_trip(self, tmp_path, rows, header):
+        """Poses written with repr read back bit for bit, with or without
+        the header row."""
         path = tmp_path / "preds.csv"
-        poses = {f"f{i}": random_pose(rng) for i in range(5)}
-        lines = ["query_id,qw,qx,qy,qz,tx_mm,ty_mm,tz_mm"]
-        for qid, p in poses.items():
-            q, t = p.rotation, p.translation
-            lines.append(",".join([qid] + [repr(float(v)) for v in
-                                           (q.w, q.x, q.y, q.z, t[0], t[1], t[2])]))
+        poses = {f"f{i}": (Rotation(*q), t) for i, (q, t) in enumerate(rows)}
+        lines = ["query_id,qw,qx,qy,qz,tx_mm,ty_mm,tz_mm"] if header else []
+        for qid, (q, t) in poses.items():
+            lines.append(",".join([qid] + [repr(v) for v in (q.w, q.x, q.y, q.z, *t)]))
         path.write_text("\n".join(lines) + "\n")
         back = load_predictions_csv(path)
-        assert set(back) == set(poses)
-        for qid in poses:
-            assert back[qid].rotation == poses[qid].rotation
-            assert np.array_equal(back[qid].translation, poses[qid].translation)
+        assert list(back) == list(poses)
+        for qid, (q, t) in poses.items():
+            r = back[qid].rotation
+            assert bits([r.w, r.x, r.y, r.z]) == bits([q.w, q.x, q.y, q.z])
+            assert bits(back[qid].translation.tolist()) == bits(t)
 
     def test_comments_skipped(self, tmp_path):
         path = tmp_path / "preds.csv"
