@@ -12,8 +12,7 @@ import importlib
 
 # module -> the public names re-exported from it
 _EXPORTS = {
-    "anchors": ("AnchorAssignment", "AnchorPolicy", "assign_anchors",
-                "propagate_anchor_error"),
+    "anchors": ("AnchorPolicy", "anchor_arrays", "propagate_anchor_error"),
     "camera": ("CameraPose", "CropSpec", "Intrinsics", "compose_crops",
                "crop_update_intrinsics", "fov_from_intrinsics",
                "intrinsics_from_fov", "logtan_fov", "project"),

@@ -13,8 +13,8 @@ Four regimes:
 * external_predicted - anchor frame as fixed_first, but the anchor pose
                       comes from an external estimator's prediction.
 
-anchor_arrays makes these decisions as arrays over a log's frames;
-assign_anchors gives the same decisions as one AnchorAssignment per frame.
+anchor_arrays makes these decisions as arrays over a log's frames, and
+names the anchor prediction by its row in a prediction table (a PoseLog).
 """
 
 from __future__ import annotations
@@ -50,41 +50,26 @@ class AnchorPolicy:
 
 
 @dataclass(frozen=True)
-class AnchorAssignment:
-    """Anchor chosen for one query; anchor_id is None when unpaired."""
-
-    query_id: str
-    anchor_id: Optional[str]
-    anchor_pose: Optional[SE3Pose]
-    anchor_pose_source: str = "ground_truth"
-    gap_deg: float = 0.0
-
-    @property
-    def paired(self) -> bool:
-        return self.anchor_id is not None
-
-
-@dataclass(frozen=True)
 class AnchorArrays:
-    """Array form of assign_anchors, row i for frame i of the log: anchor[i]
-    is the anchor frame's position (-1 when unpaired) and gap_deg[i] the
-    anchor-query geodesic gap (0 when unpaired).  When source is
-    "predicted", every paired query's anchor pose is predicted_pose, an
-    external estimator's prediction; else it is the anchor frame's pose."""
+    """Anchor assignment, row i for frame i of the log: anchor[i] is the
+    anchor frame's position (-1 when unpaired) and gap_deg[i] the
+    anchor-query geodesic gap (0 when unpaired).  When predicted_row is
+    not None, every paired query's anchor pose is that row of the
+    prediction table, an external estimator's prediction; else it is the
+    anchor frame's pose."""
 
     anchor: np.ndarray
     gap_deg: np.ndarray
-    source: str = "ground_truth"
-    predicted_pose: Optional[SE3Pose] = None
+    predicted_row: Optional[int] = None
 
 
 def anchor_arrays(log: PoseLog, policy: AnchorPolicy,
-                  predictions=None) -> AnchorArrays:
+                  predictions: Optional[PoseLog] = None) -> AnchorArrays:
     """Anchor assignment for every frame of the log, as arrays.
 
-    predictions maps frame_id -> SE3Pose and is required (for the anchor
-    frames) under external_predicted; FrameMismatch when the anchor
-    prediction is tagged with another frame than the log.
+    predictions is a prediction table (a PoseLog keyed by frame id) and
+    is required, holding the anchor frame, under external_predicted;
+    FrameMismatch when the table is tagged with another frame than the log.
     """
     quats, n = log.quats, len(log)
     anchor, gap = np.full(n, -1), np.zeros(n)
@@ -97,13 +82,12 @@ def anchor_arrays(log: PoseLog, policy: AnchorPolicy,
                 raise MissingPredictions(
                     f"no prediction for anchor frame {first!r} "
                     f"from estimator {policy.external_source!r}")
-            pose = predictions[first]
-            if pose.frame_tag != log.frame_tag:
+            if predictions.frame_tag != log.frame_tag:
                 raise FrameMismatch(
                     f"anchor prediction for frame {first!r} from estimator "
-                    f"{policy.external_source!r} is tagged {pose.frame_tag!r}, "
-                    f"log is {log.frame_tag!r}")
-            return AnchorArrays(anchor, gap, "predicted", pose)
+                    f"{policy.external_source!r} is tagged "
+                    f"{predictions.frame_tag!r}, log is {log.frame_tag!r}")
+            return AnchorArrays(anchor, gap, predictions.position(first))
     elif policy.kind == "temporal_previous":
         anchor[1:] = np.arange(n - 1)
         gap[1:] = geodesic_deg_many(quats[:-1], quats[1:])
@@ -118,16 +102,6 @@ def anchor_arrays(log: PoseLog, policy: AnchorPolicy,
             anchor[rows[ok]] = cols[best[ok]]
             gap[rows[ok]] = gaps[best[ok]]
     return AnchorArrays(anchor, gap)
-
-
-def assign_anchors(log: PoseLog, policy: AnchorPolicy, predictions=None) -> list:
-    """anchor_arrays as one AnchorAssignment per frame of the log."""
-    arrays = anchor_arrays(log, policy, predictions)
-    ids, pose = log.frame_ids, arrays.predicted_pose
-    return [AnchorAssignment(q, None, None) if j < 0 else
-            AnchorAssignment(q, ids[j], log.frames[j].pose if pose is None else pose,
-                             arrays.source, g)
-            for q, j, g in zip(ids, arrays.anchor.tolist(), arrays.gap_deg.tolist())]
 
 
 def propagate_anchor_error(true_anchor: SE3Pose, predicted_anchor: SE3Pose,

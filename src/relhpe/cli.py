@@ -255,12 +255,22 @@ def _read_pairs_csv(path):
     return PairSet("loaded", tuple(pairs), 0), lines
 
 
-def _check_gaps(path, lines, pairs, truth):
-    """ParseError '<path>:<line>: ...' at the first pair whose gap is more
-    than GAP_TOLERANCE_DEG from its frames' gap in the truth log (one
-    geodesic_deg_many over the pairs); UnknownFrame for an id the log lacks."""
+def _check_pairs(path, lines, pairs, truth, preds_path, preds):
+    """ParseError '<path>:<line>: ...' at the first pair with an id that
+    the truth log lacks or a query that the prediction table preds (read
+    from preds_path) lacks; else at the first pair whose gap is more than
+    GAP_TOLERANCE_DEG from its frames' gap in the truth log (one
+    geodesic_deg_many over the pairs)."""
     from .geometry import geodesic_deg_many
     from .harness import pair_batch
+    for lineno, (anchor_id, query_id, _) in zip(lines, pairs.pairs):
+        for frame_id in (anchor_id, query_id):
+            if frame_id not in truth:
+                raise ParseError(f"{path}:{lineno}: log {truth.subject_id!r} "
+                                 f"has no frame {frame_id!r}")
+        if query_id not in preds:
+            raise ParseError(f"{path}:{lineno}: no prediction for query "
+                             f"{query_id!r} in {preds_path}")
     batch = pair_batch(truth, pairs)
     true_gaps = geodesic_deg_many(batch.anchor_truth[0], batch.query[0]).tolist()
     for lineno, (anchor_id, query_id, gap), true_gap in zip(
@@ -280,7 +290,7 @@ def cmd_eval(args):
     truth = ingest_canonical(args.truth)
     pairs, lines = _read_pairs_csv(args.pairs)
     preds = load_predictions_csv(args.predictions)
-    _check_gaps(args.pairs, lines, pairs, truth)
+    _check_pairs(args.pairs, lines, pairs, truth, args.predictions, preds)
     rep = evaluate(pairs, preds, truth)
     payload = reports.metric_payload({"external": rep})
     env = reports.envelope(

@@ -319,16 +319,6 @@ def _per_element(fn, *arrays) -> np.ndarray:
                        float, np.size(arrays[0]))
 
 
-def pose_arrays(poses):
-    """The pose array of a sequence of SE3Poses."""
-    poses = list(poses)
-    quats = np.array([(p.rotation.w, p.rotation.x, p.rotation.y, p.rotation.z)
-                      for p in poses], dtype=float).reshape(-1, 4)
-    translations = np.array([p.translation for p in poses],
-                            dtype=float).reshape(-1, 3)
-    return quats, translations
-
-
 def canonical_many(q) -> np.ndarray:
     """Rotation(*row) over the rows of q: normalize unless the norm is within
     1e-12 of 1, then take the canonical sign."""

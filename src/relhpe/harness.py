@@ -22,12 +22,13 @@ rigid transform:
 Blank lines between sections are ignored.  All ingested poses are
 re-expressed in the RGB camera frame (frame_tag "rgb").
 
-Logs are handled as columns (see poselog): the readers build PoseLogs with
-PoseLog.from_arrays, export_canonical writes from the columns, and the
-pair builders, query batches and sweep (on anchors.anchor_arrays) index
-them, so none of these builds an object per frame.  ingest_canonical_all
-checks each row as csv_rows yields it, so the first bad row ends the read
-and is named by its line; a subject's numbers go into one float array.
+Logs and prediction tables are PoseLogs, handled as columns: the readers
+build them from arrays, export_canonical writes the columns, and the pair
+builders, query batches, TableEstimator and sweep (on anchors.anchor_arrays)
+index them, so none of these builds an object per frame.  csv_rows checks
+each row's bytes and ingest_canonical_all its values as the row is reached,
+so the first bad row or byte ends the read, named by its line; a subject's
+numbers go into one float array.
 """
 
 from __future__ import annotations
@@ -48,9 +49,8 @@ from .camera import Intrinsics
 from .errors import (DomainError, InsufficientFrames, InvariantViolation,
                      MalformedPoseFile, MissingCalibration, MissingPrediction,
                      ParseError)
-from .geometry import (Rotation, SE3Pose, compose_many,
-                       euler_deg_many, geodesic_deg_many, medoid_index,
-                       pairs_within_deg, pose_arrays)
+from .geometry import (Rotation, SE3Pose, compose_many, euler_deg_many,
+                       geodesic_deg_many, medoid_index, pairs_within_deg)
 from .poselog import PoseLog
 from .vocab import SWEEP_AXES
 
@@ -91,12 +91,16 @@ def csv_rows(path, widths, header=()):
     '#' are skipped, and so is a first row whose first cell, stripped and
     lower-cased, is in header.  Any other row must have one of the given
     widths, else ParseError '<path>:<line>: expected N fields, got M'.
+    The file is decoded as it is read, so a byte that is not UTF-8 is
+    ParseError '<path>:<line>: ...' when its row is reached.
     """
     expected = " or ".join(map(str, widths))
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
             for cells in reader:
+                if not all(map(str.isascii, cells)):  # raises on a bad byte
+                    ",".join(cells).encode("utf-8", "surrogateescape").decode("utf-8")
                 first = cells[0].strip() if cells else ""
                 if first.startswith("#") or not (
                         first or any(c.strip() for c in cells)):
@@ -108,7 +112,7 @@ def csv_rows(path, widths, header=()):
                                      f"{expected} fields, got {len(cells)}")
                 yield reader.line_num, cells
         except (csv.Error, UnicodeDecodeError) as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 def finite_floats(cells) -> list:
@@ -131,7 +135,7 @@ def row_errors(path, lineno):
 
 def ingest_canonical_all(path) -> list:
     """Parse a canonical file into one PoseLog per subject (file order)."""
-    # csv_rows decodes the whole file strictly and names it on a bad byte
+    # csv_rows names the line of a bad byte
     with open(path, encoding="utf-8", errors="replace") as fh:
         first = fh.readline().rstrip("\n")
     if not first.startswith(_HEADER_PREFIX):
@@ -179,7 +183,7 @@ def ingest_canonical_all(path) -> list:
         for subject, (ids, numbers) in subjects.items():
             values = np.frombuffer(numbers).reshape(-1, 13)
             k = values[:, 7:]
-            logs.append(PoseLog.from_arrays(
+            logs.append(PoseLog(
                 subject, ids, values[:, :4], values[:, 4:7], frame_tag,
                 None if np.isnan(k[:, 0]).all() else k))
     except InvariantViolation as exc:
@@ -264,13 +268,16 @@ def ingest_biwi(subject_dir, pose_glob="frame_*_pose.txt",
     if not paths:
         raise MalformedPoseFile(
             f"no pose files matching {pose_glob!r} in {subject_dir}")
-    quats, translations = pose_arrays(read_biwi_pose(p) for p in paths)
-    to_rgb = pose_arrays([depth_to_rgb] * len(paths))
+    poses, n = [read_biwi_pose(p) for p in paths], len(paths)
+    depth = (np.array([p.rotation.quat for p in poses]),
+             np.array([p.translation for p in poses]))
+    to_rgb = (np.tile(depth_to_rgb.rotation.quat, (n, 1)),
+              np.tile(depth_to_rgb.translation, (n, 1)))
     subject = os.path.basename(os.path.normpath(subject_dir))
-    return PoseLog.from_arrays(
+    return PoseLog(
         subject, [os.path.splitext(os.path.basename(p))[0] for p in paths],
-        *compose_many(to_rgb, (quats, translations)), "rgb",
-        [(intr.fx, intr.fy, intr.cx, intr.cy, intr.width, intr.height)] * len(paths))
+        *compose_many(to_rgb, depth), "rgb",
+        [(intr.fx, intr.fy, intr.cx, intr.cy, intr.width, intr.height)] * n)
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +456,10 @@ def pool_errors(chunks):
             np.concatenate([np.empty((0, 3))] + [d for _, d in chunks]))
 
 
-def evaluate(pairs: PairSet, predictions, truth: PoseLog) -> MetricReport:
+def evaluate(pairs: PairSet, predictions: PoseLog, truth: PoseLog) -> MetricReport:
     """Per-axis MAE, geodesic MAE, and translation error over a pair set.
 
-    predictions maps query_id -> predicted SE3Pose (absolute, truth frame).
+    predictions is a PoseLog of predicted absolute poses keyed by query id.
     """
     return _score(TableEstimator("external", predictions),
                   [pair_batch(truth, pairs)])
@@ -537,21 +544,22 @@ def predict_batch(estimator, batch: QueryBatch):
 
 
 class TableEstimator:
-    """Absolute estimator backed by a fixed prediction table (e.g. a CSV of
-    real model outputs evaluated through the same harness)."""
+    """Absolute estimator backed by a fixed prediction table, a PoseLog keyed
+    by query id (e.g. simulate.load_predictions_csv of real model outputs)."""
 
     kind = "absolute"
 
-    def __init__(self, id, predictions):
+    def __init__(self, id, predictions: PoseLog):
         self.id = id
-        self.predictions = dict(predictions)
+        self.predictions = predictions
 
     def predict_absolute_many(self, batch):
         """Each row's stored prediction; MissingPrediction if one is missing."""
-        missing = [f for f in batch.frame_ids if f not in self.predictions]
+        table = self.predictions
+        missing = [f for f in batch.frame_ids if f not in table]
         if missing:
             raise MissingPrediction(missing[0])
-        return pose_arrays(self.predictions[f] for f in batch.frame_ids)
+        return _rows(table, [table.position(f) for f in batch.frame_ids])
 
 
 def _score(estimator, batches) -> MetricReport:
@@ -570,6 +578,8 @@ def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
     neutral reference and requires a nearest_within policy so the gap stays
     controlled.  Unpaired queries are counted but never evaluated.  Within
     a bin, queries keep log order and query_id order within a log.
+    predictions_by_estimator maps an estimator id to its prediction table
+    (a PoseLog), from which external_predicted takes its anchors.
     """
     if axis not in SWEEP_AXES:
         raise DomainError(f"unknown sweep axis {axis!r}")
@@ -586,18 +596,14 @@ def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
     values = [np.empty(0)]  # axis value per paired query
     errors = [[] for _ in estimators]  # error_arrays per estimator and log
     unpaired = 0
+    table = (predictions_by_estimator or {}).get(policy.external_source)
     for log in logs:
-        preds_ext = None
-        if policy.kind == "external_predicted":
-            preds_ext = (predictions_by_estimator or {}).get(policy.external_source)
-        rows = anchor_arrays(log, policy, preds_ext)
+        rows = anchor_arrays(log, policy, table)
         queries = sorted(np.flatnonzero(rows.anchor >= 0).tolist(),
                          key=log.frame_ids.__getitem__)
         unpaired += len(log) - len(queries)
-        anchor = rows.predicted_pose
-        if anchor is not None:
-            anchor = (np.tile(anchor.rotation.quat, (len(queries), 1)),
-                      np.tile(anchor.translation, (len(queries), 1)))
+        anchor = (None if rows.predicted_row is None else
+                  _rows(table, [rows.predicted_row] * len(queries)))
         batch = query_batch(log, queries, rows.anchor[queries], anchor)
         if axis == "anchor_query_gap":
             values.append(rows.gap_deg[queries])

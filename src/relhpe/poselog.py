@@ -1,9 +1,10 @@
 """Per-subject pose sequences: frame records and ordered logs.
 
 A PoseLog is columnar: its frame ids, (N, 4) canonical quaternions, (N, 3)
-translations and optional (N, 6) intrinsics are the log.  The array paths
-read these columns; the FrameRecord view (PoseLog.frames) is built only
-when asked for.
+translations and optional (N, 6) intrinsics are the log, and its only
+constructor takes them.  The readers, the pair builders, the sweep and the
+prediction tables read these columns; the FrameRecord view
+(PoseLog.frames) is built only when asked for.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .camera import Intrinsics, intrinsics_ok_many
-from .errors import (DomainError, EmptyInput, FrameMismatch,
-                     InvariantViolation, UnknownFrame)
+from .errors import DomainError, EmptyInput, InvariantViolation, UnknownFrame
 from .geometry import Rotation, SE3Pose, canonical_many
 
 # An id the CSV readers would skip as a '#' comment, read as a quoted field,
@@ -48,49 +48,15 @@ class PoseLog:
     (N, 4) canonical (w, x, y, z), as Rotation stores them), translations
     (read-only (N, 3), mm) and intrinsics (read-only (N, 6) fx, fy, cx, cy,
     width, height with a row of NaN for a frame without, or None when no
-    frame has any).
-
-    PoseLog(subject_id, frames, frame_tag) takes FrameRecords, indexed
-    0..N-1 and tagged frame_tag; PoseLog.from_arrays takes the columns.
+    frame has any).  The constructor takes these columns and builds no
+    per-frame object: each quaternion row becomes Rotation(*row)'s
+    components (canonical_many).  DomainError on a zero or non-finite
+    quaternion, a non-finite translation or an intrinsics row that
+    Intrinsics rejects.
     """
 
-    def __init__(self, subject_id: str, frames, frame_tag: str = "world"):
-        frames = tuple(frames)
-        for want, f in enumerate(frames):
-            if f.index != want:
-                raise InvariantViolation(
-                    f"log {subject_id!r}: frame {f.frame_id!r} has index "
-                    f"{f.index}, expected {want}")
-            if f.pose.frame_tag != frame_tag:
-                raise FrameMismatch(
-                    f"frame {f.frame_id!r} tagged {f.pose.frame_tag!r}, "
-                    f"log is {frame_tag!r}")
-        intrinsics = None
-        if any(f.intrinsics is not None for f in frames):
-            intrinsics = [(math.nan,) * 6 if k is None else
-                          (k.fx, k.fy, k.cx, k.cy, k.width, k.height)
-                          for k in (f.intrinsics for f in frames)]
-        self._set_columns(
-            subject_id, [f.frame_id for f in frames],
-            [(r.w, r.x, r.y, r.z) for r in (f.pose.rotation for f in frames)],
-            [f.pose.translation for f in frames], frame_tag, intrinsics)
-        self.__dict__["frames"] = frames  # the cached view is the input
-
-    @classmethod
-    def from_arrays(cls, subject_id: str, frame_ids, quats, translations,
-                    frame_tag: str = "world", intrinsics=None) -> "PoseLog":
-        """The log of the given columns (see the class docstring), with no
-        per-frame object built.  Each quaternion row becomes Rotation(*row)'s
-        components (canonical_many); DomainError on a zero or non-finite
-        quaternion, a non-finite translation or an intrinsics row that
-        Intrinsics rejects."""
-        log = cls.__new__(cls)
-        log._set_columns(subject_id, frame_ids, quats, translations, frame_tag,
-                         intrinsics)
-        return log
-
-    def _set_columns(self, subject_id, frame_ids, quats, translations,
-                     frame_tag, intrinsics):
+    def __init__(self, subject_id: str, frame_ids, quats, translations,
+                 frame_tag: str = "world", intrinsics=None):
         frame_ids = tuple(frame_ids)
         if not frame_ids:
             raise EmptyInput(f"log {subject_id!r} has no frames")
@@ -124,6 +90,9 @@ class PoseLog:
 
     def __len__(self):
         return len(self.frame_ids)
+
+    def __contains__(self, frame_id):
+        return frame_id in self._position
 
     @cached_property
     def frames(self) -> tuple:

@@ -33,11 +33,12 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptyRange, ParseError
+from .errors import DomainError, EmptyRange, InvariantViolation, ParseError
 from .geometry import (Rotation, SE3Pose, axis_angle_many, compose_many,
                        geodesic_deg, geodesic_deg_many, inverse_many,
                        multiply_many, relative, rotation_from_euler_many)
@@ -320,21 +321,34 @@ def sample_logs(sampler: PoseSampler) -> list:
     draws = rng.uniform(lows, highs, size=(sampler.subjects, n, 6))
     ids = [f"f{i:04d}" for i in range(n + 1)]
     identity = np.array([[1.0, 0.0, 0.0, 0.0]])
-    return [PoseLog.from_arrays(
+    return [PoseLog(
         f"subj{s:03d}", ids,
         np.vstack([identity, rotation_from_euler_many(draws[s, :, :3])]),
         np.vstack([np.zeros((1, 3)), draws[s, :, 3:]]), "world")
         for s in range(sampler.subjects)]
 
 
-def load_predictions_csv(path) -> dict:
-    """query_id -> SE3Pose from a CSV of (query_id, qw, qx, qy, qz, tx, ty, tz)."""
-    preds = {}
+def load_predictions_csv(path) -> PoseLog:
+    """The prediction table (a PoseLog keyed by query id, as written) of a
+    CSV of (query_id, qw, qx, qy, qz, tx, ty, tz) rows.  ParseError naming
+    the line of a duplicate id, a non-finite number or a zero or
+    overflowing quaternion, and '<path>: no records' for a file without."""
+    ids, numbers = {}, array("d")
     for lineno, row in csv_rows(path, (8,), header=("query_id", "frame_id")):
-        qid = row[0].strip()
-        if qid in preds:
-            raise ParseError(f"{path}:{lineno}: duplicate query id {qid!r}")
+        if row[0] in ids:
+            raise ParseError(f"{path}:{lineno}: duplicate query id {row[0]!r}")
         with row_errors(path, lineno):
             vals = finite_floats(row[1:])
-            preds[qid] = SE3Pose(Rotation(*vals[0:4]), np.array(vals[4:7]))
-    return preds
+            w, x, y, z = vals[:4]
+            norm = math.sqrt(w * w + x * x + y * y + z * z)
+            if not 0.0 < norm < math.inf:
+                raise DomainError(f"quaternion norm {norm} is zero or non-finite")
+        ids[row[0]] = None
+        numbers.extend(vals)
+    if not ids:
+        raise ParseError(f"{path}: no records")
+    values = np.frombuffer(numbers).reshape(-1, 7)
+    try:
+        return PoseLog("predictions", ids, values[:, :4], values[:, 4:])
+    except InvariantViolation as exc:  # an id a CSV row cannot hold
+        raise InvariantViolation(f"{path}: {exc}") from exc

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from relhpe import EulerAngles, Rotation, SE3Pose, rotation_from_euler
+from relhpe import EulerAngles, PoseLog, Rotation, SE3Pose, rotation_from_euler
 
 
 def yaw_pose(deg, frame="world", t=(0.0, 0.0, 0.0)):
@@ -19,6 +19,23 @@ def random_rotation(rng) -> Rotation:
 
 def random_pose(rng, frame="world", t_scale=500.0) -> SE3Pose:
     return SE3Pose(random_rotation(rng), rng.uniform(-t_scale, t_scale, 3), frame)
+
+
+def pose_log(poses, subject="s", ids=None, intrinsics=None):
+    """The PoseLog of SE3Poses, tagged with their frame; poses may be a dict
+    of frame id -> pose, else ids default to f0, f1, ...  intrinsics holds
+    one Intrinsics or None per frame."""
+    if isinstance(poses, dict):
+        ids, poses = list(poses), list(poses.values())
+    tags = {p.frame_tag for p in poses}
+    assert len(tags) == 1, tags
+    k = None
+    if intrinsics is not None and any(i is not None for i in intrinsics):
+        k = [(math.nan,) * 6 if i is None else
+             (i.fx, i.fy, i.cx, i.cy, i.width, i.height) for i in intrinsics]
+    return PoseLog(subject, [f"f{i}" for i in range(len(poses))] if ids is None
+                   else ids, [p.rotation.quat for p in poses],
+                   [p.translation for p in poses], tags.pop(), k)
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ import pytest
 import scipy.stats
 
 from relhpe import (AnchorPolicy, CropSpec, EulerAngles, Intrinsics,
-                    LossConfig, NoiseModel, PoseLog, PoseSampler,
+                    LossConfig, NoiseModel, PoseSampler,
                     RelativeSimEstimator, Rotation, SE3Pose, StagePrediction,
                     apply_anchor, build_easy_pairs, build_hard_pairs,
                     compose_crops, crop_update_intrinsics, evaluate,
@@ -24,10 +24,9 @@ from relhpe import (AnchorPolicy, CropSpec, EulerAngles, Intrinsics,
                     relative, rotation_from_euler, sample_logs, sweep)
 from relhpe.camera import CameraPose
 from relhpe.harness import PairSet
-from relhpe.poselog import FrameRecord
 from relhpe.reports import pairs_csv, pairs_payload
 
-from conftest import random_pose, random_rotation
+from conftest import pose_log, random_pose, random_rotation
 from test_harness import easy_fixture_log, hard_fixture_log, write_biwi_fixture
 
 
@@ -141,18 +140,12 @@ def test_04_euler_metric():
     with criterion(4, "Euler metric / yaw offset"):
         # yaw values straddling the +-180 seam so wrapping is exercised
         yaws = [-179.0, -120.0, -45.0, 0.0, 30.0, 90.0, 150.0, 178.5, 179.5]
-        frames = tuple(
-            FrameRecord(f"f{i}", i,
-                        SE3Pose(rotation_from_euler(EulerAngles(y, 0, 0)),
-                                np.zeros(3), "world"))
-            for i, y in enumerate(yaws))
-        log = PoseLog("s", frames, "world")
+        log = pose_log([SE3Pose(rotation_from_euler(EulerAngles(y, 0, 0)),
+                                np.zeros(3), "world") for y in yaws])
         pairs = PairSet("all", tuple(("f0", f"f{i}", 0.0)
                                      for i in range(len(yaws))), 0)
-        preds = {
-            f"f{i}": SE3Pose(rotation_from_euler(EulerAngles(y + 3.0, 0, 0)),
-                             np.zeros(3), "world")
-            for i, y in enumerate(yaws)}
+        preds = pose_log([SE3Pose(rotation_from_euler(EulerAngles(y + 3.0, 0, 0)),
+                                  np.zeros(3), "world") for y in yaws])
         rep = evaluate(pairs, preds, log)
         assert abs(rep.yaw_mae - 3.0) < 1e-9
         assert rep.pitch_mae < 1e-9
@@ -249,9 +242,8 @@ def test_07_adapter_and_round_trip(tmp_path):
         for i in range(100):
             k = (Intrinsics(500.0, 510.0, 320.0, 240.0, 640.0, 480.0)
                  if i % 2 == 0 else None)
-            frames = tuple(FrameRecord(f"f{j:04d}", j, random_pose(rng))
-                           for j in range(5))
-            src = PoseLog(f"subj{i}", frames, "world")
+            src = pose_log([random_pose(rng) for _ in range(5)], f"subj{i}",
+                           intrinsics=[k] * 5)
             path = tmp_path / f"log{i}.csv"
             export_canonical(src, path)
             back = ingest_canonical(path)

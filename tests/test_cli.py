@@ -10,15 +10,13 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from relhpe import (EulerAngles, PoseLog, Rotation, SE3Pose,
-                    euler_from_rotation, export_canonical,
-                    ingest_canonical_all, rotation_from_euler)
-from relhpe.poselog import FrameRecord
+from relhpe import (EulerAngles, Rotation, SE3Pose, euler_from_rotation,
+                    export_canonical, ingest_canonical_all, rotation_from_euler)
 import relhpe.cli
 from relhpe.cli import SETTINGS, build_parser, main
 
 from test_harness import write_biwi_fixture
-from conftest import random_pose
+from conftest import pose_log, random_pose
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -73,8 +71,7 @@ class TestIngest:
     def test_range_summary_matches_scalar(self, tmp_path, rng, capsys):
         """The printed ranges equal the scalar Euler conversion of every
         frame, gimbal-locked ones (|pitch| >= 89, roll 0) included."""
-        logs = [PoseLog(s, tuple(FrameRecord(f"f{i}", i, p) for i, p in enumerate(poses)))
-                for s, poses in (
+        logs = [pose_log(poses, s) for s, poses in (
                     ("a", [random_pose(rng) for _ in range(30)]),
                     ("b", [SE3Pose(rotation_from_euler(EulerAngles(*e)), np.zeros(3))
                            for e in ((30.0, 89.5, 10.0), (-170.0, -89.9, 5.0),
@@ -225,6 +222,24 @@ class TestEval:
         if rc:
             assert err.startswith(f"error: {pairs}:5: gap_deg ")
             assert f"{anchor_id!r} -> {query_id!r} is {float(gap)!r}" in err
+
+    def test_ids_with_spaces_round_trip(self, tmp_path, rng):
+        """Frame ids keep their surrounding spaces through the canonical
+        log, the pairs CSV and the predictions CSV, so perfect predictions
+        score zero."""
+        log = tmp_path / "log.csv"
+        export_canonical(pose_log([random_pose(rng) for _ in range(12)],
+                                  ids=[f" f{i} " for i in range(12)]), log)
+        out = tmp_path / "e"
+        assert run(["--out", out, "pairs", log, "--pair-kind", "easy",
+                    "--neutral-thresh-deg", "1000", "--max-gap-deg", "180"]) == 0
+        preds = tmp_path / "preds.csv"
+        write_perfect_predictions(log, out / "pairs_s.csv", preds)
+        assert " f3 ," in read(preds)
+        assert run(["--out", out, "eval", log, out / "pairs_s.csv", preds]) == 0
+        rep = json.loads(read(out / "eval.json"))["payload"]["external"]
+        assert rep.pop("n") == 132
+        assert set(rep.values()) == {0.0}, rep
 
     def test_missing_prediction(self, tmp_path, capsys):
         log = single_subject_log(tmp_path)
@@ -520,6 +535,7 @@ def malformed_input(case, tmp_path):
     pairs = tmp_path / "pairs.csv"
     prediction_rows = {"nan_prediction_quaternion": "f0001,nan,0,0,0,0,0,0",
                        "zero_prediction_quaternion": "f0001,0,0,0,0,0,0,0",
+                       "huge_prediction_quaternion": "f0001,1e200,0,0,0,0,0,0",
                        "duplicate_prediction_id": "f0001,1,0,0,0,0,0,0\n"
                                                   "f0001,1,0,0,0,0,0,0"}
     if case in prediction_rows:
@@ -541,14 +557,19 @@ def malformed_input(case, tmp_path):
     if case in pairs_rows:
         pairs.write_text(f"anchor_id,query_id,gap_deg\n{pairs_rows[case]}\n")
         return ["eval", log, pairs, preds], "pairs.csv:2:"
+    no_frame = "pairs.csv:2: log 'subj000' has no frame 'zzz'"
+    if case == "query_not_in_truth":
+        pairs.write_text("anchor_id,query_id,gap_deg\nf0000,zzz,1.0\n")
+        return ["eval", log, pairs, preds], no_frame
+    preds.write_text("query_id,qw,qx,qy,qz,tx_mm,ty_mm,tz_mm\n"
+                     "f0001,1,0,0,0,0,0,0\n")
     if case == "anchor_not_in_truth":
         pairs.write_text("anchor_id,query_id,gap_deg\nzzz,f0001,1.0\n")
-        preds.write_text("query_id,qw,qx,qy,qz,tx_mm,ty_mm,tz_mm\n"
-                         "f0001,1,0,0,0,0,0,0\n")
-        return ["eval", log, pairs, preds], "'zzz'"
-    assert case == "query_not_in_truth"
-    pairs.write_text("anchor_id,query_id,gap_deg\nf0000,zzz,1.0\n")
-    return ["eval", log, pairs, preds], "'zzz'"
+        return ["eval", log, pairs, preds], no_frame
+    assert case == "query_without_prediction"
+    pairs.write_text("anchor_id,query_id,gap_deg\nf0000,f0001,1.0\nf0000,f0002,1.0\n")
+    return ["eval", log, pairs, preds], (f"pairs.csv:3: no prediction for query "
+                                         f"'f0002' in {preds}")
 
 
 @pytest.mark.parametrize("case", ["report_without_bins", "pairs_without_anchor_id",
@@ -560,6 +581,7 @@ def malformed_input(case, tmp_path):
                                   "bad_log_intrinsics",
                                   "nan_prediction_quaternion",
                                   "zero_prediction_quaternion",
+                                  "huge_prediction_quaternion",
                                   "duplicate_prediction_id",
                                   "nan_biwi_translation",
                                   "nan_biwi_calibration",
@@ -592,6 +614,7 @@ def malformed_input(case, tmp_path):
                                   "config_zero_frames", "config_zero_subjects",
                                   "config_yaw_min_above_max", "zero_frames_flag",
                                   "tiny_bin_width", "anchor_not_in_truth",
+                                  "query_without_prediction",
                                   "pairs_gap_above_180", "negative_pairs_gap"])
 def test_malformed_input_is_a_typed_error(case, tmp_path, capsys):
     argv, named = malformed_input(case, tmp_path)

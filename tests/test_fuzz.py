@@ -4,7 +4,8 @@ Small valid inputs of every file kind the CLI reads (canonical log, pairs
 and predictions CSVs, stage file, config, report JSON, BIWI directory) are
 mutated by inserting, replacing or deleting characters.  Every run must
 end in exit 0, or in exit 2 with an 'error:' line: no exception escapes
-main.  The draws are derandomized, so a run is the same every time.
+main.  An error of eval on a mutated pairs or predictions CSV names that
+file.  The draws are derandomized, so a run is the same every time.
 """
 
 import contextlib
@@ -18,12 +19,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relhpe import PoseLog, SE3Pose, export_canonical
+from relhpe import SE3Pose, export_canonical
 from relhpe.camera import Intrinsics
 from relhpe.cli import main
-from relhpe.poselog import FrameRecord
 
-from conftest import yaw_pose
+from conftest import pose_log, yaw_pose
 from test_cli import write_stage_file
 from test_harness import write_biwi_fixture
 
@@ -46,6 +46,8 @@ TARGETS = {
     "biwi_calibration": ("biwi/rgb.cal", BIWI),
     "biwi_pose": ("biwi/frame_00001_pose.txt", BIWI),
 }
+# targets whose every error names the mutated file
+NAMED = {"pairs_eval", "predictions_eval"}
 
 EDITS = st.lists(st.tuples(st.sampled_from(["insert", "replace", "delete"]),
                            st.integers(min_value=0, max_value=10 ** 6),
@@ -87,10 +89,9 @@ def sources(tmp_path_factory):
     """name -> bytes of one valid input of each kind."""
     root = tmp_path_factory.mktemp("sources")
     k = Intrinsics(500.0, 510.0, 320.0, 240.0, 640.0, 480.0)
-    log = PoseLog("s", tuple(
-        FrameRecord(f"f{i}", i, yaw_pose(y, t=(i, -2.5 * i, 600.0)),
-                    k if i % 2 else None)
-        for i, y in enumerate([0.0, 3.0, 6.0, 50.0, 60.0, 70.0])), "world")
+    yaws = [0.0, 3.0, 6.0, 50.0, 60.0, 70.0]
+    log = pose_log([yaw_pose(y, t=(i, -2.5 * i, 600.0)) for i, y in enumerate(yaws)],
+                   intrinsics=[k if i % 2 else None for i in range(len(yaws))])
     export_canonical(log, root / "log.csv")
     (root / "preds.csv").write_text("query_id,qw,qx,qy,qz,tx_mm,ty_mm,tz_mm\n" + "".join(
         ",".join([f.frame_id] + [repr(float(v)) for v in
@@ -118,6 +119,8 @@ def sources(tmp_path_factory):
 @settings(derandomize=True, database=None, deadline=None, max_examples=50)
 @given(edits=EDITS)
 @example(edits=[])
+# pairs.csv: 'f0,f4,...' on line 2 becomes 'f0,xf4,...', a query the log lacks
+@example(edits=[("insert", len("anchor_id,query_id,gap_deg\nf0,"), b"x")])
 def test_mutated_input_exits_cleanly(target, sources, edits):
     name, argv = TARGETS[target]
     with tempfile.TemporaryDirectory() as root:
@@ -126,3 +129,4 @@ def test_mutated_input_exits_cleanly(target, sources, edits):
     assert rc == 0 if not edits else rc in (0, 2)
     if rc == 2:
         assert any(line.startswith("error:") for line in err.splitlines()), err
+        assert target not in NAMED or name in err, err

@@ -7,12 +7,13 @@ import pytest
 
 import relhpe.anchors
 import relhpe.harness
-from relhpe import (AnchorPolicy, EulerAngles, NoiseModel, PoseLog,
+from relhpe import (AnchorPolicy, EulerAngles, NoiseModel,
                     PoseSampler, RelativeSimEstimator, Rotation, SE3Pose,
-                    TableEstimator, assign_anchors, build_easy_pairs,
+                    TableEstimator, anchor_arrays, build_easy_pairs,
                     build_hard_pairs, compose, evaluate, export_canonical,
                     geodesic_deg, geodesic_deg_many, ingest_biwi,
-                    ingest_canonical, ingest_canonical_all, neutral_reference,
+                    ingest_canonical, ingest_canonical_all,
+                    load_predictions_csv, neutral_reference,
                     rotation_from_euler, run_end_to_end, sample_logs, sweep,
                     wrap_deg)
 from relhpe.anchors import POLICY_KINDS
@@ -21,9 +22,8 @@ from relhpe.harness import csv_rows
 from relhpe.errors import (DomainError, InsufficientFrames, InvariantViolation,
                            MalformedPoseFile, MissingCalibration,
                            MissingPrediction, ParseError, UnknownFrame)
-from relhpe.poselog import FrameRecord
 
-from conftest import random_pose, yaw_pose
+from conftest import pose_log, random_pose, yaw_pose
 
 
 def euler_pose(yaw, pitch=0.0, roll=0.0, t=(0, 0, 0), frame="world"):
@@ -31,10 +31,9 @@ def euler_pose(yaw, pitch=0.0, roll=0.0, t=(0, 0, 0), frame="world"):
                    np.array(t, dtype=float), frame)
 
 
-def make_log(poses, subject="s1", frame="world", intrinsics=None):
-    frames = tuple(FrameRecord(f"f{i:04d}", i, p, intrinsics)
-                   for i, p in enumerate(poses))
-    return PoseLog(subject, frames, frame)
+def make_log(poses, subject="s1", intrinsics=None):
+    return pose_log(poses, subject, [f"f{i:04d}" for i in range(len(poses))],
+                    [intrinsics] * len(poses))
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +53,33 @@ class TestCsvRows:
         with pytest.raises(ParseError,
                            match="rows.csv:2: expected 2 or 4 fields, got 3"):
             list(csv_rows(path, (2, 4)))
+
+    def test_bad_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_bytes(b"a,1\n# note \xff\nb,2\n")
+        rows = csv_rows(path, (2,))
+        assert next(rows) == (1, ["a", "1"])
+        with pytest.raises(ParseError, match="rows.csv:2: 'utf-8' codec can't "
+                                             "decode byte 0xff in position 7"):
+            next(rows)
+
+    def test_bad_row_before_a_bad_byte_is_named(self, tmp_path):
+        """The file is decoded as it is read, so an earlier bad row is found
+        before a bad byte further down."""
+        log = tmp_path / "bad.csv"
+        log.write_bytes(b"# poselog v1 frame=world\ns,f0,0,1,0,0,0,0,0,0\n"
+                        b"s,f1,7,1,0,0,0,0,0,0\ns,f2,2,1,0,0,0,0,0,\xff\n")
+        with pytest.raises(ParseError, match="bad.csv:3: .* has index 7"):
+            ingest_canonical_all(log)
+        preds = tmp_path / "preds.csv"
+        preds.write_bytes(b"f0,0,0,0,0,0,0,0\n"
+                          + b"".join(b"f%d,1,0,0,0,0,0,0\n" % i for i in range(1, 201))
+                          + b"f201,1,0,0,0,0,0,\xff\n")
+        with pytest.raises(ParseError, match="preds.csv:1: quaternion norm 0.0"):
+            load_predictions_csv(preds)
+        preds.write_bytes(preds.read_bytes().replace(b"f0,0,", b"f0,1,"))
+        with pytest.raises(ParseError, match="preds.csv:202: 'utf-8' codec"):
+            load_predictions_csv(preds)
 
 
 class TestCanonicalFormat:
@@ -92,7 +118,7 @@ class TestCanonicalFormat:
             with_k = i % 3 == 0
             k = Intrinsics(500.0, 510.0, 320.0, 240.0, 640.0, 480.0) if with_k else None
             log = make_log([random_pose(rng, frame="rgb") for _ in range(5)],
-                           subject=f"subj{i}", frame="rgb", intrinsics=k)
+                           subject=f"subj{i}", intrinsics=k)
             path = tmp_path / f"log{i}.csv"
             export_canonical(log, path)
             back = ingest_canonical(path)
@@ -112,8 +138,7 @@ class TestCanonicalFormat:
 
     def test_unusual_ids_round_trip(self, tmp_path):
         """Ids the CSV reader takes literally survive export and ingest."""
-        log = PoseLog(" s#1", (FrameRecord('a"b', 0, yaw_pose(0)),
-                               FrameRecord(" x ", 1, yaw_pose(5))))
+        log = pose_log([yaw_pose(0), yaw_pose(5)], " s#1", ['a"b', " x "])
         path = tmp_path / "log.csv"
         export_canonical(log, path)
         back = ingest_canonical(path)
@@ -125,7 +150,7 @@ class TestCanonicalFormat:
         ("s", "#f0"), ("s", "f,0"), ("s", "f\n0"), ("s", "f\r0")])
     def test_unwritable_ids_rejected(self, subject, frame_id):
         with pytest.raises(InvariantViolation, match="cannot be written"):
-            PoseLog(subject, (FrameRecord(frame_id, 0, yaw_pose(0)),))
+            pose_log([yaw_pose(0)], subject, [frame_id])
 
     def test_multi_subject(self, tmp_path):
         path = tmp_path / "log.csv"
@@ -375,10 +400,9 @@ class TestFrameSetKernel:
             # harness binds no scalar geodesic_deg since the sweep is batched
             monkeypatch.setattr(module, "geodesic_deg", counting, raising=False)
         log = make_log([euler_pose(y, 0.1 * y) for y in np.linspace(-80, 80, 200)])
-        preds = {f.frame_id: f.pose for f in log.frames}
         for kind in POLICY_KINDS:
-            out = assign_anchors(log, AnchorPolicy(kind, 10.0, "ext"), preds)
-            assert len(out) == 200
+            out = anchor_arrays(log, AnchorPolicy(kind, 10.0, "ext"), log)
+            assert len(out.anchor) == 200
         neutral_reference(log)
         assert build_easy_pairs(log, n_pairs=50).stats["count"] == 50
         assert build_hard_pairs(log, n_pairs=50).stats["count"] == 50
@@ -416,7 +440,7 @@ class TestPoseLog:
         """The canonical header splits on whitespace, so such a tag would
         not read back ('my frame' as 'my'; 'a\nb' breaks the file)."""
         with pytest.raises(InvariantViolation, match="frame tag"):
-            make_log([SE3Pose(Rotation.identity(), np.zeros(3), tag)], frame=tag)
+            make_log([SE3Pose(Rotation.identity(), np.zeros(3), tag)])
 
     def test_quats_read_only(self, rng):
         log = make_log([random_pose(rng) for _ in range(3)])
@@ -435,8 +459,7 @@ class TestEvaluate:
         log = make_log([random_pose(rng) for _ in range(6)])
         ps = build_easy_pairs(log, neutral_thresh_deg=1000, max_gap_deg=360,
                               n_pairs=50, seed=0)
-        preds = {f.frame_id: f.pose for f in log.frames}
-        rep = evaluate(ps, preds, log)
+        rep = evaluate(ps, log, log)  # the truth as its own prediction table
         assert rep.mae == 0.0 and rep.geodesic_mae == 0.0
         assert rep.yaw_mae == rep.pitch_mae == rep.roll_mae == 0.0
         assert rep.t_l2_mm == 0.0
@@ -453,7 +476,7 @@ class TestEvaluate:
             e = euler_from_rotation(f.pose.rotation)
             preds[f.frame_id] = euler_pose(e.yaw + 3.0, e.pitch, e.roll,
                                            t=tuple(f.pose.translation))
-        rep = evaluate(ps, preds, log)
+        rep = evaluate(ps, pose_log(preds), log)
         assert abs(rep.yaw_mae - 3.0) < 1e-9
         assert rep.pitch_mae < 1e-9 and rep.roll_mae < 1e-9
         assert abs(rep.mae - 1.0) < 1e-9
@@ -463,7 +486,7 @@ class TestEvaluate:
         ps_pairs = type(build_easy_pairs)  # noqa: F841 (no builder for 1 frame)
         from relhpe import PairSet
         ps = PairSet("seam", (("f0000", "f0000", 0.0),), 0)
-        preds = {"f0000": euler_pose(-179.0)}
+        preds = pose_log({"f0000": euler_pose(-179.0)})
         rep = evaluate(ps, preds, log)
         assert abs(rep.yaw_mae - 2.0) < 1e-9
 
@@ -476,12 +499,12 @@ class TestEvaluate:
         log = make_log([euler_pose(0.0), euler_pose(3.0)])
         from relhpe import PairSet
         ps = PairSet("x", (("f0000", "f0001", 3.0),), 0)
-        with pytest.raises(MissingPrediction):
-            evaluate(ps, {}, log)
+        with pytest.raises(MissingPrediction, match="'f0001'"):
+            evaluate(ps, pose_log({"f0000": euler_pose(0.0)}), log)
 
     def test_scored_as_run_end_to_end_scores_a_table(self, rng):
         log = hard_fixture_log()
-        preds = {f.frame_id: random_pose(rng) for f in log.frames}
+        preds = pose_log({f.frame_id: random_pose(rng) for f in log.frames})
         kwargs = {"neutral_thresh_deg": 15.0, "extreme_thresh_deg": 45.0,
                   "n_pairs": 100, "seed": 3}
         ps = build_hard_pairs(log, **kwargs)
@@ -498,7 +521,7 @@ class TestEvaluate:
                       for f in log.frames[1:])
         ps = PairSet("x", pairs, 0)
         preds = {f.frame_id: random_pose(rng) for f in log.frames}
-        rep = evaluate(ps, preds, log)
+        rep = evaluate(ps, pose_log(preds), log)
         # brute-force recomputation per sample
         yaw_errs, geos = [], []
         for _, qid, _ in pairs:
@@ -560,8 +583,8 @@ class TestSweep:
                         for i in range(8)])
         anchor = log.frames[0]
         offset = Rotation.from_axis_angle(rng.normal(size=3), math.radians(theta))
-        predicted = {anchor.frame_id: SE3Pose(offset * anchor.pose.rotation,
-                                              anchor.pose.translation)}
+        predicted = pose_log({anchor.frame_id: SE3Pose(
+            offset * anchor.pose.rotation, anchor.pose.translation)})
         rep = sweep(log, perfect_relative(),
                     AnchorPolicy("external_predicted", external_source="ext"),
                     "anchor_query_gap", predictions_by_estimator={"ext": predicted})

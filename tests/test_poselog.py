@@ -1,7 +1,7 @@
-"""The columnar PoseLog: parity of its two constructors, the canonical
-reader's messages against a row-by-row reference, round trips through the
-file formats, and a guard that the default CLI paths build no per-frame
-objects."""
+"""The columnar PoseLog: its columns and frames view against the scalar
+objects, the canonical reader's messages against a row-by-row reference,
+round trips through the file formats, and a guard that the default CLI
+paths build no per-frame objects."""
 
 import collections
 import contextlib
@@ -24,6 +24,7 @@ from relhpe.errors import (DomainError, EmptyInput, InvariantViolation,
 from relhpe.harness import csv_rows, finite_floats, row_errors
 from relhpe.poselog import FrameRecord
 
+from conftest import pose_log
 from test_fuzz import mutate
 
 unit = st.floats(-1.0, 1.0, allow_nan=False)
@@ -46,7 +47,7 @@ def bits(values):
 
 
 def columns(rows):
-    """from_arrays arguments (ids, quats, translations, intrinsics) of
+    """PoseLog column arguments (ids, quats, translations, intrinsics) of
     hypothesis rows."""
     k = [(math.nan,) * 6 if r[2] is None else r[2] for r in rows]
     return ([f"f{i}" for i in range(len(rows))], [r[0] for r in rows],
@@ -54,11 +55,12 @@ def columns(rows):
             None if all(r[2] is None for r in rows) else k)
 
 
-def frame_log(rows, tag="world"):
-    return PoseLog("s", tuple(
-        FrameRecord(f"f{i}", i, SE3Pose(Rotation(*q), t, tag),
-                    None if k is None else Intrinsics(*k))
-        for i, (q, t, k) in enumerate(rows)), tag)
+def scalar_frames(rows, tag="world"):
+    """FrameRecords of hypothesis rows built from scalar Rotation, SE3Pose
+    and Intrinsics objects."""
+    return tuple(FrameRecord(f"f{i}", i, SE3Pose(Rotation(*q), t, tag),
+                             None if k is None else Intrinsics(*k))
+                 for i, (q, t, k) in enumerate(rows))
 
 
 def assert_same_log(a, b):
@@ -69,7 +71,11 @@ def assert_same_log(a, b):
     assert (a.intrinsics is None) == (b.intrinsics is None)
     if a.intrinsics is not None:
         assert a.intrinsics.tobytes() == b.intrinsics.tobytes()
-    for fa, fb in zip(a.frames, b.frames, strict=True):
+    assert_same_frames(a.frames, b.frames)
+
+
+def assert_same_frames(frames_a, frames_b):
+    for fa, fb in zip(frames_a, frames_b, strict=True):
         ra, rb = fa.pose.rotation, fb.pose.rotation
         assert bits([ra.w, ra.x, ra.y, ra.z]) == bits([rb.w, rb.x, rb.y, rb.z])
         assert fa.pose.translation.tobytes() == fb.pose.translation.tobytes()
@@ -78,22 +84,28 @@ def assert_same_log(a, b):
 
 
 # ---------------------------------------------------------------------------
-# the two constructors
+# the constructor
 
 
 @given(rows=rows)
-def test_from_arrays_equals_the_frames_constructor(rows):
+def test_frames_view_equals_the_scalar_objects(rows):
+    """Each quaternion column row holds Rotation(*row)'s components, and the
+    frames view equals FrameRecords built from the scalar objects."""
     ids, quats, translations, k = columns(rows)
-    log = PoseLog.from_arrays("s", ids, quats, translations, "world", k)
+    log = PoseLog("s", ids, quats, translations, "world", k)
     assert "frames" not in vars(log)  # built on first use only
-    assert_same_log(log, frame_log(rows))
+    want = scalar_frames(rows)
+    assert bits(log.quats.ravel().tolist()) == bits(
+        [c for f in want for c in (f.pose.rotation.w, f.pose.rotation.x,
+                                   f.pose.rotation.y, f.pose.rotation.z)])
+    assert_same_frames(log.frames, want)
     assert log.frames is log.frames
 
 
 def test_columns_are_read_only_copies():
     quats = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
     translations = np.zeros((2, 3))
-    log = PoseLog.from_arrays("s", ["a", "b"], quats, translations)
+    log = PoseLog("s", ["a", "b"], quats, translations)
     assert quats.flags.writeable and translations.flags.writeable
     for column in (log.quats, log.translations):
         with pytest.raises(ValueError):
@@ -118,11 +130,12 @@ def test_columns_are_read_only_copies():
      "image dimensions"),
 ])
 def test_from_arrays_checks(change, error, match):
+    """The checks PoseLog makes on its columns."""
     args = {"subject_id": "s", "frame_ids": ["a", "b"],
             "quats": [[1, 0, 0, 0]] * 2, "translations": [[0, 0, 0]] * 2,
             "frame_tag": "world", "intrinsics": None, **change}
     with pytest.raises(error, match=match):
-        PoseLog.from_arrays(**args)
+        PoseLog(**args)
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +143,8 @@ def test_from_arrays_checks(change, error, match):
 
 
 def reference_ingest(path):
-    """A canonical reader built from PoseLog's FrameRecord constructor,
-    kept as the oracle for ingest_canonical_all's results and messages."""
+    """A canonical reader built from scalar objects row by row, kept as the
+    oracle for ingest_canonical_all's results and messages."""
     frame_tag = "world"
     with open(path, encoding="utf-8", errors="replace") as fh:
         first = fh.readline().rstrip("\n")
@@ -170,7 +183,9 @@ def reference_ingest(path):
     if not by_subject:
         raise ParseError(f"{path}: no records")
     try:
-        return [PoseLog(s, frames, frame_tag) for s, frames in by_subject.items()]
+        return [pose_log([f.pose for f in frames], s, [f.frame_id for f in frames],
+                         [f.intrinsics for f in frames])
+                for s, frames in by_subject.items()]
     except InvariantViolation as exc:
         raise InvariantViolation(f"{path}: {exc}") from exc
 
@@ -267,7 +282,7 @@ def test_export_ingest_export_is_byte_stable(subjects, tmp_path):
     logs = []
     for s, subject_rows in enumerate(subjects):
         ids, quats, translations, k = columns(subject_rows)
-        logs.append(PoseLog.from_arrays(f"s{s}", ids, quats, translations, "rgb", k))
+        logs.append(PoseLog(f"s{s}", ids, quats, translations, "rgb", k))
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     export_canonical(logs, first)
     back = ingest_canonical_all(first)
@@ -346,8 +361,8 @@ SUBJECTS, FRAMES = 4, 200
 
 
 def test_default_paths_build_no_per_frame_objects(tmp_path, monkeypatch):
-    """simulate, sweep under each policy and both pair kinds build O(subjects)
-    FrameRecord, SE3Pose and Rotation objects, not O(frames)."""
+    """simulate, sweep under each policy, both pair kinds and eval build
+    O(subjects) FrameRecord, SE3Pose and Rotation objects, not O(frames)."""
     built = collections.Counter()
     for cls in (FrameRecord, SE3Pose, Rotation):
         def counting(self, *args, _init=cls.__init__, **kwargs):
@@ -371,3 +386,19 @@ def test_default_paths_build_no_per_frame_objects(tmp_path, monkeypatch):
         assert run(["--out", tmp_path, *argv]) == 0, name
         assert sum(built.values()) <= 2 * SUBJECTS, (name, dict(built))
     assert sum(map(len, ingest_canonical_all(log))) == SUBJECTS * FRAMES
+    # eval of a 300-frame log, with one predictions row per frame
+    one = tmp_path / "one"
+    assert run(["--out", one, "simulate", "--subjects", 1,
+                "--frames-per-log", 300]) == 0
+    truth = one / "simulated_poselog.csv"
+    assert run(["--out", one, "pairs", truth, "--pair-kind", "easy",
+                "--neutral-thresh-deg", 60, "--max-gap-deg", 30]) == 0
+    columns = ingest_canonical_all(truth)[0]
+    preds = one / "preds.csv"
+    preds.write_text("".join(
+        ",".join([f, *map(repr, q), *map(repr, t)]) + "\n"
+        for f, q, t in zip(columns.frame_ids, columns.quats.tolist(),
+                           columns.translations.tolist())))
+    built.clear()
+    assert run(["--out", one, "eval", truth, one / "pairs_subj000.csv", preds]) == 0
+    assert sum(built.values()) <= 2 * SUBJECTS, ("eval", dict(built))

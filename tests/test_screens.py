@@ -16,19 +16,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relhpe import (AnchorPolicy, EulerAngles, Rotation, SE3Pose,
-                    assign_anchors, build_easy_pairs, build_hard_pairs,
+                    anchor_arrays, build_easy_pairs, build_hard_pairs,
                     geodesic_deg, geodesic_deg_many, neutral_reference,
                     rotation_from_euler)
 from relhpe.errors import DomainError, InsufficientFrames
 from relhpe.geometry import (MEDOID_MARGIN_DEG, medoid_index,
                              pairs_within_deg, screen_blocks)
-from relhpe.poselog import FrameRecord, PoseLog
+
+from conftest import pose_log
 
 
 def make_log(rotations):
-    frames = tuple(FrameRecord(f"f{i:03d}", i, SE3Pose(r, np.zeros(3)))
-                   for i, r in enumerate(rotations))
-    return PoseLog("s", frames, "world")
+    return pose_log([SE3Pose(r, np.zeros(3)) for r in rotations],
+                    ids=[f"f{i:03d}" for i in range(len(rotations))])
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +98,9 @@ def screened_pairs(quats, max_deg):
 
 
 def assigned(log, threshold_deg):
-    return [(a.query_id, a.anchor_id, a.gap_deg)
-            for a in assign_anchors(log, AnchorPolicy("nearest_within", threshold_deg))]
+    out = anchor_arrays(log, AnchorPolicy("nearest_within", threshold_deg))
+    return [(q, log.frame_ids[j] if j >= 0 else None, g) for q, j, g in
+            zip(log.frame_ids, out.anchor.tolist(), out.gap_deg.tolist())]
 
 
 # ---------------------------------------------------------------------------

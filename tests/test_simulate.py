@@ -15,26 +15,25 @@ import relhpe.harness
 import relhpe.simulate
 
 from relhpe import (AbsoluteSimEstimator, AnchorPolicy, NoiseModel,
-                    PoseLog, PoseSampler, RelativeSimEstimator, Rotation, SE3Pose,
+                    PoseSampler, RelativeSimEstimator, Rotation, SE3Pose,
                     TableEstimator, apply_anchor, build_easy_pairs,
                     build_hard_pairs,
                     euler_from_rotation, export_canonical, geodesic_deg,
                     load_predictions_csv, run_end_to_end, sample_logs)
-from relhpe.errors import DomainError, EmptyRange, MissingPrediction, ParseError
+from relhpe.errors import (DomainError, EmptyRange, InvariantViolation,
+                           MissingPrediction, ParseError)
 from relhpe.harness import predict_batch, query_batch
-from relhpe.poselog import FrameRecord
 from relhpe.geometry import EulerAngles, rotation_from_euler
 from relhpe.simulate import (simulate_absolute, simulate_relative,
                              _pcg64_state, _query_rng, _seed_sequence_words,
                              _seed_states, _stream_vectors)
 
-from conftest import random_pose, random_rotation, yaw_pose
+from conftest import pose_log, random_pose, random_rotation, yaw_pose
 from test_poselog import bits, quaternion, translation
 
 
 def make_log(poses, subject="s1"):
-    frames = tuple(FrameRecord(f"f{i:04d}", i, p) for i, p in enumerate(poses))
-    return PoseLog(subject, frames, "world")
+    return pose_log(poses, subject, [f"f{i:04d}" for i in range(len(poses))])
 
 
 def oracle_absolute(est, subject_id, frame_id, truth):
@@ -198,7 +197,7 @@ def _sample_logs_reference(sampler):
     rng = np.random.default_rng(sampler.seed)
     logs = []
     for s in range(sampler.subjects):
-        frames = [FrameRecord("f0000", 0, SE3Pose.identity("world"))]
+        poses = [SE3Pose.identity("world")]
         for i in range(1, sampler.frames_per_log):
             yaw = rng.uniform(*sampler.yaw_range)
             pitch = rng.uniform(*sampler.pitch_range)
@@ -206,8 +205,8 @@ def _sample_logs_reference(sampler):
             t = rng.uniform(*sampler.trans_range_mm, size=3)
             pose = SE3Pose(rotation_from_euler(EulerAngles(yaw, pitch, roll)),
                            t, "world")
-            frames.append(FrameRecord(f"f{i:04d}", i, pose))
-        logs.append(PoseLog(f"subj{s:03d}", tuple(frames), "world"))
+            poses.append(pose)
+        logs.append(make_log(poses, f"subj{s:03d}"))
     return logs
 
 
@@ -223,15 +222,15 @@ def _log_bytes(logs):
 class TestTableEstimator:
     def test_lookup(self, rng):
         stored = random_pose(rng)
-        est = TableEstimator("t", {"f0000": stored})
+        est = TableEstimator("t", pose_log({"f0000": stored}))
         quats, translations = predict_batch(
             est, query_batch(make_log([random_pose(rng)]), [0], [0]))
         assert Rotation(*quats[0]) == stored.rotation
         assert np.array_equal(translations[0], stored.translation)
 
     def test_missing(self, rng):
-        est = TableEstimator("t", {})
-        with pytest.raises(MissingPrediction):
+        est = TableEstimator("t", pose_log({"f0001": random_pose(rng)}))
+        with pytest.raises(MissingPrediction, match="'f0000'"):
             predict_batch(est, query_batch(make_log([random_pose(rng)]), [0], [0]))
 
 
@@ -336,17 +335,17 @@ class TestLoadPredictionsCsv:
             lines.append(",".join([qid] + [repr(v) for v in (q.w, q.x, q.y, q.z, *t)]))
         path.write_text("\n".join(lines) + "\n")
         back = load_predictions_csv(path)
-        assert list(back) == list(poses)
-        for qid, (q, t) in poses.items():
-            r = back[qid].rotation
-            assert bits([r.w, r.x, r.y, r.z]) == bits([q.w, q.x, q.y, q.z])
-            assert bits(back[qid].translation.tolist()) == bits(t)
+        assert back.frame_ids == tuple(poses)
+        for (q, t), quat, translation in zip(
+                poses.values(), back.quats.tolist(), back.translations.tolist()):
+            assert bits(quat) == bits([q.w, q.x, q.y, q.z])
+            assert bits(translation) == bits(t)
 
     def test_comments_skipped(self, tmp_path):
         path = tmp_path / "preds.csv"
         path.write_text("# a comment\nf0,1,0,0,0,1.0,2.0,3.0\n")
         back = load_predictions_csv(path)
-        assert list(back) == ["f0"]
+        assert back.frame_ids == ("f0",)
 
     def test_bad_field_count(self, tmp_path):
         path = tmp_path / "preds.csv"
@@ -358,6 +357,23 @@ class TestLoadPredictionsCsv:
         path = tmp_path / "preds.csv"
         path.write_text("f0,one,0,0,0,0,0,0\n")
         with pytest.raises(ParseError):
+            load_predictions_csv(path)
+
+    def test_no_records(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_text("query_id,qw,qx,qy,qz,tx_mm,ty_mm,tz_mm\n# only a note\n")
+        with pytest.raises(ParseError, match=f"^{path}: no records$"):
+            load_predictions_csv(path)
+
+    def test_ids_read_as_written(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_text(" f0 ,1,0,0,0,0,0,0\nf0,1,0,0,0,0,0,0\n")
+        assert load_predictions_csv(path).frame_ids == (" f0 ", "f0")
+
+    def test_unwritable_id_names_the_file(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_text('"f,0",1,0,0,0,0,0,0\n')
+        with pytest.raises(InvariantViolation, match=f"^{path}: frame id 'f,0'"):
             load_predictions_csv(path)
 
 
@@ -420,7 +436,7 @@ class TestBatchedEstimators:
     def test_table_estimator(self, rng):
         log = make_log([random_pose(rng) for _ in range(4)])
         stored = {f.frame_id: random_pose(rng) for f in log.frames}
-        est = TableEstimator("t", stored)
+        est = TableEstimator("t", pose_log(stored))
         quats, translations = predict_batch(
             est, query_batch(log, [2, 0], [0, 0]))
         assert quats.tolist() == [list(stored[k].rotation.quat)
@@ -428,7 +444,8 @@ class TestBatchedEstimators:
         assert translations.tolist() == [stored[k].translation.tolist()
                                          for k in ("f0002", "f0000")]
         with pytest.raises(MissingPrediction):
-            predict_batch(TableEstimator("t", {}), query_batch(log, [1], [0]))
+            predict_batch(TableEstimator("t", pose_log({"f0000": stored["f0000"]})),
+                          query_batch(log, [1], [0]))
 
 
 _frame_ids = st.lists(st.text(max_size=8), min_size=1, max_size=6)
