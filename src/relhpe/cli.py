@@ -35,9 +35,10 @@ EXIT_USAGE = 2
 
 
 def _finite(value) -> float:
-    """float(value); ValueError when it is not a finite number."""
-    from .harness import finite_floats
-    return finite_floats([value])[0]
+    """float(value); ValueError 'non-finite number <value>' for nan or inf."""
+    if not math.isfinite(number := float(value)):
+        raise ValueError(f"non-finite number {value}")
+    return number
 
 
 def _count(value) -> int:
@@ -108,12 +109,12 @@ SETTINGS = {
 }
 
 
-def _read_json(path):
-    """The JSON value in a file; ParseError '<path>: <message>' if it is
-    not UTF-8 JSON."""
+def _read_json(path, number=None):
+    """The JSON value in a file, fractions and constants read by number if
+    given; ParseError '<path>: ...' if it is not UTF-8 JSON or number fails."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_float=number, parse_constant=number)
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ParseError(f"{path}: {exc}") from exc
 
@@ -402,7 +403,7 @@ def cmd_loss(args):
 def cmd_report(args):
     """Re-emit the CSV of a sweep, pairs or eval JSON report envelope."""
     out = _ensure_out(args)
-    env = _read_json(args.input)
+    env = _read_json(args.input, _finite)
     command = env.get("command") if isinstance(env, dict) else None
     build_csv = {"sweep": reports.sweep_csv, "pairs": reports.pairs_csv,
                  "eval": reports.metric_csv}.get(command)

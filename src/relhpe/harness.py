@@ -25,10 +25,9 @@ re-expressed in the RGB camera frame (frame_tag "rgb").
 Logs and prediction tables are PoseLogs, handled as columns: the readers
 build them from arrays, export_canonical writes the columns, and the pair
 builders, query batches, TableEstimator and sweep (on anchors.anchor_arrays)
-index them, so none of these builds an object per frame.  csv_rows checks
-each row's bytes and ingest_canonical_all its values as the row is reached,
-so the first bad row or byte ends the read, named by its line; a subject's
-numbers go into one float array.
+index them, so none of these builds an object per frame.  A plain canonical
+file is read a block of lines at a time; any other, and one with a bad row,
+row by row (csv_rows), so the first bad row or byte is named by its line.
 """
 
 from __future__ import annotations
@@ -38,8 +37,9 @@ import glob as globmod
 import math
 import os
 from array import array
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Optional
 
 import numpy as np
@@ -48,7 +48,7 @@ from .anchors import AnchorPolicy, anchor_arrays
 from .camera import Intrinsics
 from .errors import (DomainError, InsufficientFrames, InvariantViolation,
                      MalformedPoseFile, MissingCalibration, MissingPrediction,
-                     ParseError)
+                     ParseError, RelHpeError)
 from .geometry import (Rotation, SE3Pose, compose_many, euler_deg_many,
                        geodesic_deg_many, medoid_index, pairs_within_deg)
 from .poselog import PoseLog
@@ -57,6 +57,7 @@ from .vocab import SWEEP_AXES
 FORMAT_VERSION = "v1"
 _HEADER_PREFIX = "# poselog"
 _NO_INTRINSICS = (math.nan,) * 6  # the intrinsics columns of a row without
+_BLOCK_BYTES = 1 << 14  # text read per block by _plain_subjects
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +134,55 @@ def row_errors(path, lineno):
         raise ParseError(f"{path}:{lineno}: {exc}") from exc
 
 
+def _plain_subjects(path):
+    """ingest_canonical_all's subjects read a block of whole lines at a
+    time, or None once a block is not plain or fails a row check.  A plain
+    block is ASCII without '"', '#' or '\r', and each line ends in '\n' and
+    holds 9 commas, or each 15 (and is under two blocks long, far below
+    csv.field_size_limit()), so csv_rows would read the same cells."""
+    subjects, rest = {}, b""
+    with open(path, "rb") as fh:
+        if not (head := fh.readline()).isascii() or b'"' in head or b"\r" in head:
+            return None
+        while chunk := fh.read(_BLOCK_BYTES):
+            block, _, rest = (rest + chunk).rpartition(b"\n")
+            lines, commas = block.count(b"\n") + 1, block.count(b",")
+            width = commas // lines + 1
+            if (width not in (10, 16) or commas != (width - 1) * lines
+                    or not block.isascii() or b'"' in block or b"#" in block
+                    or b"\r" in block):
+                return None
+            # each '\n' starts a cell: a line has `width` cells if all are first
+            cells = block.decode("ascii").replace("\n", ",\n").split(",")
+            names, frame_ids = "".join(cells[0::width]).split("\n"), cells[1::width]
+            try:
+                indices = list(map(int, cells[2::width]))
+                del cells[0::width], cells[0::width - 1], cells[0::width - 2]
+                vals = np.array(list(map(float, cells))).reshape(lines, width - 3)
+            except ValueError:
+                return None
+            w, x, y, z = vals[:, :4].T
+            with np.errstate(over="ignore"):  # a huge number fails the norm
+                norm = np.sqrt(w * w + x * x + y * y + z * z)
+            if not (len(names) == lines and np.isfinite(vals).all()
+                    and (abs(norm - 1.0) <= 1e-3).all()
+                    and (width == 10 or (vals[:, [7, 8, 11, 12]] > 0).all())):
+                return None
+            rows = np.hstack([vals, np.full((lines, 16 - width), math.nan)])
+            start = 0
+            for subject, run in groupby(names):
+                stop = start + len(list(run))
+                ids, numbers = subjects.setdefault(subject, ({}, array("d")))
+                if indices[start:stop] != list(range(len(ids), len(ids) + stop - start)):
+                    return None
+                ids.update(dict.fromkeys(frame_ids[start:stop]))
+                if len(ids) != indices[stop - 1] + 1:  # a frame id seen before
+                    return None
+                numbers.frombytes(rows[start:stop].tobytes())
+                start = stop
+    return None if rest else subjects
+
+
 def ingest_canonical_all(path) -> list:
     """Parse a canonical file into one PoseLog per subject (file order)."""
     # csv_rows names the line of a bad byte
@@ -147,7 +197,11 @@ def ingest_canonical_all(path) -> list:
     for tok in header[3:]:
         if tok.startswith("frame="):
             frame_tag = tok[len("frame="):]
-    subjects: dict = {}  # subject -> (its frame ids as keys, 13 numbers a row)
+    subjects = _plain_subjects(path)
+    if subjects is not None:
+        with suppress(RelHpeError):  # the row loop then names the fault
+            return _canonical_logs(path, subjects, frame_tag)
+    subjects = {}  # subject -> (its frame ids as keys, 13 numbers a row)
     for lineno, cols in csv_rows(path, (10, 16)):
         subject, frame_id = cols[0], cols[1]
         try:
@@ -176,6 +230,10 @@ def ingest_canonical_all(path) -> list:
         numbers.extend(vals)
         if len(vals) == 7:
             numbers.extend(_NO_INTRINSICS)
+    return _canonical_logs(path, subjects, frame_tag)
+
+
+def _canonical_logs(path, subjects, frame_tag) -> list:
     if not subjects:
         raise ParseError(f"{path}: no records")
     logs = []

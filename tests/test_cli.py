@@ -408,6 +408,16 @@ def malformed_input(case, tmp_path):
         src = tmp_path / f"{command}.json"
         src.write_text(json.dumps({"command": command, "payload": payload}))
         return ["report", src], src.name
+    non_finite = {"report_nan_metric": "NaN", "report_overflowing_metric": "1e400"}
+    if case in non_finite:
+        src = tmp_path / "sweep.json"
+        metrics = {"n": 1, "yaw_mae": 1.0, "pitch_mae": 1.0, "roll_mae": 1.0,
+                   "mae": 1.0, "geodesic_mae": 1.0}
+        payload = {"bins": [{"lo": 0.0, "hi": 5.0, "pair_count": 1,
+                             "reports": {"sim_absolute": metrics}}]}
+        src.write_text(json.dumps({"command": "sweep", "payload": payload}).replace(
+            '"yaw_mae": 1.0', f'"yaw_mae": {non_finite[case]}'))
+        return ["report", src], f"{src}: non-finite number {non_finite[case]}"
     if case == "truncated_report":
         src = tmp_path / "sweep.json"
         src.write_text('{"command": "sweep"')
@@ -572,7 +582,9 @@ def malformed_input(case, tmp_path):
                                          f"'f0002' in {preds}")
 
 
-@pytest.mark.parametrize("case", ["report_without_bins", "pairs_without_anchor_id",
+@pytest.mark.parametrize("case", ["report_without_bins", "report_nan_metric",
+                                  "report_overflowing_metric",
+                                  "pairs_without_anchor_id",
                                   "query_not_in_truth", "short_stage_row",
                                   "zero_bin_width", "negative_bin_width",
                                   "long_stage_row", "nan_stage_translation",

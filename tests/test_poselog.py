@@ -9,6 +9,7 @@ import io
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from relhpe import (PoseLog, Rotation, SE3Pose, export_canonical,
                     ingest_canonical_all)
+from relhpe import harness
 from relhpe.camera import Intrinsics
 from relhpe.cli import _read_stage_file, main
 from relhpe.errors import (DomainError, EmptyInput, InvariantViolation,
@@ -24,7 +26,7 @@ from relhpe.errors import (DomainError, EmptyInput, InvariantViolation,
 from relhpe.harness import csv_rows, finite_floats, row_errors
 from relhpe.poselog import FrameRecord
 
-from conftest import pose_log
+from conftest import pose_log, random_pose
 from test_fuzz import mutate
 
 unit = st.floats(-1.0, 1.0, allow_nan=False)
@@ -270,6 +272,162 @@ def test_mutated_logs_read_like_the_reference(edits, tmp_path):
     body = ("\n".join(GOOD) + "\n").encode()
     path.write_bytes(b"# poselog v1 frame=world\n" + mutate(body, edits))
     assert_reads_like_reference(path)
+
+
+def plain_body(subjects, wide=False, seed=0):
+    """'\n'-terminated canonical rows, row i of subject subjects[i], each
+    subject's indices counting from 0.  Ids and indices are zero-padded, so
+    a row's length depends on the seed alone and a change of subjects moves
+    no block boundary."""
+    rng = np.random.default_rng(seed)
+    count = collections.Counter()
+    lines = []
+    for subject in subjects:
+        q = rng.normal(size=4)
+        cells = [*(q / np.linalg.norm(q)).tolist(), *rng.uniform(-500, 500, 3).tolist()]
+        if wide:
+            cells += [*rng.uniform(400, 600, 2).tolist(), 320.0, 240.0, 640.0, 480.0]
+        i = count[subject]
+        count[subject] += 1
+        lines.append(",".join([subject, f"f{i:05d}", f"{i:05d}", *map(repr, cells)]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def block_start(body, k=1):
+    """The row that starts block k + 1 of a body read after its header."""
+    return body[:k * harness._BLOCK_BYTES].count(b"\n")
+
+
+HEADER = b"# poselog v1 frame=world\n"
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_plain_files_are_read_a_block_at_a_time(wide, tmp_path, monkeypatch):
+    """An export of two subjects over several blocks is read with csv_rows
+    never called, and gives the reference's logs.  A block holds rows of
+    one width only, so the two widths are two files."""
+    rng = np.random.default_rng(0)
+    k = [Intrinsics(500, 510, 320, 240, 640, 480) if wide else None] * 300
+    logs = [pose_log([random_pose(rng) for _ in range(300)], f"subj{s}", intrinsics=k)
+            for s in range(2)]
+    path = tmp_path / "log.csv"
+    export_canonical(logs, path)
+    assert path.stat().st_size > 3 * harness._BLOCK_BYTES
+    want = reference_ingest(path)
+
+    def row_loop(*args):
+        raise AssertionError("the row loop ran")
+    monkeypatch.setattr(harness, "csv_rows", row_loop)
+    for log, again in zip(ingest_canonical_all(path), want, strict=True):
+        assert_same_log(log, again)
+
+
+def edit_row(body, row, change):
+    """body with change(cells) applied to the cells of one row."""
+    lines = body.decode().split("\n")
+    cells = lines[row].split(",")
+    change(cells)
+    lines[row] = ",".join(cells)
+    return "\n".join(lines).encode()
+
+
+def set_cell(body, row, column, value):
+    return edit_row(body, row, lambda cells: cells.__setitem__(column, value))
+
+
+def mixed_widths(body):
+    wide = plain_body(["s"] * body.count(b"\n"), wide=True).split(b"\n")
+    return b"\n".join(wide[i] if i % 3 == 1 else line
+                       for i, line in enumerate(body.split(b"\n")))
+
+
+def shifted_comma(body):
+    """Near the end, a row a field short before a row a field long: the
+    block holds the commas of its rows, and a reader that only counted them
+    would read subjects '9' and '8g' and lose the last row."""
+    rows = [b"9,f%d,%d,1,0,0,0,0,0,0" % (i, i) for i in range(990)]
+    rows += [b"8,h,0,1,0,0,0,0,0", b"9,g,x,990,1,0,0,0,0,0,0"]
+    rows += [b"9,f%d,%d,1,0,0,0,0,0,0" % (i, i) for i in range(991, 1000)]
+    assert block_start(b"\n".join(rows), 1) < 990
+    return HEADER + b"\n".join(rows) + b"\n"
+
+
+def quaternion_norm(body, row, scale):
+    return edit_row(body, row, lambda cells: cells.__setitem__(
+        slice(3, 7), [repr(float(c) * scale) for c in cells[3:7]]))
+
+
+MULTI_BLOCK_CASES = {
+    "plain": lambda body: HEADER + body,
+    "duplicate_across_boundary": lambda body: HEADER + set_cell(
+        body, block_start(body), 1, f"f{block_start(body) - 1:05d}"),
+    "gap_at_block_start": lambda body: HEADER + set_cell(
+        body, block_start(body, 2), 2, f"{block_start(body, 2) + 1:05d}"),
+    "subject_switch_at_boundary": lambda body: HEADER + plain_body(
+        ["s"] * block_start(body) + ["t"] * (body.count(b"\n") - block_start(body))),
+    "fault_in_last_block": lambda body: HEADER + set_cell(
+        body, body.count(b"\n") - 2, 3, "nan"),
+    "norm_off_by_1.5e-3": lambda body: HEADER + quaternion_norm(body, 700, 1.0015),
+    "norm_off_by_0.5e-3": lambda body: HEADER + quaternion_norm(body, 700, 1.0005),
+    "no_trailing_newline": lambda body: HEADER + body[:-1],
+    "mixed_widths": lambda body: HEADER + mixed_widths(body),
+    "readme_ids": lambda body: HEADER + set_cell(set_cell(body, 3, 1, 'a"b'),
+                                                 5, 1, " s#1"),
+    "shifted_comma": shifted_comma,
+    "quote_in_header": lambda body: b'# poselog v1 frame=world ,"x\n' + body,
+    "row_after_cr_in_header": lambda body: (b"# poselog v1 frame=world\r"
+                                            b"t,g0,0,1,0,0,0,0,0,0\n" + body),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MULTI_BLOCK_CASES))
+def test_multi_block_logs_read_like_the_reference(case, tmp_path):
+    """Files of several blocks, each with a fault at a block edge or a part
+    that the block reader must leave to the row loop: the same logs, error
+    type and message as the reference."""
+    body = plain_body(["s"] * 1000)
+    assert block_start(body, 3) < 1000
+    path = tmp_path / "log.csv"
+    path.write_bytes(MULTI_BLOCK_CASES[case](body))
+    assert_reads_like_reference(path)
+
+
+MULTI_BLOCK_TOKENS = LOG_TOKENS + [b"\r", b"\x00", b"\t", b"_", b"+", b"e"]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(wide=st.booleans(),
+       edits=st.lists(st.tuples(st.sampled_from(["insert", "replace", "delete"]),
+                                st.integers(0, 10 ** 6),
+                                st.sampled_from(MULTI_BLOCK_TOKENS)),
+                      min_size=1, max_size=4))
+def test_mutated_multi_block_logs_read_like_the_reference(wide, edits, tmp_path):
+    """Mutations of a body of several blocks, two subjects in runs of 7
+    rows: the block reader and the row loop agree on every file."""
+    body = plain_body([("s", "t")[i // 7 % 2] for i in range(1000)], wide)
+    path = tmp_path / "log.csv"
+    path.write_bytes(HEADER + mutate(body, edits))
+    assert_reads_like_reference(path)
+
+
+def test_reading_a_large_export_holds_no_copy_of_its_text(tmp_path):
+    """A 4 x 4000-row export (2.4 MB of text) is read with a traced peak
+    below 6 MB: a reader that held the whole text would need about 21 MB."""
+    rng = np.random.default_rng(0)
+    path = tmp_path / "log.csv"
+    export_canonical([PoseLog(f"subj{s:03d}", [f"f{i:04d}" for i in range(4000)],
+                              rng.normal(size=(4000, 4)),
+                              rng.uniform(-500, 500, (4000, 3)))
+                      for s in range(4)], path)
+    tracemalloc.start()
+    try:
+        logs = ingest_canonical_all(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, logs)) == 16000
+    assert peak < 6e6, peak
 
 
 # ---------------------------------------------------------------------------
