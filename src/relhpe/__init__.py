@@ -16,10 +16,10 @@ _EXPORTS = {
     "camera": ("CameraPose", "CropSpec", "Intrinsics", "compose_crops",
                "crop_update_intrinsics", "fov_from_intrinsics",
                "intrinsics_from_fov", "logtan_fov", "project"),
-    "geometry": ("EulerAngles", "Rotation", "SE3Pose", "apply_anchor", "compose",
-                 "euler_from_rotation", "geodesic_deg", "geodesic_deg_many",
-                 "inverse", "normalize_to_anchor", "relative",
-                 "rotation_from_euler"),
+    "geometry": ("EulerAngles", "SE3Pose", "apply_anchor", "compose",
+                 "euler_from_rotation", "geodesic_deg_many", "inverse",
+                 "normalize_to_anchor", "relative", "rotation_from_euler"),
+    "rotation": ("Rotation", "geodesic_deg"),
     "poselog": ("FrameRecord", "PoseLog"),
     "harness": ("MetricReport", "PairSet", "SweepBin", "SweepReport",
                 "TableEstimator", "build_easy_pairs", "build_hard_pairs",

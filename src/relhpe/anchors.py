@@ -26,9 +26,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, FrameMismatch, MissingPredictions
-from .geometry import (SE3Pose, apply_anchor, geodesic_deg, geodesic_deg_many,
+from .geometry import (SE3Pose, apply_anchor, geodesic_deg_many,
                        pairs_within_deg, relative)
 from .poselog import PoseLog
+from .rotation import geodesic_deg
 from .vocab import POLICY_KINDS
 
 

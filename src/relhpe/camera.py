@@ -4,6 +4,10 @@ updates for square face crops.
 The 9-value camera pose encoding is [t (3), q (4), fov_h, fov_w]: a rigid
 pose plus the vertical and horizontal fields of view in radians.  Fields of
 view are tracked per axis; square pixels are not assumed.
+
+The scalar algebra runs on Python floats, so this module loads only the
+standard library: numpy is imported by the functions that take or give
+arrays (CameraPose.as_vector, intrinsics_ok_many, project).
 """
 
 from __future__ import annotations
@@ -11,31 +15,38 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, InvalidCrop
-from .geometry import Rotation
+from .rotation import Rotation
 
 
 @dataclass(frozen=True)
 class CameraPose:
-    """Pose plus field of view: translation (mm), rotation, fov_h/fov_w (rad)."""
+    """Pose plus field of view: translation (mm), rotation, fov_h/fov_w (rad).
 
-    t: np.ndarray
+    t is stored as a tuple of 3 floats; DomainError if it holds another
+    number of values.
+    """
+
+    t: tuple
     q: Rotation
     fov_h: float
     fov_w: float
 
     def __post_init__(self):
-        object.__setattr__(self, "t", np.asarray(self.t, dtype=float).reshape(3))
+        t = tuple(map(float, self.t))
+        if len(t) != 3:
+            raise DomainError(f"translation {t} does not hold 3 values")
+        object.__setattr__(self, "t", t)
         for name in ("fov_h", "fov_w"):
             v = getattr(self, name)
             if not 0.0 < v < math.pi:
                 raise DomainError(f"{name}={v} outside (0, pi)")
 
-    def as_vector(self) -> np.ndarray:
-        """9-value encoding [t, q, fov_h, fov_w]."""
-        return np.concatenate([self.t, self.q.quat, [self.fov_h, self.fov_w]])
+    def as_vector(self):
+        """9-value encoding [t, q, fov_h, fov_w], as an array."""
+        import numpy as np
+        q = self.q
+        return np.array([*self.t, q.w, q.x, q.y, q.z, self.fov_h, self.fov_w])
 
 
 @dataclass(frozen=True)
@@ -58,9 +69,10 @@ class Intrinsics:
             raise DomainError("image dimensions must be positive and finite")
 
 
-def intrinsics_ok_many(k) -> np.ndarray:
+def intrinsics_ok_many(k):
     """Intrinsics' checks over the rows of an (N, 6) array of fx, fy, cx,
     cy, width, height: True where Intrinsics(*row) would be accepted."""
+    import numpy as np
     fx, fy, cx, cy, width, height = np.asarray(k, dtype=float).T
     return ((0 < fx) & (fx < math.inf) & (0 < fy) & (fy < math.inf)
             & np.isfinite(cx) & np.isfinite(cy) & (0 < width)
@@ -153,8 +165,10 @@ def compose_crops(first: CropSpec, second: CropSpec) -> CropSpec:
     )
 
 
-def project(k: Intrinsics, point) -> np.ndarray:
-    """Pinhole projection of a camera-frame 3D point (z > 0) to pixels."""
+def project(k: Intrinsics, point):
+    """Pinhole projection of a camera-frame 3D point (z > 0) to pixels, as
+    an array."""
+    import numpy as np
     p = np.asarray(point, dtype=float)
     if p[2] <= 0:
         raise DomainError("point behind the camera")

@@ -15,7 +15,9 @@ identical report bytes.
 
 Only the standard library and the stdlib-only reports, errors and vocab
 modules load with this module; each command imports the library modules
-it runs, so `report` runs without numpy.
+it runs.  `report` and `loss` run without numpy: `loss` reads its stage
+files through rows and computes on camera, rotation and losses, which
+load only the standard library.
 """
 
 from __future__ import annotations
@@ -242,7 +244,8 @@ def _read_pairs_csv(path):
     """The pairs command's CSV as a PairSet, read by position:
     anchor_id,query_id,gap_deg, with each gap in [0, 180] degrees; and the
     line number of each pair."""
-    from .harness import PairSet, csv_rows, row_errors
+    from .harness import PairSet
+    from .rows import csv_rows, row_errors
     pairs, lines = [], []
     for lineno, (anchor_id, query_id, gap) in csv_rows(
             path, (len(reports.PAIRS_CSV_COLUMNS),),
@@ -351,17 +354,15 @@ def cmd_simulate(args):
 def _read_stage_file(path):
     """Per-stage camera poses: k,tx,ty,tz,qw,qx,qy,qz,fov_h_deg,fov_w_deg,
     with k an integer."""
-    import numpy as np
-
     from .camera import CameraPose
-    from .geometry import Rotation
-    from .harness import csv_rows, finite_floats, row_errors
+    from .rotation import Rotation
+    from .rows import csv_rows, finite_floats, row_errors
     stages = []
     for lineno, row in csv_rows(path, (10,), header=("k",)):
         with row_errors(path, lineno):
             k, vals = int(row[0]), finite_floats(row[1:])
             stages.append((k, CameraPose(
-                t=np.array(vals[0:3]), q=Rotation(*vals[3:7]),
+                t=vals[0:3], q=Rotation(*vals[3:7]),
                 fov_h=math.radians(vals[7]), fov_w=math.radians(vals[8]))))
     return stages
 

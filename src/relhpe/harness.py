@@ -7,7 +7,7 @@ Canonical pose-log file format (UTF-8, comma separated, '.' decimal point):
     subject_id,frame_id,index,qw,qx,qy,qz,tx_mm,ty_mm,tz_mm[,fx,fy,cx,cy,width,height]
 
 One record per line; the six intrinsics fields are optional per record.
-Blank rows and '#' comment rows are skipped (see csv_rows).
+Blank rows and '#' comment rows are skipped (see rows.csv_rows).
 
 BIWI-style subject directory: one text file per frame holding the 3x3
 rotation matrix (three rows) followed by the translation vector, plus a
@@ -27,17 +27,16 @@ build them from arrays, export_canonical writes the columns, and the pair
 builders, query batches, TableEstimator and sweep (on anchors.anchor_arrays)
 index them, so none of these builds an object per frame.  A plain canonical
 file is read a block of lines at a time; any other, and one with a bad row,
-row by row (csv_rows), so the first bad row or byte is named by its line.
+row by row (rows.csv_rows), so the first bad row or byte is named by its line.
 """
 
 from __future__ import annotations
 
-import csv
 import glob as globmod
 import math
 import os
 from array import array
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Optional
@@ -49,9 +48,11 @@ from .camera import Intrinsics
 from .errors import (DomainError, InsufficientFrames, InvariantViolation,
                      MalformedPoseFile, MissingCalibration, MissingPrediction,
                      ParseError, RelHpeError)
-from .geometry import (Rotation, SE3Pose, compose_many, euler_deg_many,
+from .geometry import (SE3Pose, compose_many, euler_deg_many,
                        geodesic_deg_many, medoid_index, pairs_within_deg)
 from .poselog import PoseLog
+from .rotation import Rotation
+from .rows import csv_rows, finite_floats
 from .vocab import SWEEP_AXES
 
 FORMAT_VERSION = "v1"
@@ -83,55 +84,6 @@ def export_canonical(logs, path):
                     del row[7:]  # a frame without intrinsics
                 fh.write(f"{log.subject_id},{frame_id},{i},"
                          + ",".join(map(repr, row)) + "\n")
-
-
-def csv_rows(path, widths, header=()):
-    """(line number, cells) for each data row of a comma-separated file.
-
-    Rows whose cells are all blank and rows whose first cell starts with
-    '#' are skipped, and so is a first row whose first cell, stripped and
-    lower-cased, is in header.  Any other row must have one of the given
-    widths, else ParseError '<path>:<line>: expected N fields, got M'.
-    The file is decoded as it is read, so a byte that is not UTF-8 is
-    ParseError '<path>:<line>: ...' when its row is reached.
-    """
-    expected = " or ".join(map(str, widths))
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        reader = csv.reader(fh)
-        try:
-            for cells in reader:
-                if not all(map(str.isascii, cells)):  # raises on a bad byte
-                    ",".join(cells).encode("utf-8", "surrogateescape").decode("utf-8")
-                first = cells[0].strip() if cells else ""
-                if first.startswith("#") or not (
-                        first or any(c.strip() for c in cells)):
-                    continue
-                if reader.line_num == 1 and first.lower() in header:
-                    continue
-                if len(cells) not in widths:
-                    raise ParseError(f"{path}:{reader.line_num}: expected "
-                                     f"{expected} fields, got {len(cells)}")
-                yield reader.line_num, cells
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
-
-
-def finite_floats(cells) -> list:
-    """The cells as floats; ValueError on a non-number, nan or inf."""
-    vals = [float(c) for c in cells]
-    if not all(map(math.isfinite, vals)):
-        raise ValueError("non-finite number")
-    return vals
-
-
-@contextmanager
-def row_errors(path, lineno):
-    """Re-raise a ValueError (DomainError is one) from parsing one text row
-    as ParseError '<path>:<lineno>: <message>'."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ParseError(f"{path}:{lineno}: {exc}") from exc
 
 
 def _plain_subjects(path):

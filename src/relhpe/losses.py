@@ -17,11 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .camera import CameraPose, logtan_fov
 from .errors import DomainError, EmptyStages, NonContiguousStages
-from .geometry import Rotation, geodesic_deg
+from .rotation import Rotation, geodesic_deg
 from .vocab import MODES
 
 
@@ -61,10 +59,11 @@ class StagePrediction:
 
 
 def loss_translation(pred, true) -> float:
-    """L1 translation loss, mm."""
-    p = np.asarray(pred, dtype=float)
-    t = np.asarray(true, dtype=float)
-    return float(np.abs(p - t).sum())
+    """L1 translation loss, mm, of two 3-vectors: the absolute differences
+    added left to right, which is numpy's sum of them bit for bit."""
+    p0, p1, p2 = map(float, pred)
+    t0, t1, t2 = map(float, true)
+    return abs(p0 - t0) + abs(p1 - t1) + abs(p2 - t2)
 
 
 def loss_rotation_quat(pred: Rotation, true: Rotation) -> float:

@@ -9,6 +9,7 @@ prediction tables read these columns; the FrameRecord view
 
 from __future__ import annotations
 
+import csv
 import math
 import re
 from dataclasses import dataclass
@@ -19,18 +20,25 @@ import numpy as np
 
 from .camera import Intrinsics, intrinsics_ok_many
 from .errors import DomainError, EmptyInput, InvariantViolation, UnknownFrame
-from .geometry import Rotation, SE3Pose, canonical_many
+from .geometry import SE3Pose, canonical_many
+from .rotation import Rotation
 
 # An id the CSV readers would skip as a '#' comment, read as a quoted field,
-# or split (comma, line break): harness.csv_rows could not read it back.
+# or split (comma, line break): rows.csv_rows could not read it back.
 _UNWRITABLE_ID = re.compile(r'\s*[#"]|[^,\r\n]*[,\r\n]')
 
 
-def _check_id(kind, value):
+def _check_id(kind, value, limit):
+    """InvariantViolation unless csv_rows reads value back as one cell no
+    longer than limit, the csv module's field size limit."""
     if _UNWRITABLE_ID.match(value):
         raise InvariantViolation(
             f"{kind} id {value!r} starts with '#' or '\"' or holds a comma "
             f"or line break, so it cannot be written to a CSV row")
+    if len(value) > limit:
+        raise InvariantViolation(
+            f"{kind} id {value[:20]!r}... is {len(value)} characters long, "
+            f"more than the CSV field size limit ({limit})")
 
 
 @dataclass(frozen=True)
@@ -60,16 +68,26 @@ class PoseLog:
         frame_ids = tuple(frame_ids)
         if not frame_ids:
             raise EmptyInput(f"log {subject_id!r} has no frames")
-        _check_id("subject", subject_id)
-        if any(c.isspace() for c in frame_tag):
+        # read here, not at import: the limit is a process-wide setting
+        limit = csv.field_size_limit()
+        _check_id("subject", subject_id, limit)
+        # the header '# poselog v1 frame=<tag>' is split on whitespace, and
+        # csv_rows must read it as one cell (after a comma a '"' would open
+        # a quoted field) within the limit
+        if any(c.isspace() or c == "," for c in frame_tag):
             raise InvariantViolation(
-                f"frame tag {frame_tag!r} holds whitespace, so it cannot "
-                f"be written to a poselog header")
+                f"frame tag {frame_tag!r} holds whitespace or a comma, so it "
+                f"cannot be written to a poselog header")
+        if len(frame_tag) > limit - len("# poselog v1 frame="):
+            raise InvariantViolation(
+                f"frame tag {frame_tag[:20]!r}... is {len(frame_tag)} characters "
+                f"long: its poselog header is longer than the CSV field size "
+                f"limit ({limit})")
         position = {f: i for i, f in enumerate(frame_ids)}
         if len(position) != len(frame_ids):
             raise InvariantViolation(f"duplicate frame ids in log {subject_id!r}")
         for f in frame_ids:
-            _check_id("frame", f)
+            _check_id("frame", f, limit)
         n = len(frame_ids)
         quats = canonical_many(np.asarray(quats, dtype=float).reshape(n, 4))
         translations = np.array(translations, dtype=float).reshape(n, 3)

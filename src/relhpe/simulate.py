@@ -39,11 +39,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyRange, InvariantViolation, ParseError
-from .geometry import (Rotation, SE3Pose, axis_angle_many, compose_many,
-                       geodesic_deg, geodesic_deg_many, inverse_many,
-                       multiply_many, relative, rotation_from_euler_many)
-from .harness import csv_rows, finite_floats, row_errors
+from .geometry import (SE3Pose, axis_angle_many, compose_many,
+                       geodesic_deg_many, inverse_many, multiply_many,
+                       relative, rotation_from_euler_many)
 from .poselog import PoseLog
+from .rotation import Rotation, geodesic_deg
+from .rows import csv_rows, finite_floats, row_errors
 
 
 def _query_rng(seed, subject_id, frame_id):

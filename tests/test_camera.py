@@ -10,7 +10,7 @@ from relhpe import (CropSpec, Intrinsics, compose_crops, crop_update_intrinsics,
                     project)
 from relhpe.camera import CameraPose
 from relhpe.errors import DomainError, InvalidCrop
-from relhpe.geometry import Rotation
+from relhpe.rotation import Rotation
 
 
 class TestLogTanFov:

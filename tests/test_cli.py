@@ -331,6 +331,37 @@ class TestLoss:
         env = json.loads(read(out / "loss.json"))
         assert abs(env["payload"]["total"] - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("mode", ["full", "geodesic"])
+    def test_runs_without_numpy(self, mode, tmp_path, rng):
+        """`python -m relhpe.cli loss` writes the same loss.json as the
+        command run here, and never imports numpy: -X importtime logs every
+        module a run imports."""
+        pred, true = tmp_path / "pred.csv", tmp_path / "true.csv"
+        for path in (pred, true):
+            write_stage_file(path, [
+                (k, *rng.uniform(-500, 500, 3), *rng.normal(size=4),
+                 *rng.uniform(20, 100, 2)) for k in range(1, 4)])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": mode, "gamma": 0.7}))
+        out = tmp_path / "o"
+        assert run(["--config", cfg, "--out", out, "loss", pred, true]) == 0
+        out2 = tmp_path / "r"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "relhpe.cli",
+             "--config", str(cfg), "--out", str(out2), "loss", str(pred),
+             str(true)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        imported = [line.rsplit("|", 1)[1].strip()
+                    for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert {"relhpe.losses", "relhpe.rows"} <= set(imported)
+        assert [m for m in imported if m.split(".")[0] == "numpy"] == []
+        assert read(out2 / "loss.json") == read(out / "loss.json")
+
     def test_stage_mismatch(self, tmp_path, capsys):
         pred = tmp_path / "pred.csv"
         true = tmp_path / "true.csv"

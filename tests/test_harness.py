@@ -18,7 +18,7 @@ from relhpe import (AnchorPolicy, EulerAngles, NoiseModel,
                     wrap_deg)
 from relhpe.anchors import POLICY_KINDS
 from relhpe.camera import Intrinsics
-from relhpe.harness import csv_rows
+from relhpe.rows import csv_rows
 from relhpe.errors import (DomainError, InsufficientFrames, InvariantViolation,
                            MalformedPoseFile, MissingCalibration,
                            MissingPrediction, ParseError, UnknownFrame)

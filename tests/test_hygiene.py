@@ -4,12 +4,14 @@ Each module under src/relhpe (the package __init__ re-exports and is
 skipped) must use every name it imports, and must not reach into another
 module's private (single-underscore) names, and must use every private
 name it defines at module level.  The README's library table must name
-only what its modules define.
+only what its modules define.  The stdlib-only modules import nothing
+else when they are imported.
 """
 
 import ast
 import importlib
 import pathlib
+import sys
 
 import pytest
 
@@ -110,3 +112,45 @@ def test_readme_library_table_names_exist(module, names):
             known.update(v for v in value if isinstance(v, str))
     stale = [n for n in names if n not in known]
     assert not stale, f"README names missing from {module}: {stale}"
+
+
+# The modules that load only the standard library, so that `report` and
+# `loss` run without numpy: each may import, when it is itself imported,
+# only standard-library modules and other modules of this list.
+STDLIB_ONLY = ("camera", "cli", "errors", "losses", "reports", "rotation",
+               "rows", "vocab")
+
+
+def _import_time_imports(body):
+    """(module, line) per import that runs when a module is imported: in
+    its top-level statements and class bodies, not in function bodies or
+    `if TYPE_CHECKING:` blocks.  A relative module is '.name'."""
+    for node in body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                yield node.module, node.lineno
+            elif node.module is None:  # from . import name
+                for alias in node.names:
+                    yield "." + alias.name, node.lineno
+            else:
+                yield "." + node.module, node.lineno
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        elif isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            yield from _import_time_imports(node.orelse)
+        else:
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                yield from _import_time_imports(getattr(node, field, []))
+
+
+@pytest.mark.parametrize("name", STDLIB_ONLY)
+def test_stdlib_only_modules_import_no_numpy(name):
+    tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+    bad = [f"line {line}: {module}"
+           for module, line in _import_time_imports(tree.body)
+           if not (module.split(".")[0] in sys.stdlib_module_names
+                   or module[1:] in STDLIB_ONLY)]
+    assert not bad, f"{name}.py imports more than the standard library: {bad}"

@@ -1,7 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relhpe import (EulerAngles, LossConfig, Rotation, StagePrediction,
                     geodesic_deg, loss_cam, loss_fov, loss_rotation_geodesic,
@@ -28,6 +31,18 @@ class TestTranslationLoss:
         for _ in range(100):
             a, b = rng.uniform(-10, 10, 3), rng.uniform(-10, 10, 3)
             assert loss_translation(a, b) == loss_translation(b, a)
+
+    @settings(derandomize=True, database=None, max_examples=1000)
+    @given(p=st.tuples(*[st.floats(-1e300, 1e300)] * 3),
+           t=st.tuples(*[st.floats(-1e300, 1e300)] * 3))
+    def test_equals_numpys_sum_bit_for_bit(self, p, t):
+        """The plain left-to-right sum the library computes is numpy's
+        sum of the absolute differences, so the loss report keeps its
+        bytes."""
+        want = float(np.abs(np.subtract(p, t)).sum())
+        got = loss_translation(p, t)
+        assert type(got) is float
+        assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 class TestQuatLoss:

@@ -5,6 +5,7 @@ paths build no per-frame objects."""
 
 import collections
 import contextlib
+import csv
 import io
 import json
 import math
@@ -13,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from relhpe import (PoseLog, Rotation, SE3Pose, export_canonical,
@@ -23,7 +24,7 @@ from relhpe.camera import Intrinsics
 from relhpe.cli import _read_stage_file, main
 from relhpe.errors import (DomainError, EmptyInput, InvariantViolation,
                            ParseError, RelHpeError)
-from relhpe.harness import csv_rows, finite_floats, row_errors
+from relhpe.rows import csv_rows, finite_floats, row_errors
 from relhpe.poselog import FrameRecord
 
 from conftest import pose_log, random_pose
@@ -130,6 +131,7 @@ def test_columns_are_read_only_copies():
      "focal lengths"),
     ({"intrinsics": [[math.nan] * 6, [5, 5, 3, 2, 6, math.nan]]}, DomainError,
      "image dimensions"),
+    ({"frame_tag": 'a,"b'}, InvariantViolation, "frame tag"),
 ])
 def test_from_arrays_checks(change, error, match):
     """The checks PoseLog makes on its columns."""
@@ -138,6 +140,45 @@ def test_from_arrays_checks(change, error, match):
             "frame_tag": "world", "intrinsics": None, **change}
     with pytest.raises(error, match=match):
         PoseLog(**args)
+
+
+def test_an_id_longer_than_the_csv_field_limit_is_rejected():
+    """csv_rows cannot read back a cell longer than csv.field_size_limit(),
+    so PoseLog refuses an id or a frame tag that export_canonical would
+    write as one, naming the limit it reads when the log is built."""
+    limit = csv.field_size_limit()
+    match = f"field size limit \\({limit}\\)"
+    one = ([[1, 0, 0, 0]], [[0, 0, 0]])
+    with pytest.raises(InvariantViolation, match=f"frame id .* {match}"):
+        PoseLog("s", ["x" * 200000], *one)
+    with pytest.raises(InvariantViolation, match=f"subject id .* {match}"):
+        PoseLog("x" * (limit + 1), ["f"], *one)
+    with pytest.raises(InvariantViolation, match=f"frame tag .* {match}"):
+        PoseLog("s", ["f"], *one, "x" * limit)
+    csv.field_size_limit(1000)
+    try:
+        with pytest.raises(InvariantViolation, match="field size limit \\(1000\\)"):
+            PoseLog("s", ["x" * 1001], *one)
+        PoseLog("s", ["x" * 1000], *one)
+        assert csv.field_size_limit() == 1000  # read, never raised
+    finally:
+        csv.field_size_limit(limit)
+
+
+@pytest.mark.parametrize("plain", [True, False])
+def test_ids_at_the_csv_field_limit_round_trip(plain, tmp_path):
+    """Ids of exactly csv.field_size_limit() characters, and a frame tag
+    whose header is that long, export and read back, in an ASCII file and
+    in one that is not."""
+    limit = csv.field_size_limit()
+    tag = "t" * (limit - len("# poselog v1 frame="))
+    ids = ["f" * limit, "g" if plain else "\u00e9"]
+    log = PoseLog("s" * limit, ids, [[1, 0, 0, 0], [0, 1, 0, 0]],
+                  [[0, 0, 0], [1, 2, 3]], tag)
+    path = tmp_path / "log.csv"
+    export_canonical(log, path)
+    back, = ingest_canonical_all(path)
+    assert_same_log(back, log)
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +491,39 @@ def test_export_ingest_export_is_byte_stable(subjects, tmp_path):
         assert_same_log(log, again)
 
 
+# any string but a surrogate (which UTF-8 cannot encode), often ASCII or
+# made of the characters that CSV and the poselog header treat specially
+id_text = (st.text(st.characters(codec="ascii"), max_size=6)
+           | st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+           | st.text(st.sampled_from(',"#\r\n \t\x00\x0c\x85=a\u00e9'), max_size=6))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.filter_too_much])
+@given(subjects=st.lists(
+    st.tuples(id_text, st.lists(st.tuples(id_text, quaternion, translation,
+                                          intrinsics),
+                                min_size=1, max_size=4, unique_by=lambda r: r[0])),
+    min_size=1, max_size=3, unique_by=lambda s: s[0]),
+       tag=id_text | st.text(st.sampled_from(',"a'), max_size=4))
+def test_any_accepted_ids_round_trip(subjects, tag, tmp_path):
+    """Subject ids, frame ids and a frame tag of any text that PoseLog
+    accepts export and read back with the same ids and columns."""
+    logs = []
+    for subject, subject_rows in subjects:
+        _, quats, translations, k = columns([r[1:] for r in subject_rows])
+        try:
+            logs.append(PoseLog(subject, [r[0] for r in subject_rows], quats,
+                                translations, tag, k))
+        except InvariantViolation:
+            assume(False)
+    path = tmp_path / "log.csv"
+    export_canonical(logs, path)
+    for log, again in zip(logs, ingest_canonical_all(path), strict=True):
+        assert_same_log(again, log)
+
+
 @settings(derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(stages=st.lists(st.tuples(st.integers(-10 ** 9, 10 ** 9), translation,
@@ -472,7 +546,7 @@ def test_stage_file_round_trip(stages, header, tmp_path):
     assert [k for k, _ in back] == [k for k, *_ in stages]
     for (_, cam), (_, t, q, fov_h, fov_w) in zip(back, stages, strict=True):
         r = Rotation(*q)
-        assert bits(cam.t.tolist()) == bits(t)
+        assert type(cam.t) is tuple and bits(cam.t) == bits(t)
         assert bits([cam.q.w, cam.q.x, cam.q.y, cam.q.z]) == bits([r.w, r.x, r.y, r.z])
         assert bits([cam.fov_h, cam.fov_w]) == bits([math.radians(fov_h),
                                                      math.radians(fov_w)])

@@ -12,6 +12,7 @@ import relhpe.anchors
 import relhpe.cli
 import relhpe.geometry
 import relhpe.harness
+import relhpe.rotation
 import relhpe.simulate
 
 from relhpe import (AbsoluteSimEstimator, AnchorPolicy, NoiseModel,
@@ -554,11 +555,13 @@ class TestSweepCallCounts:
                 return fn(*args)
             return wrapper
 
-        modules = (relhpe.geometry, relhpe.anchors, relhpe.harness,
-                   relhpe.simulate, relhpe.cli)
+        modules = (relhpe.rotation, relhpe.geometry, relhpe.anchors,
+                   relhpe.harness, relhpe.simulate, relhpe.cli)
+        home = {"geodesic_deg": relhpe.rotation,
+                "euler_from_rotation": relhpe.geometry,
+                "_query_rng": relhpe.simulate}
         for name in calls:
-            fn = getattr(relhpe.simulate if name == "_query_rng" else relhpe.geometry,
-                         name)
+            fn = getattr(home[name], name)
             for module in modules:
                 if getattr(module, name, None) is fn:
                     monkeypatch.setattr(module, name, counting(name, fn))
