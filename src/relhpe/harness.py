@@ -38,6 +38,7 @@ import os
 from array import array
 from contextlib import suppress
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
 from typing import Optional
 
@@ -447,14 +448,13 @@ def report_from_samples(angles, dts) -> MetricReport:
                         len(angles), t_mae, t_l2)
 
 
-def error_arrays(pred, truth):
-    """Errors of predicted against true pose arrays, one row per pose:
-    (N, 4) |dyaw|, |dpitch|, |droll|, geodesic (degrees) and (N, 3)
-    translation differences (mm), both C-contiguous."""
-    (pred_q, pred_t), (true_q, true_t) = pred, truth
+def error_arrays(pred, batch):
+    """Errors of a predicted pose array against a QueryBatch's queries, one
+    row per query: (N, 4) |dyaw|, |dpitch|, |droll|, geodesic (degrees)
+    and (N, 3) translation differences (mm), both C-contiguous."""
+    (pred_q, pred_t), (true_q, true_t) = pred, batch.query
     angles = np.empty((len(pred_q), 4))
-    angles[:, :3] = np.abs(wrap_deg(euler_deg_many(pred_q)
-                                    - euler_deg_many(true_q)))
+    angles[:, :3] = np.abs(wrap_deg(euler_deg_many(pred_q) - batch.query_euler))
     angles[:, 3] = geodesic_deg_many(pred_q, true_q)
     return angles, pred_t - true_t
 
@@ -523,6 +523,12 @@ class QueryBatch:
     anchor: tuple
     streams: dict = field(default_factory=dict)
 
+    @cached_property
+    def query_euler(self) -> np.ndarray:
+        """euler_deg_many of the query rotations, computed once for all
+        the estimators scored on the batch."""
+        return euler_deg_many(self.query[0])
+
 
 def query_batch(log: PoseLog, queries, anchors, anchor=None) -> QueryBatch:
     """QueryBatch of the frames at positions queries, each anchored on the
@@ -575,7 +581,7 @@ class TableEstimator:
 def _score(estimator, batches) -> MetricReport:
     """One estimator's MetricReport over the rows of all batches, in order."""
     return report_from_samples(*pool_errors(
-        error_arrays(predict_batch(estimator, batch), batch.query)
+        error_arrays(predict_batch(estimator, batch), batch)
         for batch in batches))
 
 
@@ -620,7 +626,7 @@ def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
         else:
             values.append(_distances_to_reference(log)[queries])
         for per_log, est in zip(errors, estimators):
-            per_log.append(error_arrays(predict_batch(est, batch), batch.query))
+            per_log.append(error_arrays(predict_batch(est, batch), batch))
 
     values = np.concatenate(values)
     max_value = values.max() if len(values) else 0.0

@@ -20,19 +20,30 @@ order: the rotation axis when the magnitude is > 0, then the translation
 direction when trans_noise_mm > 0.  Estimators with equal seeds therefore
 draw the same vectors, and the batched path (predict_absolute_many /
 predict_relative_many) derives each query's stream once per batch and seed
-and shares its vectors between them.  It computes the SeedSequence states
-of a whole batch in one array pass (the hash is 32-bit integer
-arithmetic), then per row runs PCG64's set-seed step and draws the row's
-normals from one PCG64 set to that state.  The scalar simulate_absolute /
+and shares its vectors between them.
+
+A batch's streams are drawn in one array pass over uint64 columns: the
+SeedSequence hash (32-bit integer arithmetic), PCG64's seeding step and
+steps (128-bit states as high and low words, the high word of a product
+from 32-bit limbs), the XSL-RR outputs, and the fast path of numpy's
+ziggurat normal sampler (Marsaglia & Tsang, JSS 2000), which about 98% of
+draws take.  The ziggurat's tables are not copied into this module: they
+are probed from the installed numpy at first use (_probed_tables) and
+checked against Generator.normal on a few thousand draws
+(_ziggurat_tables); if that check fails, every row takes the per-row path.
+A row is drawn per row, by one PCG64 set to the state the pass computed,
+when any of its draws leaves the fast path (layer 0, layer 1, or rabs at
+or above its layer's bound); a row with a vector at most _MIN_NORM long
+is drawn again from _query_rng.  The scalar simulate_absolute /
 simulate_relative on _query_rng are the reference the batched path equals
 bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
-import struct
 from array import array
 from dataclasses import dataclass
 
@@ -73,8 +84,9 @@ _INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
 _MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
 _PCG64_MULT = 0x2360ed051fc65da44385df649fccf645
 _M32 = 0xFFFFFFFF
+_M52 = (1 << 52) - 1
+_M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1
-_FOUR_U64 = struct.Struct("<4Q")  # a generate_state(4, np.uint64) row
 
 
 def _limbs(n):
@@ -138,32 +150,152 @@ def _seed_states(seed, subject_id, frame_ids) -> bytes:
     return np.stack(_seed_sequence_words(entropy), axis=1).astype("<u4").tobytes()
 
 
+def _pcg64_dict(state, inc) -> dict:
+    """PCG64.state for the 128-bit state and increment."""
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
 def _pcg64_state(state_hi, state_lo, seq_hi, seq_lo) -> dict:
     """The state of a PCG64 seeded with the generate_state(4, np.uint64)
     words (state high, state low, seq high, seq low): PCG64 sets
     inc = 2 seq + 1, then state = (inc + state) MULT + inc, mod 2**128."""
     inc = (seq_hi << 65 | seq_lo << 1 | 1) & _M128
-    state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _M128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
+    return _pcg64_dict(
+        ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _M128, inc)
+
+
+# _PCG64_MULT as uint64 words, and the 32-bit limbs of its low word
+_MULT_HI = np.uint64(_PCG64_MULT >> 64)
+_MULT_LO = np.uint64(_PCG64_MULT & _M64)
+_MULT_LIMBS = (np.uint64(_PCG64_MULT & _M32), np.uint64(_PCG64_MULT >> 32 & _M32))
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo):
+    """PCG64's step, state MULT + inc mod 2**128, on uint64 columns of
+    (high, low) words.  The high word of lo times the multiplier's low
+    word is summed from 32-bit limbs."""
+    b0, b1 = _MULT_LIMBS
+    a0, a1 = lo & _M32, lo >> 32
+    low = a0 * b0
+    mid = a1 * b0 + (low >> 32)
+    cross = a0 * b1 + (mid & _M32)
+    carry = a1 * b1 + (mid >> 32) + (cross >> 32)
+    new_lo = lo * _MULT_LO + inc_lo
+    return (hi * _MULT_LO + lo * _MULT_HI + carry + inc_hi + (new_lo < inc_lo),
+            new_lo)
+
+
+def _pcg64_columns(words):
+    """_pcg64_state of every row of an (N, 4) uint64 array of seed words
+    as uint64 columns: state high, state low, inc high, inc low."""
+    state_hi, state_lo, seq_hi, seq_lo = words.T
+    inc_hi = seq_hi << 1 | seq_lo >> 63
+    inc_lo = seq_lo << 1 | 1
+    lo = state_lo + inc_lo
+    return (*_lcg_step(state_hi + inc_hi + (lo < inc_lo), lo, inc_hi, inc_lo),
+            inc_hi, inc_lo)
+
+
+def _fast_normals(columns, count, tables):
+    """(values, fast): count Generator.normal() draws per row of PCG64
+    columns, valid where fast, that is where every draw of the row takes
+    the ziggurat's fast path under tables (see _ziggurat_tables; None
+    makes no row fast).
+
+    Each step's XSL-RR output r is one draw, as numpy's
+    random_standard_normal takes it: layer r & 0xff, sign bit 8, rabs the
+    52 bits above, z = +-rabs wi[layer], fast while rabs < bound[layer];
+    random_normal then returns loc + scale z with loc 0 and scale 1.
+    """
+    hi, lo, inc_hi, inc_lo = columns
+    values = np.empty((len(hi), count))
+    if tables is None:
+        return values, np.zeros(len(hi), bool)
+    wi, bound = tables
+    fast = np.ones(len(hi), bool)
+    for k in range(count):
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> 58
+        r = (x >> rot) | (x << ((64 - rot) & 63))
+        layer = (r & 0xff).astype(np.intp)
+        rabs = r >> 9 & _M52
+        fast &= rabs < bound[layer]
+        z = rabs * wi[layer] * (1.0 - (r >> 7 & 2))  # -1.0 z is -z
+        values[:, k] = 0.0 + 1.0 * z
+    return values, fast
+
+
+def _probed_tables():
+    """(wi, bound): the layer widths of numpy's ziggurat normal sampler and
+    a fast-path bound per layer, read from the installed numpy.
+
+    wi[i] is Generator.normal() of a forced raw output with layer i and
+    rabs 1.  Layers 0 (the tail) and 1 always leave the fast path here
+    (bound 0).  For the others, with x = wi 2**52 the widths of the
+    layers, bound[i] = x[i-1] / x[i] 2**52 estimates numpy's threshold;
+    it is kept only if a draw at rabs bound[i] - 1 returns its fast value
+    on one raw output, else bound[i] is 0.
+    """
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    inverse = pow(_PCG64_MULT, -1, 1 << 128)
+
+    def draw(raw):
+        # a state with high word 0 outputs its low word unrotated
+        bits.state = _pcg64_dict((raw - 1) * inverse & _M128, 1)
+        value = gen.normal()
+        return value, bits.state["state"]["state"] == raw
+
+    wi = np.array([draw(1 << 9 | i)[0] for i in range(256)])
+    x = wi * 2.0 ** 52
+    bound = np.zeros(256, np.uint64)
+    for i in range(2, 256):
+        b = int(x[i - 1] / x[i] * 2.0 ** 52)
+        if 0 < b <= 1 << 52 and draw((b - 1) << 9 | i) == ((b - 1) * wi[i], True):
+            bound[i] = b
+    return wi, bound
+
+
+@functools.cache
+def _ziggurat_tables():
+    """_probed_tables, derived once per process, or None if _fast_normals
+    on them differs from Generator.normal anywhere in 256 streams of 12
+    draws (every layer >= 2 takes the fast path in them)."""
+    wi, bound = _probed_tables()
+    words = np.random.PCG64(0).random_raw(4 * 256).reshape(-1, 4)
+    values, fast = _fast_normals(_pcg64_columns(words), 12, (wi, bound))
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    for row, ok, key in zip(values, fast, words.tolist()):
+        bits.state = _pcg64_state(*key)
+        if ok and gen.normal(size=12).tobytes() != row.tobytes():
+            return None
+    return wi, bound
 
 
 def _stream_vectors(seed, subject_id, frame_ids, depth) -> np.ndarray:
     """(N, depth, 3): the first depth _random_unit_vector draws of
     _query_rng(seed, subject_id, f) for each frame id f.
 
-    The SeedSequence states of all rows come from one array pass; each row
-    then sets one PCG64 to its _pcg64_state and draws its normals.  A row
-    with a draw at most _MIN_NORM long, which the scalar path would draw
-    again, is taken from _query_rng instead.
+    The SeedSequence and PCG64 states of all rows come from one array
+    pass, and so do the normals of every row whose draws all take the
+    ziggurat's fast path (_fast_normals).  Each other row sets one PCG64
+    to its state and draws its normals.  A row with a draw at most
+    _MIN_NORM long, which the scalar path would draw again, is taken from
+    _query_rng instead.
     """
-    states = _seed_states(seed, subject_id, frame_ids)
+    columns = _pcg64_columns(np.frombuffer(
+        _seed_states(seed, subject_id, frame_ids), "<u8").reshape(-1, 4))
+    raw, fast = _fast_normals(columns, depth * 3, _ziggurat_tables())
     bits = np.random.PCG64(0)
     gen = np.random.Generator(bits)
-    raw = np.empty((len(frame_ids), depth, 3))
-    for r, words in enumerate(_FOUR_U64.iter_unpack(states)):
-        bits.state = _pcg64_state(*words)
-        raw[r] = gen.normal(size=(depth, 3))
+    slow = np.flatnonzero(~fast)
+    for r, hi, lo, inc_hi, inc_lo in zip(
+            slow.tolist(), *(column[slow].tolist() for column in columns)):
+        bits.state = _pcg64_dict(hi << 64 | lo, inc_hi << 64 | inc_lo)
+        raw[r] = gen.normal(size=depth * 3)
+    raw = raw.reshape(-1, depth, 3)
     # per-row BLAS dot, as np.linalg.norm takes it
     norms = np.sqrt(np.matmul(raw[:, :, None, :], raw[:, :, :, None])[:, :, 0])
     vectors = raw / norms

@@ -594,6 +594,23 @@ class TestSweep:
         for r in filled:
             assert r.geodesic_mae == pytest.approx(theta, abs=1e-9)
 
+    def test_one_truth_euler_pass_per_batch(self, rng, monkeypatch):
+        # the query side's Euler angles are computed once per log's batch,
+        # the prediction side's once per estimator and log
+        logs = [make_log([random_pose(rng) for _ in range(30)], subject)
+                for subject in ("s1", "s2")]
+        estimators = [RelativeSimEstimator(f"r{i}", NoiseModel(1.0, 0.1, 2.0, i))
+                      for i in range(3)]
+        expected = sweep(logs, estimators, AnchorPolicy("fixed_first"),
+                         "anchor_query_gap")
+        rows = []
+        euler_deg_many = relhpe.harness.euler_deg_many
+        monkeypatch.setattr(relhpe.harness, "euler_deg_many",
+                            lambda q: rows.append(len(q)) or euler_deg_many(q))
+        assert sweep(logs, estimators, AnchorPolicy("fixed_first"),
+                     "anchor_query_gap") == expected
+        assert rows == [30] * (len(logs) * (1 + len(estimators)))
+
     @pytest.mark.parametrize("width", [math.inf, math.nan, 1e-300, 0.0179])
     def test_bin_width_out_of_range(self, width):
         # more than 10,000 bins over [0, 180] deg is refused before any work

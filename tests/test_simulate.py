@@ -26,8 +26,9 @@ from relhpe.errors import (DomainError, EmptyRange, InvariantViolation,
 from relhpe.harness import predict_batch, query_batch
 from relhpe.geometry import EulerAngles, rotation_from_euler
 from relhpe.simulate import (simulate_absolute, simulate_relative,
-                             _pcg64_state, _query_rng, _seed_sequence_words,
-                             _seed_states, _stream_vectors)
+                             _fast_normals, _pcg64_columns, _pcg64_state,
+                             _probed_tables, _query_rng, _seed_sequence_words,
+                             _seed_states, _stream_vectors, _ziggurat_tables)
 
 from conftest import pose_log, random_pose, random_rotation, yaw_pose
 from test_poselog import bits, quaternion, translation
@@ -524,6 +525,186 @@ class TestBatchedStreams:
             _query_rng(-1, "s", "f0000")
         with pytest.raises(ValueError):
             _seed_states(-1, "s", ["f0000"])
+
+
+_U64 = st.integers(0, 2**64 - 1)
+_INVERSE_MULT = pow(relhpe.simulate._PCG64_MULT, -1, 2**128)
+
+
+_INC = 2 * 0x9E3779B97F4A7C15 + 1
+
+
+def _forced_state(raw):
+    """The PCG64 state (increment _INC) whose next raw output is raw:
+    PCG64 outputs the low word of a state whose high word is 0, unrotated."""
+    return (raw - _INC) * _INVERSE_MULT % 2**128
+
+
+def _force_raw(bits, raw):
+    bits.state = {"bit_generator": "PCG64", "uinteger": 0, "has_uint32": 0,
+                  "state": {"state": _forced_state(raw), "inc": _INC}}
+
+
+def _fast_rows(seed, frame_ids, count):
+    """_fast_normals of the batch's streams, count draws per row."""
+    return _fast_normals(_pcg64_columns(np.frombuffer(
+        _seed_states(seed, "subj001", frame_ids), "<u8").reshape(-1, 4)),
+        count, _ziggurat_tables())
+
+
+def _numpy_normal(raw):
+    """(value, whether it took raw alone) of Generator.standard_normal() on
+    a PCG64 whose next raw output is raw; the state after that output is
+    raw itself."""
+    bits = np.random.PCG64(0)
+    _force_raw(bits, raw)
+    value = np.random.Generator(bits).standard_normal()
+    return value, bits.state["state"]["state"] == raw
+
+
+def _raw_reasons(seed, subject, frame_ids, count):
+    """Per row, the fast-path rule each of the first count raw outputs of
+    _query_rng's PCG64 breaks: (layer 0, layer 1, rabs >= bound)."""
+    _, bound = _ziggurat_tables()
+    raws = np.array([_query_rng(seed, subject, f).bit_generator.random_raw(count)
+                     for f in frame_ids], dtype=np.uint64)
+    layer = (raws & 0xff).astype(int)
+    rabs = raws >> 9 & (2**52 - 1)
+    return ((layer == 0).any(axis=1), (layer == 1).any(axis=1),
+            ((layer >= 2) & (rabs >= bound[layer])).any(axis=1))
+
+
+class TestZigguratTables:
+    """The tables of the array pass, probed from numpy, against numpy's
+    Generator on forced raw outputs."""
+
+    def test_force_raw(self):
+        for raw in (1, 2**9 | 7, 2**64 - 1, 0x123456789ABCDEF0):
+            bits = np.random.PCG64(0)
+            _force_raw(bits, raw)
+            assert int(bits.random_raw()) == raw
+
+    def test_widths_equal_generator(self):
+        wi, _ = _probed_tables()
+        assert wi.shape == (256,)
+        for i in range(256):
+            assert _numpy_normal(1 << 9 | i)[0] == wi[i]
+        rng = np.random.default_rng(1)
+        for i, rabs, sign in zip(rng.integers(2, 256, 300).tolist(),
+                                 rng.integers(0, 2**51, 300).tolist(),
+                                 rng.integers(0, 2, 300).tolist()):
+            assert _numpy_normal(rabs << 9 | sign << 8 | i) == (
+                (-1.0 if sign else 1.0) * rabs * wi[i], True)
+
+    def test_bounds_at_most_numpys(self):
+        _, bound = _probed_tables()
+        assert bound[0] == bound[1] == 0
+        for i in range(2, 256):
+            lo, hi = 0, 2**52  # numpy's threshold: the least rabs not fast
+            for _ in range(52):
+                mid = (lo + hi) // 2
+                if _numpy_normal(mid << 9 | i)[1]:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            assert lo == hi
+            assert hi - 1 <= bound[i] <= hi, i
+
+    def test_derived_once_and_checked(self):
+        assert _ziggurat_tables() is _ziggurat_tables()
+        wi, bound = _ziggurat_tables()
+        probed = _probed_tables()
+        assert wi.tobytes() == probed[0].tobytes()
+        assert bound.tobytes() == probed[1].tobytes()
+
+    @pytest.mark.parametrize("layer", [2, 97, 255])
+    def test_a_wrong_width_sends_every_row_to_the_per_row_path(
+            self, layer, monkeypatch):
+        probed = relhpe.simulate._probed_tables
+
+        def corrupted():
+            wi, bound = probed()
+            wi[layer] = np.nextafter(wi[layer], 1.0)
+            return wi, bound
+
+        monkeypatch.setattr(relhpe.simulate, "_probed_tables", corrupted)
+        _ziggurat_tables.cache_clear()
+        try:
+            assert _ziggurat_tables() is None
+            per_row = []
+            state_dict = relhpe.simulate._pcg64_dict
+            monkeypatch.setattr(relhpe.simulate, "_pcg64_dict",
+                                lambda *a: per_row.append(a) or state_dict(*a))
+            frame_ids = [f"f{i:04d}" for i in range(50)]
+            assert (_stream_vectors(5, "s1", frame_ids, 2).tobytes()
+                    == _scalar_vectors(5, "s1", frame_ids, 2).tobytes())
+            assert len(per_row) == len(frame_ids)
+        finally:
+            _ziggurat_tables.cache_clear()
+
+
+class TestArrayPass:
+    """The array pass equals PCG64 and the scalar streams, and sends a row
+    to the per-row path for each reason it must."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(_U64, _U64, _U64, _U64), min_size=1,
+                         max_size=5))
+    @example(rows=[(2**64 - 1,) * 4, (0,) * 4, (0, 2**64 - 1, 0, 2**64 - 1)])
+    def test_columns_equal_pcg64_state(self, rows):
+        columns = _pcg64_columns(np.array(rows, dtype=np.uint64))
+        hi, lo, inc_hi, inc_lo = (c.tolist() for c in columns)
+        for r, words in enumerate(rows):
+            assert _pcg64_state(*words)["state"] == {
+                "state": hi[r] << 64 | lo[r], "inc": inc_hi[r] << 64 | inc_lo[r]}
+
+    def test_fast_path_boundary(self):
+        # per layer, rows whose one draw sits on either side of the bound,
+        # each a state whose next raw output is the one wanted
+        wi, bound = _ziggurat_tables()
+        raws = [(b - edge) << 9 | sign << 8 | layer
+                for layer, b in enumerate(bound.tolist()) if b
+                for edge in (0, 1) for sign in (0, 1)]
+        states = [_forced_state(raw) for raw in raws]
+        columns = [np.array(words, dtype=np.uint64) for words in (
+            [s >> 64 for s in states], [s % 2**64 for s in states],
+            [_INC >> 64] * len(raws), [_INC % 2**64] * len(raws))]
+        values, fast = _fast_normals(columns, 1, (wi, bound))
+        assert fast.tolist() == [raw >> 9 < bound[raw & 0xff] for raw in raws]
+        for raw, value, ok in zip(raws, values[:, 0].tolist(), fast.tolist()):
+            if ok:
+                assert (value, True) == _numpy_normal(raw)
+
+    @pytest.mark.parametrize("seed", [2, 2**33 + 17])
+    def test_every_fallback_reason(self, seed):
+        frame_ids = [f"f{i:05d}" for i in range(4000)]
+        values, fast = _fast_rows(seed, frame_ids, 6)
+        reasons = _raw_reasons(seed, "subj001", frame_ids, 6)
+        assert all(reason.any() for reason in reasons)
+        assert (~fast).tolist() == np.logical_or.reduce(reasons).tolist()
+        expected = _scalar_vectors(seed, "subj001", frame_ids, 2)
+        assert (_stream_vectors(seed, "subj001", frame_ids, 2).tobytes()
+                == expected.tobytes())
+        # the fast rows' normals are the scalar streams' own
+        assert values[fast].tobytes() == np.array([
+            _query_rng(seed, "subj001", frame_ids[r]).normal(size=6)
+            for r in np.flatnonzero(fast)]).tobytes()
+
+    @pytest.mark.parametrize("seed", [2, 2**33 + 17])
+    def test_short_norm_rows_fall_back(self, seed, monkeypatch):
+        monkeypatch.setattr(relhpe.simulate, "_MIN_NORM", 1.0)
+        redrawn = []
+        scalar_rng = relhpe.simulate._query_rng
+        monkeypatch.setattr(relhpe.simulate, "_query_rng",
+                            lambda *key: redrawn.append(key[2]) or scalar_rng(*key))
+        frame_ids = [f"f{i:05d}" for i in range(4000)]
+        _, fast = _fast_rows(seed, frame_ids, 6)
+        vectors = _stream_vectors(seed, "subj001", frame_ids, 2)
+        # rows whose draws all took the fast path, redrawn for a short norm
+        assert {frame_ids[r] for r in np.flatnonzero(fast)} & set(redrawn)
+        assert len(redrawn) < len(frame_ids)
+        assert vectors.tobytes() == _scalar_vectors(seed, "subj001", frame_ids,
+                                                    2).tobytes()
 
 
 class TestSweepCallCounts:
