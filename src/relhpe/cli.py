@@ -52,6 +52,13 @@ def _count(value) -> int:
     raise ValueError(f"expected a non-negative integer, got {value!r}")
 
 
+def _text(value) -> str:
+    """value if it is a str (as a glob or a file name); ValueError otherwise."""
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
 def _at_least(least, convert):
     """Conversion by convert that also rejects values below least."""
     def check(value):
@@ -82,8 +89,8 @@ def _one_of(*allowed):
 # report reads no config.
 SETTINGS = {
     "ingest": {"input_format": (_one_of("canonical", "biwi"), "canonical"),
-               "pose_glob": (str, "frame_*_pose.txt"),
-               "calib_name": (str, "rgb.cal")},
+               "pose_glob": (_text, "frame_*_pose.txt"),
+               "calib_name": (_text, "rgb.cal")},
     "pairs": {"pair_kind": (_one_of("easy", "hard"), "hard"),
               "neutral_thresh_deg": (_finite, 15.0),
               "extreme_thresh_deg": (_finite, 45.0),
@@ -113,11 +120,12 @@ SETTINGS = {
 
 def _read_json(path, number=None):
     """The JSON value in a file, fractions and constants read by number if
-    given; ParseError '<path>: ...' if it is not UTF-8 JSON or number fails."""
+    given; ParseError '<path>: ...' for text that is not UTF-8 JSON, JSON
+    nested too deeply to decode, or a value number fails."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh, parse_float=number, parse_constant=number)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        except (ValueError, RecursionError) as exc:  # bad text, deep nesting
             raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -407,7 +415,8 @@ def cmd_report(args):
     env = _read_json(args.input, _finite)
     command = env.get("command") if isinstance(env, dict) else None
     build_csv = {"sweep": reports.sweep_csv, "pairs": reports.pairs_csv,
-                 "eval": reports.metric_csv}.get(command)
+                 "eval": reports.metric_csv}.get(
+                     command if isinstance(command, str) else None)
     if build_csv is None:
         raise RelHpeError(f"{args.input}: cannot regenerate from a {command!r} report")
     try:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyInput, FrameMismatch
-from .rotation import Rotation
+from .rotation import Rotation, chord_squares, hamilton, matrix_entries
 
 
 @dataclass(frozen=True)
@@ -114,18 +114,11 @@ def normalize_to_anchor(poses) -> list:
 
 def geodesic_deg_many(p, q) -> np.ndarray:
     """rotation.geodesic_deg over the rows of (4,) or (N, 4) arrays of
-    (w, x, y, z), a (4,) side paired with every row.  Equal to the scalar
-    bit for bit: it repeats its expressions in order and takes math.atan2
-    (numpy's arctan2 can differ in the last bit).
-    """
-    aw, ax, ay, az = np.asarray(p, dtype=float).T
-    bw, bx, by, bz = np.asarray(q, dtype=float).T
-    s = np.where(aw * bw + ax * bx + ay * by + az * bz >= 0.0, 1.0, -1.0)
-    dw, dx, dy, dz = aw - s * bw, ax - s * bx, ay - s * by, az - s * bz
-    sw, sx, sy, sz = aw + s * bw, ax + s * bx, ay + s * by, az + s * bz
-    diff = np.sqrt(dw * dw + dx * dx + dy * dy + dz * dz)
-    summ = np.sqrt(sw * sw + sx * sx + sy * sy + sz * sz)
-    return np.minimum(np.degrees(4.0 * _per_element(math.atan2, diff, summ)), 180.0)
+    (w, x, y, z), a (4,) side paired with every row."""
+    diff, summ = chord_squares(np.asarray(p, dtype=float).T,
+                               np.asarray(q, dtype=float).T)
+    return np.minimum(np.degrees(4.0 * _per_element(
+        math.atan2, np.sqrt(diff), np.sqrt(summ))), 180.0)
 
 
 def rotation_from_euler(e: EulerAngles) -> Rotation:
@@ -147,34 +140,26 @@ def euler_from_rotation(r: Rotation) -> EulerAngles:
         R[0,2] / R[2,2] = tan(yaw)        (scaled by cos(pitch))
         R[1,0] / R[1,1] = tan(roll)       (scaled by cos(pitch))
     Near |pitch| = 90 deg yaw and roll are coupled; the degenerate branch
-    fixes roll = 0 and flags gimbal_lock.  The entries read are as_matrix's
-    expressions.
+    fixes roll = 0 and flags gimbal_lock.
     """
-    w, x, y, z = r.w, r.x, r.y, r.z
-    sp = -(2 * (y * z - w * x))
-    if sp > 1.0:
-        sp = 1.0
-    elif sp < -1.0:
-        sp = -1.0
-    pitch = math.degrees(math.asin(sp))
+    m00, _, m02, m10, m11, m12, m20, _, m22 = matrix_entries((r.w, r.x, r.y, r.z))
+    pitch = math.degrees(math.asin(min(max(-m12, -1.0), 1.0)))
     if abs(pitch) >= 89.0:
-        yaw = math.degrees(math.atan2(-(2 * (x * z - w * y)),
-                                      1 - 2 * (y * y + z * z)))
+        yaw = math.degrees(math.atan2(-m20, m00))
         return EulerAngles(yaw, pitch, 0.0, gimbal_lock=True)
-    yaw = math.degrees(math.atan2(2 * (x * z + w * y), 1 - 2 * (x * x + y * y)))
-    roll = math.degrees(math.atan2(2 * (x * y + w * z), 1 - 2 * (x * x + z * z)))
-    return EulerAngles(yaw, pitch, roll)
+    return EulerAngles(math.degrees(math.atan2(m02, m22)), pitch,
+                       math.degrees(math.atan2(m10, m11)))
 
 
 # ---------------------------------------------------------------------------
 # batched forms
 #
-# Each helper repeats its scalar's expressions in the same order with
-# elementwise numpy arithmetic, which rounds like Python floats, and takes
-# math.asin/atan2/sin/cos per element (numpy's can differ in the last bit),
-# so every entry equals the scalar result bit for bit.  Quaternions are
-# (N, 4) arrays of (w, x, y, z); a pose array is a pair of (N, 4)
-# quaternions and (N, 3) translations (mm).
+# Each helper equals its scalar form bit for bit: both run rotation's
+# kernels, these on the columns of (N, 4) quaternions, where numpy's
+# elementwise arithmetic rounds like Python floats.  Only what differs by
+# type is written here: np.sqrt, np.clip, the canonical sign, math's
+# functions per element and norms as np.linalg.norm takes them.  A pose
+# array is a pair of (N, 4) quaternions and (N, 3) translations (mm).
 
 
 def _per_element(fn, *arrays) -> np.ndarray:
@@ -211,24 +196,14 @@ def canonical_many(q) -> np.ndarray:
 
 def multiply_many(a, b) -> np.ndarray:
     """Rotation.__mul__ over rows: the Hamilton products a[i] * b[i]."""
-    w1, x1, y1, z1 = np.asarray(a, dtype=float).T
-    w2, x2, y2, z2 = np.asarray(b, dtype=float).T
-    return canonical_many(np.stack([
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    ], axis=1))
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return canonical_many(np.stack(hamilton(a.T, b.T), axis=1))
 
 
 def as_matrix_many(q) -> np.ndarray:
     """Rotation.as_matrix over rows, as a C-contiguous (N, 3, 3) array."""
-    w, x, y, z = np.asarray(q, dtype=float).T
-    return np.stack([
-        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
-        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
-        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
-    ], axis=1).reshape(-1, 3, 3)
+    return np.stack(matrix_entries(np.asarray(q, dtype=float).T),
+                    axis=1).reshape(-1, 3, 3)
 
 
 def rotate_many(q, v) -> np.ndarray:
@@ -238,14 +213,19 @@ def rotate_many(q, v) -> np.ndarray:
     return np.matmul(as_matrix_many(q), v)[:, :, 0]
 
 
+def row_norms(a) -> np.ndarray:
+    """Norms along a float array's last axis, kept at length 1: per-row
+    BLAS dots as np.linalg.norm takes them (a sum of squares can differ)."""
+    return np.sqrt(np.matmul(a[..., None, :], a[..., :, None])[..., 0])
+
+
 def axis_angle_many(axes, angles_rad) -> np.ndarray:
-    """Rotation.from_axis_angle over rows.  The axis norm is a per-row BLAS
-    dot, as in np.linalg.norm (a plain sum of squares can differ)."""
+    """Rotation.from_axis_angle over rows."""
     axes = np.asarray(axes, dtype=float).reshape(-1, 3)
-    n = np.sqrt(np.matmul(axes[:, None, :], axes[:, :, None])[:, 0, 0])
+    n = row_norms(axes)
     if not n.all():
         raise DomainError("zero axis")
-    axes = axes / n[:, None]
+    axes = axes / n
     h = 0.5 * np.asarray(angles_rad, dtype=float)
     s = _per_element(math.sin, h)
     return canonical_many(np.stack([_per_element(math.cos, h), s * axes[:, 0],
@@ -281,16 +261,13 @@ def compose_many(a, b):
 def euler_deg_many(q) -> np.ndarray:
     """euler_from_rotation over rows: (N, 3) yaw, pitch, roll in degrees
     (the gimbal_lock flag is not returned)."""
-    w, x, y, z = np.asarray(q, dtype=float).T
-    sp = np.clip(-(2 * (y * z - w * x)), -1.0, 1.0)
-    pitch = np.degrees(_per_element(math.asin, sp))
+    m00, _, m02, m10, m11, m12, m20, _, m22 = matrix_entries(
+        np.asarray(q, dtype=float).T)
+    pitch = np.degrees(_per_element(math.asin, np.clip(-m12, -1.0, 1.0)))
     lock = np.abs(pitch) >= 89.0
-    yaw = np.degrees(_per_element(
-        math.atan2,
-        np.where(lock, -(2 * (x * z - w * y)), 2 * (x * z + w * y)),
-        np.where(lock, 1 - 2 * (y * y + z * z), 1 - 2 * (x * x + y * y))))
-    roll = np.degrees(_per_element(math.atan2, 2 * (x * y + w * z),
-                                   1 - 2 * (x * x + z * z)))
+    yaw = np.degrees(_per_element(math.atan2, np.where(lock, -m20, m02),
+                                  np.where(lock, m00, m22)))
+    roll = np.degrees(_per_element(math.atan2, m10, m11))
     return np.stack([yaw, pitch, np.where(lock, 0.0, roll)], axis=1)
 
 

@@ -597,8 +597,10 @@ def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
     predictions_by_estimator maps an estimator id to its prediction table
     (a PoseLog), from which external_predicted takes its anchors.
     """
+    if policy is None:
+        raise DomainError("a sweep needs an anchor policy, got None")
     if axis not in SWEEP_AXES:
-        raise DomainError(f"unknown sweep axis {axis!r}")
+        raise DomainError(f"sweep axis {axis!r} is not one of {', '.join(SWEEP_AXES)}")
     if axis == "absolute_query_pose" and policy.kind != "nearest_within":
         raise DomainError("absolute_query_pose sweeps require a nearest_within policy")
     if not _MIN_BIN_WIDTH_DEG <= bin_width_deg < math.inf:
@@ -665,7 +667,7 @@ def run_end_to_end(logs, estimators, policy=None, benchmark=None):
     benchmark = dict(benchmark or {"kind": "sweep", "axis": "anchor_query_gap"})
     kind = benchmark.pop("kind")
     if kind == "sweep":
-        return sweep(logs, estimators, policy, benchmark.pop("axis"), **benchmark)
+        return sweep(logs, estimators, policy, benchmark.pop("axis", None), **benchmark)
     if kind not in ("easy", "hard"):
         raise DomainError(f"unknown benchmark kind {kind!r}")
     builder = build_easy_pairs if kind == "easy" else build_hard_pairs

@@ -6,7 +6,9 @@ w >= 0 (if w == 0, the first nonzero component is positive); see
 geometry for the package's other conventions.  The components are Python
 floats and the algebra runs on them, so this module loads only the
 standard library: numpy is imported by the methods that take or give
-arrays (quat, from_axis_angle, from_matrix, as_matrix, apply).
+arrays (quat, from_axis_angle, from_matrix, as_matrix, apply).  The
+kernels hamilton, matrix_entries and chord_squares run on floats and on
+numpy arrays alike, so geometry's batched forms share their formulas.
 """
 
 from __future__ import annotations
@@ -28,6 +30,36 @@ def _canonical(q):
                     return (w, -x, -y, -z)
                 break
     return (w, x, y, z)
+
+
+def hamilton(a, b):
+    """The Hamilton product a * b (b applied first), not normalized."""
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return (w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
+
+
+def matrix_entries(q):
+    """The nine entries of q's rotation matrix, row by row (a flat tuple
+    converts to an array about twice as fast as nested lists)."""
+    w, x, y, z = q
+    return (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y))
+
+
+def chord_squares(a, b):
+    """(|a - s b|^2, |a + s b|^2), s = +-1 the sign of a . b (+1 at 0)."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    s = (aw * bw + ax * bx + ay * by + az * bz >= 0.0) * 2.0 - 1.0
+    dw, dx, dy, dz = aw - s * bw, ax - s * bx, ay - s * by, az - s * bz
+    sw, sx, sy, sz = aw + s * bw, ax + s * bx, ay + s * by, az + s * bz
+    return (dw * dw + dx * dx + dy * dy + dz * dz,
+            sw * sw + sx * sx + sy * sy + sz * sz)
 
 
 @dataclass(frozen=True, init=False)
@@ -117,24 +149,13 @@ class Rotation:
     def as_matrix(self):
         """The 3x3 rotation matrix, as an array."""
         import numpy as np
-        w, x, y, z = self.w, self.x, self.y, self.z
-        # one flat tuple converts about twice as fast as nested lists
-        return np.array((
-            1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
-            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
-            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
-        ), dtype=float).reshape(3, 3)
+        return np.array(matrix_entries((self.w, self.x, self.y, self.z)),
+                        dtype=float).reshape(3, 3)
 
     def __mul__(self, other: "Rotation") -> "Rotation":
         """Hamilton product; self applied after other."""
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
-        return Rotation(
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        )
+        return Rotation(*hamilton((self.w, self.x, self.y, self.z),
+                                  (other.w, other.x, other.y, other.z)))
 
     def inverse(self) -> "Rotation":
         return Rotation(self.w, -self.x, -self.y, -self.z)
@@ -142,7 +163,8 @@ class Rotation:
     def apply(self, v):
         """Rotate a 3-vector; the result is an array."""
         import numpy as np
-        return self.as_matrix() @ np.asarray(v, dtype=float)
+        return np.array(matrix_entries((self.w, self.x, self.y, self.z)),
+                        dtype=float).reshape(3, 3) @ np.asarray(v, dtype=float)
 
 
 def geodesic_deg(a: Rotation, b: Rotation) -> float:
@@ -154,9 +176,6 @@ def geodesic_deg(a: Rotation, b: Rotation) -> float:
     exactly zero on equal inputs, and keeps full relative precision near
     0 and 180 where the arccos form loses digits.
     """
-    s = 1.0 if (a.w * b.w + a.x * b.x + a.y * b.y + a.z * b.z) >= 0.0 else -1.0
-    dw, dx, dy, dz = a.w - s * b.w, a.x - s * b.x, a.y - s * b.y, a.z - s * b.z
-    sw, sx, sy, sz = a.w + s * b.w, a.x + s * b.x, a.y + s * b.y, a.z + s * b.z
-    diff = math.sqrt(dw * dw + dx * dx + dy * dy + dz * dz)
-    summ = math.sqrt(sw * sw + sx * sx + sy * sy + sz * sz)
-    return min(math.degrees(4.0 * math.atan2(diff, summ)), 180.0)
+    diff, summ = chord_squares((a.w, a.x, a.y, a.z), (b.w, b.x, b.y, b.z))
+    return min(math.degrees(4.0 * math.atan2(math.sqrt(diff), math.sqrt(summ))),
+               180.0)

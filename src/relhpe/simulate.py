@@ -27,16 +27,14 @@ SeedSequence hash (32-bit integer arithmetic), PCG64's seeding step and
 steps (128-bit states as high and low words, the high word of a product
 from 32-bit limbs), the XSL-RR outputs, and the fast path of numpy's
 ziggurat normal sampler (Marsaglia & Tsang, JSS 2000), which about 98% of
-draws take.  The ziggurat's tables are not copied into this module: they
-are probed from the installed numpy at first use (_probed_tables) and
-checked against Generator.normal on a few thousand draws
-(_ziggurat_tables); if that check fails, every row takes the per-row path.
-A row is drawn per row, by one PCG64 set to the state the pass computed,
-when any of its draws leaves the fast path (layer 0, layer 1, or rabs at
-or above its layer's bound); a row with a vector at most _MIN_NORM long
-is drawn again from _query_rng.  The scalar simulate_absolute /
-simulate_relative on _query_rng are the reference the batched path equals
-bit for bit.
+draws take.  Its tables are probed from the installed numpy at first use
+(_probed_tables).  _pcg64_normals draws a row from one PCG64 set to the
+row's state in the columns: on a few thousand rows to check the fast path
+(_ziggurat_tables), and for each row with a draw off the fast path (layer
+0, layer 1, or rabs at or above its layer's bound), or for every row if
+the check failed.  A row with a vector at most _MIN_NORM long is drawn
+again from _query_rng.  The scalar simulate_absolute / simulate_relative
+on _query_rng are the reference the batched path equals bit for bit.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ import numpy as np
 from .errors import DomainError, EmptyRange, InvariantViolation, ParseError
 from .geometry import (SE3Pose, axis_angle_many, compose_many,
                        geodesic_deg_many, inverse_many, multiply_many,
-                       relative, rotation_from_euler_many)
+                       relative, rotation_from_euler_many, row_norms)
 from .poselog import PoseLog
 from .rotation import Rotation, geodesic_deg
 from .rows import csv_rows, finite_floats, row_errors
@@ -156,15 +154,6 @@ def _pcg64_dict(state, inc) -> dict:
             "has_uint32": 0, "uinteger": 0}
 
 
-def _pcg64_state(state_hi, state_lo, seq_hi, seq_lo) -> dict:
-    """The state of a PCG64 seeded with the generate_state(4, np.uint64)
-    words (state high, state low, seq high, seq low): PCG64 sets
-    inc = 2 seq + 1, then state = (inc + state) MULT + inc, mod 2**128."""
-    inc = (seq_hi << 65 | seq_lo << 1 | 1) & _M128
-    return _pcg64_dict(
-        ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _M128, inc)
-
-
 # _PCG64_MULT as uint64 words, and the 32-bit limbs of its low word
 _MULT_HI = np.uint64(_PCG64_MULT >> 64)
 _MULT_LO = np.uint64(_PCG64_MULT & _M64)
@@ -187,8 +176,9 @@ def _lcg_step(hi, lo, inc_hi, inc_lo):
 
 
 def _pcg64_columns(words):
-    """_pcg64_state of every row of an (N, 4) uint64 array of seed words
-    as uint64 columns: state high, state low, inc high, inc low."""
+    """Seeded PCG64 states for the rows of an (N, 4) uint64 array of words
+    (state hi, state lo, seq hi, seq lo), inc = 2 seq + 1 and state = (inc +
+    state) MULT + inc mod 2**128, as columns state hi, lo and inc hi, lo."""
     state_hi, state_lo, seq_hi, seq_lo = words.T
     inc_hi = seq_hi << 1 | seq_lo >> 63
     inc_lo = seq_lo << 1 | 1
@@ -226,6 +216,19 @@ def _fast_normals(columns, count, tables):
     return values, fast
 
 
+def _pcg64_normals(columns, rows, count) -> np.ndarray:
+    """(len(rows), count): count Generator.normal() draws for each of the
+    given rows of PCG64 columns, by one PCG64 set to the row's state."""
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    values = np.empty((len(rows), count))
+    for k, (hi, lo, inc_hi, inc_lo) in enumerate(
+            zip(*(column[rows].tolist() for column in columns))):
+        bits.state = _pcg64_dict(hi << 64 | lo, inc_hi << 64 | inc_lo)
+        values[k] = gen.normal(size=count)
+    return values
+
+
 def _probed_tables():
     """(wi, bound): the layer widths of numpy's ziggurat normal sampler and
     a fast-path bound per layer, read from the installed numpy.
@@ -260,18 +263,14 @@ def _probed_tables():
 @functools.cache
 def _ziggurat_tables():
     """_probed_tables, derived once per process, or None if _fast_normals
-    on them differs from Generator.normal anywhere in 256 streams of 12
-    draws (every layer >= 2 takes the fast path in them)."""
+    on them differs from Generator.normal anywhere in the fast rows of 256
+    streams of 12 draws (every layer >= 2 takes the fast path in them)."""
     wi, bound = _probed_tables()
-    words = np.random.PCG64(0).random_raw(4 * 256).reshape(-1, 4)
-    values, fast = _fast_normals(_pcg64_columns(words), 12, (wi, bound))
-    bits = np.random.PCG64(0)
-    gen = np.random.Generator(bits)
-    for row, ok, key in zip(values, fast, words.tolist()):
-        bits.state = _pcg64_state(*key)
-        if ok and gen.normal(size=12).tobytes() != row.tobytes():
-            return None
-    return wi, bound
+    columns = _pcg64_columns(np.random.PCG64(0).random_raw(4 * 256).reshape(-1, 4))
+    values, fast = _fast_normals(columns, 12, (wi, bound))
+    rows = np.flatnonzero(fast)
+    same = _pcg64_normals(columns, rows, 12).tobytes() == values[rows].tobytes()
+    return (wi, bound) if same else None
 
 
 def _stream_vectors(seed, subject_id, frame_ids, depth) -> np.ndarray:
@@ -280,24 +279,17 @@ def _stream_vectors(seed, subject_id, frame_ids, depth) -> np.ndarray:
 
     The SeedSequence and PCG64 states of all rows come from one array
     pass, and so do the normals of every row whose draws all take the
-    ziggurat's fast path (_fast_normals).  Each other row sets one PCG64
-    to its state and draws its normals.  A row with a draw at most
-    _MIN_NORM long, which the scalar path would draw again, is taken from
-    _query_rng instead.
+    ziggurat's fast path (_fast_normals); _pcg64_normals draws the others.
+    A row with a draw at most _MIN_NORM long, which the scalar path would
+    draw again, is taken from _query_rng instead.
     """
     columns = _pcg64_columns(np.frombuffer(
         _seed_states(seed, subject_id, frame_ids), "<u8").reshape(-1, 4))
     raw, fast = _fast_normals(columns, depth * 3, _ziggurat_tables())
-    bits = np.random.PCG64(0)
-    gen = np.random.Generator(bits)
     slow = np.flatnonzero(~fast)
-    for r, hi, lo, inc_hi, inc_lo in zip(
-            slow.tolist(), *(column[slow].tolist() for column in columns)):
-        bits.state = _pcg64_dict(hi << 64 | lo, inc_hi << 64 | inc_lo)
-        raw[r] = gen.normal(size=depth * 3)
+    raw[slow] = _pcg64_normals(columns, slow, depth * 3)
     raw = raw.reshape(-1, depth, 3)
-    # per-row BLAS dot, as np.linalg.norm takes it
-    norms = np.sqrt(np.matmul(raw[:, :, None, :], raw[:, :, :, None])[:, :, 0])
+    norms = row_norms(raw)  # as _random_unit_vector's np.linalg.norm
     vectors = raw / norms
     for r in np.flatnonzero((norms <= _MIN_NORM).any(axis=(1, 2))):
         rng = _query_rng(seed, subject_id, frame_ids[r])

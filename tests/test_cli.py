@@ -453,6 +453,17 @@ def malformed_input(case, tmp_path):
         src = tmp_path / "sweep.json"
         src.write_text('{"command": "sweep"')
         return ["report", src], "sweep.json"
+    commands = {"report_list_command": '["sweep"]', "report_object_command": "{}"}
+    if case in commands:
+        src = tmp_path / "sweep.json"
+        src.write_text(f'{{"command": {commands[case]}, "payload": {{}}}}')
+        return ["report", src], f"{src}: cannot regenerate from a "
+    if case in ("deeply_nested_report", "deeply_nested_config"):
+        src = tmp_path / "deep.json"
+        src.write_text("[" * 100_000 + "]" * 100_000)
+        argv = (["report", src] if case == "deeply_nested_report"
+                else ["--config", src, "simulate"])
+        return argv, f"{src}: maximum recursion depth exceeded"
     stage_rows = {"short_stage_row": "1,0,0,0,1,0,0,0,60",
                   "long_stage_row": "1,0,0,0,1,0,0,0,60,60,60",
                   "nan_stage_translation": "1,nan,0,0,1,0,0,0,60,60",
@@ -523,6 +534,10 @@ def malformed_input(case, tmp_path):
                "config_fractional_frames": ('{"frames_per_log": 3.7}', "simulate",
                                             "frames_per_log"),
                "truncated_config": ('{"pair_kind": "ea', "pairs", "cfg.json"),
+               "config_null_pose_glob": ('{"pose_glob": null}', "ingest",
+                                         "cfg.json: pose_glob: expected a string"),
+               "config_list_calib_name": ('{"calib_name": ["rgb.cal"]}', "ingest",
+                                          "cfg.json: calib_name: expected a string"),
                # values the library rejects are named by their source too
                "config_negative_threshold": (
                    '{"policy": "nearest_within", "threshold_deg": -3}', "sweep",
@@ -658,7 +673,11 @@ def malformed_input(case, tmp_path):
                                   "config_yaw_min_above_max", "zero_frames_flag",
                                   "tiny_bin_width", "anchor_not_in_truth",
                                   "query_without_prediction",
-                                  "pairs_gap_above_180", "negative_pairs_gap"])
+                                  "pairs_gap_above_180", "negative_pairs_gap",
+                                  "deeply_nested_report", "deeply_nested_config",
+                                  "report_list_command", "report_object_command",
+                                  "config_null_pose_glob",
+                                  "config_list_calib_name"])
 def test_malformed_input_is_a_typed_error(case, tmp_path, capsys):
     argv, named = malformed_input(case, tmp_path)
     capsys.readouterr()

@@ -620,6 +620,22 @@ class TestSweep:
                   "anchor_query_gap", bin_width_deg=width)
         assert e.value.setting == "bin_width_deg"
 
+    def test_sweep_without_a_policy(self):
+        log = make_log([euler_pose(0.0), euler_pose(3.0)])
+        with pytest.raises(DomainError, match="needs an anchor policy"):
+            sweep(log, perfect_relative(), None, "anchor_query_gap")
+
+    def test_run_end_to_end_defaults_name_the_missing_policy(self):
+        log = make_log([euler_pose(0.0), euler_pose(3.0)])
+        with pytest.raises(DomainError, match="needs an anchor policy"):
+            run_end_to_end(log, perfect_relative())
+
+    def test_sweep_benchmark_without_an_axis(self):
+        log = make_log([euler_pose(0.0), euler_pose(3.0)])
+        with pytest.raises(DomainError, match="sweep axis None is not one of"):
+            run_end_to_end(log, perfect_relative(), AnchorPolicy("fixed_first"),
+                           {"kind": "sweep"})
+
     def test_absolute_axis_requires_nearest_within(self):
         log = make_log([euler_pose(0.0), euler_pose(3.0)])
         with pytest.raises(ValueError):

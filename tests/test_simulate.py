@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from numpy.random.bit_generator import ISeedSequence
 
 import relhpe.anchors
 import relhpe.cli
@@ -26,7 +27,7 @@ from relhpe.errors import (DomainError, EmptyRange, InvariantViolation,
 from relhpe.harness import predict_batch, query_batch
 from relhpe.geometry import EulerAngles, rotation_from_euler
 from relhpe.simulate import (simulate_absolute, simulate_relative,
-                             _fast_normals, _pcg64_columns, _pcg64_state,
+                             _fast_normals, _pcg64_columns,
                              _probed_tables, _query_rng, _seed_sequence_words,
                              _seed_states, _stream_vectors, _ziggurat_tables)
 
@@ -491,7 +492,7 @@ class TestBatchedStreams:
             sequence = np.random.SeedSequence([seed, *words])
             row = states[32 * r:32 * r + 32]
             assert row == sequence.generate_state(4, np.uint64).astype("<u8").tobytes()
-            state = _pcg64_state(*struct.unpack("<4Q", row))
+            state = np.random.PCG64(_SeedWords(struct.unpack("<4Q", row))).state
             assert state == np.random.PCG64(sequence).state
             assert state == _query_rng(seed, subject, frame_id).bit_generator.state
 
@@ -525,6 +526,18 @@ class TestBatchedStreams:
             _query_rng(-1, "s", "f0000")
         with pytest.raises(ValueError):
             _seed_states(-1, "s", ["f0000"])
+
+
+class _SeedWords(ISeedSequence):
+    """A seed sequence whose generate_state(4, np.uint64) is the given
+    words, so PCG64 seeds from them as from SeedSequence's."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert (n_words, dtype) == (4, np.uint64)
+        return np.array(self.words, dtype=np.uint64)
 
 
 _U64 = st.integers(0, 2**64 - 1)
@@ -655,7 +668,7 @@ class TestArrayPass:
         columns = _pcg64_columns(np.array(rows, dtype=np.uint64))
         hi, lo, inc_hi, inc_lo = (c.tolist() for c in columns)
         for r, words in enumerate(rows):
-            assert _pcg64_state(*words)["state"] == {
+            assert np.random.PCG64(_SeedWords(words)).state["state"] == {
                 "state": hi[r] << 64 | lo[r], "inc": inc_hi[r] << 64 | inc_lo[r]}
 
     def test_fast_path_boundary(self):
