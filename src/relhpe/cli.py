@@ -174,21 +174,11 @@ def _ensure_out(args):
     return out
 
 
-def _write_reports(out, stem, env, csv_text, fmt, svg_text=None):
-    if fmt in ("json", None):
-        path = os.path.join(out, f"{stem}.json")
-        reports.write_json(path, env)
-        print(f"wrote {path}")
-    if fmt in ("csv", None):
-        path = os.path.join(out, f"{stem}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-        print(f"wrote {path}")
-    if svg_text is not None:
-        path = os.path.join(out, f"{stem}.svg")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(svg_text)
-        print(f"wrote {path}")
+def _write_report(args, out, stem, env):
+    """Write env's files (reports.FILES), of JSON and CSV the one --format names."""
+    reports.write_report(out, stem, env, [
+        ext for ext in ("json", *reports.FILES[env["command"]])
+        if args.format in (None, ext) or ext not in ("json", "csv")])
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +220,10 @@ def cmd_pairs(args):
         else:
             ps = build_easy_pairs(log, s["neutral_thresh_deg"],
                                   s["max_gap_deg"], s["n_pairs"], args.seed)
-        payload = reports.pairs_payload(ps)
         env = reports.envelope(
             "pairs", {**cfg, "subject": log.subject_id}, args.seed,
-            {args.input: reports.file_sha256(args.input)}, payload)
-        _write_reports(out, f"pairs_{log.subject_id}", env,
-                       reports.pairs_csv(payload), args.format)
+            {args.input: reports.file_sha256(args.input)}, reports.pairs_payload(ps))
+        _write_report(args, out, f"pairs_{log.subject_id}", env)
     return 0
 
 
@@ -304,12 +292,11 @@ def cmd_eval(args):
     preds = load_predictions_csv(args.predictions)
     _check_pairs(args.pairs, lines, pairs, truth, args.predictions, preds)
     rep = evaluate(pairs, preds, truth)
-    payload = reports.metric_payload({"external": rep})
     env = reports.envelope(
         "eval", cfg, args.seed,
         {p: reports.file_sha256(p) for p in (args.truth, args.pairs, args.predictions)},
-        payload)
-    _write_reports(out, "eval", env, reports.metric_csv(payload), args.format)
+        reports.metric_payload({"external": rep}))
+    _write_report(args, out, "eval", env)
     print(f"n={rep.n} yaw={rep.yaw_mae:.4f} pitch={rep.pitch_mae:.4f} "
           f"roll={rep.roll_mae:.4f} mae={rep.mae:.4f} geodesic={rep.geodesic_mae:.4f}")
     return 0
@@ -332,12 +319,10 @@ def cmd_sweep(args):
             trans_noise_mm=s["trans_noise_mm"], seed=args.seed)),
     ]
     rep = sweep(logs, estimators, policy, s["axis"], s["bin_width_deg"])
-    payload = reports.sweep_payload(rep)
     env = reports.envelope(
         "sweep", {**cfg, "axis": s["axis"], "policy": policy.kind}, args.seed,
-        {args.input: reports.file_sha256(args.input)}, payload)
-    _write_reports(out, "sweep", env, reports.sweep_csv(payload), args.format,
-                   svg_text=reports.sweep_svg(rep))
+        {args.input: reports.file_sha256(args.input)}, reports.sweep_payload(rep))
+    _write_report(args, out, "sweep", env)
     return 0
 
 
@@ -389,23 +374,15 @@ def cmd_loss(args):
     stages = [StagePrediction(k, p, t)
               for (k, p), (_, t) in zip(pred_stages, true_stages)]
     total, breakdown = loss_cam(stages, lc)
-    payload = {
-        "total": total,
-        "stages": [{"k": b.stage_index, "weight": b.weight,
-                    "translation": b.translation, "rotation": b.rotation,
-                    "fov": b.fov, "total": b.total} for b in breakdown],
-    }
     env = reports.envelope(
         "loss", {**cfg, "mode": lc.mode, "gamma": lc.gamma}, args.seed,
         {p: reports.file_sha256(p) for p in (args.predictions, args.truth)},
-        payload)
-    dest = os.path.join(out, "loss.json")
-    reports.write_json(dest, env)
+        reports.loss_payload(total, breakdown))
+    reports.write_report(out, "loss", env, ["json"])  # --format does not apply
     print(f"total: {total:.12g}")
     for b in breakdown:
         print(f"  stage {b.stage_index}: weight={b.weight:.6g} "
               f"T={b.translation:.6g} R={b.rotation:.6g} F={b.fov:.6g}")
-    print(f"wrote {dest}")
     return 0
 
 
@@ -414,18 +391,14 @@ def cmd_report(args):
     out = _ensure_out(args)
     env = _read_json(args.input, _finite)
     command = env.get("command") if isinstance(env, dict) else None
-    build_csv = {"sweep": reports.sweep_csv, "pairs": reports.pairs_csv,
-                 "eval": reports.metric_csv}.get(
-                     command if isinstance(command, str) else None)
-    if build_csv is None:
+    if not (isinstance(command, str) and "csv" in reports.FILES.get(command, ())):
         raise RelHpeError(f"{args.input}: cannot regenerate from a {command!r} report")
+    stem = os.path.splitext(os.path.basename(args.input))[0]
     try:
-        text = build_csv(env["payload"])
+        reports.write_report(out, stem, env, ["csv"])
     except (LookupError, TypeError, csv.Error) as exc:
         raise RelHpeError(f"{args.input}: malformed {command} report "
                           f"({type(exc).__name__}: {exc})") from exc
-    stem = os.path.splitext(os.path.basename(args.input))[0]
-    _write_reports(out, stem, env, text, "csv")
     return 0
 
 

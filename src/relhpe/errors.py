@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of a count or seed."""
 
 
 class RelHpeError(Exception):
@@ -24,6 +24,15 @@ class DomainError(RelHpeError, ValueError):
     def __init__(self, message, setting=None):
         super().__init__(message)
         self.setting = setting
+
+
+def whole(setting, value):
+    """value if it is a non-negative integer (an int or a numpy integer, not
+    a bool); else a DomainError about setting."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__") or value < 0:
+        raise DomainError(f"{setting} must be a non-negative integer, got {value!r}",
+                          setting=setting)
+    return value
 
 
 class InvalidCrop(RelHpeError):

@@ -48,7 +48,7 @@ from .anchors import AnchorPolicy, anchor_arrays
 from .camera import Intrinsics
 from .errors import (DomainError, InsufficientFrames, InvariantViolation,
                      MalformedPoseFile, MissingCalibration, MissingPrediction,
-                     ParseError, RelHpeError)
+                     ParseError, RelHpeError, whole)
 from .geometry import (SE3Pose, compose_many, euler_deg_many,
                        geodesic_deg_many, medoid_index, pairs_within_deg)
 from .poselog import PoseLog
@@ -332,8 +332,6 @@ def _sampled_pairs(name, log: PoseLog, count, rows, n_pairs, seed) -> PairSet:
     all of them when n_pairs is at least count, else the indices
     default_rng(seed).choice(count, n_pairs, replace=False) picks, in
     candidate order.  Only the kept pairs get a gap and become tuples."""
-    if not n_pairs >= 0:
-        raise DomainError(f"n_pairs must be non-negative, got {n_pairs}")
     if n_pairs < count:
         keep = np.sort(np.random.default_rng(seed).choice(
             count, size=n_pairs, replace=False))
@@ -356,6 +354,8 @@ def build_hard_pairs(log: PoseLog, neutral_thresh_deg=15.0, extreme_thresh_deg=4
     extreme, anchor-major in log order; a candidate's frames come from its
     index and the per-anchor counts, so only the sampled ones are measured.
     """
+    whole("n_pairs", n_pairs)
+    whole("seed", seed)
     dist = _distances_to_reference(log)
     anchors = np.flatnonzero(dist < neutral_thresh_deg)
     queries = np.flatnonzero(dist > extreme_thresh_deg)
@@ -387,6 +387,8 @@ def build_easy_pairs(log: PoseLog, neutral_thresh_deg=15.0, max_gap_deg=8.0,
     the geodesic kernel, in blocks of 16 anchors: memory O(16 x N) beyond
     the candidates' position arrays.
     """
+    whole("n_pairs", n_pairs)
+    whole("seed", seed)
     neutral = np.flatnonzero(_distances_to_reference(log) < neutral_thresh_deg)
     rows, cols = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
     for r, c, _ in pairs_within_deg(log.quats[neutral], max_gap_deg):
@@ -597,8 +599,9 @@ def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
     predictions_by_estimator maps an estimator id to its prediction table
     (a PoseLog), from which external_predicted takes its anchors.
     """
-    if policy is None:
-        raise DomainError("a sweep needs an anchor policy, got None")
+    if not isinstance(policy, AnchorPolicy):
+        raise DomainError(f"a sweep needs an anchor policy (an AnchorPolicy), "
+                          f"got {policy!r}")
     if axis not in SWEEP_AXES:
         raise DomainError(f"sweep axis {axis!r} is not one of {', '.join(SWEEP_AXES)}")
     if axis == "absolute_query_pose" and policy.kind != "nearest_within":

@@ -11,7 +11,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 from typing import TYPE_CHECKING
+
+from .errors import RelHpeError
 
 if TYPE_CHECKING:  # annotations only: the report command runs without numpy
     from .harness import PairSet, SweepReport
@@ -26,6 +29,12 @@ METRIC_CSV_COLUMNS = ("estimator", "n", "yaw_mae", "pitch_mae", "roll_mae",
                       "tz_mae_mm", "t_l2_mm")
 PAIRS_CSV_COLUMNS = ("anchor_id", "query_id", "gap_deg")
 
+# Each report command's files besides its JSON envelope: extension -> the
+# name of the function building its text from the payload (a name, so that
+# a function wrapped on the module, as by benchmark/tracer.py, runs).
+FILES = {"pairs": {"csv": "pairs_csv"}, "eval": {"csv": "metric_csv"},
+         "sweep": {"csv": "sweep_csv", "svg": "sweep_svg"}, "loss": {}}
+
 
 def file_sha256(path) -> str:
     h = hashlib.sha256()
@@ -36,20 +45,40 @@ def file_sha256(path) -> str:
 
 
 def envelope(command, config, seed, input_hashes, payload) -> dict:
-    return {
-        "format_version": REPORT_FORMAT_VERSION,
-        "command": command,
-        "seed": seed,
-        "config": config,
-        "inputs_sha256": input_hashes,
-        "payload": payload,
-    }
+    return {"format_version": REPORT_FORMAT_VERSION, "command": command,
+            "seed": seed, "config": config, "inputs_sha256": input_hashes,
+            "payload": payload}
+
+
+def _json_text(data) -> str:  # ValueError for nan or inf, which JSON lacks
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_json(path, data):
+    text = _json_text(data)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
+
+
+def write_report(out, stem, env, extensions):
+    """Write <out>/<stem>.<ext> for each extension in order, 'json' the
+    envelope env and any other the text FILES builds from its payload, and
+    print 'wrote <path>' for each.  Every text is built, and env encoded
+    whatever the extensions, before a file is opened: a report holding nan
+    or inf writes nothing and is a RelHpeError naming its first file."""
+    paths = [os.path.join(out, f"{stem}.{ext}") for ext in extensions]
+    try:
+        json_text = _json_text(env)
+    except ValueError:
+        raise RelHpeError(f"{paths[0]}: not written, the report holds nan "
+                          "or inf") from None
+    build = FILES[env["command"]]
+    texts = [json_text if ext == "json" else globals()[build[ext]](env["payload"])
+             for ext in extensions]
+    for path, text in zip(paths, texts):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(f"wrote {path}")
 
 
 def metric_payload(reports: dict) -> dict:
@@ -57,22 +86,23 @@ def metric_payload(reports: dict) -> dict:
 
 
 def sweep_payload(rep: SweepReport) -> dict:
-    return {
-        "axis": rep.axis,
-        "bin_width_deg": rep.bin_width_deg,
-        "total_paired": rep.total_paired,
-        "total_unpaired": rep.total_unpaired,
-        "bins": [
-            {"lo": b.lo, "hi": b.hi, "pair_count": b.pair_count,
-             "reports": {est: r.as_dict() for est, r in b.reports.items()}}
-            for b in rep.bins
-        ],
-    }
+    return {"axis": rep.axis, "bin_width_deg": rep.bin_width_deg,
+            "total_paired": rep.total_paired, "total_unpaired": rep.total_unpaired,
+            "bins": [{"lo": b.lo, "hi": b.hi, "pair_count": b.pair_count,
+                      "reports": {est: r.as_dict() for est, r in b.reports.items()}}
+                     for b in rep.bins]}
 
 
 def pairs_payload(ps: PairSet) -> dict:
     return {"name": ps.name, "seed": ps.seed, "stats": ps.stats,
             "pairs": [list(p) for p in ps.pairs]}
+
+
+def loss_payload(total, breakdown) -> dict:  # breakdown: losses.StageBreakdown
+    return {"total": total,
+            "stages": [{"k": b.stage_index, "weight": b.weight,
+                        "translation": b.translation, "rotation": b.rotation,
+                        "fov": b.fov, "total": b.total} for b in breakdown]}
 
 
 def _csv_string(columns, rows) -> str:
@@ -83,28 +113,24 @@ def _csv_string(columns, rows) -> str:
     return buf.getvalue()
 
 
+def _metric_cells(report: dict, columns) -> list:
+    """A metric report's cells; a translation (mm) is blank if it has none."""
+    return [report.get(c, "") if c.endswith("_mm") else report[c] for c in columns]
+
+
 def metric_csv(payload: dict) -> str:
     """CSV rows of a metric_payload, one per estimator."""
-    rows = []
-    for est in sorted(payload):
-        r = payload[est]
-        rows.append([est, r["n"], r["yaw_mae"], r["pitch_mae"], r["roll_mae"],
-                     r["mae"], r["geodesic_mae"], r.get("tx_mae_mm", ""),
-                     r.get("ty_mae_mm", ""), r.get("tz_mae_mm", ""),
-                     r.get("t_l2_mm", "")])
-    return _csv_string(METRIC_CSV_COLUMNS, rows)
+    return _csv_string(METRIC_CSV_COLUMNS, [
+        [est] + _metric_cells(payload[est], METRIC_CSV_COLUMNS[1:])
+        for est in sorted(payload)])
 
 
 def sweep_csv(payload: dict) -> str:
     """CSV rows of a sweep_payload, one per bin and estimator."""
-    rows = []
-    for b in payload["bins"]:
-        for est in sorted(b["reports"]):
-            r = b["reports"][est]
-            rows.append([b["lo"], b["hi"], est, r["n"], r["yaw_mae"],
-                         r["pitch_mae"], r["roll_mae"], r["mae"],
-                         r["geodesic_mae"], b["pair_count"]])
-    return _csv_string(SWEEP_CSV_COLUMNS, rows)
+    return _csv_string(SWEEP_CSV_COLUMNS, [
+        [b["lo"], b["hi"], est,
+         *_metric_cells(b["reports"][est], SWEEP_CSV_COLUMNS[3:-1]), b["pair_count"]]
+        for b in payload["bins"] for est in sorted(b["reports"])])
 
 
 def pairs_csv(payload: dict) -> str:
@@ -122,18 +148,17 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def sweep_svg(rep: SweepReport, width=640, height=420) -> str:
-    """Line chart of per-bin MAE for each estimator with a lower band
-    showing the number of pairs per bin."""
-    margin = 50
-    band_h = 80
+def sweep_svg(payload: dict) -> str:
+    """Line chart of a sweep_payload's per-bin MAE for each estimator with a
+    lower band showing the number of pairs per bin."""
+    width, height, margin, band_h = 640, 420, 50, 80
     plot_w = width - 2 * margin
     plot_h = height - 2 * margin - band_h
-    bins = rep.bins
+    bins = payload["bins"]
     n_bins = max(len(bins), 1)
-    max_mae = max((r.mae for b in bins for r in b.reports.values() if r.n > 0),
-                  default=1.0) or 1.0
-    max_count = max((b.pair_count for b in bins), default=1) or 1
+    max_mae = max((r["mae"] for b in bins for r in b["reports"].values()
+                   if r["n"] > 0), default=1.0) or 1.0
+    max_count = max((b["pair_count"] for b in bins), default=1) or 1
 
     def x_of(i):
         return margin + plot_w * (i + 0.5) / n_bins
@@ -148,13 +173,13 @@ def sweep_svg(rep: SweepReport, width=640, height=420) -> str:
         f'<rect x="{margin}" y="{margin}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#444"/>',
         f'<text x="{margin}" y="{margin - 10}" font-size="13">'
-        f'rotation MAE (deg) vs {rep.axis} bin</text>',
+        f'rotation MAE (deg) vs {payload["axis"]} bin</text>',
     ]
-    estimators = sorted({est for b in bins for est in b.reports})
+    estimators = sorted({est for b in bins for est in b["reports"]})
     for ei, est in enumerate(estimators):
         color = _PALETTE[ei % len(_PALETTE)]
-        pts = [(x_of(i), y_of(b.reports[est].mae))
-               for i, b in enumerate(bins) if b.reports[est].n > 0]
+        pts = [(x_of(i), y_of(b["reports"][est]["mae"]))
+               for i, b in enumerate(bins) if b["reports"][est]["n"] > 0]
         if pts:
             path = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
             parts.append(f'<polyline points="{path}" fill="none" '
@@ -179,7 +204,7 @@ def sweep_svg(rep: SweepReport, width=640, height=420) -> str:
                  f'font-size="11">pairs per bin (max {max_count})</text>')
     bar_w = plot_w / n_bins
     for i, b in enumerate(bins):
-        h = band_h * b.pair_count / max_count
+        h = band_h * b["pair_count"] / max_count
         x = margin + i * bar_w
         parts.append(f'<rect class="count-bar" x="{_fmt(x + 1)}" '
                      f'y="{_fmt(band_top + band_h - h)}" '
@@ -188,6 +213,6 @@ def sweep_svg(rep: SweepReport, width=640, height=420) -> str:
         parts.append(f'<text x="{_fmt(x + bar_w / 2)}" y="{band_top + band_h + 16}" '
                      f'font-size="9" text-anchor="middle" '
                      f'visibility="{"visible" if i % 2 == 0 else "hidden"}">'
-                     f'{b.lo:.0f}</text>')
+                     f'{b["lo"]:.0f}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptyRange, InvariantViolation, ParseError
+from .errors import DomainError, EmptyRange, InvariantViolation, ParseError, whole
 from .geometry import (SE3Pose, axis_angle_many, compose_many,
                        geodesic_deg_many, inverse_many, multiply_many,
                        relative, rotation_from_euler_many, row_norms)
@@ -318,9 +318,15 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if not all(v >= 0 for v in (self.base_deg, self.slope_deg_per_deg,
-                                    self.trans_noise_mm)):
-            raise DomainError("noise parameters must be non-negative")
+        whole("seed", self.seed)
+        if not all(0 <= v < math.inf for v in (self.base_deg, self.slope_deg_per_deg,
+                                               self.trans_noise_mm)):
+            raise DomainError("noise parameters must be finite and non-negative")
+        # a query's distance or gap is at most 180 deg
+        if not math.isfinite(self.base_deg + self.slope_deg_per_deg * 180.0):
+            raise DomainError(f"noise magnitude base_deg {self.base_deg} + "
+                              f"slope_deg_per_deg {self.slope_deg_per_deg} x 180 "
+                              f"deg is not finite")
 
 
 def _perturb(pose: SE3Pose, magnitude_deg: float, trans_mm: float, rng) -> SE3Pose:
@@ -427,6 +433,11 @@ class PoseSampler:
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise EmptyRange(f"{name}: {lo} > {hi}")
+            if not math.isfinite(hi - lo):  # nan, inf, or too wide to draw from
+                raise DomainError(f"{name}: ({lo}, {hi}) is not a finite range",
+                                  setting=name)
+        for name in ("frames_per_log", "subjects", "seed"):
+            whole(name, getattr(self, name))
         if self.frames_per_log < 1 or self.subjects < 1:
             raise EmptyRange("need at least one frame and one subject")
 

@@ -13,6 +13,7 @@ import pytest
 from relhpe import (EulerAngles, Rotation, SE3Pose, euler_from_rotation,
                     export_canonical, ingest_canonical_all, rotation_from_euler)
 import relhpe.cli
+from relhpe import reports
 from relhpe.cli import SETTINGS, build_parser, main
 
 from test_harness import write_biwi_fixture
@@ -430,6 +431,79 @@ class TestReport:
         assert run(["--out", tmp_path, "report", src]) == 2
 
 
+EASY = ["--pair-kind", "easy", "--neutral-thresh-deg", "1000", "--max-gap-deg", "40"]
+
+
+def report_argv(command, tmp_path):
+    """argv of a pairs, eval, sweep or loss run on small inputs, and the
+    stem of its report files."""
+    log = single_subject_log(tmp_path)
+    if command == "pairs":
+        return ["pairs", log, *EASY], "pairs_subj000"
+    if command == "sweep":
+        return ["sweep", log], "sweep"
+    if command == "eval":
+        pairs = tmp_path / "p" / "pairs_subj000.csv"
+        assert run(["--out", tmp_path / "p", "pairs", log, *EASY]) == 0
+        preds = tmp_path / "preds.csv"
+        write_perfect_predictions(log, pairs, preds)
+        return ["eval", log, pairs, preds], "eval"
+    pred, true = tmp_path / "pred.csv", tmp_path / "true.csv"
+    write_stage_file(pred, [(1, 1, 2, 3, 1, 0, 0, 0, 60, 60)])
+    write_stage_file(true, [(1, 0, 0, 0, 1, 0, 0, 0, 60, 60)])
+    return ["loss", pred, true], "loss"
+
+
+@pytest.mark.parametrize("fmt", [None, "json", "csv"])
+@pytest.mark.parametrize("command", ["pairs", "eval", "sweep", "loss"])
+def test_report_files_per_format(command, fmt, tmp_path, capsys):
+    """A command writes its JSON and CSV, or under --format the one named;
+    a sweep also its SVG, and loss only its JSON; one `wrote` line per file,
+    in that order."""
+    argv, stem = report_argv(command, tmp_path)
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert run(["--out", out] + (["--format", fmt] if fmt else []) + argv) == 0
+    extensions = ["json"] if command == "loss" else [
+        ext for ext in ("json", "csv") if fmt in (None, ext)]
+    extensions += ["svg"] if command == "sweep" else []
+    wrote = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("wrote ")]
+    assert wrote == [f"wrote {out / f'{stem}.{ext}'}" for ext in extensions]
+    assert sorted(os.listdir(out)) == sorted(f"{stem}.{ext}" for ext in extensions)
+
+
+@pytest.mark.parametrize("policy", [["--policy", "fixed_first"],
+                                    ["--policy", "nearest_within", "--threshold-deg", "20"]])
+def test_sweep_svg_is_built_from_the_json_payload(policy, sim_log, tmp_path):
+    out = tmp_path / "s"
+    assert run(["--seed", "2", "--out", out, "sweep", sim_log, *policy]) == 0
+    payload = json.loads(read(out / "sweep.json"))["payload"]
+    assert reports.sweep_svg(payload) == read(out / "sweep.svg")
+
+
+@pytest.mark.parametrize("command, fmt", [("sweep", None), ("sweep", "csv"),
+                                          ("loss", None)])
+def test_non_finite_report_writes_nothing(command, fmt, tmp_path, capsys):
+    """A report holding inf (a translation error of 1e308 mm overflows) is
+    refused before any of its files is opened, whatever --format is."""
+    argv, stem = report_argv(command, tmp_path)
+    if command == "sweep":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"trans_noise_mm": 1e308, "abs_base_deg": 0, "rel_base_deg": 0}')
+        argv = ["--config", cfg] + argv
+    else:
+        write_stage_file(argv[1], [(1, 1e308, 0, 0, 1, 0, 0, 0, 60, 60)])
+        write_stage_file(argv[2], [(1, -1e308, 0, 0, 1, 0, 0, 0, 60, 60)])
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert run(["--out", out] + (["--format", fmt] if fmt else []) + argv) == 2
+    first = out / f"{stem}.{fmt or 'json'}"
+    assert capsys.readouterr().err == (
+        f"error: {first}: not written, the report holds nan or inf\n")
+    assert os.listdir(out) == []
+
+
 def malformed_input(case, tmp_path):
     """argv for one malformed-input case, and text its error must name."""
     reports_json = {"report_without_bins": ("sweep", {"axis": "anchor_query_gap"}),
@@ -550,6 +624,8 @@ def malformed_input(case, tmp_path):
                                           "cfg.json: lambda_r: "),
                "config_negative_abs_base": ('{"abs_base_deg": -1}', "sweep",
                                             "cfg.json: abs_base_deg: "),
+               "config_overflowing_abs_slope": ('{"abs_slope": 1e308}', "sweep",
+                                                "slope_deg_per_deg 1e+308 x 180"),
                "config_negative_rel_slope": ('{"rel_slope": -0.1}', "sweep",
                                              "cfg.json: rel_slope: "),
                "config_negative_trans_noise": ('{"trans_noise_mm": -0.5}', "sweep",
@@ -667,6 +743,7 @@ def malformed_input(case, tmp_path):
                                   "config_negative_gamma", "config_negative_lambda",
                                   "negative_threshold_flag",
                                   "config_negative_abs_base",
+                                  "config_overflowing_abs_slope",
                                   "config_negative_rel_slope",
                                   "config_negative_trans_noise",
                                   "config_zero_frames", "config_zero_subjects",

@@ -302,6 +302,18 @@ class TestHardPairs:
         with pytest.raises(DomainError):
             build_easy_pairs(log, n_pairs=-1)
 
+    @pytest.mark.parametrize("build", [build_hard_pairs, build_easy_pairs])
+    @pytest.mark.parametrize("kwargs, setting", [
+        ({"n_pairs": 2.5}, "n_pairs"), ({"n_pairs": True}, "n_pairs"),
+        ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"),
+    ], ids=["fractional_n_pairs", "bool_n_pairs", "negative_seed", "float_seed"])
+    def test_counts_and_seeds_checked_at_entry(self, build, kwargs, setting):
+        # a log with no pair either way: the check comes before any work
+        log = make_log([euler_pose(0.0)])
+        with pytest.raises(DomainError) as e:
+            build(log, **kwargs)
+        assert e.value.setting == setting
+
     def test_mean_gap_engineered_to_70(self):
         ps = build_hard_pairs(hard_fixture_log(), n_pairs=10 ** 6, seed=0)
         assert abs(ps.stats["gap_mean_deg"] - 70.0) < 0.5
@@ -624,6 +636,11 @@ class TestSweep:
         log = make_log([euler_pose(0.0), euler_pose(3.0)])
         with pytest.raises(DomainError, match="needs an anchor policy"):
             sweep(log, perfect_relative(), None, "anchor_query_gap")
+
+    def test_sweep_with_a_policy_name(self):
+        log = make_log([euler_pose(0.0), euler_pose(3.0)])
+        with pytest.raises(DomainError, match="got 'fixed_first'"):
+            sweep(log, perfect_relative(), "fixed_first", "anchor_query_gap")
 
     def test_run_end_to_end_defaults_name_the_missing_policy(self):
         log = make_log([euler_pose(0.0), euler_pose(3.0)])

@@ -55,6 +55,29 @@ class TestNoiseModel:
         with pytest.raises(DomainError):
             NoiseModel(slope_deg_per_deg=math.nan)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"base_deg": math.inf}, {"trans_noise_mm": math.inf},
+        # finite parameters whose magnitude at a 180 deg gap overflows
+        {"slope_deg_per_deg": 1e308}, {"base_deg": 1.7e308, "slope_deg_per_deg": 1e306},
+    ], ids=["infinite_base", "infinite_translation", "overflowing_slope",
+            "overflowing_sum"])
+    def test_rejects_a_magnitude_that_is_not_finite(self, kwargs):
+        with pytest.raises(DomainError):
+            NoiseModel(**kwargs)
+
+    @pytest.mark.parametrize("seed", [1.5, "3", True, -1, None],
+                             ids=["float", "string", "bool", "negative", "none"])
+    def test_seed_is_a_non_negative_integer(self, seed):
+        with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+            NoiseModel(base_deg=1.0, seed=seed)
+
+    def test_numpy_integer_seed_is_its_int(self, rng):
+        truth = random_pose(rng)
+        est = [AbsoluteSimEstimator("a", NoiseModel(base_deg=4.0, seed=s))
+               for s in (7, np.int64(7))]
+        a, b = (oracle_absolute(e, "s1", "f0001", truth) for e in est)
+        assert a.rotation == b.rotation
+
     def test_zero_noise_is_identity(self, rng):
         nm = NoiseModel()
         for _ in range(10):
@@ -181,6 +204,24 @@ class TestSampleLogs:
             PoseSampler(yaw_range=(10, -10))
         with pytest.raises(EmptyRange):
             PoseSampler(frames_per_log=0)
+
+    @pytest.mark.parametrize("kwargs, setting", [
+        ({"frames_per_log": 2.5}, "frames_per_log"),
+        ({"subjects": True}, "subjects"),
+        ({"frames_per_log": -1}, "frames_per_log"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 2.0}, "seed"),
+        ({"yaw_range": (math.nan, 10.0)}, "yaw_range"),
+        ({"pitch_range": (-10.0, math.inf)}, "pitch_range"),
+        # finite ends whose width overflows: numpy cannot draw from it
+        ({"trans_range_mm": (-1e308, 1e308)}, "trans_range_mm"),
+    ], ids=["fractional_frames", "bool_subjects", "negative_frames",
+            "negative_seed", "float_seed", "nan_range", "infinite_range",
+            "overflowing_range"])
+    def test_rejected_at_construction(self, kwargs, setting):
+        with pytest.raises(DomainError) as e:
+            PoseSampler(**kwargs)
+        assert e.value.setting == setting
 
     @settings(max_examples=60, deadline=None)
     @given(subjects=st.integers(1, 3), frames=st.integers(1, 12),
