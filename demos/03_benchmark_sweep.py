@@ -1,15 +1,16 @@
 """End-to-end benchmark walkthrough with simulated estimators.
 
 Samples synthetic pose logs, pairs queries to nearest anchors, runs an
-absolute and a relative simulated estimator through the harness, and prints
-per-bin error along the anchor-query gap axis.
+absolute and a relative simulated estimator through the harness's sweep,
+and prints per-bin error along the anchor-query gap axis; then builds an
+easy and a hard pair set per log and scores both estimators on each.
 
 Run with: python3 demos/03_benchmark_sweep.py
 """
 
 from relhpe import (AbsoluteSimEstimator, AnchorPolicy, NoiseModel,
-                    PoseSampler, RelativeSimEstimator, run_end_to_end,
-                    sample_logs)
+                    PoseSampler, RelativeSimEstimator, build_easy_pairs,
+                    build_hard_pairs, pair_batch, sample_logs, score, sweep)
 
 
 def main():
@@ -23,10 +24,8 @@ def main():
     ]
     policy = AnchorPolicy("nearest_within", threshold_deg=60.0)
 
-    report = run_end_to_end(logs, estimators, policy,
-                            benchmark={"kind": "sweep",
-                                       "axis": "anchor_query_gap",
-                                       "bin_width_deg": 10.0})
+    report = sweep(logs, estimators, policy, "anchor_query_gap",
+                   bin_width_deg=10.0)
     print(f"paired queries: {report.total_paired}, "
           f"unpaired: {report.total_unpaired}")
     print(f"{'gap bin':>12s} {'n':>5s} {'abs MAE':>9s} {'rel MAE':>9s}")
@@ -38,14 +37,15 @@ def main():
               f"{b.reports['relative'].mae:>9.3f}")
 
     # easy and hard pair-set summaries for the same estimators
-    for kind in ("easy", "hard"):
-        kwargs = {"kind": kind, "neutral_thresh_deg": 40.0, "n_pairs": 200,
-                  "seed": 0}
-        if kind == "easy":
-            kwargs["max_gap_deg"] = 20.0
-        else:
-            kwargs["extreme_thresh_deg"] = 45.0
-        out = run_end_to_end(logs, estimators, benchmark=kwargs)
+    builders = {
+        "easy": lambda log: build_easy_pairs(
+            log, neutral_thresh_deg=40.0, max_gap_deg=20.0, n_pairs=200, seed=0),
+        "hard": lambda log: build_hard_pairs(
+            log, neutral_thresh_deg=40.0, extreme_thresh_deg=45.0, n_pairs=200,
+            seed=0),
+    }
+    for kind, build in builders.items():
+        out = score(estimators, [pair_batch(log, build(log)) for log in logs])
         line = ", ".join(f"{eid}: MAE {rep.mae:.3f} deg (n={rep.n})"
                          for eid, rep in sorted(out.items()))
         print(f"{kind} pairs -> {line}")

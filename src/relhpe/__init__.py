@@ -20,12 +20,12 @@ _EXPORTS = {
                  "euler_from_rotation", "geodesic_deg_many", "inverse",
                  "normalize_to_anchor", "relative", "rotation_from_euler"),
     "rotation": ("Rotation", "geodesic_deg"),
-    "poselog": ("FrameRecord", "PoseLog"),
+    "poselog": ("PoseLog",),
     "harness": ("MetricReport", "PairSet", "SweepBin", "SweepReport",
                 "TableEstimator", "build_easy_pairs", "build_hard_pairs",
                 "evaluate", "export_canonical", "ingest_biwi", "ingest_canonical",
-                "ingest_canonical_all", "neutral_reference", "run_end_to_end",
-                "sweep", "wrap_deg"),
+                "ingest_canonical_all", "neutral_reference", "pair_batch",
+                "score", "sweep", "wrap_deg"),
     "losses": ("LossConfig", "StageBreakdown", "StagePrediction", "loss_cam",
                "loss_fov", "loss_rotation_geodesic", "loss_rotation_quat",
                "loss_translation"),

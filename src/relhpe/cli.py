@@ -256,11 +256,12 @@ def _read_pairs_csv(path):
 
 
 def _check_pairs(path, lines, pairs, truth, preds_path, preds):
-    """ParseError '<path>:<line>: ...' at the first pair with an id that
+    """The pair_batch of pairs over the truth log, once every pair checks
+    out: ParseError '<path>:<line>: ...' at the first pair with an id that
     the truth log lacks or a query that the prediction table preds (read
     from preds_path) lacks; else at the first pair whose gap is more than
     GAP_TOLERANCE_DEG from its frames' gap in the truth log (one
-    geodesic_deg_many over the pairs)."""
+    geodesic_deg_many over the batch)."""
     from .geometry import geodesic_deg_many
     from .harness import pair_batch
     for lineno, (anchor_id, query_id, _) in zip(lines, pairs.pairs):
@@ -280,18 +281,19 @@ def _check_pairs(path, lines, pairs, truth, preds_path, preds):
                 f"{path}:{lineno}: gap_deg {gap!r} of {anchor_id!r} -> "
                 f"{query_id!r} is {true_gap!r} in the truth log (tolerance "
                 f"{GAP_TOLERANCE_DEG} deg)")
+    return batch
 
 
 def cmd_eval(args):
-    from .harness import evaluate, ingest_canonical
+    from .harness import TableEstimator, ingest_canonical, score
     from .simulate import load_predictions_csv
     cfg, _ = _settings(args)
     out = _ensure_out(args)
     truth = ingest_canonical(args.truth)
     pairs, lines = _read_pairs_csv(args.pairs)
     preds = load_predictions_csv(args.predictions)
-    _check_pairs(args.pairs, lines, pairs, truth, args.predictions, preds)
-    rep = evaluate(pairs, preds, truth)
+    batch = _check_pairs(args.pairs, lines, pairs, truth, args.predictions, preds)
+    rep = score([TableEstimator("external", preds)], [batch])["external"]
     env = reports.envelope(
         "eval", cfg, args.seed,
         {p: reports.file_sha256(p) for p in (args.truth, args.pairs, args.predictions)},

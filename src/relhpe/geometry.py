@@ -280,16 +280,16 @@ def euler_deg_many(q) -> np.ndarray:
 # the pairs or rows that provably cannot change the decision; the exact
 # kernel then decides on the rest, so results equal the unscreened ones.
 
-SCREEN_ROWS = 16                # rows of p per screen block
+SCREEN_ROWS = 16                # rows per screen block
 WITHIN_DOT_SLACK = 1e-12        # see screen_blocks, "threshold"
 MEDOID_MARGIN_DEG = 1e-4        # see screen_blocks, "mean"
 
 
-def screen_blocks(p, q):
-    """Screen values between every row of p and every row of q: yields
-    (start, c) per block of at most SCREEN_ROWS rows of p, where
-    c[i, j] = |u[start + i] . v[j]| and u, v are the rows of p and q
-    divided by their norms.  Memory is O(SCREEN_ROWS x len(q)).
+def screen_blocks(quats):
+    """Screen values between every two rows of quats: yields (start, c)
+    per block of at most SCREEN_ROWS rows, where c[i, j] =
+    |u[start + i] . u[j]| and u is the rows divided by their norms.
+    Memory is O(SCREEN_ROWS x len(quats)).
 
     Bounds, for rows within 1e-12 of unit norm (as Rotation makes them).
     Let phi be the angle in R^4 between the sign-aligned unit directions
@@ -320,17 +320,13 @@ def screen_blocks(p, q):
       it cannot be the medoid; MEDOID_MARGIN_DEG is about ten times the
       bound.
     """
-    u = _unit_rows(p)
-    vw, vx, vy, vz = np.ascontiguousarray(_unit_rows(q).T)
+    u = np.asarray(quats, dtype=float).reshape(-1, 4)
+    u = u / np.sqrt((u * u).sum(axis=1))[:, None]
+    vw, vx, vy, vz = np.ascontiguousarray(u.T)
     for start in range(0, len(u), SCREEN_ROWS):
         # elementwise, not a BLAS matmul: no BLAS work buffers to allocate
         uw, ux, uy, uz = u[start:start + SCREEN_ROWS].T[:, :, None]
         yield start, np.abs(uw * vw + ux * vx + uy * vy + uz * vz)
-
-
-def _unit_rows(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float).reshape(-1, 4)
-    return a / np.sqrt((a * a).sum(axis=1))[:, None]
 
 
 def pairs_within_deg(quats, max_deg):
@@ -344,7 +340,7 @@ def pairs_within_deg(quats, max_deg):
         return
     quats = np.asarray(quats, dtype=float)
     floor = math.cos(math.radians(min(max_deg, 180.0)) / 2.0) - WITHIN_DOT_SLACK
-    for start, c in screen_blocks(quats, quats):
+    for start, c in screen_blocks(quats):
         keep = c >= floor
         diagonal = np.arange(len(keep))
         keep[diagonal, start + diagonal] = False
@@ -363,7 +359,7 @@ def medoid_index(quats) -> int:
     """
     n = len(quats)
     screened = np.concatenate([np.arccos(np.minimum(c, 1.0)).sum(axis=1)
-                               for _, c in screen_blocks(quats, quats)])
+                               for _, c in screen_blocks(quats)])
     screened *= math.degrees(2.0) / n
     rows = np.flatnonzero(screened <= screened.min() + MEDOID_MARGIN_DEG)
     means = [sum(geodesic_deg_many(quats[i], quats).tolist()) / n

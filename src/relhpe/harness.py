@@ -51,13 +51,11 @@ from .errors import (DomainError, InsufficientFrames, InvariantViolation,
                      ParseError, RelHpeError, whole)
 from .geometry import (SE3Pose, compose_many, euler_deg_many,
                        geodesic_deg_many, medoid_index, pairs_within_deg)
-from .poselog import PoseLog
+from .poselog import FORMAT_VERSION, HEADER_PREFIX, PoseLog, header
 from .rotation import Rotation
 from .rows import csv_rows, finite_floats
 from .vocab import SWEEP_AXES
 
-FORMAT_VERSION = "v1"
-_HEADER_PREFIX = "# poselog"
 _NO_INTRINSICS = (math.nan,) * 6  # the intrinsics columns of a row without
 _BLOCK_BYTES = 1 << 14  # text read per block by _plain_subjects
 
@@ -74,7 +72,7 @@ def export_canonical(logs, path):
     if len(tags) != 1:
         raise InvariantViolation(f"logs carry mixed frame tags: {sorted(tags)}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_HEADER_PREFIX} {FORMAT_VERSION} frame={tags.pop()}\n")
+        fh.write(header(tags.pop()) + "\n")
         for log in logs:
             columns = [log.quats, log.translations]
             if log.intrinsics is not None:
@@ -141,13 +139,13 @@ def ingest_canonical_all(path) -> list:
     # csv_rows names the line of a bad byte
     with open(path, encoding="utf-8", errors="replace") as fh:
         first = fh.readline().rstrip("\n")
-    if not first.startswith(_HEADER_PREFIX):
-        raise ParseError(f"{path}: missing '{_HEADER_PREFIX}' header line")
-    header = first.split()
-    if len(header) < 3 or header[2] != FORMAT_VERSION:
+    if not first.startswith(HEADER_PREFIX):
+        raise ParseError(f"{path}: missing '{HEADER_PREFIX}' header line")
+    words = first.split()
+    if len(words) < 3 or words[2] != FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported format version in header: {first!r}")
     frame_tag = "world"
-    for tok in header[3:]:
+    for tok in words[3:]:
         if tok.startswith("frame="):
             frame_tag = tok[len("frame="):]
     subjects = _plain_subjects(path)
@@ -473,8 +471,8 @@ def evaluate(pairs: PairSet, predictions: PoseLog, truth: PoseLog) -> MetricRepo
 
     predictions is a PoseLog of predicted absolute poses keyed by query id.
     """
-    return _score(TableEstimator("external", predictions),
-                  [pair_batch(truth, pairs)])
+    return score([TableEstimator("external", predictions)],
+                 [pair_batch(truth, pairs)])["external"]
 
 
 # ---------------------------------------------------------------------------
@@ -580,11 +578,17 @@ class TableEstimator:
         return _rows(table, [table.position(f) for f in batch.frame_ids])
 
 
-def _score(estimator, batches) -> MetricReport:
-    """One estimator's MetricReport over the rows of all batches, in order."""
-    return report_from_samples(*pool_errors(
-        error_arrays(predict_batch(estimator, batch), batch)
-        for batch in batches))
+def score(estimators, batches) -> dict:
+    """{estimator id: MetricReport} of each estimator over the rows of all
+    batches (QueryBatches, e.g. pair_batch of each log's pair set), in
+    order.  The estimators share each batch and so its noise streams.
+    Pairs are scored one by one: a relative estimator's prediction for a
+    pair is composed onto that pair's anchor, even where a query is in
+    several pairs."""
+    batches = list(batches)
+    return {est.id: report_from_samples(*pool_errors(
+        error_arrays(predict_batch(est, batch), batch) for batch in batches))
+        for est in estimators}
 
 
 def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
@@ -650,29 +654,3 @@ def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
     bins = tuple(SweepBin(b * bin_width_deg, (b + 1) * bin_width_deg, by_id, n)
                  for b, (by_id, n) in enumerate(zip(reports, counts)))
     return SweepReport(axis, bin_width_deg, bins, len(values), unpaired)
-
-
-def run_end_to_end(logs, estimators, policy=None, benchmark=None):
-    """Wire logs -> anchors/pairs -> predictions -> metrics.
-
-    benchmark is a dict:
-      {"kind": "sweep", "axis": ..., "bin_width_deg": 5.0}  -> SweepReport
-      {"kind": "easy"|"hard", ... pair-builder kwargs}      -> {est_id: MetricReport}
-
-    Pairs are scored one by one: a relative estimator's prediction for a
-    pair is composed onto that pair's anchor, even where a query is in
-    several pairs.
-    """
-    if not isinstance(logs, (list, tuple)):
-        logs = [logs]
-    if not isinstance(estimators, (list, tuple)):
-        estimators = [estimators]
-    benchmark = dict(benchmark or {"kind": "sweep", "axis": "anchor_query_gap"})
-    kind = benchmark.pop("kind")
-    if kind == "sweep":
-        return sweep(logs, estimators, policy, benchmark.pop("axis", None), **benchmark)
-    if kind not in ("easy", "hard"):
-        raise DomainError(f"unknown benchmark kind {kind!r}")
-    builder = build_easy_pairs if kind == "easy" else build_hard_pairs
-    batches = [pair_batch(log, builder(log, **benchmark)) for log in logs]
-    return {est.id: _score(est, batches) for est in estimators}

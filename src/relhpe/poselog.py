@@ -1,27 +1,31 @@
-"""Per-subject pose sequences: frame records and ordered logs.
+"""Per-subject pose sequences as ordered, columnar logs.
 
 A PoseLog is columnar: its frame ids, (N, 4) canonical quaternions, (N, 3)
 translations and optional (N, 6) intrinsics are the log, and its only
 constructor takes them.  The readers, the pair builders, the sweep and the
-prediction tables read these columns; the FrameRecord view
-(PoseLog.frames) is built only when asked for.
+prediction tables read these columns; no per-frame object is built.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 import re
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
 from .camera import Intrinsics, intrinsics_ok_many
 from .errors import DomainError, EmptyInput, InvariantViolation, UnknownFrame
-from .geometry import SE3Pose, canonical_many
-from .rotation import Rotation
+from .geometry import canonical_many
+
+# A canonical pose-log file (see harness) starts with the line header(tag).
+HEADER_PREFIX = "# poselog"
+FORMAT_VERSION = "v1"
+
+
+def header(frame_tag: str) -> str:
+    """The first line of a canonical file of logs tagged frame_tag."""
+    return f"{HEADER_PREFIX} {FORMAT_VERSION} frame={frame_tag}"
+
 
 # An id the CSV readers would skip as a '#' comment, read as a quoted field,
 # or split (comma, line break): rows.csv_rows could not read it back.
@@ -39,14 +43,6 @@ def _check_id(kind, value, limit):
         raise InvariantViolation(
             f"{kind} id {value[:20]!r}... is {len(value)} characters long, "
             f"more than the CSV field size limit ({limit})")
-
-
-@dataclass(frozen=True)
-class FrameRecord:
-    frame_id: str
-    index: int
-    pose: SE3Pose
-    intrinsics: Optional[Intrinsics] = None
 
 
 class PoseLog:
@@ -71,14 +67,14 @@ class PoseLog:
         # read here, not at import: the limit is a process-wide setting
         limit = csv.field_size_limit()
         _check_id("subject", subject_id, limit)
-        # the header '# poselog v1 frame=<tag>' is split on whitespace, and
-        # csv_rows must read it as one cell (after a comma a '"' would open
-        # a quoted field) within the limit
+        # header(frame_tag) is split on whitespace, and csv_rows must read
+        # it as one cell (after a comma a '"' would open a quoted field)
+        # within the limit
         if any(c.isspace() or c == "," for c in frame_tag):
             raise InvariantViolation(
                 f"frame tag {frame_tag!r} holds whitespace or a comma, so it "
                 f"cannot be written to a poselog header")
-        if len(frame_tag) > limit - len("# poselog v1 frame="):
+        if len(header(frame_tag)) > limit:
             raise InvariantViolation(
                 f"frame tag {frame_tag[:20]!r}... is {len(frame_tag)} characters "
                 f"long: its poselog header is longer than the CSV field size "
@@ -111,17 +107,6 @@ class PoseLog:
 
     def __contains__(self, frame_id):
         return frame_id in self._position
-
-    @cached_property
-    def frames(self) -> tuple:
-        """The log as FrameRecords, built from the columns on first use."""
-        k = ([None] * len(self) if self.intrinsics is None else
-             [None if math.isnan(row[0]) else Intrinsics(*row)
-              for row in self.intrinsics.tolist()])
-        return tuple(
-            FrameRecord(f, i, SE3Pose(Rotation(*q), t, self.frame_tag), k[i])
-            for i, (f, q, t) in enumerate(zip(
-                self.frame_ids, self.quats.tolist(), self.translations.tolist())))
 
     def position(self, frame_id: str) -> int:
         """Index of a frame in the log."""

@@ -119,7 +119,10 @@ def _metric_cells(report: dict, columns) -> list:
 
 
 def metric_csv(payload: dict) -> str:
-    """CSV rows of a metric_payload, one per estimator."""
+    """CSV rows of a metric_payload, one per estimator; TypeError unless
+    the payload is a JSON object."""
+    if not isinstance(payload, dict):
+        raise TypeError(f"metric payload is not an object: {payload!r:.40}")
     return _csv_string(METRIC_CSV_COLUMNS, [
         [est] + _metric_cells(payload[est], METRIC_CSV_COLUMNS[1:])
         for est in sorted(payload)])
@@ -134,8 +137,16 @@ def sweep_csv(payload: dict) -> str:
 
 
 def pairs_csv(payload: dict) -> str:
-    """CSV rows of a pairs_payload, one per pair."""
-    return _csv_string(PAIRS_CSV_COLUMNS, payload["pairs"])
+    """CSV rows of a pairs_payload, one per pair; TypeError unless each
+    pair is a list of three values, the third a number."""
+    pairs = payload["pairs"]
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == len(PAIRS_CSV_COLUMNS)
+                and isinstance(pair[2], (int, float))
+                and not isinstance(pair[2], bool)):
+            raise TypeError(f"pair {pair!r:.40} is not [anchor_id, query_id, "
+                            f"gap_deg]")
+    return _csv_string(PAIRS_CSV_COLUMNS, pairs)
 
 
 # ---------------------------------------------------------------------------

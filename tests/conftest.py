@@ -1,9 +1,12 @@
 import math
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
 
-from relhpe import EulerAngles, PoseLog, Rotation, SE3Pose, rotation_from_euler
+from relhpe import (EulerAngles, Intrinsics, PoseLog, Rotation, SE3Pose,
+                    rotation_from_euler)
 
 
 def yaw_pose(deg, frame="world", t=(0.0, 0.0, 0.0)):
@@ -36,6 +39,27 @@ def pose_log(poses, subject="s", ids=None, intrinsics=None):
     return PoseLog(subject, [f"f{i}" for i in range(len(poses))] if ids is None
                    else ids, [p.rotation.quat for p in poses],
                    [p.translation for p in poses], tags.pop(), k)
+
+
+@dataclass(frozen=True)
+class FrameRecord:
+    frame_id: str
+    index: int
+    pose: SE3Pose
+    intrinsics: Optional[Intrinsics] = None
+
+
+def frame_records(log):
+    """The log's rows as FrameRecords of scalar Rotation, SE3Pose and
+    Intrinsics objects (None for a row of NaN), the per-frame oracle that
+    tests read the columns through."""
+    k = ([None] * len(log) if log.intrinsics is None else
+         [None if math.isnan(row[0]) else Intrinsics(*row)
+          for row in log.intrinsics.tolist()])
+    return tuple(
+        FrameRecord(f, i, SE3Pose(Rotation(*q), t, log.frame_tag), k[i])
+        for i, (f, q, t) in enumerate(zip(
+            log.frame_ids, log.quats.tolist(), log.translations.tolist())))
 
 
 @pytest.fixture

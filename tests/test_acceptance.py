@@ -26,7 +26,7 @@ from relhpe.camera import CameraPose
 from relhpe.harness import PairSet
 from relhpe.reports import pairs_csv, pairs_payload
 
-from conftest import pose_log, random_pose, random_rotation
+from conftest import frame_records, pose_log, random_pose, random_rotation
 from test_harness import easy_fixture_log, hard_fixture_log, write_biwi_fixture
 
 
@@ -161,7 +161,7 @@ def test_05_benchmark_constructors():
         log = easy_fixture_log()
         easy = build_easy_pairs(log, neutral_thresh_deg=1000.0,
                                 max_gap_deg=6.5, n_pairs=10 ** 6, seed=0)
-        rots = [(f.frame_id, f.pose.rotation) for f in log.frames]
+        rots = [(f.frame_id, f.pose.rotation) for f in frame_records(log)]
         analytic = np.mean([geodesic_deg(ra, rb)
                             for ia, ra in rots for ib, rb in rots
                             if ia != ib and geodesic_deg(ra, rb) <= 6.5])
@@ -231,7 +231,7 @@ def test_07_adapter_and_round_trip(tmp_path):
                            calib_rot.as_matrix(), calib_t)
         log = ingest_biwi(tmp_path / "s01")
         rc = calib_rot.as_matrix()
-        for f, p in zip(log.frames, poses):
+        for f, p in zip(frame_records(log), poses):
             expected_r = rc @ p.rotation.as_matrix()
             expected_t = rc @ p.translation + calib_t
             assert np.max(np.abs(f.pose.rotation.as_matrix()
@@ -247,7 +247,7 @@ def test_07_adapter_and_round_trip(tmp_path):
             path = tmp_path / f"log{i}.csv"
             export_canonical(src, path)
             back = ingest_canonical(path)
-            for fa, fb in zip(src.frames, back.frames):
+            for fa, fb in zip(frame_records(src), frame_records(back)):
                 assert fa.pose.rotation == fb.pose.rotation
                 assert np.array_equal(fa.pose.translation,
                                       fb.pose.translation)

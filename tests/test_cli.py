@@ -13,11 +13,12 @@ import pytest
 from relhpe import (EulerAngles, Rotation, SE3Pose, euler_from_rotation,
                     export_canonical, ingest_canonical_all, rotation_from_euler)
 import relhpe.cli
+import relhpe.harness
 from relhpe import reports
 from relhpe.cli import SETTINGS, build_parser, main
 
 from test_harness import write_biwi_fixture
-from conftest import pose_log, random_pose
+from conftest import frame_records, pose_log, random_pose
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -81,7 +82,7 @@ class TestIngest:
         assert run(["--out", tmp_path / "o", "ingest", tmp_path / "log.csv"]) == 0
         text = capsys.readouterr().out
         angles = [euler_from_rotation(f.pose.rotation)
-                  for log in logs for f in log.frames]
+                  for log in logs for f in frame_records(log)]
         for axis in ("yaw", "pitch", "roll"):
             values = [getattr(e, axis) for e in angles]
             assert (f"{axis + ' range:':<13}[{min(values):.2f}, "
@@ -166,6 +167,7 @@ def single_subject_log(tmp_path):
 
 def write_perfect_predictions(log_path, pairs_csv, dest):
     log = ingest_canonical_all(log_path)[0]
+    records = frame_records(log)
     lines = ["query_id,qw,qx,qy,qz,tx_mm,ty_mm,tz_mm"]
     seen = set()
     with open(pairs_csv, encoding="utf-8") as fh:
@@ -175,7 +177,7 @@ def write_perfect_predictions(log_path, pairs_csv, dest):
             if qid in seen:
                 continue
             seen.add(qid)
-            p = log.frames[log.position(qid)].pose
+            p = records[log.position(qid)].pose
             q, t = p.rotation, p.translation
             lines.append(",".join([qid] + [repr(float(v)) for v in
                                            (q.w, q.x, q.y, q.z, t[0], t[1], t[2])]))
@@ -198,6 +200,24 @@ class TestEval:
         assert rep["n"] > 0
         assert rep["geodesic_mae"] < 1e-9
         assert rep["mae"] < 1e-9
+
+    def test_scores_the_batch_it_checked(self, tmp_path, monkeypatch):
+        """eval builds the pair set's batch once, for its gap check, and
+        scores that batch."""
+        log = single_subject_log(tmp_path)
+        out = tmp_path / "e"
+        assert run(["--seed", "0", "--out", out, "pairs", log,
+                    "--pair-kind", "easy", "--neutral-thresh-deg", "1000",
+                    "--max-gap-deg", "40", "--n-pairs", "15"]) == 0
+        preds = tmp_path / "preds.csv"
+        write_perfect_predictions(log, out / "pairs_subj000.csv", preds)
+        built, pair_batch = [], relhpe.harness.pair_batch
+        monkeypatch.setattr(relhpe.harness, "pair_batch",
+                            lambda *args: built.append(args) or pair_batch(*args))
+        assert run(["--out", out, "eval", log,
+                    out / "pairs_subj000.csv", preds]) == 0
+        assert len(built) == 1
+        assert json.loads(read(out / "eval.json"))["payload"]["external"]["n"] == 15
 
     @pytest.mark.parametrize("shift, rc", [(0.0, 0), (0.9e-3, 0), (-0.9e-3, 0),
                                            (1.1e-3, 2), (-2.0, 2)])
@@ -507,12 +527,15 @@ def test_non_finite_report_writes_nothing(command, fmt, tmp_path, capsys):
 def malformed_input(case, tmp_path):
     """argv for one malformed-input case, and text its error must name."""
     reports_json = {"report_without_bins": ("sweep", {"axis": "anchor_query_gap"}),
-                    "report_scalar_pairs": ("pairs", {"pairs": [1]})}
+                    "report_scalar_pairs": ("pairs", {"pairs": [1]}),
+                    "report_string_pairs": ("pairs", {"pairs": "abc"}),
+                    "report_short_pair": ("pairs", {"pairs": [[1, 2]]}),
+                    "report_list_metrics": ("eval", [])}
     if case in reports_json:
         command, payload = reports_json[case]
         src = tmp_path / f"{command}.json"
         src.write_text(json.dumps({"command": command, "payload": payload}))
-        return ["report", src], src.name
+        return ["report", src], f"{src}: malformed {command} report ("
     non_finite = {"report_nan_metric": "NaN", "report_overflowing_metric": "1e400"}
     if case in non_finite:
         src = tmp_path / "sweep.json"
@@ -754,7 +777,8 @@ def malformed_input(case, tmp_path):
                                   "deeply_nested_report", "deeply_nested_config",
                                   "report_list_command", "report_object_command",
                                   "config_null_pose_glob",
-                                  "config_list_calib_name"])
+                                  "config_list_calib_name", "report_string_pairs",
+                                  "report_short_pair", "report_list_metrics"])
 def test_malformed_input_is_a_typed_error(case, tmp_path, capsys):
     argv, named = malformed_input(case, tmp_path)
     capsys.readouterr()

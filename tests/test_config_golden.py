@@ -16,6 +16,8 @@ import json
 from relhpe import ingest_canonical_all
 from relhpe.cli import main
 
+from conftest import frame_records
+
 SIM_CONFIG = {"subjects": 2, "frames_per_log": 60, "yaw_min": -70,
               "yaw_max": 70.0, "pitch_min": -35.0, "pitch_max": 35,
               "roll_min": -20.0, "roll_max": 20.0}
@@ -117,7 +119,7 @@ def _write(path, text):
 
 def _predictions_from_log(log_path, dest):
     lines = ["query_id,qw,qx,qy,qz,tx_mm,ty_mm,tz_mm"]
-    for f in ingest_canonical_all(log_path)[0].frames:
+    for f in frame_records(ingest_canonical_all(log_path)[0]):
         q, t = f.pose.rotation, f.pose.translation
         lines.append(",".join([f.frame_id] + [repr(float(v)) for v in
                                               (q.w, q.x, q.y, q.z, *t)]))

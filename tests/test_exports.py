@@ -7,7 +7,7 @@ import relhpe
 
 EXPORTED = [
     "AbsoluteSimEstimator", "AnchorPolicy", "CameraPose",
-    "CropSpec", "EulerAngles", "FrameRecord", "Intrinsics", "LossConfig",
+    "CropSpec", "EulerAngles", "Intrinsics", "LossConfig",
     "MetricReport", "NoiseModel", "PairSet", "PoseLog", "PoseSampler",
     "RelativeSimEstimator", "Rotation", "SE3Pose", "StageBreakdown",
     "StagePrediction", "SweepBin", "SweepReport", "TableEstimator",
@@ -18,9 +18,9 @@ EXPORTED = [
     "ingest_canonical_all", "intrinsics_from_fov", "inverse",
     "load_predictions_csv", "logtan_fov", "loss_cam", "loss_fov",
     "loss_rotation_geodesic", "loss_rotation_quat", "loss_translation",
-    "neutral_reference", "normalize_to_anchor", "project",
+    "neutral_reference", "normalize_to_anchor", "pair_batch", "project",
     "propagate_anchor_error", "relative", "rotation_from_euler",
-    "run_end_to_end", "sample_logs", "simulate_absolute", "simulate_relative",
+    "sample_logs", "score", "simulate_absolute", "simulate_relative",
     "sweep", "wrap_deg"]
 
 

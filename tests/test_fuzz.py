@@ -23,7 +23,7 @@ from relhpe import SE3Pose, export_canonical
 from relhpe.camera import Intrinsics
 from relhpe.cli import main
 
-from conftest import pose_log, yaw_pose
+from conftest import frame_records, pose_log, yaw_pose
 from test_cli import write_stage_file
 from test_harness import write_biwi_fixture
 
@@ -96,7 +96,7 @@ def sources(tmp_path_factory):
     (root / "preds.csv").write_text("query_id,qw,qx,qy,qz,tx_mm,ty_mm,tz_mm\n" + "".join(
         ",".join([f.frame_id] + [repr(float(v)) for v in
                                  (*f.pose.rotation.quat, *f.pose.translation)]) + "\n"
-        for f in log.frames))
+        for f in frame_records(log)))
     write_stage_file(root / "stages.csv", [(1, 1, 2, 3, 1, 0, 0, 0, 60, 45),
                                            (2, 0, 0, 0, 0.6, 0.8, 0, 0, 50, 40)])
     write_stage_file(root / "true_stages.csv", [(1, 0, 0, 0, 1, 0, 0, 0, 60, 45),

@@ -13,9 +13,8 @@ from relhpe import (AnchorPolicy, EulerAngles, NoiseModel,
                     build_hard_pairs, compose, evaluate, export_canonical,
                     geodesic_deg, geodesic_deg_many, ingest_biwi,
                     ingest_canonical, ingest_canonical_all,
-                    load_predictions_csv, neutral_reference,
-                    rotation_from_euler, run_end_to_end, sample_logs, sweep,
-                    wrap_deg)
+                    load_predictions_csv, neutral_reference, pair_batch,
+                    rotation_from_euler, sample_logs, score, sweep, wrap_deg)
 from relhpe.anchors import POLICY_KINDS
 from relhpe.camera import Intrinsics
 from relhpe.rows import csv_rows
@@ -23,7 +22,7 @@ from relhpe.errors import (DomainError, InsufficientFrames, InvariantViolation,
                            MalformedPoseFile, MissingCalibration,
                            MissingPrediction, ParseError, UnknownFrame)
 
-from conftest import pose_log, random_pose, yaw_pose
+from conftest import frame_records, pose_log, random_pose, yaw_pose
 
 
 def euler_pose(yaw, pitch=0.0, roll=0.0, t=(0, 0, 0), frame="world"):
@@ -90,8 +89,8 @@ class TestCanonicalFormat:
         back = ingest_canonical(path)
         assert len(back) == 1
         assert back.subject_id == "s1"
-        assert geodesic_deg(back.frames[0].pose.rotation,
-                            log.frames[0].pose.rotation) < 1e-12
+        assert geodesic_deg(frame_records(back)[0].pose.rotation,
+                            frame_records(log)[0].pose.rotation) < 1e-12
 
     def test_bad_quaternion_norm_rejected(self, tmp_path):
         path = tmp_path / "log.csv"
@@ -124,7 +123,7 @@ class TestCanonicalFormat:
             back = ingest_canonical(path)
             assert back.subject_id == log.subject_id
             assert back.frame_tag == "rgb"
-            for fa, fb in zip(log.frames, back.frames):
+            for fa, fb in zip(frame_records(log), frame_records(back)):
                 assert fa.frame_id == fb.frame_id and fa.index == fb.index
                 assert geodesic_deg(fa.pose.rotation, fb.pose.rotation) < 1e-12
                 assert np.array_equal(fa.pose.translation, fb.pose.translation)
@@ -133,7 +132,7 @@ class TestCanonicalFormat:
             path2 = tmp_path / f"log{i}b.csv"
             export_canonical(back, path2)
             again = ingest_canonical(path2)
-            for fa, fb in zip(back.frames, again.frames):
+            for fa, fb in zip(frame_records(back), frame_records(again)):
                 assert fa.pose.rotation == fb.pose.rotation
 
     def test_unusual_ids_round_trip(self, tmp_path):
@@ -143,7 +142,7 @@ class TestCanonicalFormat:
         export_canonical(log, path)
         back = ingest_canonical(path)
         assert back.subject_id == " s#1"
-        assert [f.frame_id for f in back.frames] == ['a"b', " x "]
+        assert [f.frame_id for f in frame_records(back)] == ['a"b', " x "]
 
     @pytest.mark.parametrize("subject, frame_id", [
         ("#s01", "f0"), (" #s01", "f0"), ('"s"', "f0"), ("s,1", "f0"),
@@ -195,7 +194,7 @@ class TestBiwiAdapter:
                            np.eye(3), np.zeros(3))
         log = ingest_biwi(tmp_path / "s01")
         assert log.frame_tag == "rgb"
-        for f, p in zip(log.frames, poses):
+        for f, p in zip(frame_records(log), poses):
             assert geodesic_deg(f.pose.rotation, p.rotation) < 1e-9
             assert np.allclose(f.pose.translation, p.translation, atol=1e-9)
 
@@ -206,7 +205,7 @@ class TestBiwiAdapter:
                            np.array([[500.0, 0, 320], [0, 500.0, 240], [0, 0, 1]]),
                            np.eye(3), shift)
         log = ingest_biwi(tmp_path / "s02")
-        for f, p in zip(log.frames, poses):
+        for f, p in zip(frame_records(log), poses):
             assert geodesic_deg(f.pose.rotation, p.rotation) < 1e-9
             assert np.allclose(f.pose.translation, p.translation + shift, atol=1e-9)
 
@@ -219,14 +218,14 @@ class TestBiwiAdapter:
                            calib_rot.as_matrix(), calib_t)
         log = ingest_biwi(tmp_path / "s03")
         rc = calib_rot.as_matrix()
-        for f, p in zip(log.frames, poses):
+        for f, p in zip(frame_records(log), poses):
             # hand-composed oracle: R = Rc Rd, t = Rc td + tc
             expected_r = rc @ p.rotation.as_matrix()
             expected_t = rc @ p.translation + calib_t
             assert np.allclose(f.pose.rotation.as_matrix(), expected_r, atol=1e-9)
             assert np.allclose(f.pose.translation, expected_t, atol=1e-9)
         # intrinsics carried from calibration
-        k = log.frames[0].intrinsics
+        k = frame_records(log)[0].intrinsics
         assert (k.fx, k.fy, k.cx, k.cy) == (520.0, 518.0, 315.0, 242.0)
         assert (k.width, k.height) == (640.0, 480.0)
 
@@ -276,7 +275,7 @@ class TestNeutralReference:
     def test_matches_brute_force(self, rng):
         log = make_log([random_pose(rng) for _ in range(15)])
         ref = neutral_reference(log)
-        rots = [f.pose.rotation for f in log.frames]
+        rots = [f.pose.rotation for f in frame_records(log)]
         means = [sum(geodesic_deg(r, o) for o in rots) / len(rots) for r in rots]
         assert ref == rots[means.index(min(means))]
 
@@ -329,10 +328,10 @@ class TestHardPairs:
     def test_anchor_neutral_query_extreme(self):
         log = hard_fixture_log()
         ps = build_hard_pairs(log, n_pairs=100, seed=0)
-        ref = neutral_reference(log)
+        ref, records = neutral_reference(log), frame_records(log)
         for anchor_id, query_id, _ in ps.pairs:
-            anchor = log.frames[log.position(anchor_id)].pose
-            query = log.frames[log.position(query_id)].pose
+            anchor = records[log.position(anchor_id)].pose
+            query = records[log.position(query_id)].pose
             assert geodesic_deg(ref, anchor.rotation) < 15.0
             assert geodesic_deg(ref, query.rotation) > 45.0
 
@@ -380,7 +379,7 @@ class TestEasyPairs:
         ps = build_easy_pairs(log, neutral_thresh_deg=1000.0, max_gap_deg=6.5,
                               n_pairs=10 ** 6, seed=0)
         # brute-force enumeration of admissible ordered pairs
-        rots = [(f.frame_id, f.pose.rotation) for f in log.frames]
+        rots = [(f.frame_id, f.pose.rotation) for f in frame_records(log)]
         expected = [geodesic_deg(ra, rb)
                     for ia, ra in rots for ib, rb in rots
                     if ia != ib and geodesic_deg(ra, rb) <= 6.5]
@@ -457,7 +456,7 @@ class TestPoseLog:
     def test_quats_read_only(self, rng):
         log = make_log([random_pose(rng) for _ in range(3)])
         assert log.quats.tolist() == [list(f.pose.rotation.quat)
-                                      for f in log.frames]
+                                      for f in frame_records(log)]
         with pytest.raises(ValueError):
             log.quats[0, 0] = 1.0
 
@@ -483,7 +482,7 @@ class TestEvaluate:
         ps = build_easy_pairs(log, neutral_thresh_deg=1000, max_gap_deg=360,
                               n_pairs=1000, seed=0)
         preds = {}
-        for f in log.frames:
+        for f in frame_records(log):
             from relhpe import euler_from_rotation
             e = euler_from_rotation(f.pose.rotation)
             preds[f.frame_id] = euler_pose(e.yaw + 3.0, e.pitch, e.roll,
@@ -514,30 +513,31 @@ class TestEvaluate:
         with pytest.raises(MissingPrediction, match="'f0001'"):
             evaluate(ps, pose_log({"f0000": euler_pose(0.0)}), log)
 
-    def test_scored_as_run_end_to_end_scores_a_table(self, rng):
+    def test_equals_score_of_a_table_estimator(self, rng):
         log = hard_fixture_log()
-        preds = pose_log({f.frame_id: random_pose(rng) for f in log.frames})
+        preds = pose_log({f.frame_id: random_pose(rng) for f in frame_records(log)})
         kwargs = {"neutral_thresh_deg": 15.0, "extreme_thresh_deg": 45.0,
                   "n_pairs": 100, "seed": 3}
         ps = build_hard_pairs(log, **kwargs)
         assert len(ps.pairs) == 100  # drawn from 20 x 10 candidates
-        assert evaluate(ps, preds, log) == run_end_to_end(
-            log, TableEstimator("external", preds),
-            benchmark={"kind": "hard", **kwargs})["external"]
+        assert evaluate(ps, preds, log) == score(
+            [TableEstimator("external", preds)],
+            [pair_batch(log, build_hard_pairs(log, **kwargs))])["external"]
 
     def test_per_sample_recomputation_oracle(self, rng):
         from relhpe import PairSet, euler_from_rotation
         log = make_log([random_pose(rng) for _ in range(20)])
-        pairs = tuple((log.frames[0].frame_id, f.frame_id,
-                       geodesic_deg(log.frames[0].pose.rotation, f.pose.rotation))
-                      for f in log.frames[1:])
+        records = frame_records(log)
+        pairs = tuple((records[0].frame_id, f.frame_id,
+                       geodesic_deg(records[0].pose.rotation, f.pose.rotation))
+                      for f in records[1:])
         ps = PairSet("x", pairs, 0)
-        preds = {f.frame_id: random_pose(rng) for f in log.frames}
+        preds = {f.frame_id: random_pose(rng) for f in records}
         rep = evaluate(ps, pose_log(preds), log)
         # brute-force recomputation per sample
         yaw_errs, geos = [], []
         for _, qid, _ in pairs:
-            truth = log.frames[log.position(qid)].pose
+            truth = records[log.position(qid)].pose
             ep = euler_from_rotation(preds[qid].rotation)
             et = euler_from_rotation(truth.rotation)
             yaw_errs.append(abs(wrap_deg(ep.yaw - et.yaw)))
@@ -568,8 +568,9 @@ class TestSweep:
         log = make_log([random_pose(rng) for _ in range(60)])
         rep = sweep(log, perfect_relative(), AnchorPolicy("fixed_first"),
                     "anchor_query_gap")
-        gaps = [geodesic_deg(log.frames[0].pose.rotation, f.pose.rotation)
-                for f in log.frames]
+        records = frame_records(log)
+        gaps = [geodesic_deg(records[0].pose.rotation, f.pose.rotation)
+                for f in records]
         hist, _ = np.histogram(gaps, bins=len(rep.bins),
                                range=(0, len(rep.bins) * 5.0))
         assert [b.pair_count for b in rep.bins] == list(hist)
@@ -593,7 +594,7 @@ class TestSweep:
         theta = 7.0
         log = make_log([euler_pose(10.0 * i, t=rng.uniform(-50, 50, 3))
                         for i in range(8)])
-        anchor = log.frames[0]
+        anchor = frame_records(log)[0]
         offset = Rotation.from_axis_angle(rng.normal(size=3), math.radians(theta))
         predicted = pose_log({anchor.frame_id: SE3Pose(
             offset * anchor.pose.rotation, anchor.pose.translation)})
@@ -642,16 +643,10 @@ class TestSweep:
         with pytest.raises(DomainError, match="got 'fixed_first'"):
             sweep(log, perfect_relative(), "fixed_first", "anchor_query_gap")
 
-    def test_run_end_to_end_defaults_name_the_missing_policy(self):
-        log = make_log([euler_pose(0.0), euler_pose(3.0)])
-        with pytest.raises(DomainError, match="needs an anchor policy"):
-            run_end_to_end(log, perfect_relative())
-
     def test_sweep_benchmark_without_an_axis(self):
         log = make_log([euler_pose(0.0), euler_pose(3.0)])
         with pytest.raises(DomainError, match="sweep axis None is not one of"):
-            run_end_to_end(log, perfect_relative(), AnchorPolicy("fixed_first"),
-                           {"kind": "sweep"})
+            sweep(log, perfect_relative(), AnchorPolicy("fixed_first"), None)
 
     def test_absolute_axis_requires_nearest_within(self):
         log = make_log([euler_pose(0.0), euler_pose(3.0)])

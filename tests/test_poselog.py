@@ -25,9 +25,7 @@ from relhpe.cli import _read_stage_file, main
 from relhpe.errors import (DomainError, EmptyInput, InvariantViolation,
                            ParseError, RelHpeError)
 from relhpe.rows import csv_rows, finite_floats, row_errors
-from relhpe.poselog import FrameRecord
-
-from conftest import pose_log, random_pose
+from conftest import FrameRecord, frame_records, pose_log, random_pose
 from test_fuzz import mutate
 
 unit = st.floats(-1.0, 1.0, allow_nan=False)
@@ -74,7 +72,7 @@ def assert_same_log(a, b):
     assert (a.intrinsics is None) == (b.intrinsics is None)
     if a.intrinsics is not None:
         assert a.intrinsics.tobytes() == b.intrinsics.tobytes()
-    assert_same_frames(a.frames, b.frames)
+    assert_same_frames(frame_records(a), frame_records(b))
 
 
 def assert_same_frames(frames_a, frames_b):
@@ -93,16 +91,14 @@ def assert_same_frames(frames_a, frames_b):
 @given(rows=rows)
 def test_frames_view_equals_the_scalar_objects(rows):
     """Each quaternion column row holds Rotation(*row)'s components, and the
-    frames view equals FrameRecords built from the scalar objects."""
+    columns read as FrameRecords equal those built from the scalar objects."""
     ids, quats, translations, k = columns(rows)
     log = PoseLog("s", ids, quats, translations, "world", k)
-    assert "frames" not in vars(log)  # built on first use only
     want = scalar_frames(rows)
     assert bits(log.quats.ravel().tolist()) == bits(
         [c for f in want for c in (f.pose.rotation.w, f.pose.rotation.x,
                                    f.pose.rotation.y, f.pose.rotation.z)])
-    assert_same_frames(log.frames, want)
-    assert log.frames is log.frames
+    assert_same_frames(frame_records(log), want)
 
 
 def test_columns_are_read_only_copies():
@@ -113,9 +109,6 @@ def test_columns_are_read_only_copies():
     for column in (log.quats, log.translations):
         with pytest.raises(ValueError):
             column[0, 0] = 5.0
-    # a frame's translation is its own array, not a view of the column
-    log.frames[0].pose.translation[0] = 1.0
-    assert log.translations[0, 0] == 0.0
 
 
 @pytest.mark.parametrize("change, error, match", [
@@ -594,9 +587,9 @@ SUBJECTS, FRAMES = 4, 200
 
 def test_default_paths_build_no_per_frame_objects(tmp_path, monkeypatch):
     """simulate, sweep under each policy, both pair kinds and eval build
-    O(subjects) FrameRecord, SE3Pose and Rotation objects, not O(frames)."""
+    O(subjects) SE3Pose and Rotation objects, not O(frames)."""
     built = collections.Counter()
-    for cls in (FrameRecord, SE3Pose, Rotation):
+    for cls in (SE3Pose, Rotation):
         def counting(self, *args, _init=cls.__init__, **kwargs):
             built[type(self).__name__] += 1
             _init(self, *args, **kwargs)

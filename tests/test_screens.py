@@ -23,7 +23,7 @@ from relhpe.errors import DomainError, InsufficientFrames
 from relhpe.geometry import (MEDOID_MARGIN_DEG, medoid_index,
                              pairs_within_deg, screen_blocks)
 
-from conftest import pose_log
+from conftest import frame_records, pose_log
 
 
 def make_log(rotations):
@@ -36,7 +36,7 @@ def make_log(rotations):
 
 
 def nearest_oracle(log, threshold_deg):
-    frames, quats = log.frames, log.quats
+    frames, quats = frame_records(log), log.quats
     out = []
     for i, f in enumerate(frames):
         gaps = geodesic_deg_many(quats, quats[i])
@@ -56,7 +56,7 @@ def medoid_oracle(quats):
 
 
 def easy_oracle(log, neutral_thresh_deg, max_gap_deg):
-    frames, quats = log.frames, log.quats
+    frames, quats = frame_records(log), log.quats
     ref = quats[medoid_oracle(quats)]
     dist = geodesic_deg_many(ref, quats).tolist()
     neutral = [i for i, d in enumerate(dist) if d < neutral_thresh_deg]
@@ -70,7 +70,7 @@ def hard_oracle(log, neutral_thresh_deg, extreme_thresh_deg, n_pairs, seed):
     """Every neutral x extreme pair of distinct frames by the scalar
     kernel, anchor-major in log order, then the builder's draw; None when
     no frame is neutral or none extreme."""
-    frames = log.frames
+    frames = frame_records(log)
     ref = frames[medoid_oracle(log.quats)].pose.rotation
     dist = [geodesic_deg(ref, f.pose.rotation) for f in frames]
     if min(dist) >= neutral_thresh_deg or max(dist) <= extreme_thresh_deg:
@@ -172,7 +172,7 @@ class TestScreenedEqualsUnscreened:
     @given(log=logs(max_frames=20))
     def test_neutral_reference(self, log):
         quats = log.quats
-        assert neutral_reference(log) == log.frames[medoid_oracle(quats)].pose.rotation
+        assert neutral_reference(log) == frame_records(log)[medoid_oracle(quats)].pose.rotation
         assert medoid_index(quats) == medoid_oracle(quats)
 
     @settings(deadline=None, max_examples=300)
@@ -236,7 +236,7 @@ class TestEdges:
         n = len(quats)
         assert len(screened_pairs(quats, 10.0)) == n * (n - 1)
         screened = np.concatenate([np.degrees(2 * np.arccos(np.minimum(c, 1.0))).mean(axis=1)
-                                   for _, c in screen_blocks(quats, quats)])
+                                   for _, c in screen_blocks(quats)])
         assert screened.max() - screened.min() <= MEDOID_MARGIN_DEG
         assert medoid_index(quats) == medoid_oracle(quats)
         assert assigned(log, 10.0) == nearest_oracle(log, 10.0)
@@ -251,8 +251,8 @@ class TestEdges:
 
     def test_blocks_cover_every_row(self, rng):
         quats = np.array([Rotation(*rng.normal(size=4)).quat for _ in range(35)])
-        starts = [(start, c.shape) for start, c in screen_blocks(quats, quats[:7])]
-        assert starts == [(0, (16, 7)), (16, (16, 7)), (32, (3, 7))]
+        starts = [(start, c.shape) for start, c in screen_blocks(quats)]
+        assert starts == [(0, (16, 35)), (16, (16, 35)), (32, (3, 35))]
 
     @pytest.mark.parametrize("max_deg", [-1.0, -math.inf, math.nan])
     def test_no_pairs_below_zero(self, max_deg):

@@ -21,7 +21,7 @@ from relhpe import (AbsoluteSimEstimator, AnchorPolicy, NoiseModel,
                     TableEstimator, apply_anchor, build_easy_pairs,
                     build_hard_pairs,
                     euler_from_rotation, export_canonical, geodesic_deg,
-                    load_predictions_csv, run_end_to_end, sample_logs)
+                    load_predictions_csv, pair_batch, sample_logs, score, sweep)
 from relhpe.errors import (DomainError, EmptyRange, InvariantViolation,
                            MissingPrediction, ParseError)
 from relhpe.harness import predict_batch, query_batch
@@ -31,7 +31,8 @@ from relhpe.simulate import (simulate_absolute, simulate_relative,
                              _probed_tables, _query_rng, _seed_sequence_words,
                              _seed_states, _stream_vectors, _ziggurat_tables)
 
-from conftest import pose_log, random_pose, random_rotation, yaw_pose
+from conftest import (frame_records, pose_log, random_pose, random_rotation,
+                      yaw_pose)
 from test_poselog import bits, quaternion, translation
 
 
@@ -175,7 +176,7 @@ class TestSampleLogs:
         assert len(logs) == 3
         for log in logs:
             assert len(log) == 20
-            first = log.frames[0].pose
+            first = frame_records(log)[0].pose
             assert first.rotation == Rotation.identity()
             assert np.array_equal(first.translation, np.zeros(3))
 
@@ -184,7 +185,7 @@ class TestSampleLogs:
                               roll_range=(-5, 5), trans_range_mm=(-50, 50),
                               frames_per_log=200, subjects=2, seed=11)
         for log in sample_logs(sampler):
-            for f in log.frames[1:]:
+            for f in frame_records(log)[1:]:
                 e = euler_from_rotation(f.pose.rotation)
                 assert -30 - 1e-9 <= e.yaw <= 30 + 1e-9
                 assert -10 - 1e-9 <= e.pitch <= 10 + 1e-9
@@ -195,7 +196,7 @@ class TestSampleLogs:
         a = sample_logs(PoseSampler(frames_per_log=10, subjects=2, seed=3))
         b = sample_logs(PoseSampler(frames_per_log=10, subjects=2, seed=3))
         for la, lb in zip(a, b):
-            for fa, fb in zip(la.frames, lb.frames):
+            for fa, fb in zip(frame_records(la), frame_records(lb)):
                 assert fa.pose.rotation == fb.pose.rotation
                 assert np.array_equal(fa.pose.translation, fb.pose.translation)
 
@@ -259,7 +260,7 @@ def _log_bytes(logs):
     return [(log.subject_id, log.frame_tag,
              [(f.frame_id, f.index, f.pose.frame_tag,
                np.array(f.pose.rotation.quat).tobytes(),
-               f.pose.translation.tobytes()) for f in log.frames])
+               f.pose.translation.tobytes()) for f in frame_records(log)])
             for log in logs]
 
 
@@ -282,12 +283,17 @@ class TestEndToEnd:
     def _logs(self):
         return sample_logs(PoseSampler(frames_per_log=60, subjects=2, seed=9))
 
+    @staticmethod
+    def _score(logs, estimators, build, **kwargs):
+        """score over one pair_batch per log of build(log, **kwargs)."""
+        return score(estimators, [pair_batch(log, build(log, **kwargs))
+                                  for log in logs])
+
     def test_perfect_estimator_zero_error(self):
         logs = self._logs()
         est = AbsoluteSimEstimator("perfect", NoiseModel())
-        out = run_end_to_end(logs, est, benchmark={
-            "kind": "easy", "neutral_thresh_deg": 1000.0,
-            "max_gap_deg": 30.0, "n_pairs": 50, "seed": 0})
+        out = self._score(logs, [est], build_easy_pairs, neutral_thresh_deg=1000.0,
+                          max_gap_deg=30.0, n_pairs=50, seed=0)
         rep = out["perfect"]
         assert rep.n > 0
         assert rep.geodesic_mae < 1e-9
@@ -297,9 +303,9 @@ class TestEndToEnd:
         logs = self._logs()
         good = RelativeSimEstimator("rel", NoiseModel(base_deg=1.0, seed=2))
         bad = AbsoluteSimEstimator("abs", NoiseModel(base_deg=8.0, seed=2))
-        out = run_end_to_end(logs, [good, bad], benchmark={
-            "kind": "hard", "neutral_thresh_deg": 40.0,
-            "extreme_thresh_deg": 50.0, "n_pairs": 100, "seed": 0})
+        out = self._score(logs, [good, bad], build_hard_pairs,
+                          neutral_thresh_deg=40.0, extreme_thresh_deg=50.0,
+                          n_pairs=100, seed=0)
         assert out["rel"].geodesic_mae < out["abs"].geodesic_mae
 
     def test_sweep_recovers_noise_slope(self):
@@ -308,10 +314,8 @@ class TestEndToEnd:
         logs = sample_logs(PoseSampler(frames_per_log=150, subjects=3, seed=4))
         est = RelativeSimEstimator(
             "rel", NoiseModel(base_deg=1.0, slope_deg_per_deg=0.2, seed=6))
-        report = run_end_to_end(
-            logs, est, policy=AnchorPolicy("nearest_within", threshold_deg=60.0),
-            benchmark={"kind": "sweep", "axis": "anchor_query_gap",
-                       "bin_width_deg": 5.0})
+        report = sweep(logs, est, AnchorPolicy("nearest_within", threshold_deg=60.0),
+                       "anchor_query_gap", bin_width_deg=5.0)
         xs, ys = [], []
         for b in report.bins:
             if b.pair_count >= 10:
@@ -324,10 +328,10 @@ class TestEndToEnd:
     def test_end_to_end_deterministic(self):
         logs = self._logs()
         est = AbsoluteSimEstimator("a", NoiseModel(base_deg=3.0, seed=1))
-        bench = {"kind": "easy", "neutral_thresh_deg": 1000.0,
-                 "max_gap_deg": 30.0, "n_pairs": 40, "seed": 5}
-        r1 = run_end_to_end(logs, est, benchmark=dict(bench))["a"]
-        r2 = run_end_to_end(logs, est, benchmark=dict(bench))["a"]
+        bench = {"neutral_thresh_deg": 1000.0, "max_gap_deg": 30.0,
+                 "n_pairs": 40, "seed": 5}
+        r1 = self._score(logs, [est], build_easy_pairs, **bench)["a"]
+        r2 = self._score(logs, [est], build_easy_pairs, **bench)["a"]
         assert r1 == r2
 
     def test_query_in_two_pairs_scored_per_pair(self):
@@ -336,16 +340,28 @@ class TestEndToEnd:
         # scored on the prediction composed onto its own anchor
         log = make_log([yaw_pose(0.0), yaw_pose(5.0), yaw_pose(60.0)])
         est = RelativeSimEstimator("r", NoiseModel(slope_deg_per_deg=0.1, seed=3))
-        out = run_end_to_end(log, est, benchmark={"kind": "hard", "n_pairs": 10})
+        out = self._score([log], [est], build_hard_pairs, n_pairs=10)
         pairs = build_hard_pairs(log, n_pairs=10).pairs
         assert [(a, q) for a, q, _ in pairs] == [("f0000", "f0002"), ("f0001", "f0002")]
         assert out["r"].n == 2
         assert abs(out["r"].geodesic_mae - 5.75) < 1e-9
 
-    def test_unknown_benchmark(self):
-        with pytest.raises(ValueError):
-            run_end_to_end(self._logs(), AbsoluteSimEstimator("a", NoiseModel()),
-                           benchmark={"kind": "bogus"})
+    @pytest.mark.parametrize("seeds, streams", [((4, 4), 1), ((4, 5), 2)])
+    def test_equal_seeds_draw_a_batch_once(self, seeds, streams, monkeypatch):
+        """Estimators with equal seeds draw a batch's noise streams once,
+        whichever kind each is."""
+        drawn = []
+        draw = relhpe.simulate._stream_vectors
+        monkeypatch.setattr(relhpe.simulate, "_stream_vectors",
+                            lambda seed, *args: drawn.append(seed) or draw(seed, *args))
+        log = self._logs()[0]
+        batch = pair_batch(log, build_hard_pairs(
+            log, neutral_thresh_deg=40.0, extreme_thresh_deg=50.0, n_pairs=30))
+        ests = [AbsoluteSimEstimator("a", NoiseModel(base_deg=3.0, seed=seeds[0])),
+                RelativeSimEstimator("r", NoiseModel(base_deg=1.0, seed=seeds[1]))]
+        out = score(ests, [batch])
+        assert list(out) == ["a", "r"] and out["a"].n == out["r"].n == 30
+        assert len(batch.streams) == len(drawn) == streams
 
 
 class TestPredictBatch:
@@ -359,8 +375,9 @@ class TestPredictBatch:
         batch = query_batch(log, [log.position(q) for _, q, _ in pairs.pairs],
                             [log.position(a) for a, _, _ in pairs.pairs])
         quats, _ = predict_batch(est, batch)
+        records = frame_records(log)
         for (_, query_id, _), q in zip(pairs.pairs, quats):
-            truth = log.frames[log.position(query_id)].pose
+            truth = records[log.position(query_id)].pose
             assert geodesic_deg(Rotation(*q), truth.rotation) < 1e-9
 
 
@@ -451,16 +468,17 @@ class TestBatchedEstimators:
             ests.reverse()
         # one batch for both, so equal seeds share (and top up) draws
         batch = query_batch(log, range(len(log)), anchors)
+        records = frame_records(log)
         for est in ests:
             quats, translations = predict_batch(est, batch)
             expected = []
-            for f, a in zip(log.frames, anchors):
+            for f, a in zip(records, anchors):
                 stream = _query_rng(est.noise.seed, log.subject_id, f.frame_id)
                 if est.kind == "absolute":
                     pose = simulate_absolute(f.pose, est.noise, Rotation.identity(),
                                              stream)
                 else:
-                    anchor = log.frames[a].pose
+                    anchor = records[a].pose
                     pose = apply_anchor(simulate_relative(anchor, f.pose, est.noise,
                                                           stream), anchor)
                 expected.append(pose)
@@ -475,11 +493,11 @@ class TestBatchedEstimators:
         quats, _ = predict_batch(est, query_batch(log, range(8), range(8)))
         assert quats.tolist() == [
             list(oracle_absolute(est, log.subject_id, f.frame_id, f.pose)
-                 .rotation.quat) for f in log.frames]
+                 .rotation.quat) for f in frame_records(log)]
 
     def test_table_estimator(self, rng):
         log = make_log([random_pose(rng) for _ in range(4)])
-        stored = {f.frame_id: random_pose(rng) for f in log.frames}
+        stored = {f.frame_id: random_pose(rng) for f in frame_records(log)}
         est = TableEstimator("t", pose_log(stored))
         quats, translations = predict_batch(
             est, query_batch(log, [2, 0], [0, 0]))
@@ -558,7 +576,7 @@ class TestBatchedStreams:
                                                              range(40)))
         assert 0 < len(calls) < 40
         expected = [oracle_absolute(est, log.subject_id, f.frame_id, f.pose)
-                    for f in log.frames]
+                    for f in frame_records(log)]
         assert quats.tolist() == [list(p.rotation.quat) for p in expected]
         assert translations.tolist() == [p.translation.tolist() for p in expected]
 
