@@ -459,13 +459,6 @@ def error_arrays(pred, batch):
     return angles, pred_t - true_t
 
 
-def pool_errors(chunks):
-    """error_arrays results concatenated in order (empty arrays for none)."""
-    chunks = list(chunks)
-    return (np.concatenate([np.empty((0, 4))] + [a for a, _ in chunks]),
-            np.concatenate([np.empty((0, 3))] + [d for _, d in chunks]))
-
-
 def evaluate(pairs: PairSet, predictions: PoseLog, truth: PoseLog) -> MetricReport:
     """Per-axis MAE, geodesic MAE, and translation error over a pair set.
 
@@ -507,13 +500,14 @@ def _rows(log: PoseLog, positions):
 
 @dataclass(frozen=True)
 class QueryBatch:
-    """Queries of one log as pose arrays, row i for query frame_ids[i].
+    """Queries of one log as pose arrays, row i for query frame_ids[i]; an
+    estimator's predict(batch) returns the absolute pose array of its rows.
 
     query and anchor_truth are the true poses an estimator sees; anchor is
-    the pose a relative prediction is composed onto: another estimator's
-    prediction under external_predicted, else anchor_truth.  streams is
-    scratch space the estimators of one batch share (simulate keeps each
-    query's noise draws there).
+    the pose a relative estimator composes its prediction onto: another
+    estimator's prediction under external_predicted, else anchor_truth.
+    streams is scratch space the estimators of one batch share (simulate
+    keeps each query's noise draws there).
     """
 
     subject_id: str
@@ -547,29 +541,16 @@ def pair_batch(log: PoseLog, pairs: PairSet) -> QueryBatch:
                        [log.position(a) for a, _, _ in pairs.pairs])
 
 
-def predict_batch(estimator, batch: QueryBatch):
-    """Absolute predictions for every row of a batch, as a pose array.
-
-    A relative estimator sees the anchor and query views, so it predicts
-    the anchor-to-query transforms from their true poses; these are
-    composed onto batch.anchor.  An absolute estimator ignores the anchor.
-    """
-    if estimator.kind == "absolute":
-        return estimator.predict_absolute_many(batch)
-    return compose_many(estimator.predict_relative_many(batch), batch.anchor)
-
-
 class TableEstimator:
-    """Absolute estimator backed by a fixed prediction table, a PoseLog keyed
-    by query id (e.g. simulate.load_predictions_csv of real model outputs)."""
-
-    kind = "absolute"
+    """Estimator backed by a fixed prediction table, a PoseLog of absolute
+    poses keyed by query id (e.g. simulate.load_predictions_csv of real
+    model outputs)."""
 
     def __init__(self, id, predictions: PoseLog):
         self.id = id
         self.predictions = predictions
 
-    def predict_absolute_many(self, batch):
+    def predict(self, batch):
         """Each row's stored prediction; MissingPrediction if one is missing."""
         table = self.predictions
         missing = [f for f in batch.frame_ids if f not in table]
@@ -578,17 +559,35 @@ class TableEstimator:
         return _rows(table, [table.position(f) for f in batch.frame_ids])
 
 
+def _pooled_errors(estimators, batches) -> dict:
+    """{estimator id: error_arrays rows} of each estimator's predict over
+    every batch, joined in batch order.  Every estimator scores a batch
+    before the next batch is taken, so the estimators share its noise
+    streams and batches can be built one at a time.  DomainError if two
+    estimators share an id."""
+    estimators = list(estimators)
+    chunks = {}  # estimator id -> its error_arrays per batch
+    for est in estimators:
+        if est.id in chunks:
+            raise DomainError(f"estimator id {est.id!r} is used more than once")
+        chunks[est.id] = []
+    for batch in batches:
+        for est in estimators:
+            chunks[est.id].append(error_arrays(est.predict(batch), batch))
+    return {est_id: (np.concatenate([np.empty((0, 4))] + [a for a, _ in per_batch]),
+                     np.concatenate([np.empty((0, 3))] + [d for _, d in per_batch]))
+            for est_id, per_batch in chunks.items()}
+
+
 def score(estimators, batches) -> dict:
     """{estimator id: MetricReport} of each estimator over the rows of all
     batches (QueryBatches, e.g. pair_batch of each log's pair set), in
-    order.  The estimators share each batch and so its noise streams.
-    Pairs are scored one by one: a relative estimator's prediction for a
-    pair is composed onto that pair's anchor, even where a query is in
-    several pairs."""
-    batches = list(batches)
-    return {est.id: report_from_samples(*pool_errors(
-        error_arrays(predict_batch(est, batch), batch) for batch in batches))
-        for est in estimators}
+    order; estimators and batches may be any iterables.  Each estimator's
+    predict returns absolute poses: a relative estimator composes its
+    prediction for a pair onto that pair's anchor, even where a query is
+    in several pairs."""
+    return {est_id: report_from_samples(angles, dts)
+            for est_id, (angles, dts) in _pooled_errors(estimators, batches).items()}
 
 
 def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
@@ -619,23 +618,24 @@ def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
         estimators = [estimators]
 
     values = [np.empty(0)]  # axis value per paired query
-    errors = [[] for _ in estimators]  # error_arrays per estimator and log
-    unpaired = 0
+    unpaired = []  # per log
     table = (predictions_by_estimator or {}).get(policy.external_source)
-    for log in logs:
-        rows = anchor_arrays(log, policy, table)
-        queries = sorted(np.flatnonzero(rows.anchor >= 0).tolist(),
-                         key=log.frame_ids.__getitem__)
-        unpaired += len(log) - len(queries)
-        anchor = (None if rows.predicted_row is None else
-                  _rows(table, [rows.predicted_row] * len(queries)))
-        batch = query_batch(log, queries, rows.anchor[queries], anchor)
-        if axis == "anchor_query_gap":
-            values.append(rows.gap_deg[queries])
-        else:
-            values.append(_distances_to_reference(log)[queries])
-        for per_log, est in zip(errors, estimators):
-            per_log.append(error_arrays(predict_batch(est, batch), batch))
+
+    def batches():  # one log's batch at a time
+        for log in logs:
+            rows = anchor_arrays(log, policy, table)
+            queries = sorted(np.flatnonzero(rows.anchor >= 0).tolist(),
+                             key=log.frame_ids.__getitem__)
+            unpaired.append(len(log) - len(queries))
+            if axis == "anchor_query_gap":
+                values.append(rows.gap_deg[queries])
+            else:
+                values.append(_distances_to_reference(log)[queries])
+            anchor = (None if rows.predicted_row is None else
+                      _rows(table, [rows.predicted_row] * len(queries)))
+            yield query_batch(log, queries, rows.anchor[queries], anchor)
+
+    errors = _pooled_errors(estimators, batches())
 
     values = np.concatenate(values)
     max_value = values.max() if len(values) else 0.0
@@ -646,11 +646,10 @@ def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
     counts = np.bincount(which, minlength=n_bins).tolist()
     spans = [(end - n, end) for n, end in zip(counts, np.cumsum(counts).tolist())]
     reports = [{} for _ in spans]
-    for est, per_log in zip(estimators, errors):
-        angles, dts = pool_errors(per_log)
+    for est_id, (angles, dts) in errors.items():
         angles, dts = angles[order], dts[order]
         for (lo, hi), by_id in zip(spans, reports):
-            by_id[est.id] = report_from_samples(angles[lo:hi], dts[lo:hi])
+            by_id[est_id] = report_from_samples(angles[lo:hi], dts[lo:hi])
     bins = tuple(SweepBin(b * bin_width_deg, (b + 1) * bin_width_deg, by_id, n)
                  for b, (by_id, n) in enumerate(zip(reports, counts)))
-    return SweepReport(axis, bin_width_deg, bins, len(values), unpaired)
+    return SweepReport(axis, bin_width_deg, bins, len(values), sum(unpaired))

@@ -54,12 +54,6 @@ def _json_text(data) -> str:  # ValueError for nan or inf, which JSON lacks
     return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def write_json(path, data):
-    text = _json_text(data)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def write_report(out, stem, env, extensions):
     """Write <out>/<stem>.<ext> for each extension in order, 'json' the
     envelope env and any other the text FILES builds from its payload, and

@@ -18,9 +18,9 @@ SeedSequence([seed, *the first four little-endian words of
 SHA-256("subject_id/frame_id")]) (_query_rng), yielding unit vectors in
 order: the rotation axis when the magnitude is > 0, then the translation
 direction when trans_noise_mm > 0.  Estimators with equal seeds therefore
-draw the same vectors, and the batched path (predict_absolute_many /
-predict_relative_many) derives each query's stream once per batch and seed
-and shares its vectors between them.
+draw the same vectors, and the batched path (each estimator's predict)
+derives each query's stream once per batch and seed and shares its
+vectors between them.
 
 A batch's streams are drawn in one array pass over uint64 columns: the
 SeedSequence hash (32-bit integer arithmetic), PCG64's seeding step and
@@ -381,16 +381,14 @@ def simulate_relative(anchor: SE3Pose, query: SE3Pose, nm: NoiseModel,
 class AbsoluteSimEstimator:
     """Absolute pose-level estimator with distance-proportional noise."""
 
-    kind = "absolute"
-
     def __init__(self, id, noise: NoiseModel, canonical_ref: Rotation = None):
         self.id = id
         self.noise = noise
         self.canonical_ref = canonical_ref or Rotation.identity()
 
-    def predict_absolute_many(self, batch):
+    def predict(self, batch):
         """simulate_absolute for every row of a harness.QueryBatch, each
-        row on its query's stream."""
+        row on its query's stream, as a pose array."""
         nm = self.noise
         distance = geodesic_deg_many(batch.query[0], self.canonical_ref.quat)
         return _perturb_many(batch, batch.query,
@@ -400,20 +398,19 @@ class AbsoluteSimEstimator:
 class RelativeSimEstimator:
     """Relative pose-level estimator with gap-proportional noise."""
 
-    kind = "relative"
-
     def __init__(self, id, noise: NoiseModel):
         self.id = id
         self.noise = noise
 
-    def predict_relative_many(self, batch):
+    def predict(self, batch):
         """simulate_relative for every row of a harness.QueryBatch, each
-        row on its query's stream."""
+        row on its query's stream, composed onto the row's batch.anchor
+        (as geometry.apply_anchor): absolute poses, as a pose array."""
         nm = self.noise
         gap = geodesic_deg_many(batch.anchor_truth[0], batch.query[0])
         rel = compose_many(batch.query, inverse_many(batch.anchor_truth))
-        return _perturb_many(batch, rel, nm.base_deg + nm.slope_deg_per_deg * gap,
-                             nm)
+        return compose_many(_perturb_many(
+            batch, rel, nm.base_deg + nm.slope_deg_per_deg * gap, nm), batch.anchor)
 
 
 @dataclass(frozen=True)

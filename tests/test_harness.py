@@ -1,14 +1,15 @@
 import math
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import relhpe.anchors
 import relhpe.harness
-from relhpe import (AnchorPolicy, EulerAngles, NoiseModel,
-                    PoseSampler, RelativeSimEstimator, Rotation, SE3Pose,
+from relhpe import (AbsoluteSimEstimator, AnchorPolicy, EulerAngles,
+                    NoiseModel, PoseSampler, RelativeSimEstimator, Rotation, SE3Pose,
                     TableEstimator, anchor_arrays, build_easy_pairs,
                     build_hard_pairs, compose, evaluate, export_canonical,
                     geodesic_deg, geodesic_deg_many, ingest_biwi,
@@ -545,6 +546,83 @@ class TestEvaluate:
         assert abs(rep.yaw_mae - np.mean(yaw_errs)) < 1e-12
         assert abs(rep.geodesic_mae - np.mean(geos)) < 1e-12
         assert abs(rep.mae - (rep.yaw_mae + rep.pitch_mae + rep.roll_mae) / 3) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# scoring
+
+
+class TruthEstimator:
+    """An estimator with only an id and predict: it predicts the truth."""
+
+    def __init__(self, id):
+        self.id = id
+
+    def predict(self, batch):
+        return batch.query
+
+
+def small_logs(n_logs=3):
+    return sample_logs(PoseSampler(frames_per_log=40, subjects=n_logs, seed=2))
+
+
+def easy_batches(logs):
+    """One pair_batch per log, built as the caller iterates."""
+    for log in logs:
+        yield pair_batch(log, build_easy_pairs(
+            log, neutral_thresh_deg=1000.0, max_gap_deg=30.0, n_pairs=20, seed=1))
+
+
+def two_estimators(id_a="a", id_r="r"):
+    return [AbsoluteSimEstimator(id_a, NoiseModel(base_deg=2.0, seed=1)),
+            RelativeSimEstimator(id_r, NoiseModel(base_deg=1.0, seed=1))]
+
+
+class TestScore:
+    def test_an_id_and_predict_are_an_estimator(self):
+        logs = small_logs()
+        batches = list(easy_batches(logs))
+        rep = score([TruthEstimator("truth")], batches)["truth"]
+        assert rep.n == sum(len(b.frame_ids) for b in batches) > 0
+        assert rep.mae == rep.geodesic_mae == rep.t_l2_mm == 0.0
+        report = sweep(logs, [TruthEstimator("truth")], AnchorPolicy("fixed_first"),
+                       "anchor_query_gap")
+        filled = [b.reports["truth"] for b in report.bins if b.pair_count]
+        assert sum(r.n for r in filled) == report.total_paired > 0
+        assert all(r.mae == r.geodesic_mae == 0.0 for r in filled)
+
+    def test_generators_of_estimators_and_batches(self):
+        logs = small_logs()
+        expected = score(two_estimators(), list(easy_batches(logs)))
+        assert list(expected) == ["a", "r"] and expected["a"].n == 60
+        assert score((est for est in two_estimators()),
+                     easy_batches(logs)) == expected
+
+    def test_duplicate_id_in_score(self):
+        with pytest.raises(DomainError, match="estimator id 'x' is used more than once"):
+            score(two_estimators("x", "x"), easy_batches(small_logs()))
+
+    def test_duplicate_id_in_sweep(self):
+        with pytest.raises(DomainError, match="estimator id 'x' is used more than once"):
+            sweep(small_logs(), two_estimators("x", "x"), AnchorPolicy("fixed_first"),
+                  "anchor_query_gap")
+
+    def test_sweep_holds_one_batch_at_a_time(self, monkeypatch):
+        """While an estimator predicts, only the batch of the log it scores
+        is alive: sweep builds each log's batch after the last is scored."""
+        batches, alive = [], []
+        build = relhpe.harness.query_batch
+        monkeypatch.setattr(relhpe.harness, "query_batch", lambda *args: (
+            batches.append(weakref.ref(batch := build(*args))) or batch))
+
+        class Probe(TruthEstimator):
+            def predict(self, batch):
+                alive.append(sum(ref() is not None for ref in batches))
+                return batch.query
+
+        sweep(small_logs(4), [Probe("p"), *two_estimators()],
+              AnchorPolicy("fixed_first"), "anchor_query_gap")
+        assert len(batches) == 4 and alive == [1] * 4
 
 
 # ---------------------------------------------------------------------------

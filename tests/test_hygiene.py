@@ -3,9 +3,10 @@
 Each module under src/relhpe (the package __init__ re-exports and is
 skipped) must use every name it imports, and must not reach into another
 module's private (single-underscore) names, and must use every private
-name it defines at module level.  The README's library table must name
-only what its modules define.  The stdlib-only modules import nothing
-else when they are imported.
+name it defines at module level; a public one must be exported by the
+package or used somewhere in the sources.  The README's library table
+must name only what its modules define.  The stdlib-only modules import
+nothing else when they are imported.
 """
 
 import ast
@@ -86,6 +87,31 @@ def test_no_unused_private_names(path):
     dead = [f"line {line}: {name}" for name, line in _module_level_names(tree)
             if _private(name) and name not in loaded]
     assert not dead, f"{path.name}: private names never used: {dead}"
+
+
+def test_no_unused_public_names():
+    """A public module-level name that the package does not export and no
+    module uses is dead code.  A use is a loaded name, an attribute, an
+    imported name or a string (reports.FILES names its builders by string)."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in SRC.glob("*.py")}
+    exported = set(importlib.import_module("relhpe").__all__)
+    used = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                used.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                used.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                used.update(alias.name for alias in n.names)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                used.add(n.value)
+    dead = [f"{name} (line {line}): {n}"
+            for name, tree in sorted(trees.items()) if name != "__init__.py"
+            for n, line in _module_level_names(tree)
+            if not _private(n) and n not in exported | used]
+    assert not dead, f"public names never exported or used: {dead}"
 
 
 def _readme_library_rows():

@@ -24,7 +24,7 @@ from relhpe import (AbsoluteSimEstimator, AnchorPolicy, NoiseModel,
                     load_predictions_csv, pair_batch, sample_logs, score, sweep)
 from relhpe.errors import (DomainError, EmptyRange, InvariantViolation,
                            MissingPrediction, ParseError)
-from relhpe.harness import predict_batch, query_batch
+from relhpe.harness import query_batch
 from relhpe.geometry import EulerAngles, rotation_from_euler
 from relhpe.simulate import (simulate_absolute, simulate_relative,
                              _fast_normals, _pcg64_columns,
@@ -268,15 +268,15 @@ class TestTableEstimator:
     def test_lookup(self, rng):
         stored = random_pose(rng)
         est = TableEstimator("t", pose_log({"f0000": stored}))
-        quats, translations = predict_batch(
-            est, query_batch(make_log([random_pose(rng)]), [0], [0]))
+        quats, translations = est.predict(
+            query_batch(make_log([random_pose(rng)]), [0], [0]))
         assert Rotation(*quats[0]) == stored.rotation
         assert np.array_equal(translations[0], stored.translation)
 
     def test_missing(self, rng):
         est = TableEstimator("t", pose_log({"f0001": random_pose(rng)}))
         with pytest.raises(MissingPrediction, match="'f0000'"):
-            predict_batch(est, query_batch(make_log([random_pose(rng)]), [0], [0]))
+            est.predict(query_batch(make_log([random_pose(rng)]), [0], [0]))
 
 
 class TestEndToEnd:
@@ -364,7 +364,7 @@ class TestEndToEnd:
         assert len(batch.streams) == len(drawn) == streams
 
 
-class TestPredictBatch:
+class TestRelativePredict:
     def test_relative_composition_identity(self, rng):
         # composing a zero-noise relative prediction with its anchor must
         # recover the ground-truth query exactly
@@ -374,7 +374,7 @@ class TestPredictBatch:
         est = RelativeSimEstimator("r", NoiseModel())
         batch = query_batch(log, [log.position(q) for _, q, _ in pairs.pairs],
                             [log.position(a) for a, _, _ in pairs.pairs])
-        quats, _ = predict_batch(est, batch)
+        quats, _ = est.predict(batch)
         records = frame_records(log)
         for (_, query_id, _), q in zip(pairs.pairs, quats):
             truth = records[log.position(query_id)].pose
@@ -470,11 +470,11 @@ class TestBatchedEstimators:
         batch = query_batch(log, range(len(log)), anchors)
         records = frame_records(log)
         for est in ests:
-            quats, translations = predict_batch(est, batch)
+            quats, translations = est.predict(batch)
             expected = []
             for f, a in zip(records, anchors):
                 stream = _query_rng(est.noise.seed, log.subject_id, f.frame_id)
-                if est.kind == "absolute":
+                if isinstance(est, AbsoluteSimEstimator):
                     pose = simulate_absolute(f.pose, est.noise, Rotation.identity(),
                                              stream)
                 else:
@@ -490,7 +490,7 @@ class TestBatchedEstimators:
         ref = random_rotation(rng)
         est = AbsoluteSimEstimator("a", NoiseModel(1.0, 0.1, 1.0, 4), ref)
         log = make_log([random_pose(rng) for _ in range(8)])
-        quats, _ = predict_batch(est, query_batch(log, range(8), range(8)))
+        quats, _ = est.predict(query_batch(log, range(8), range(8)))
         assert quats.tolist() == [
             list(oracle_absolute(est, log.subject_id, f.frame_id, f.pose)
                  .rotation.quat) for f in frame_records(log)]
@@ -499,15 +499,14 @@ class TestBatchedEstimators:
         log = make_log([random_pose(rng) for _ in range(4)])
         stored = {f.frame_id: random_pose(rng) for f in frame_records(log)}
         est = TableEstimator("t", pose_log(stored))
-        quats, translations = predict_batch(
-            est, query_batch(log, [2, 0], [0, 0]))
+        quats, translations = est.predict(query_batch(log, [2, 0], [0, 0]))
         assert quats.tolist() == [list(stored[k].rotation.quat)
                                   for k in ("f0002", "f0000")]
         assert translations.tolist() == [stored[k].translation.tolist()
                                          for k in ("f0002", "f0000")]
         with pytest.raises(MissingPrediction):
-            predict_batch(TableEstimator("t", pose_log({"f0000": stored["f0000"]})),
-                          query_batch(log, [1], [0]))
+            TableEstimator("t", pose_log({"f0000": stored["f0000"]})).predict(
+                query_batch(log, [1], [0]))
 
 
 _frame_ids = st.lists(st.text(max_size=8), min_size=1, max_size=6)
@@ -572,8 +571,7 @@ class TestBatchedStreams:
                             lambda *key: calls.append(key) or scalar_rng(*key))
         log = make_log([random_pose(np.random.default_rng(5)) for _ in range(40)])
         est = AbsoluteSimEstimator("a", NoiseModel(2.0, 0.1, 1.5, seed=9))
-        quats, translations = predict_batch(est, query_batch(log, range(40),
-                                                             range(40)))
+        quats, translations = est.predict(query_batch(log, range(40), range(40)))
         assert 0 < len(calls) < 40
         expected = [oracle_absolute(est, log.subject_id, f.frame_id, f.pose)
                     for f in frame_records(log)]
