@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: ingest, pairs, eval, sweep, simulate, loss, report.
+COMMANDS is the one list of subcommands, their inputs and their flags.
 Global flags: --seed, --config <file>, --out <dir>, --format {csv,json}.
 
 The config file is a flat JSON object.  SETTINGS lists each command's
@@ -137,6 +137,11 @@ def _checked(source, convert, value):
         raise RelHpeError(f"{source}: {exc}") from exc
 
 
+def _flag(key):
+    """The flag of a setting: --key with '-' for '_'."""
+    return "--" + key.replace("_", "-")
+
+
 def _settings(args):
     """(raw config file object, resolved SETTINGS) of args.command."""
     table = SETTINGS[args.command]
@@ -153,8 +158,7 @@ def _settings(args):
     for key, (convert, default) in table.items():
         flag = getattr(args, key, None)
         value = cfg.get(key, default) if flag is None else flag
-        source = (f"{args.config}: {key}" if flag is None
-                  else "--" + key.replace("_", "-"))
+        source = f"{args.config}: {key}" if flag is None else _flag(key)
         if flag is not None or key in cfg:
             args.sources[key] = source
         if value is not None or default is not None:
@@ -166,6 +170,12 @@ def _settings(args):
             raise RelHpeError(f"{args.sources.get(key, key)} {settings[key]} > "
                               f"{args.sources.get(hi_key, hi_key)} {settings[hi_key]}")
     return cfg, settings
+
+
+def _input_hashes(args):
+    """{path: SHA-256} of each positional input of args.command (COMMANDS)."""
+    return {path: reports.file_sha256(path) for path in
+            (getattr(args, name) for name, _ in COMMANDS[args.command][2])}
 
 
 def _ensure_out(args):
@@ -222,7 +232,7 @@ def cmd_pairs(args):
                                   s["max_gap_deg"], s["n_pairs"], args.seed)
         env = reports.envelope(
             "pairs", {**cfg, "subject": log.subject_id}, args.seed,
-            {args.input: reports.file_sha256(args.input)}, reports.pairs_payload(ps))
+            _input_hashes(args), reports.pairs_payload(ps))
         _write_report(args, out, f"pairs_{log.subject_id}", env)
     return 0
 
@@ -295,8 +305,7 @@ def cmd_eval(args):
     batch = _check_pairs(args.pairs, lines, pairs, truth, args.predictions, preds)
     rep = score([TableEstimator("external", preds)], [batch])["external"]
     env = reports.envelope(
-        "eval", cfg, args.seed,
-        {p: reports.file_sha256(p) for p in (args.truth, args.pairs, args.predictions)},
+        "eval", cfg, args.seed, _input_hashes(args),
         reports.metric_payload({"external": rep}))
     _write_report(args, out, "eval", env)
     print(f"n={rep.n} yaw={rep.yaw_mae:.4f} pitch={rep.pitch_mae:.4f} "
@@ -323,7 +332,7 @@ def cmd_sweep(args):
     rep = sweep(logs, estimators, policy, s["axis"], s["bin_width_deg"])
     env = reports.envelope(
         "sweep", {**cfg, "axis": s["axis"], "policy": policy.kind}, args.seed,
-        {args.input: reports.file_sha256(args.input)}, reports.sweep_payload(rep))
+        _input_hashes(args), reports.sweep_payload(rep))
     _write_report(args, out, "sweep", env)
     return 0
 
@@ -378,8 +387,7 @@ def cmd_loss(args):
     total, breakdown = loss_cam(stages, lc)
     env = reports.envelope(
         "loss", {**cfg, "mode": lc.mode, "gamma": lc.gamma}, args.seed,
-        {p: reports.file_sha256(p) for p in (args.predictions, args.truth)},
-        reports.loss_payload(total, breakdown))
+        _input_hashes(args), reports.loss_payload(total, breakdown))
     reports.write_report(out, "loss", env, ["json"])  # --format does not apply
     print(f"total: {total:.12g}")
     for b in breakdown:
@@ -407,6 +415,32 @@ def cmd_report(args):
 # ---------------------------------------------------------------------------
 
 
+# name -> (cmd_<name>, help line, positional inputs as (name, help), which a
+# report hashes, and the SETTINGS keys that also take a flag (_flag)).
+COMMANDS = {
+    "ingest": (cmd_ingest, "convert input data to the canonical pose-log format",
+               (("input", None),), ("input_format", "pose_glob", "calib_name")),
+    "pairs": (cmd_pairs, "build easy/hard benchmark pair sets",
+              (("input", "canonical pose-log file"),),
+              ("pair_kind", "neutral_thresh_deg", "extreme_thresh_deg",
+               "max_gap_deg", "n_pairs")),
+    "eval": (cmd_eval, "evaluate external predictions over a pair set",
+             (("truth", "canonical truth log (single subject)"),
+              ("pairs", "pairs CSV from the pairs command"),
+              ("predictions", "predictions CSV (query_id,qw..qz,tx..tz)")), ()),
+    "sweep": (cmd_sweep, "binned error sweep with simulated estimators",
+              (("input", "canonical pose-log file"),),
+              ("axis", "policy", "threshold_deg", "bin_width_deg")),
+    "simulate": (cmd_simulate, "sample deterministic synthetic pose logs",
+                 (), ("subjects", "frames_per_log")),
+    "loss": (cmd_loss, "multi-stage camera loss over stage files",
+             (("predictions", "predicted stage file"),
+              ("truth", "ground-truth stage file")), ()),
+    "report": (cmd_report, "re-emit CSV from a JSON report envelope",
+               (("input", "JSON report file"),), ()),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relhpe",
@@ -419,50 +453,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("csv", "json"), default=None,
                         help="restrict report output to one format")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="convert input data to the canonical pose-log format")
-    p.add_argument("input")
-    p.add_argument("--input-format")
-    p.add_argument("--pose-glob", help="BIWI per-frame pose file pattern")
-    p.add_argument("--calib-name", help="BIWI calibration file name")
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("pairs", help="build easy/hard benchmark pair sets")
-    p.add_argument("input", help="canonical pose-log file")
-    p.add_argument("--pair-kind")
-    p.add_argument("--neutral-thresh-deg")
-    p.add_argument("--extreme-thresh-deg")
-    p.add_argument("--max-gap-deg")
-    p.add_argument("--n-pairs")
-    p.set_defaults(func=cmd_pairs)
-
-    p = sub.add_parser("eval", help="evaluate external predictions over a pair set")
-    p.add_argument("truth", help="canonical truth log (single subject)")
-    p.add_argument("pairs", help="pairs CSV from the pairs command")
-    p.add_argument("predictions", help="predictions CSV (query_id,qw..qz,tx..tz)")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("sweep", help="binned error sweep with simulated estimators")
-    p.add_argument("input", help="canonical pose-log file")
-    p.add_argument("--axis")
-    p.add_argument("--policy")
-    p.add_argument("--threshold-deg")
-    p.add_argument("--bin-width-deg")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("simulate", help="sample deterministic synthetic pose logs")
-    p.add_argument("--subjects")
-    p.add_argument("--frames-per-log")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("loss", help="multi-stage camera loss over stage files")
-    p.add_argument("predictions", help="predicted stage file")
-    p.add_argument("truth", help="ground-truth stage file")
-    p.set_defaults(func=cmd_loss)
-
-    p = sub.add_parser("report", help="re-emit CSV from a JSON report envelope")
-    p.add_argument("input", help="JSON report file")
-    p.set_defaults(func=cmd_report)
+    for name, (func, help_line, inputs, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for input_name, input_help in inputs:
+            p.add_argument(input_name, help=input_help)
+        for key in flags:
+            p.add_argument(_flag(key))
+        p.set_defaults(func=func)
     return parser
 
 

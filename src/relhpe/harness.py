@@ -441,8 +441,9 @@ def report_from_samples(angles, dts) -> MetricReport:
     if not len(angles):
         return MetricReport.empty()
     yaw, pitch, roll, geo = angles.mean(axis=0)
-    t_mae = tuple(float(v) for v in np.abs(dts).mean(axis=0))
-    t_l2 = float(np.linalg.norm(dts, axis=1).mean())
+    with np.errstate(over="ignore"):  # huge errors give inf, which reports refuse
+        t_mae = tuple(float(v) for v in np.abs(dts).mean(axis=0))
+        t_l2 = float(np.linalg.norm(dts, axis=1).mean())
     return MetricReport(float(yaw), float(pitch), float(roll),
                         float((yaw + pitch + roll) / 3.0), float(geo),
                         len(angles), t_mae, t_l2)
@@ -600,7 +601,8 @@ def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
     controlled.  Unpaired queries are counted but never evaluated.  Within
     a bin, queries keep log order and query_id order within a log.
     predictions_by_estimator maps an estimator id to its prediction table
-    (a PoseLog), from which external_predicted takes its anchors.
+    (a PoseLog), from which external_predicted takes its anchors.  logs and
+    estimators may be any iterables, or a lone PoseLog and a lone estimator.
     """
     if not isinstance(policy, AnchorPolicy):
         raise DomainError(f"a sweep needs an anchor policy (an AnchorPolicy), "
@@ -612,9 +614,9 @@ def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
     if not _MIN_BIN_WIDTH_DEG <= bin_width_deg < math.inf:
         raise DomainError(f"bin width must be finite and at least {_MIN_BIN_WIDTH_DEG} "
                           f"deg, got {bin_width_deg}", setting="bin_width_deg")
-    if not isinstance(logs, (list, tuple)):
+    if isinstance(logs, PoseLog):
         logs = [logs]
-    if not isinstance(estimators, (list, tuple)):
+    if hasattr(estimators, "predict"):
         estimators = [estimators]
 
     values = [np.empty(0)]  # axis value per paired query

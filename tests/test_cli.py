@@ -14,6 +14,7 @@ from relhpe import (EulerAngles, Rotation, SE3Pose, euler_from_rotation,
                     export_canonical, ingest_canonical_all, rotation_from_euler)
 import relhpe.cli
 import relhpe.harness
+import relhpe.simulate
 from relhpe import reports
 from relhpe.cli import SETTINGS, build_parser, main
 
@@ -802,9 +803,9 @@ def test_min_above_max_names_both_keys(text, expected, tmp_path, capsys):
 
 
 def test_main_does_not_hide_value_errors(tmp_path, monkeypatch):
-    def fail(args):
+    def fail(sampler):
         raise ValueError("not a typed error")
-    monkeypatch.setattr(relhpe.cli, "cmd_simulate", fail)
+    monkeypatch.setattr(relhpe.simulate, "sample_logs", fail)
     with pytest.raises(ValueError, match="not a typed error"):
         run(["--out", tmp_path, "simulate"])
 
@@ -812,11 +813,8 @@ def test_main_does_not_hide_value_errors(tmp_path, monkeypatch):
 def test_subcommand_flags_are_settings():
     """Every subcommand flag is a SETTINGS key, spelled --key with '-' for
     '_', whose value only SETTINGS converts and checks."""
-    parser = build_parser()
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
     bad = []
-    for command, p in sub.choices.items():
+    for command, p in _subparsers(build_parser()).items():
         for action in p._actions:
             if not action.option_strings or action.dest == "help":
                 continue
@@ -826,3 +824,28 @@ def test_subcommand_flags_are_settings():
                     or action.choices is not None or action.type is not None):
                 bad.append(f"{command} {'/'.join(action.option_strings)}")
     assert not bad, f"flags outside SETTINGS or with their own checks: {bad}"
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_cli_surface():
+    """Each subcommand's positional inputs in order and its flags, as
+    cli.COMMANDS builds them."""
+    surface = {command: ([a.dest for a in p._actions if not a.option_strings],
+                         sorted(o for a in p._actions for o in a.option_strings
+                                if a.dest != "help"))
+               for command, p in _subparsers(build_parser()).items()}
+    assert surface == {
+        "ingest": (["input"], ["--calib-name", "--input-format", "--pose-glob"]),
+        "pairs": (["input"], ["--extreme-thresh-deg", "--max-gap-deg",
+                              "--n-pairs", "--neutral-thresh-deg", "--pair-kind"]),
+        "eval": (["truth", "pairs", "predictions"], []),
+        "sweep": (["input"], ["--axis", "--bin-width-deg", "--policy",
+                              "--threshold-deg"]),
+        "simulate": ([], ["--frames-per-log", "--subjects"]),
+        "loss": (["predictions", "truth"], []),
+        "report": (["input"], []),
+    }

@@ -5,11 +5,13 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relhpe.anchors
 import relhpe.harness
 from relhpe import (AbsoluteSimEstimator, AnchorPolicy, EulerAngles,
-                    NoiseModel, PoseSampler, RelativeSimEstimator, Rotation, SE3Pose,
+                    NoiseModel, PoseLog, PoseSampler, RelativeSimEstimator, Rotation, SE3Pose,
                     TableEstimator, anchor_arrays, build_easy_pairs,
                     build_hard_pairs, compose, evaluate, export_canonical,
                     geodesic_deg, geodesic_deg_many, ingest_biwi,
@@ -18,6 +20,7 @@ from relhpe import (AbsoluteSimEstimator, AnchorPolicy, EulerAngles,
                     rotation_from_euler, sample_logs, score, sweep, wrap_deg)
 from relhpe.anchors import POLICY_KINDS
 from relhpe.camera import Intrinsics
+from relhpe.rotation import hamilton
 from relhpe.rows import csv_rows
 from relhpe.errors import (DomainError, InsufficientFrames, InvariantViolation,
                            MalformedPoseFile, MissingCalibration,
@@ -702,6 +705,18 @@ class TestSweep:
                      "anchor_query_gap") == expected
         assert rows == [30] * (len(logs) * (1 + len(estimators)))
 
+    def test_any_iterables(self, rng):
+        # generators of logs or estimators sweep like lists of them
+        logs = [make_log([random_pose(rng) for _ in range(20)], subject)
+                for subject in ("s1", "s2")]
+        ests = [perfect_relative(),
+                AbsoluteSimEstimator("abs", NoiseModel(1.0, 0.1, 2.0, 3))]
+        policy = AnchorPolicy("fixed_first")
+        expected = sweep(logs, ests, policy, "anchor_query_gap")
+        assert expected.total_paired == 40
+        assert sweep(logs, (e for e in ests), policy, "anchor_query_gap") == expected
+        assert sweep(iter(logs), ests, policy, "anchor_query_gap") == expected
+
     @pytest.mark.parametrize("width", [math.inf, math.nan, 1e-300, 0.0179])
     def test_bin_width_out_of_range(self, width):
         # more than 10,000 bins over [0, 180] deg is refused before any work
@@ -747,3 +762,52 @@ class TestSweep:
                 maes.append(b.reports["noisy"].geodesic_mae)
         rho = scipy.stats.spearmanr(idx, maes).statistic
         assert rho > 0.9
+
+
+# The paper's claim as a metamorphic property: a relative estimator sees
+# only anchor-to-query motion, so turning the whole world by one rotation W,
+# before (W R) or after (R W) every truth pose, leaves its errors as they
+# are; an absolute estimator's error grows with the pose, so W moves it.
+_WORLD_LOGS = sample_logs(PoseSampler(frames_per_log=300, subjects=2, seed=5))
+_WORLD_ESTIMATORS = (AbsoluteSimEstimator("abs", NoiseModel(2.0, 0.15, seed=1)),
+                     RelativeSimEstimator("rel", NoiseModel(0.5, 0.02, seed=1)))
+
+
+def _world_sweep(w=None, side="left"):
+    """The 10 deg fixed_first sweep of _WORLD_LOGS, each truth rotation
+    turned by the unit quaternion w on the given side."""
+    logs = _WORLD_LOGS
+    if w is not None:
+        turn = ((lambda q: hamilton(w, q)) if side == "left"
+                else (lambda q: hamilton(q, w)))
+        logs = [PoseLog(log.subject_id, log.frame_ids,
+                        np.stack(turn(log.quats.T), axis=1), log.translations,
+                        log.frame_tag, log.intrinsics) for log in logs]
+    return sweep(logs, _WORLD_ESTIMATORS, AnchorPolicy("fixed_first"),
+                 "anchor_query_gap", bin_width_deg=10.0)
+
+
+def _geodesic_maes(rep, est_id):
+    return [b.reports[est_id].geodesic_mae for b in rep.bins]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(q=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+           lambda q: sum(v * v for v in q) > 0.01),
+       side=st.sampled_from(["left", "right"]))
+def test_world_rotation_leaves_relative_errors(q, side):
+    w = tuple(v / math.sqrt(sum(v * v for v in q)) for v in q)
+    base, turned = _world_sweep(), _world_sweep(w, side)
+    assert turned.total_paired == base.total_paired == 600
+    assert ([b.pair_count for b in turned.bins]
+            == [b.pair_count for b in base.bins])
+    np.testing.assert_allclose(_geodesic_maes(turned, "rel"),
+                               _geodesic_maes(base, "rel"), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_world_rotation_moves_absolute_errors(side):
+    w = Rotation(0.8, 0.2, -0.4, 0.4).quat
+    moved = np.subtract(_geodesic_maes(_world_sweep(w, side), "abs"),
+                        _geodesic_maes(_world_sweep(), "abs"))
+    assert np.nanmax(np.abs(moved)) > 1.0
