@@ -9,9 +9,13 @@ flag beats its config value, which beats the default, flag and config
 values are checked alike, and unknown keys are rejected.  An error names
 the flag or '<config file>: <key>' a bad value came from, also when the
 library rejects it (a DomainError naming its setting).  All angle I/O at
-this surface is in degrees.  Every report embeds the config echo, the
-seed, the format version, and input-file hashes, so identical inputs give
-identical report bytes.
+this surface is in degrees.
+
+main resolves a command's settings and creates --out once, before the
+command runs; each cmd_<name>(args, out, config, settings) (report takes
+only args and out) returns nothing.  Every report goes through
+_write_report, which embeds the config echo, the seed, the format version
+and input-file hashes, so identical inputs give identical report bytes.
 
 Only the standard library and the stdlib-only reports, errors and vocab
 modules load with this module; each command imports the library modules
@@ -172,36 +176,29 @@ def _settings(args):
     return cfg, settings
 
 
-def _input_hashes(args):
-    """{path: SHA-256} of each positional input of args.command (COMMANDS)."""
-    return {path: reports.file_sha256(path) for path in
-            (getattr(args, name) for name, _ in COMMANDS[args.command][2])}
-
-
-def _ensure_out(args):
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _write_report(args, out, stem, env):
-    """Write env's files (reports.FILES), of JSON and CSV the one --format names."""
+def _write_report(args, out, stem, config_echo, payload):
+    """Write the report of args.command: the envelope of payload with the
+    config echo, the seed and the SHA-256 of each positional input
+    (COMMANDS), then the files reports.FILES builds from payload.  Of JSON
+    and CSV, --format keeps the one it names when the command writes both."""
+    files = ("json", *reports.FILES[args.command])
+    hashes = {path: reports.file_sha256(path) for path in
+              (getattr(args, name) for name, _ in COMMANDS[args.command][2])}
+    env = reports.envelope(args.command, config_echo, args.seed, hashes, payload)
     reports.write_report(out, stem, env, [
-        ext for ext in ("json", *reports.FILES[env["command"]])
-        if args.format in (None, ext) or ext not in ("json", "csv")])
+        ext for ext in files if args.format in (None, ext)
+        or ext not in ("json", "csv") or "csv" not in files])
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_ingest(args):
+def cmd_ingest(args, out, _, s):
     import numpy as np
 
     from .geometry import euler_deg_many
     from .harness import export_canonical, ingest_biwi, ingest_canonical_all
-    _, s = _settings(args)
-    out = _ensure_out(args)
     if s["input_format"] == "biwi":
         logs = [ingest_biwi(args.input, s["pose_glob"], s["calib_name"])]
     else:
@@ -215,26 +212,24 @@ def cmd_ingest(args):
     print(f"pitch range: [{arr[:, 1].min():.2f}, {arr[:, 1].max():.2f}] deg")
     print(f"roll range:  [{arr[:, 2].min():.2f}, {arr[:, 2].max():.2f}] deg")
     print(f"wrote {dest}")
-    return 0
 
 
-def cmd_pairs(args):
+def cmd_pairs(args, out, cfg, s):
+    """Build every subject's pair set, then write them: a subject that
+    fails leaves no file of another."""
     from .harness import build_easy_pairs, build_hard_pairs, ingest_canonical_all
-    cfg, s = _settings(args)
-    out = _ensure_out(args)
-    logs = ingest_canonical_all(args.input)
-    for log in logs:
+    built = []
+    for log in ingest_canonical_all(args.input):
         if s["pair_kind"] == "hard":
             ps = build_hard_pairs(log, s["neutral_thresh_deg"],
                                   s["extreme_thresh_deg"], s["n_pairs"], args.seed)
         else:
             ps = build_easy_pairs(log, s["neutral_thresh_deg"],
                                   s["max_gap_deg"], s["n_pairs"], args.seed)
-        env = reports.envelope(
-            "pairs", {**cfg, "subject": log.subject_id}, args.seed,
-            _input_hashes(args), reports.pairs_payload(ps))
-        _write_report(args, out, f"pairs_{log.subject_id}", env)
-    return 0
+        built.append((log.subject_id, reports.pairs_payload(ps)))
+    for subject, payload in built:
+        _write_report(args, out, f"pairs_{subject}", {**cfg, "subject": subject},
+                      payload)
 
 
 # How far (degrees) a pairs-CSV gap may lie from the gap of its frames in
@@ -294,31 +289,23 @@ def _check_pairs(path, lines, pairs, truth, preds_path, preds):
     return batch
 
 
-def cmd_eval(args):
+def cmd_eval(args, out, cfg, _):
     from .harness import TableEstimator, ingest_canonical, score
     from .simulate import load_predictions_csv
-    cfg, _ = _settings(args)
-    out = _ensure_out(args)
     truth = ingest_canonical(args.truth)
     pairs, lines = _read_pairs_csv(args.pairs)
     preds = load_predictions_csv(args.predictions)
     batch = _check_pairs(args.pairs, lines, pairs, truth, args.predictions, preds)
     rep = score([TableEstimator("external", preds)], [batch])["external"]
-    env = reports.envelope(
-        "eval", cfg, args.seed, _input_hashes(args),
-        reports.metric_payload({"external": rep}))
-    _write_report(args, out, "eval", env)
+    _write_report(args, out, "eval", cfg, reports.metric_payload({"external": rep}))
     print(f"n={rep.n} yaw={rep.yaw_mae:.4f} pitch={rep.pitch_mae:.4f} "
           f"roll={rep.roll_mae:.4f} mae={rep.mae:.4f} geodesic={rep.geodesic_mae:.4f}")
-    return 0
 
 
-def cmd_sweep(args):
+def cmd_sweep(args, out, cfg, s):
     from .anchors import AnchorPolicy
     from .harness import ingest_canonical_all, sweep
     from .simulate import AbsoluteSimEstimator, NoiseModel, RelativeSimEstimator
-    cfg, s = _settings(args)
-    out = _ensure_out(args)
     logs = ingest_canonical_all(args.input)
     policy = AnchorPolicy(s["policy"], s["threshold_deg"])
     estimators = [
@@ -330,18 +317,13 @@ def cmd_sweep(args):
             trans_noise_mm=s["trans_noise_mm"], seed=args.seed)),
     ]
     rep = sweep(logs, estimators, policy, s["axis"], s["bin_width_deg"])
-    env = reports.envelope(
-        "sweep", {**cfg, "axis": s["axis"], "policy": policy.kind}, args.seed,
-        _input_hashes(args), reports.sweep_payload(rep))
-    _write_report(args, out, "sweep", env)
-    return 0
+    _write_report(args, out, "sweep", {**cfg, "axis": s["axis"], "policy": policy.kind},
+                  reports.sweep_payload(rep))
 
 
-def cmd_simulate(args):
+def cmd_simulate(args, out, _, s):
     from .harness import export_canonical
     from .simulate import PoseSampler, sample_logs
-    _, s = _settings(args)
-    out = _ensure_out(args)
     sampler = PoseSampler(
         yaw_range=(s["yaw_min"], s["yaw_max"]),
         pitch_range=(s["pitch_min"], s["pitch_max"]),
@@ -352,7 +334,6 @@ def cmd_simulate(args):
     dest = os.path.join(out, "simulated_poselog.csv")
     export_canonical(logs, dest)
     print(f"wrote {dest} ({sampler.subjects} subjects x {sampler.frames_per_log} frames)")
-    return 0
 
 
 def _read_stage_file(path):
@@ -371,10 +352,8 @@ def _read_stage_file(path):
     return stages
 
 
-def cmd_loss(args):
+def cmd_loss(args, out, cfg, s):
     from .losses import LossConfig, StagePrediction, loss_cam
-    cfg, s = _settings(args)
-    out = _ensure_out(args)
     lc = LossConfig(**s)
     pred_stages = _read_stage_file(args.predictions)
     true_stages = _read_stage_file(args.truth)
@@ -385,20 +364,16 @@ def cmd_loss(args):
     stages = [StagePrediction(k, p, t)
               for (k, p), (_, t) in zip(pred_stages, true_stages)]
     total, breakdown = loss_cam(stages, lc)
-    env = reports.envelope(
-        "loss", {**cfg, "mode": lc.mode, "gamma": lc.gamma}, args.seed,
-        _input_hashes(args), reports.loss_payload(total, breakdown))
-    reports.write_report(out, "loss", env, ["json"])  # --format does not apply
+    _write_report(args, out, "loss", {**cfg, "mode": lc.mode, "gamma": lc.gamma},
+                  reports.loss_payload(total, breakdown))
     print(f"total: {total:.12g}")
     for b in breakdown:
         print(f"  stage {b.stage_index}: weight={b.weight:.6g} "
               f"T={b.translation:.6g} R={b.rotation:.6g} F={b.fov:.6g}")
-    return 0
 
 
-def cmd_report(args):
+def cmd_report(args, out):
     """Re-emit the CSV of a sweep, pairs or eval JSON report envelope."""
-    out = _ensure_out(args)
     env = _read_json(args.input, _finite)
     command = env.get("command") if isinstance(env, dict) else None
     if not (isinstance(command, str) and "csv" in reports.FILES.get(command, ())):
@@ -409,7 +384,6 @@ def cmd_report(args):
     except (LookupError, TypeError, csv.Error) as exc:
         raise RelHpeError(f"{args.input}: malformed {command} report "
                           f"({type(exc).__name__}: {exc})") from exc
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +442,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.seed = _checked("--seed", _count, args.seed)
-        return args.func(args)
+        resolved = _settings(args) if args.command in SETTINGS else ()
+        out = args.out or "."
+        os.makedirs(out, exist_ok=True)
+        args.func(args, out, *resolved)
+        return 0
     except (RelHpeError, OSError) as exc:
         # a library DomainError about one setting is named by its source
         source = getattr(args, "sources", {}).get(getattr(exc, "setting", None))

@@ -19,7 +19,7 @@ from relhpe import reports
 from relhpe.cli import SETTINGS, build_parser, main
 
 from test_harness import write_biwi_fixture
-from conftest import frame_records, pose_log, random_pose
+from conftest import frame_records, pose_log, random_pose, yaw_pose
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -157,6 +157,20 @@ class TestPairs:
                     "--max-gap-deg", "40"]) == 0
         assert (out / "pairs_subj000.json").exists()
         assert not (out / "pairs_subj000.csv").exists()
+
+    def test_later_subject_failing_writes_nothing(self, tmp_path, capsys):
+        """Every subject's pair set is built before a file is written: a
+        subject without extreme frames leaves no file of an earlier one."""
+        log = tmp_path / "two.csv"
+        export_canonical([pose_log([yaw_pose(d) for d in (0, 5, 10, 50, 60, 70)], "A"),
+                          pose_log([yaw_pose(d) for d in (0, 5, 10, 20, 30)], "B")],
+                         log)
+        out = tmp_path / "o"
+        assert run(["--out", out, "pairs", log]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: log 'B': ")
+        assert os.listdir(out) == []
 
 
 def single_subject_log(tmp_path):
@@ -451,6 +465,18 @@ class TestReport:
         src.write_text(json.dumps({"command": "loss", "payload": {}}))
         assert run(["--out", tmp_path, "report", src]) == 2
 
+    def test_reads_no_config(self, sim_log, tmp_path, capsys):
+        """report reads no config: a --config file that does not exist is
+        never opened."""
+        out = tmp_path / "o"
+        stem = self.write_report("pairs", sim_log, tmp_path, out)
+        out2 = tmp_path / "r"
+        capsys.readouterr()
+        assert run(["--config", tmp_path / "missing.json", "--out", out2,
+                    "report", out / f"{stem}.json"]) == 0
+        assert capsys.readouterr().out == f"wrote {out2 / f'{stem}.csv'}\n"
+        assert read(out2 / f"{stem}.csv") == read(out / f"{stem}.csv")
+
 
 EASY = ["--pair-kind", "easy", "--neutral-thresh-deg", "1000", "--max-gap-deg", "40"]
 
@@ -523,6 +549,54 @@ def test_non_finite_report_writes_nothing(command, fmt, tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {first}: not written, the report holds nan or inf\n")
     assert os.listdir(out) == []
+
+
+def test_stdout_of_each_command(sim_log, tmp_path, capsys):
+    """Each command's whole stdout, line by line: its `wrote` lines in the
+    order the files are written, then eval's and loss's summaries."""
+    def stdout(*argv):
+        capsys.readouterr()
+        assert run(argv) == 0
+        return capsys.readouterr().out.splitlines()
+
+    out, sim = tmp_path / "o", sim_log.parent
+    assert stdout("--out", out, "ingest", sim_log) == [
+        "subjects: 2  frames: 80",
+        "yaw range:   [-74.83, 74.97] deg",
+        "pitch range: [-49.10, 57.35] deg",
+        "roll range:  [-39.88, 39.09] deg",
+        f"wrote {out / 'poselog.csv'}"]
+    assert stdout("--out", out, "pairs", sim_log, *EASY) == [
+        f"wrote {out / name}" for name in (
+            "pairs_subj000.json", "pairs_subj000.csv",
+            "pairs_subj001.json", "pairs_subj001.csv")]
+    assert stdout("--out", out, "sweep", sim_log) == [
+        f"wrote {out / name}" for name in ("sweep.json", "sweep.csv", "sweep.svg")]
+    assert stdout("--out", out, "report", out / "sweep.json") == [
+        f"wrote {out / 'sweep.csv'}"]
+    log = single_subject_log(tmp_path)
+    assert stdout("--out", log.parent, "pairs", log, *EASY, "--n-pairs", "15") == [
+        f"wrote {log.parent / 'pairs_subj000.json'}",
+        f"wrote {log.parent / 'pairs_subj000.csv'}"]
+    preds = tmp_path / "preds.csv"
+    write_perfect_predictions(log, log.parent / "pairs_subj000.csv", preds)
+    assert stdout("--out", out, "eval", log, log.parent / "pairs_subj000.csv",
+                  preds) == [
+        f"wrote {out / 'eval.json'}", f"wrote {out / 'eval.csv'}",
+        "n=15 yaw=0.0000 pitch=0.0000 roll=0.0000 mae=0.0000 geodesic=0.0000"]
+    pred, true = tmp_path / "pred.csv", tmp_path / "true.csv"
+    write_stage_file(pred, [(1, 1, 2, 3, 1, 0, 0, 0, 60, 60),
+                            (2, 0, 1, 0, 1, 0, 0, 0, 50, 60)])
+    write_stage_file(true, [(1, 0, 0, 0, 1, 0, 0, 0, 60, 60),
+                            (2, 0, 0, 0, 1, 0, 0, 0, 60, 60)])
+    assert stdout("--out", out, "loss", pred, true) == [
+        f"wrote {out / 'loss.json'}",
+        "total: 2.35340087693",
+        "  stage 1: weight=0.3 T=1.8 R=0 F=0",
+        "  stage 2: weight=0.5 T=0.5 R=0 F=0.0534009"]
+    assert stdout("--seed", "3", "--out", sim, "simulate", "--subjects", "2",
+                  "--frames-per-log", "40") == [
+        f"wrote {sim / 'simulated_poselog.csv'} (2 subjects x 40 frames)"]
 
 
 def malformed_input(case, tmp_path):

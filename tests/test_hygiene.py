@@ -6,7 +6,9 @@ module's private (single-underscore) names, and must use every private
 name it defines at module level; a public one must be exported by the
 package or used somewhere in the sources.  The README's library table
 must name only what its modules define.  The stdlib-only modules import
-nothing else when they are imported.
+nothing else when they are imported.  In the CLI, only main resolves
+settings and creates the output directory, and only _write_report builds
+a report envelope.
 """
 
 import ast
@@ -180,3 +182,29 @@ def test_stdlib_only_modules_import_no_numpy(name):
            if not (module.split(".")[0] in sys.stdlib_module_names
                    or module[1:] in STDLIB_ONLY)]
     assert not bad, f"{name}.py imports more than the standard library: {bad}"
+
+
+# The CLI's one command runner: the call in cli.py -> the functions that
+# alone may make it.  main resolves settings and creates --out before a
+# command runs; _write_report builds every report's envelope and writes
+# it, and cmd_report re-emits a CSV from an envelope it read.
+CLI_RUNNER_CALLS = {"_settings": {"main"}, "os.makedirs": {"main"},
+                    "reports.envelope": {"_write_report"},
+                    "reports.write_report": {"_write_report", "cmd_report"}}
+
+
+def test_cli_has_one_command_runner():
+    """Only the functions CLI_RUNNER_CALLS names make those calls, and no
+    cmd_* function returns a value (main returns the exit status)."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    bad = []
+    for stmt in tree.body:
+        name = getattr(stmt, "name", "module level")
+        for n in ast.walk(stmt):
+            if (isinstance(n, ast.Call) and name not in
+                    CLI_RUNNER_CALLS.get(ast.unparse(n.func), {name})):
+                bad.append(f"line {n.lineno}: {name} calls {ast.unparse(n.func)}")
+            elif (isinstance(n, ast.Return) and n.value is not None
+                    and name.startswith("cmd_")):
+                bad.append(f"line {n.lineno}: {name} returns a value")
+    assert not bad, f"cli.py: outside the one command runner: {bad}"
