@@ -20,7 +20,6 @@ names the anchor prediction by its row in a prediction table (a PoseLog).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,12 +28,12 @@ from .errors import DomainError, FrameMismatch, MissingPredictions
 from .geometry import (SE3Pose, apply_anchor, geodesic_deg_many,
                        pairs_within_deg, relative)
 from .poselog import PoseLog
+from .records import Record
 from .rotation import geodesic_deg
 from .vocab import POLICY_KINDS
 
 
-@dataclass(frozen=True)
-class AnchorPolicy:
+class AnchorPolicy(Record):
     kind: str
     threshold_deg: Optional[float] = None
     external_source: Optional[str] = None
@@ -50,8 +49,7 @@ class AnchorPolicy:
             raise DomainError("external_predicted needs external_source")
 
 
-@dataclass(frozen=True)
-class AnchorArrays:
+class AnchorArrays(Record):
     """Anchor assignment, row i for frame i of the log: anchor[i] is the
     anchor frame's position (-1 when unpaired) and gap_deg[i] the
     anchor-query geodesic gap (0 when unpaired).  When predicted_row is

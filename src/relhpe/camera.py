@@ -13,14 +13,13 @@ arrays (CameraPose.as_vector, intrinsics_ok_many, project).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, InvalidCrop
+from .records import Record
 from .rotation import Rotation
 
 
-@dataclass(frozen=True)
-class CameraPose:
+class CameraPose(Record):
     """Pose plus field of view: translation (mm), rotation, fov_h/fov_w (rad).
 
     t is stored as a tuple of 3 floats; DomainError if it holds another
@@ -49,8 +48,7 @@ class CameraPose:
         return np.array([*self.t, q.w, q.x, q.y, q.z, self.fov_h, self.fov_w])
 
 
-@dataclass(frozen=True)
-class Intrinsics:
+class Intrinsics(Record):
     """Pinhole intrinsics in pixels."""
 
     fx: float
@@ -79,8 +77,7 @@ def intrinsics_ok_many(k):
             & (width < math.inf) & (0 < height) & (height < math.inf))
 
 
-@dataclass(frozen=True)
-class CropSpec:
+class CropSpec(Record):
     """Square crop: top-left corner, side length, and output resolution."""
 
     x0: float

@@ -179,12 +179,15 @@ def _settings(args):
 def _write_report(args, out, stem, config_echo, payload):
     """Write the report of args.command: the envelope of payload with the
     config echo, the seed and the SHA-256 of each positional input
-    (COMMANDS), then the files reports.FILES builds from payload.  Of JSON
-    and CSV, --format keeps the one it names when the command writes both."""
+    (COMMANDS), then the files reports.FILES builds from payload.  The
+    hashes are taken at a run's first report and kept on args, so pairs
+    hashes its input once for all its subjects.  Of JSON and CSV, --format
+    keeps the one it names when the command writes both."""
     files = ("json", *reports.FILES[args.command])
-    hashes = {path: reports.file_sha256(path) for path in
-              (getattr(args, name) for name, _ in COMMANDS[args.command][2])}
-    env = reports.envelope(args.command, config_echo, args.seed, hashes, payload)
+    if not hasattr(args, "hashes"):
+        args.hashes = {path: reports.file_sha256(path) for path in
+                       (getattr(args, name) for name, _ in COMMANDS[args.command][2])}
+    env = reports.envelope(args.command, config_echo, args.seed, args.hashes, payload)
     reports.write_report(out, stem, env, [
         ext for ext in files if args.format in (None, ext)
         or ext not in ("json", "csv") or "csv" not in files])

@@ -18,16 +18,15 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, EmptyInput, FrameMismatch
+from .records import Record
 from .rotation import Rotation, chord_squares, hamilton, matrix_entries
 
 
-@dataclass(frozen=True)
-class EulerAngles:
+class EulerAngles(Record):
     """Yaw/pitch/roll in degrees under the intrinsic Y-X-Z convention.
 
     gimbal_lock is set when |pitch| >= 89 deg; the values then come from
@@ -40,8 +39,7 @@ class EulerAngles:
     gimbal_lock: bool = False
 
 
-@dataclass(frozen=True, init=False)
-class SE3Pose:
+class SE3Pose(Record):
     """Rigid transform: rotation plus translation (mm) in a named frame.
 
     DomainError when a translation component is nan or infinite.

@@ -37,7 +37,6 @@ import math
 import os
 from array import array
 from contextlib import suppress
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
 from typing import Optional
@@ -52,6 +51,7 @@ from .errors import (DomainError, InsufficientFrames, InvariantViolation,
 from .geometry import (SE3Pose, compose_many, euler_deg_many,
                        geodesic_deg_many, medoid_index, pairs_within_deg)
 from .poselog import FORMAT_VERSION, HEADER_PREFIX, PoseLog, header
+from .records import Record
 from .rotation import Rotation
 from .rows import csv_rows, finite_floats
 from .vocab import SWEEP_AXES
@@ -293,8 +293,7 @@ def ingest_biwi(subject_dir, pose_glob="frame_*_pose.txt",
 # pair construction
 
 
-@dataclass(frozen=True)
-class PairSet:
+class PairSet(Record):
     """Named (anchor_id, query_id, gap_deg) pairs with summary stats."""
 
     name: str
@@ -411,8 +410,7 @@ def wrap_deg(delta: float) -> float:
     return (delta + 180.0) % 360.0 - 180.0
 
 
-@dataclass(frozen=True)
-class MetricReport:
+class MetricReport(Record):
     yaw_mae: float
     pitch_mae: float
     roll_mae: float
@@ -476,16 +474,14 @@ def evaluate(pairs: PairSet, predictions: PoseLog, truth: PoseLog) -> MetricRepo
 _MIN_BIN_WIDTH_DEG = 0.018  # 10,000 bins over [0, 180] deg, both axes' range
 
 
-@dataclass(frozen=True)
-class SweepBin:
+class SweepBin(Record):
     lo: float
     hi: float
     reports: dict  # estimator id -> MetricReport
     pair_count: int
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(Record):
     axis: str
     bin_width_deg: float
     bins: tuple
@@ -499,8 +495,7 @@ def _rows(log: PoseLog, positions):
     return log.quats[positions], log.translations[positions]
 
 
-@dataclass(frozen=True)
-class QueryBatch:
+class QueryBatch(Record):
     """Queries of one log as pose arrays, row i for query frame_ids[i]; an
     estimator's predict(batch) returns the absolute pose array of its rows.
 
@@ -516,7 +511,11 @@ class QueryBatch:
     query: tuple
     anchor_truth: tuple
     anchor: tuple
-    streams: dict = field(default_factory=dict)
+    streams: dict = None
+
+    def __post_init__(self):
+        if self.streams is None:  # a fresh dict per batch
+            object.__setattr__(self, "streams", {})
 
     @cached_property
     def query_euler(self) -> np.ndarray:

@@ -15,16 +15,15 @@ quaternion L1 for the geodesic angle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .camera import CameraPose, logtan_fov
 from .errors import DomainError, EmptyStages, NonContiguousStages
+from .records import Record
 from .rotation import Rotation, geodesic_deg
 from .vocab import MODES
 
 
-@dataclass(frozen=True)
-class LossConfig:
+class LossConfig(Record):
     """Weights, stage decay, and ablation mode.
 
     gamma defaults to 0.6; the decay value is a configuration choice, not
@@ -49,8 +48,7 @@ class LossConfig:
                               setting="mode")
 
 
-@dataclass(frozen=True)
-class StagePrediction:
+class StagePrediction(Record):
     """One refinement stage: index k (1-based) plus predicted/true poses."""
 
     stage_index: int
@@ -93,8 +91,7 @@ def loss_fov(pred, true) -> float:
     return abs(rp - rt)
 
 
-@dataclass(frozen=True)
-class StageBreakdown:
+class StageBreakdown(Record):
     """Per-stage weighted loss terms; their sum over stages is the total."""
 
     stage_index: int

@@ -82,8 +82,12 @@ class PoseLog:
         position = {f: i for i, f in enumerate(frame_ids)}
         if len(position) != len(frame_ids):
             raise InvariantViolation(f"duplicate frame ids in log {subject_id!r}")
-        for f in frame_ids:
-            _check_id("frame", f, limit)
+        # one pass over all ids; the per-id check names the first bad one
+        joined = "".join(frame_ids)
+        if (any(c in joined for c in ',\r\n#"')
+                or max(map(len, frame_ids)) > limit):
+            for f in frame_ids:
+                _check_id("frame", f, limit)
         n = len(frame_ids)
         quats = canonical_many(np.asarray(quats, dtype=float).reshape(n, 4))
         translations = np.array(translations, dtype=float).reshape(n, 3)

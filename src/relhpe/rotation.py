@@ -14,9 +14,9 @@ numpy arrays alike, so geometry's batched forms share their formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
+from .records import Record
 
 
 def _canonical(q):
@@ -62,8 +62,7 @@ def chord_squares(a, b):
             sw * sw + sx * sx + sy * sy + sz * sz)
 
 
-@dataclass(frozen=True, init=False)
-class Rotation:
+class Rotation(Record):
     """Unit quaternion with canonical sign.
 
     Accepts any nonzero finite quaternion; normalizes and canonicalizes on

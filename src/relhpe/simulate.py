@@ -43,7 +43,6 @@ import functools
 import hashlib
 import math
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,6 +51,7 @@ from .geometry import (SE3Pose, axis_angle_many, compose_many,
                        geodesic_deg_many, inverse_many, multiply_many,
                        relative, rotation_from_euler_many, row_norms)
 from .poselog import PoseLog
+from .records import Record
 from .rotation import Rotation, geodesic_deg
 from .rows import csv_rows, finite_floats, row_errors
 
@@ -310,8 +310,7 @@ def _unit_vectors(batch, seed) -> np.ndarray:
     return batch.streams[seed]
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(Record):
     base_deg: float = 0.0
     slope_deg_per_deg: float = 0.0
     trans_noise_mm: float = 0.0
@@ -413,8 +412,7 @@ class RelativeSimEstimator:
             batch, rel, nm.base_deg + nm.slope_deg_per_deg * gap, nm), batch.anchor)
 
 
-@dataclass(frozen=True)
-class PoseSampler:
+class PoseSampler(Record):
     """Uniform pose sampling ranges (degrees / mm) for synthetic logs."""
 
     yaw_range: tuple = (-75.0, 75.0)

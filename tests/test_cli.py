@@ -172,6 +172,25 @@ class TestPairs:
         assert captured.err.startswith("error: log 'B': ")
         assert os.listdir(out) == []
 
+    def test_hashes_input_once(self, tmp_path, monkeypatch):
+        """A 4-subject pairs run hashes its log once, and every subject's
+        report carries that hash."""
+        sim = tmp_path / "sim"
+        assert run(["--out", sim, "simulate", "--subjects", "4",
+                    "--frames-per-log", "40"]) == 0
+        log = sim / "simulated_poselog.csv"
+        calls = []
+        sha256 = reports.file_sha256
+        monkeypatch.setattr(reports, "file_sha256",
+                            lambda path: calls.append(path) or sha256(path))
+        out = tmp_path / "o"
+        assert run(["--out", out, "pairs", log, "--pair-kind", "easy",
+                    "--neutral-thresh-deg", "1000", "--max-gap-deg", "40"]) == 0
+        assert calls == [str(log)]
+        for s in range(4):
+            env = json.loads(read(out / f"pairs_subj{s:03d}.json"))
+            assert env["inputs_sha256"] == {str(log): sha256(log)}
+
 
 def single_subject_log(tmp_path):
     out = tmp_path / "single"
@@ -370,7 +389,8 @@ class TestLoss:
     @pytest.mark.parametrize("mode", ["full", "geodesic"])
     def test_runs_without_numpy(self, mode, tmp_path, rng):
         """`python -m relhpe.cli loss` writes the same loss.json as the
-        command run here, and never imports numpy: -X importtime logs every
+        command run here, and never imports numpy, nor dataclasses and
+        inspect (the records generate no code): -X importtime logs every
         module a run imports."""
         pred, true = tmp_path / "pred.csv", tmp_path / "true.csv"
         for path in (pred, true):
@@ -396,6 +416,7 @@ class TestLoss:
                     if line.startswith("import time:")]
         assert {"relhpe.losses", "relhpe.rows"} <= set(imported)
         assert [m for m in imported if m.split(".")[0] == "numpy"] == []
+        assert {"dataclasses", "inspect"}.isdisjoint(imported)
         assert read(out2 / "loss.json") == read(out / "loss.json")
 
     def test_stage_mismatch(self, tmp_path, capsys):

@@ -6,14 +6,17 @@ module's private (single-underscore) names, and must use every private
 name it defines at module level; a public one must be exported by the
 package or used somewhere in the sources.  The README's library table
 must name only what its modules define.  The stdlib-only modules import
-nothing else when they are imported.  In the CLI, only main resolves
+nothing else when they are imported.  No module imports dataclasses, and
+importing the package compiles no generated code.  In the CLI, only main resolves
 settings and creates the output directory, and only _write_report builds
 a report envelope.
 """
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -145,8 +148,8 @@ def test_readme_library_table_names_exist(module, names):
 # The modules that load only the standard library, so that `report` and
 # `loss` run without numpy: each may import, when it is itself imported,
 # only standard-library modules and other modules of this list.
-STDLIB_ONLY = ("camera", "cli", "errors", "losses", "reports", "rotation",
-               "rows", "vocab")
+STDLIB_ONLY = ("camera", "cli", "errors", "losses", "records", "reports",
+               "rotation", "rows", "vocab")
 
 
 def _import_time_imports(body):
@@ -182,6 +185,39 @@ def test_stdlib_only_modules_import_no_numpy(name):
            if not (module.split(".")[0] in sys.stdlib_module_names
                    or module[1:] in STDLIB_ONLY)]
     assert not bad, f"{name}.py imports more than the standard library: {bad}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    """The record classes subclass records.Record, which generates no code
+    when a module is imported; dataclass would."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [f"line {node.lineno}" for _, name, _, node in _imports(tree)
+             if "dataclasses" in (name.split(".")[0], getattr(node, "module", None))]
+    assert not found, f"{path.name} imports dataclasses: {found}"
+
+
+def test_importing_the_package_compiles_no_code():
+    """Importing every module of the package, with numpy already loaded,
+    compiles no string of source (an audit hook counts the 'compile'
+    events of '<string>', as exec of generated methods makes them)."""
+    names = ["relhpe"] + [f"relhpe.{p.stem}" for p in MODULES]
+    script = (
+        "import importlib, sys\n"
+        "import numpy\n"
+        "compiled = []\n"
+        "sys.addaudithook(lambda event, args: compiled.append(args[1])\n"
+        "                 if event == 'compile' and args[1] == '<string>' else None)\n"
+        f"for name in {names!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print(len(compiled))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 # The CLI's one command runner: the call in cli.py -> the functions that

@@ -135,6 +135,25 @@ def test_from_arrays_checks(change, error, match):
         PoseLog(**args)
 
 
+@pytest.mark.parametrize("ids, bad", [
+    (["a#b", 'x"y', "ok"], None),
+    (["a#b", 'x"y', " #c", "d,e"], " #c"),
+    (["a", "b\r", '"c'], "b\r"),
+    (["a", "b", "x" * 200000, "#c"], "x" * 20),
+])
+def test_the_first_bad_frame_id_is_named(ids, bad):
+    """The ids are checked in one pass over all of them; an id holding
+    '#' or '"' past its start is accepted, and of several bad ids the
+    first is named."""
+    quats, translations = [[1, 0, 0, 0]] * len(ids), [[0, 0, 0]] * len(ids)
+    if bad is None:
+        assert PoseLog("s", ids, quats, translations).frame_ids == tuple(ids)
+        return
+    with pytest.raises(InvariantViolation) as info:
+        PoseLog("s", ids, quats, translations)
+    assert str(info.value).startswith(f"frame id {bad!r}")
+
+
 def test_an_id_longer_than_the_csv_field_limit_is_rejected():
     """csv_rows cannot read back a cell longer than csv.field_size_limit(),
     so PoseLog refuses an id or a frame tag that export_canonical would
