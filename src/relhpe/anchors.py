@@ -11,10 +11,10 @@ Four regimes:
                       kernel, in blocks of 16 queries: memory O(16 x N).
 * temporal_previous - frame i-1 anchors frame i; frame 0 is unpaired.
 * external_predicted - anchor frame as fixed_first, but the anchor pose
-                      comes from an external estimator's prediction.
+                      comes from an external estimator's prediction
+                      (harness.sweep takes it from the subject's table).
 
-anchor_arrays makes these decisions as arrays over a log's frames, and
-names the anchor prediction by its row in a prediction table (a PoseLog).
+anchor_arrays makes these decisions as arrays over a log's frames.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, FrameMismatch, MissingPredictions
+from .errors import DomainError, FrameMismatch
 from .geometry import (SE3Pose, apply_anchor, geodesic_deg_many,
                        pairs_within_deg, relative)
 from .poselog import PoseLog
@@ -36,7 +36,6 @@ from .vocab import POLICY_KINDS
 class AnchorPolicy(Record):
     kind: str
     threshold_deg: Optional[float] = None
-    external_source: Optional[str] = None
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
@@ -45,48 +44,25 @@ class AnchorPolicy(Record):
             if self.threshold_deg is None or not 0 < self.threshold_deg < math.inf:
                 raise DomainError("nearest_within needs a finite threshold_deg > 0",
                                   setting="threshold_deg")
-        if self.kind == "external_predicted" and not self.external_source:
-            raise DomainError("external_predicted needs external_source")
 
 
 class AnchorArrays(Record):
     """Anchor assignment, row i for frame i of the log: anchor[i] is the
     anchor frame's position (-1 when unpaired) and gap_deg[i] the
-    anchor-query geodesic gap (0 when unpaired).  When predicted_row is
-    not None, every paired query's anchor pose is that row of the
-    prediction table, an external estimator's prediction; else it is the
-    anchor frame's pose."""
+    anchor-query geodesic gap (0 when unpaired), both from the true poses."""
 
     anchor: np.ndarray
     gap_deg: np.ndarray
-    predicted_row: Optional[int] = None
 
 
-def anchor_arrays(log: PoseLog, policy: AnchorPolicy,
-                  predictions: Optional[PoseLog] = None) -> AnchorArrays:
+def anchor_arrays(log: PoseLog, policy: AnchorPolicy) -> AnchorArrays:
     """Anchor assignment for every frame of the log, as arrays.
-
-    predictions is a prediction table (a PoseLog keyed by frame id) and
-    is required, holding the anchor frame, under external_predicted;
-    FrameMismatch when the table is tagged with another frame than the log.
-    """
+    external_predicted chooses frames as fixed_first does."""
     quats, n = log.quats, len(log)
     anchor, gap = np.full(n, -1), np.zeros(n)
     if policy.kind in ("fixed_first", "external_predicted"):
         anchor[:] = 0
         gap = geodesic_deg_many(quats[0], quats)
-        if policy.kind == "external_predicted":
-            first = log.frame_ids[0]
-            if predictions is None or first not in predictions:
-                raise MissingPredictions(
-                    f"no prediction for anchor frame {first!r} "
-                    f"from estimator {policy.external_source!r}")
-            if predictions.frame_tag != log.frame_tag:
-                raise FrameMismatch(
-                    f"anchor prediction for frame {first!r} from estimator "
-                    f"{policy.external_source!r} is tagged "
-                    f"{predictions.frame_tag!r}, log is {log.frame_tag!r}")
-            return AnchorArrays(anchor, gap, predictions.position(first))
     elif policy.kind == "temporal_previous":
         anchor[1:] = np.arange(n - 1)
         gap[1:] = geodesic_deg_many(quats[:-1], quats[1:])

@@ -351,15 +351,19 @@ def pairs_within_deg(quats, max_deg):
 
 def medoid_index(quats) -> int:
     """Index of the row minimizing the mean geodesic_deg_many to all rows
-    (sum / N, in row order), lowest index on ties.  The exact mean is taken
-    only for the rows whose screened mean is within MEDOID_MARGIN_DEG of
-    the least (see screen_blocks).
+    (sum / N, the sum taken left to right in row order), lowest index on
+    ties.  The exact mean is taken only for the rows whose screened mean is
+    within MEDOID_MARGIN_DEG of the least (see screen_blocks).
     """
     n = len(quats)
     screened = np.concatenate([np.arccos(np.minimum(c, 1.0)).sum(axis=1)
                                for _, c in screen_blocks(quats)])
     screened *= math.degrees(2.0) / n
     rows = np.flatnonzero(screened <= screened.min() + MEDOID_MARGIN_DEG)
-    means = [sum(geodesic_deg_many(quats[i], quats).tolist()) / n
-             for i in rows.tolist()]
+    means = []
+    for i in rows.tolist():
+        total = 0.0  # not the built-in sum, compensated from CPython 3.12
+        for d in geodesic_deg_many(quats[i], quats).tolist():
+            total += d
+        means.append(total / n)
     return int(rows[means.index(min(means))])

@@ -45,15 +45,16 @@ import numpy as np
 
 from .anchors import AnchorPolicy, anchor_arrays
 from .camera import Intrinsics
-from .errors import (DomainError, InsufficientFrames, InvariantViolation,
-                     MalformedPoseFile, MissingCalibration, MissingPrediction,
-                     ParseError, RelHpeError, whole)
+from .errors import (DomainError, FrameMismatch, InsufficientFrames,
+                     InvariantViolation, MalformedPoseFile, MissingCalibration,
+                     MissingPrediction, MissingPredictions, ParseError,
+                     RelHpeError, whole)
 from .geometry import (SE3Pose, compose_many, euler_deg_many,
                        geodesic_deg_many, medoid_index, pairs_within_deg)
 from .poselog import FORMAT_VERSION, HEADER_PREFIX, PoseLog, header
 from .records import Record
 from .rotation import Rotation
-from .rows import csv_rows, finite_floats
+from .rows import csv_rows, finite_floats, row_errors
 from .vocab import SWEEP_AXES
 
 _NO_INTRINSICS = (math.nan,) * 6  # the intrinsics columns of a row without
@@ -155,7 +156,7 @@ def ingest_canonical_all(path) -> list:
     subjects = {}  # subject -> (its frame ids as keys, 13 numbers a row)
     for lineno, cols in csv_rows(path, (10, 16)):
         subject, frame_id = cols[0], cols[1]
-        try:
+        with row_errors(path, lineno):
             index, vals = int(cols[2]), finite_floats(cols[3:])
             w, x, y, z = vals[:4]
             norm = math.sqrt(w * w + x * x + y * y + z * z)
@@ -166,8 +167,6 @@ def ingest_canonical_all(path) -> list:
             # finite_floats leaves only the sizes' sign to check
             if len(vals) == 13 and not min(vals[7], vals[8], vals[11], vals[12]) > 0:
                 Intrinsics(*vals[7:])  # raises, naming the fault
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
         if subject not in subjects:
             subjects[subject] = ({}, array("d"))
         ids, numbers = subjects[subject]
@@ -591,7 +590,7 @@ def score(estimators, batches) -> dict:
 
 
 def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
-          bin_width_deg: float = 5.0, predictions_by_estimator=None) -> SweepReport:
+          bin_width_deg: float = 5.0, anchor_predictions=None) -> SweepReport:
     """Binned per-estimator metrics along the chosen difficulty axis.
 
     axis "anchor_query_gap" bins by the anchor-query geodesic gap;
@@ -599,9 +598,13 @@ def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
     neutral reference and requires a nearest_within policy so the gap stays
     controlled.  Unpaired queries are counted but never evaluated.  Within
     a bin, queries keep log order and query_id order within a log.
-    predictions_by_estimator maps an estimator id to its prediction table
-    (a PoseLog), from which external_predicted takes its anchors.  logs and
-    estimators may be any iterables, or a lone PoseLog and a lone estimator.
+    anchor_predictions maps a subject id to that subject's prediction table
+    (a PoseLog).  Under external_predicted each query of a log is composed
+    onto its subject's prediction for the log's first frame; before that
+    log's batch is scored, MissingPredictions when there is none, and
+    FrameMismatch when the table is tagged with another frame than the log.
+    logs and estimators may be any iterables, or a lone PoseLog and a lone
+    estimator.
     """
     if not isinstance(policy, AnchorPolicy):
         raise DomainError(f"a sweep needs an anchor policy (an AnchorPolicy), "
@@ -620,11 +623,11 @@ def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
 
     values = [np.empty(0)]  # axis value per paired query
     unpaired = []  # per log
-    table = (predictions_by_estimator or {}).get(policy.external_source)
+    tables = anchor_predictions or {}
 
     def batches():  # one log's batch at a time
         for log in logs:
-            rows = anchor_arrays(log, policy, table)
+            rows = anchor_arrays(log, policy)
             queries = sorted(np.flatnonzero(rows.anchor >= 0).tolist(),
                              key=log.frame_ids.__getitem__)
             unpaired.append(len(log) - len(queries))
@@ -632,8 +635,16 @@ def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
                 values.append(rows.gap_deg[queries])
             else:
                 values.append(_distances_to_reference(log)[queries])
-            anchor = (None if rows.predicted_row is None else
-                      _rows(table, [rows.predicted_row] * len(queries)))
+            anchor = None
+            if policy.kind == "external_predicted":
+                table, first = tables.get(log.subject_id), log.frame_ids[0]
+                where = f"anchor frame {first!r} of log {log.subject_id!r}"
+                if table is None or first not in table:
+                    raise MissingPredictions(f"no prediction for {where}")
+                if table.frame_tag != log.frame_tag:
+                    raise FrameMismatch(f"prediction for {where} is tagged "
+                                        f"{table.frame_tag!r}, log is {log.frame_tag!r}")
+                anchor = _rows(table, [table.position(first)] * len(queries))
             yield query_batch(log, queries, rows.anchor[queries], anchor)
 
     errors = _pooled_errors(estimators, batches())

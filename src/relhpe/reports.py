@@ -8,7 +8,6 @@ report bodies byte for byte.  No timestamps.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import os
@@ -37,6 +36,8 @@ FILES = {"pairs": {"csv": "pairs_csv"}, "eval": {"csv": "metric_csv"},
 
 
 def file_sha256(path) -> str:
+    import hashlib  # here, so that a command that hashes nothing never loads it
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):

@@ -19,9 +19,9 @@ def yaw_log(degrees):
     return make_log([yaw_pose(d) for d in degrees])
 
 
-def anchors_of(log, policy, predictions=None):
+def anchors_of(log, policy):
     """(query id, anchor id or None, gap) for each frame of the log."""
-    out = anchor_arrays(log, policy, predictions)
+    out = anchor_arrays(log, policy)
     ids = log.frame_ids
     return [(q, ids[j] if j >= 0 else None, g) for q, j, g in
             zip(ids, out.anchor.tolist(), out.gap_deg.tolist())]
@@ -37,7 +37,6 @@ class TestFixedFirst:
         out = anchor_arrays(log, AnchorPolicy("fixed_first"))
         # exactly one ground-truth anchor pose, frame 0's, is referenced
         assert out.anchor.tolist() == [0, 0, 0, 0]
-        assert out.predicted_row is None
 
     def test_gap_matches_geodesic(self):
         log = yaw_log([0, 40])
@@ -112,44 +111,108 @@ class TestTemporalPrevious:
             assert err <= i * eps + 1e-9
 
 
+class RecordingEstimator(RelativeSimEstimator):
+    """A noiseless relative estimator that keeps each batch it predicts."""
+
+    def __init__(self):
+        super().__init__("perfect", NoiseModel())
+        self.batches = []
+
+    def predict(self, batch):
+        self.batches.append(batch)
+        return super().predict(batch)
+
+
+def offset_pose(pose, deg):
+    """pose with its rotation turned by deg about a fixed oblique axis."""
+    axis = np.array([1.0, 2.0, 0.5])
+    return SE3Pose(Rotation.from_axis_angle(axis, math.radians(deg))
+                   * pose.rotation, pose.translation, pose.frame_tag)
+
+
+EXTERNAL = AnchorPolicy("external_predicted")
+
+
 class TestExternalPredicted:
     def test_uses_predicted_anchor_pose(self, rng):
         log = yaw_log([0, 30])
         table = pose_log({"f9": random_pose(rng), "f0": random_pose(rng)})
-        out = anchor_arrays(log, AnchorPolicy("external_predicted",
-                                              external_source="est1"), table)
-        # every query's anchor pose is the table's row for frame f0
+        # frames are chosen as fixed_first, gaps from ground truth
+        out = anchor_arrays(log, EXTERNAL)
         assert out.anchor.tolist() == [0, 0]
-        assert out.predicted_row == 1
-        # gap is still computed from ground truth
         assert abs(out.gap_deg[1] - 30.0) < 1e-9
+        # every query's anchor pose is the table's row for frame f0
+        est = RecordingEstimator()
+        sweep(log, est, EXTERNAL, "anchor_query_gap",
+              anchor_predictions={"s1": table})
+        (batch,) = est.batches
+        assert np.array_equal(batch.anchor[0], np.tile(table.quats[1], (2, 1)))
+        assert np.array_equal(batch.anchor[1], np.tile(table.translations[1], (2, 1)))
+        assert np.array_equal(batch.anchor_truth[0], log.quats[[0, 0]])
 
     def test_missing_predictions(self):
         log = yaw_log([0, 30])
-        policy = AnchorPolicy("external_predicted", external_source="est1")
-        with pytest.raises(MissingPredictions):
-            anchor_arrays(log, policy)
-        with pytest.raises(MissingPredictions):
-            anchor_arrays(log, policy, pose_log({"f1": yaw_pose(1)}))
+        perfect = RelativeSimEstimator("perfect", NoiseModel())
+        for tables in (None, {}, {"s2": pose_log({"f0": yaw_pose(1)})},
+                       {"s1": pose_log({"f1": yaw_pose(1)})}):
+            with pytest.raises(MissingPredictions,
+                               match="anchor frame 'f0' of log 's1'"):
+                sweep(log, perfect, EXTERNAL, "anchor_query_gap",
+                      anchor_predictions=tables)
 
     def test_prediction_in_another_frame(self):
         """A "depth" anchor prediction on a "world" log is refused, naming
         both tags, before any pose is composed with it."""
         log = yaw_log([0, 10, 20, 30, 40])
-        policy = AnchorPolicy("external_predicted", external_source="est1")
-        predicted = pose_log({"f0": SE3Pose.identity("depth")})
         perfect = RelativeSimEstimator("perfect", NoiseModel())
-        calls = [lambda: anchor_arrays(log, policy, predicted),
-                 lambda: sweep(log, perfect, policy, "anchor_query_gap",
-                               predictions_by_estimator={"est1": predicted})]
-        for call in calls:
-            with pytest.raises(FrameMismatch, match="'depth', log is 'world'"):
-                call()
+        with pytest.raises(FrameMismatch, match="'depth', log is 'world'"):
+            sweep(log, perfect, EXTERNAL, "anchor_query_gap",
+                  anchor_predictions={"s1": pose_log(
+                      {"f0": SE3Pose.identity("depth")})})
         # in the log's frame the same prediction pairs every query
-        rep = sweep(log, perfect, policy, "anchor_query_gap",
-                    predictions_by_estimator={"est1": pose_log(
+        rep = sweep(log, perfect, EXTERNAL, "anchor_query_gap",
+                    anchor_predictions={"s1": pose_log(
                         {"f0": SE3Pose.identity()})})
         assert rep.total_paired == 5
+
+    @pytest.mark.parametrize("bad, error", [
+        (None, MissingPredictions),
+        (pose_log({"f0": SE3Pose.identity("depth")}), FrameMismatch)])
+    def test_refused_before_the_log_is_scored(self, bad, error):
+        """The first log is scored; the second log's anchor prediction is
+        checked, and refused, before its batch reaches an estimator."""
+        logs = [pose_log([yaw_pose(d) for d in (0, 10)], subject=s)
+                for s in ("s1", "s2")]
+        tables = {"s1": pose_log({"f0": yaw_pose(2)}), "s2": bad}
+        est = RecordingEstimator()
+        with pytest.raises(error, match="'f0' of log 's2'"):
+            sweep(logs, est, EXTERNAL, "anchor_query_gap",
+                  anchor_predictions=tables)
+        assert [b.subject_id for b in est.batches] == ["s1"]
+
+    def test_each_subject_its_own_anchor_prediction(self):
+        """Two logs share frame ids; each subject's queries are composed
+        onto its own table's anchor, so a perfect relative estimator is off
+        by exactly that subject's anchor error (the geodesic distance is
+        bi-invariant)."""
+        truth = {"s1": [0, 12, 22], "s2": [50, 92, 132]}
+        theta = {"s1": 3.0, "s2": 11.0}
+        logs = [pose_log([yaw_pose(d) for d in yaws], subject=s)
+                for s, yaws in truth.items()]
+        tables = {s: pose_log({"f0": offset_pose(yaw_pose(yaws[0]), theta[s])})
+                  for s, yaws in truth.items()}
+        est = RecordingEstimator()
+        rep = sweep(logs, est, EXTERNAL, "anchor_query_gap",
+                    anchor_predictions=tables)
+        # gaps 0, 12, 22 (s1) and 0, 42, 82 (s2): bin 0 holds both frame 0s
+        by_bin = {b.lo: b.reports["perfect"] for b in rep.bins if b.pair_count}
+        assert {lo: r.n for lo, r in by_bin.items()} == {
+            0.0: 2, 10.0: 1, 20.0: 1, 40.0: 1, 80.0: 1}
+        assert by_bin[0.0].geodesic_mae == pytest.approx(7.0, abs=1e-9)
+        for lo, s in ((10.0, "s1"), (20.0, "s1"), (40.0, "s2"), (80.0, "s2")):
+            assert by_bin[lo].geodesic_mae == pytest.approx(theta[s], abs=1e-9)
+        for batch, table in zip(est.batches, tables.values()):
+            assert np.array_equal(batch.anchor[0], np.tile(table.quats, (3, 1)))
 
 
 class TestPolicyValidation:
@@ -164,10 +227,6 @@ class TestPolicyValidation:
             AnchorPolicy("nearest_within", threshold_deg=-1.0)
         with pytest.raises(DomainError):
             AnchorPolicy("nearest_within", threshold_deg=math.nan)
-
-    def test_external_needs_source(self):
-        with pytest.raises(ValueError):
-            AnchorPolicy("external_predicted")
 
 
 class TestPropagateAnchorError:

@@ -126,9 +126,18 @@ def _predictions_from_log(log_path, dest):
     _write(dest, "\n".join(lines) + "\n")
 
 
-def test_config_driven_outputs_unchanged(tmp_path, monkeypatch):
-    # Reports echo input paths, so run from a fixed directory layout.
-    monkeypatch.chdir(tmp_path)
+# The pipeline's commands that run without numpy, last: (out dir, argv).
+STDLIB_RUNS = (
+    ("loss", ("--config", "loss.json", "--out", "loss", "loss",
+              "pred_stages.csv", "true_stages.csv")),
+    *(("rep", ("--out", "rep", "report", src)) for src in (
+        "sw_fixed/sweep.json", "p_hard/pairs_subj001.json", "ev/eval.json")),
+)
+
+
+def run_pipeline():
+    """Run every command of the pipeline in the current directory, which
+    should be empty: reports echo input paths, so the layout is fixed."""
     for name, cfg in (("sim", SIM_CONFIG), ("sweep", SWEEP_CONFIG),
                       ("pairs", PAIRS_CONFIG), ("loss", LOSS_CONFIG)):
         _write(f"{name}.json", json.dumps(cfg))
@@ -161,14 +170,18 @@ def test_config_driven_outputs_unchanged(tmp_path, monkeypatch):
     _run("--seed", 9, "--out", "ev", "eval", "truth/simulated_poselog.csv",
          "truth/pairs_subj000.csv", "preds.csv")
 
-    _run("--config", "loss.json", "--out", "loss", "loss",
-         "pred_stages.csv", "true_stages.csv")
-    for src in ("sw_fixed/sweep.json", "p_hard/pairs_subj001.json",
-                "ev/eval.json"):
-        _run("--out", "rep", "report", src)
+    for _, argv in STDLIB_RUNS:
+        _run(*argv)
 
-    digests = {}
-    for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
-        rel = path.relative_to(tmp_path).as_posix()
-        digests[rel] = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digests == GOLDEN
+
+def digests(root) -> dict:
+    """{path relative to root: SHA-256} of every file under root."""
+    return {path.relative_to(root).as_posix():
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(p for p in root.rglob("*") if p.is_file())}
+
+
+def test_config_driven_outputs_unchanged(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_pipeline()
+    assert digests(tmp_path) == GOLDEN

@@ -416,7 +416,7 @@ class TestFrameSetKernel:
             monkeypatch.setattr(module, "geodesic_deg", counting, raising=False)
         log = make_log([euler_pose(y, 0.1 * y) for y in np.linspace(-80, 80, 200)])
         for kind in POLICY_KINDS:
-            out = anchor_arrays(log, AnchorPolicy(kind, 10.0, "ext"), log)
+            out = anchor_arrays(log, AnchorPolicy(kind, 10.0))
             assert len(out.anchor) == 200
         neutral_reference(log)
         assert build_easy_pairs(log, n_pairs=50).stats["count"] == 50
@@ -680,8 +680,8 @@ class TestSweep:
         predicted = pose_log({anchor.frame_id: SE3Pose(
             offset * anchor.pose.rotation, anchor.pose.translation)})
         rep = sweep(log, perfect_relative(),
-                    AnchorPolicy("external_predicted", external_source="ext"),
-                    "anchor_query_gap", predictions_by_estimator={"ext": predicted})
+                    AnchorPolicy("external_predicted"), "anchor_query_gap",
+                    anchor_predictions={log.subject_id: predicted})
         # gaps 0, 10, ..., 70 deg: one query per 5 deg bin
         filled = [b.reports["perfect"] for b in rep.bins if b.pair_count]
         assert rep.total_paired == 8 and [r.n for r in filled] == [1] * 8

@@ -6,20 +6,24 @@ module's private (single-underscore) names, and must use every private
 name it defines at module level; a public one must be exported by the
 package or used somewhere in the sources.  The README's library table
 must name only what its modules define.  The stdlib-only modules import
-nothing else when they are imported.  No module imports dataclasses, and
-importing the package compiles no generated code.  In the CLI, only main resolves
-settings and creates the output directory, and only _write_report builds
-a report envelope.
+nothing else when they are imported.  No module imports dataclasses,
+importing the package compiles no generated code, and commands that hash
+nothing load no hashlib.  In the CLI, only main resolves settings and
+creates the output directory, and only _write_report builds a report
+envelope.
 """
 
 import ast
 import importlib
+import json
 import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+
+from relhpe import reports
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "relhpe"
@@ -211,13 +215,38 @@ def test_importing_the_package_compiles_no_code():
         f"for name in {names!r}:\n"
         "    importlib.import_module(name)\n"
         "print(len(compiled))\n")
+    assert _python(script) == "0"
+
+
+def _python(script):
+    """The last line that script prints, run by this interpreter in a fresh
+    process with the package's sources first on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_cli_and_report_load_no_hashlib(tmp_path):
+    """Importing the CLI and a `report` run hash nothing, so neither loads
+    hashlib (reports.file_sha256 imports it when it is called)."""
+    source = tmp_path / "eval.json"
+    source.write_text(json.dumps(reports.envelope(
+        "eval", {}, 0, {}, {"e": {"yaw_mae": 1.0, "pitch_mae": 2.0,
+                                  "roll_mae": 3.0, "mae": 2.0,
+                                  "geodesic_mae": 4.0, "n": 1}})))
+    script = (
+        "import sys\n"
+        "hashing = lambda: sorted({'hashlib', '_hashlib'} & set(sys.modules))\n"
+        "from relhpe.cli import main\n"
+        "imported = hashing()\n"
+        f"status = main(['--out', {str(tmp_path)!r}, 'report', {str(source)!r}])\n"
+        "print(imported, hashing(), status)\n")
+    assert _python(script) == "[] [] 0"
+    assert (tmp_path / "eval.csv").read_text().startswith("estimator,n,")
 
 
 # The CLI's one command runner: the call in cli.py -> the functions that

@@ -23,8 +23,8 @@ ARRAY = np.arange(3.0)  # one object, so that fields holding it compare equal
 
 # class name -> arguments for every field, in field order
 EXAMPLES = {
-    "AnchorPolicy": ("nearest_within", 10.0, None),
-    "AnchorArrays": (ARRAY, ARRAY, 2),
+    "AnchorPolicy": ("nearest_within", 10.0),
+    "AnchorArrays": (ARRAY, ARRAY),
     "CameraPose": ((1.0, 2.0, 3.0), Rotation(1.0, 0.0, 0.0, 0.0), 1.0, 1.2),
     "Intrinsics": (500.0, 510.0, 320.0, 240.0, 640.0, 480.0),
     "CropSpec": (10.0, 20.0, 100.0, 64.0),
@@ -148,8 +148,9 @@ def test_defaults_fill_the_missing_fields():
     ("anchors", "AnchorPolicy", {"kind": "bogus"}, DomainError, "unknown policy"),
     ("anchors", "AnchorPolicy", {"kind": "nearest_within"}, DomainError,
      "threshold_deg"),
-    ("anchors", "AnchorPolicy", {"kind": "external_predicted"}, DomainError,
-     "external_source"),
+    ("anchors", "AnchorPolicy", {"kind": "nearest_within",
+                                 "threshold_deg": math.inf}, DomainError,
+     "finite threshold_deg"),
     ("simulate", "NoiseModel", {"seed": -1}, DomainError, "seed"),
     ("simulate", "NoiseModel", {"base_deg": math.nan}, DomainError, "finite"),
     ("simulate", "PoseSampler", {"yaw_range": (1.0, -1.0)}, EmptyRange, "yaw_range"),

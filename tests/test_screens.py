@@ -9,12 +9,15 @@ thresholds one ulp either side of an actual gap.
 """
 
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relhpe.geometry
 from relhpe import (AnchorPolicy, EulerAngles, Rotation, SE3Pose,
                     anchor_arrays, build_easy_pairs, build_hard_pairs,
                     geodesic_deg, geodesic_deg_many, neutral_reference,
@@ -50,7 +53,8 @@ def nearest_oracle(log, threshold_deg):
 
 
 def medoid_oracle(quats):
-    means = [sum(geodesic_deg_many(q, quats).tolist()) / len(quats)
+    # each row's sum left to right, as medoid_index takes it
+    means = [reduce(add, geodesic_deg_many(q, quats).tolist(), 0.0) / len(quats)
              for q in quats]
     return means.index(min(means))
 
@@ -222,6 +226,17 @@ class TestEdges:
                    for query, anchor, _ in assigned(log, 1e-9))
         assert medoid_index(log.quats) == 0
         assert build_easy_pairs(log, 1.0, 0.0, n_pairs=10 ** 6).stats["count"] == 72
+
+    def test_medoid_mean_is_a_plain_left_to_right_sum(self, monkeypatch):
+        """Each exact mean adds its row's distances left to right, as the
+        built-in sum did before CPython 3.12 compensated it: row 0's
+        [1e16, 1.0, -1e16] sums to 0.0 so (the 1.0 is lost) but to 1.0
+        compensated, which would lose to row 1's 0.5."""
+        rows = iter([[1e16, 1.0, -1e16], [0.5, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        monkeypatch.setattr(relhpe.geometry, "geodesic_deg_many",
+                            lambda quat, quats: np.array(next(rows)))
+        # identical rows: every row passes the mean screen
+        assert medoid_index(np.array([Rotation.identity().quat] * 3)) == 0
 
     def test_clustered_log_every_frame_survives(self, rng):
         """All frames within a micro-degree: every pair passes the threshold
