@@ -16,16 +16,17 @@ _EXPORTS = {
     "camera": ("CameraPose", "CropSpec", "Intrinsics", "compose_crops",
                "crop_update_intrinsics", "fov_from_intrinsics",
                "intrinsics_from_fov", "logtan_fov", "project"),
-    "geometry": ("EulerAngles", "SE3Pose", "apply_anchor", "compose",
-                 "euler_from_rotation", "geodesic_deg_many", "inverse",
-                 "normalize_to_anchor", "relative", "rotation_from_euler"),
-    "rotation": ("Rotation", "geodesic_deg"),
+    "geometry": ("SE3Pose", "apply_anchor", "compose", "geodesic_deg_many",
+                 "inverse", "normalize_to_anchor", "relative",
+                 "rotation_from_euler"),
+    "rotation": ("EulerAngles", "Rotation", "euler_from_rotation", "geodesic_deg"),
     "poselog": ("PoseLog",),
-    "harness": ("MetricReport", "PairSet", "SweepBin", "SweepReport",
+    "harness": ("PairSet", "SweepBin", "SweepReport",
                 "TableEstimator", "build_easy_pairs", "build_hard_pairs",
                 "evaluate", "export_canonical", "ingest_biwi", "ingest_canonical",
                 "ingest_canonical_all", "neutral_reference", "pair_batch",
-                "score", "sweep", "wrap_deg"),
+                "score", "sweep"),
+    "tables": ("MetricReport", "wrap_deg"),
     "losses": ("LossConfig", "StageBreakdown", "StagePrediction", "loss_cam",
                "loss_fov", "loss_rotation_geodesic", "loss_rotation_quat",
                "loss_translation"),

@@ -19,9 +19,10 @@ and input-file hashes, so identical inputs give identical report bytes.
 
 Only the standard library and the stdlib-only reports, errors and vocab
 modules load with this module; each command imports the library modules
-it runs.  `report` and `loss` run without numpy: `loss` reads its stage
-files through rows and computes on camera, rotation and losses, which
-load only the standard library.
+it runs.  `report`, `loss` and `eval` run without numpy: `loss` reads its
+stage files through rows and computes on camera, rotation and losses, and
+`eval` reads and scores its pair set through scoring, which load only the
+standard library.
 """
 
 from __future__ import annotations
@@ -235,71 +236,14 @@ def cmd_pairs(args, out, cfg, s):
                       payload)
 
 
-# How far (degrees) a pairs-CSV gap may lie from the gap of its frames in
-# the truth log.  `pairs` writes the gap geodesic_deg_many gives, with repr,
-# so its files over the same log match exactly; the slack admits a gap that
-# another tool computed in double precision (the arccos-of-trace form is
-# off by up to about 2e-6 degrees near 0 and 180) or printed to three
-# decimals.  A pair set made over another log is off by far more.
-GAP_TOLERANCE_DEG = 1e-3
-
-
-def _read_pairs_csv(path):
-    """The pairs command's CSV as a PairSet, read by position:
-    anchor_id,query_id,gap_deg, with each gap in [0, 180] degrees; and the
-    line number of each pair."""
-    from .harness import PairSet
-    from .rows import csv_rows, row_errors
-    pairs, lines = [], []
-    for lineno, (anchor_id, query_id, gap) in csv_rows(
-            path, (len(reports.PAIRS_CSV_COLUMNS),),
-            header=reports.PAIRS_CSV_COLUMNS[:1]):
-        with row_errors(path, lineno):
-            gap = _finite(gap)
-            if not 0.0 <= gap <= 180.0:
-                raise ValueError(f"gap_deg {gap!r} is outside [0, 180]")
-            pairs.append((anchor_id, query_id, gap))
-            lines.append(lineno)
-    return PairSet("loaded", tuple(pairs), 0), lines
-
-
-def _check_pairs(path, lines, pairs, truth, preds_path, preds):
-    """The pair_batch of pairs over the truth log, once every pair checks
-    out: ParseError '<path>:<line>: ...' at the first pair with an id that
-    the truth log lacks or a query that the prediction table preds (read
-    from preds_path) lacks; else at the first pair whose gap is more than
-    GAP_TOLERANCE_DEG from its frames' gap in the truth log (one
-    geodesic_deg_many over the batch)."""
-    from .geometry import geodesic_deg_many
-    from .harness import pair_batch
-    for lineno, (anchor_id, query_id, _) in zip(lines, pairs.pairs):
-        for frame_id in (anchor_id, query_id):
-            if frame_id not in truth:
-                raise ParseError(f"{path}:{lineno}: log {truth.subject_id!r} "
-                                 f"has no frame {frame_id!r}")
-        if query_id not in preds:
-            raise ParseError(f"{path}:{lineno}: no prediction for query "
-                             f"{query_id!r} in {preds_path}")
-    batch = pair_batch(truth, pairs)
-    true_gaps = geodesic_deg_many(batch.anchor_truth[0], batch.query[0]).tolist()
-    for lineno, (anchor_id, query_id, gap), true_gap in zip(
-            lines, pairs.pairs, true_gaps):
-        if not abs(gap - true_gap) <= GAP_TOLERANCE_DEG:
-            raise ParseError(
-                f"{path}:{lineno}: gap_deg {gap!r} of {anchor_id!r} -> "
-                f"{query_id!r} is {true_gap!r} in the truth log (tolerance "
-                f"{GAP_TOLERANCE_DEG} deg)")
-    return batch
-
-
 def cmd_eval(args, out, cfg, _):
-    from .harness import TableEstimator, ingest_canonical, score
-    from .simulate import load_predictions_csv
-    truth = ingest_canonical(args.truth)
-    pairs, lines = _read_pairs_csv(args.pairs)
-    preds = load_predictions_csv(args.predictions)
-    batch = _check_pairs(args.pairs, lines, pairs, truth, args.predictions, preds)
-    rep = score([TableEstimator("external", preds)], [batch])["external"]
+    from .scoring import (check_pairs, read_pairs_csv, read_predictions,
+                          read_truth, score_pairs)
+    truth = read_truth(args.truth)
+    pairs, lines = read_pairs_csv(args.pairs)
+    preds = read_predictions(args.predictions)
+    check_pairs(args.pairs, lines, pairs, truth, args.predictions, preds)
+    rep = score_pairs(pairs, truth, preds)
     _write_report(args, out, "eval", cfg, reports.metric_payload({"external": rep}))
     print(f"n={rep.n} yaw={rep.yaw_mae:.4f} pitch={rep.pitch_mae:.4f} "
           f"roll={rep.roll_mae:.4f} mae={rep.mae:.4f} geodesic={rep.geodesic_mae:.4f}")

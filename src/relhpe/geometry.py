@@ -1,7 +1,7 @@
 """SO(3)/SE(3) algebra: rigid transforms, the relative pose formulation and
 its composition inverse, Euler angles, and the batched forms of these and
-of the geodesic metric.  The scalar Rotation and geodesic_deg are in
-rotation, which loads no numpy.
+of the geodesic metric.  The scalar Rotation, geodesic_deg, EulerAngles and
+euler_from_rotation are in rotation, which loads no numpy.
 
 Conventions used throughout the package:
 
@@ -21,22 +21,15 @@ import math
 
 import numpy as np
 
+from . import rotation
 from .errors import DomainError, EmptyInput, FrameMismatch
 from .records import Record
-from .rotation import Rotation, chord_squares, hamilton, matrix_entries
+from .rotation import (EulerAngles, Rotation, chord_squares, hamilton,
+                       matrix_entries)
 
-
-class EulerAngles(Record):
-    """Yaw/pitch/roll in degrees under the intrinsic Y-X-Z convention.
-
-    gimbal_lock is set when |pitch| >= 89 deg; the values then come from
-    the degenerate branch (roll fixed at 0).
-    """
-
-    yaw: float
-    pitch: float
-    roll: float
-    gimbal_lock: bool = False
+# The Euler decomposition runs on floats beside Rotation; it stays
+# importable from here, with the conventions above.
+euler_from_rotation = rotation.euler_from_rotation
 
 
 class SE3Pose(Record):
@@ -128,25 +121,6 @@ def rotation_from_euler(e: EulerAngles) -> Rotation:
     qx = Rotation(math.cos(hp), math.sin(hp), 0.0, 0.0)
     qz = Rotation(math.cos(hr), 0.0, 0.0, math.sin(hr))
     return qy * qx * qz
-
-
-def euler_from_rotation(r: Rotation) -> EulerAngles:
-    """Intrinsic Y-X-Z decomposition in degrees.
-
-    From R = R_y(yaw) R_x(pitch) R_z(roll):
-        R[1,2] = -sin(pitch)
-        R[0,2] / R[2,2] = tan(yaw)        (scaled by cos(pitch))
-        R[1,0] / R[1,1] = tan(roll)       (scaled by cos(pitch))
-    Near |pitch| = 90 deg yaw and roll are coupled; the degenerate branch
-    fixes roll = 0 and flags gimbal_lock.
-    """
-    m00, _, m02, m10, m11, m12, m20, _, m22 = matrix_entries((r.w, r.x, r.y, r.z))
-    pitch = math.degrees(math.asin(min(max(-m12, -1.0), 1.0)))
-    if abs(pitch) >= 89.0:
-        yaw = math.degrees(math.atan2(-m20, m00))
-        return EulerAngles(yaw, pitch, 0.0, gimbal_lock=True)
-    return EulerAngles(math.degrees(math.atan2(m02, m22)), pitch,
-                       math.degrees(math.atan2(m10, m11)))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ build them from arrays, export_canonical writes the columns, and the pair
 builders, query batches, TableEstimator and sweep (on anchors.anchor_arrays)
 index them, so none of these builds an object per frame.  A plain canonical
 file is read a block of lines at a time; any other, and one with a bad row,
-row by row (rows.csv_rows), so the first bad row or byte is named by its line.
+row by row (tables.canonical_subjects), so the first bad row or byte is
+named by its line.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from array import array
 from contextlib import suppress
 from functools import cached_property
 from itertools import groupby
-from typing import Optional
 
 import numpy as np
 
@@ -51,13 +51,13 @@ from .errors import (DomainError, FrameMismatch, InsufficientFrames,
                      RelHpeError, whole)
 from .geometry import (SE3Pose, compose_many, euler_deg_many,
                        geodesic_deg_many, medoid_index, pairs_within_deg)
-from .poselog import FORMAT_VERSION, HEADER_PREFIX, PoseLog, header
+from .poselog import PoseLog
 from .records import Record
 from .rotation import Rotation
-from .rows import csv_rows, finite_floats, row_errors
+from .tables import (MetricReport, canonical_frame_tag, canonical_subjects,
+                     header, named_by, wrap_deg)
 from .vocab import SWEEP_AXES
 
-_NO_INTRINSICS = (math.nan,) * 6  # the intrinsics columns of a row without
 _BLOCK_BYTES = 1 << 14  # text read per block by _plain_subjects
 
 
@@ -137,65 +137,25 @@ def _plain_subjects(path):
 
 def ingest_canonical_all(path) -> list:
     """Parse a canonical file into one PoseLog per subject (file order)."""
-    # csv_rows names the line of a bad byte
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        first = fh.readline().rstrip("\n")
-    if not first.startswith(HEADER_PREFIX):
-        raise ParseError(f"{path}: missing '{HEADER_PREFIX}' header line")
-    words = first.split()
-    if len(words) < 3 or words[2] != FORMAT_VERSION:
-        raise ParseError(f"{path}: unsupported format version in header: {first!r}")
-    frame_tag = "world"
-    for tok in words[3:]:
-        if tok.startswith("frame="):
-            frame_tag = tok[len("frame="):]
+    frame_tag = canonical_frame_tag(path)
     subjects = _plain_subjects(path)
     if subjects is not None:
         with suppress(RelHpeError):  # the row loop then names the fault
             return _canonical_logs(path, subjects, frame_tag)
-    subjects = {}  # subject -> (its frame ids as keys, 13 numbers a row)
-    for lineno, cols in csv_rows(path, (10, 16)):
-        subject, frame_id = cols[0], cols[1]
-        with row_errors(path, lineno):
-            index, vals = int(cols[2]), finite_floats(cols[3:])
-            w, x, y, z = vals[:4]
-            norm = math.sqrt(w * w + x * x + y * y + z * z)
-            if not abs(norm - 1.0) <= 1e-3:
-                raise InvariantViolation(
-                    f"{path}:{lineno}: quaternion norm {norm:.6f} deviates "
-                    f"from 1 by more than 1e-3")
-            # finite_floats leaves only the sizes' sign to check
-            if len(vals) == 13 and not min(vals[7], vals[8], vals[11], vals[12]) > 0:
-                Intrinsics(*vals[7:])  # raises, naming the fault
-        if subject not in subjects:
-            subjects[subject] = ({}, array("d"))
-        ids, numbers = subjects[subject]
-        if frame_id in ids:
-            raise ParseError(f"{path}:{lineno}: duplicate frame id {frame_id!r} "
-                             f"in log {subject!r}")
-        if index != len(ids):
-            raise ParseError(f"{path}:{lineno}: log {subject!r}: frame "
-                             f"{frame_id!r} has index {index}, expected {len(ids)}")
-        ids[frame_id] = None
-        numbers.extend(vals)
-        if len(vals) == 7:
-            numbers.extend(_NO_INTRINSICS)
-    return _canonical_logs(path, subjects, frame_tag)
+    return _canonical_logs(path, canonical_subjects(path), frame_tag)
 
 
 def _canonical_logs(path, subjects, frame_tag) -> list:
     if not subjects:
         raise ParseError(f"{path}: no records")
     logs = []
-    try:
+    with named_by(path):
         for subject, (ids, numbers) in subjects.items():
             values = np.frombuffer(numbers).reshape(-1, 13)
             k = values[:, 7:]
             logs.append(PoseLog(
                 subject, ids, values[:, :4], values[:, 4:7], frame_tag,
                 None if np.isnan(k[:, 0]).all() else k))
-    except InvariantViolation as exc:
-        raise InvariantViolation(f"{path}: {exc}") from exc
     return logs
 
 
@@ -404,35 +364,6 @@ def build_easy_pairs(log: PoseLog, neutral_thresh_deg=15.0, max_gap_deg=8.0,
 # metrics
 
 
-def wrap_deg(delta: float) -> float:
-    """Signed angle difference wrapped to [-180, 180)."""
-    return (delta + 180.0) % 360.0 - 180.0
-
-
-class MetricReport(Record):
-    yaw_mae: float
-    pitch_mae: float
-    roll_mae: float
-    mae: float
-    geodesic_mae: float
-    n: int
-    t_mae_mm: Optional[tuple] = None
-    t_l2_mm: Optional[float] = None
-
-    @staticmethod
-    def empty() -> "MetricReport":
-        return MetricReport(0.0, 0.0, 0.0, 0.0, 0.0, 0)
-
-    def as_dict(self) -> dict:
-        d = {"yaw_mae": self.yaw_mae, "pitch_mae": self.pitch_mae,
-             "roll_mae": self.roll_mae, "mae": self.mae,
-             "geodesic_mae": self.geodesic_mae, "n": self.n}
-        if self.t_mae_mm is not None:
-            d["tx_mae_mm"], d["ty_mae_mm"], d["tz_mae_mm"] = self.t_mae_mm
-            d["t_l2_mm"] = self.t_l2_mm
-        return d
-
-
 def report_from_samples(angles, dts) -> MetricReport:
     """Aggregate error rows (see error_arrays) into one MetricReport."""
     if not len(angles):
@@ -454,7 +385,8 @@ def error_arrays(pred, batch):
     angles = np.empty((len(pred_q), 4))
     angles[:, :3] = np.abs(wrap_deg(euler_deg_many(pred_q) - batch.query_euler))
     angles[:, 3] = geodesic_deg_many(pred_q, true_q)
-    return angles, pred_t - true_t
+    with np.errstate(over="ignore"):  # huge errors give inf, which reports refuse
+        return angles, pred_t - true_t
 
 
 def evaluate(pairs: PairSet, predictions: PoseLog, truth: PoseLog) -> MetricReport:

@@ -1,5 +1,5 @@
-"""The scalar rotation: a unit quaternion with canonical sign, and the
-geodesic angle between two of them.
+"""The scalar rotation: a unit quaternion with canonical sign, its Euler
+angles, and the geodesic angle between two of them.
 
 Quaternions are stored (w, x, y, z), unit norm, with canonical sign
 w >= 0 (if w == 0, the first nonzero component is positive); see
@@ -9,6 +9,9 @@ standard library: numpy is imported by the methods that take or give
 arrays (quat, from_axis_angle, from_matrix, as_matrix, apply).  The
 kernels hamilton, matrix_entries and chord_squares run on floats and on
 numpy arrays alike, so geometry's batched forms share their formulas.
+unit_quat, quat_euler_deg and quat_geodesic_deg run on (w, x, y, z)
+tuples: Rotation, euler_from_rotation and geodesic_deg wrap them, and
+scoring scores on them without building a Rotation.
 """
 
 from __future__ import annotations
@@ -19,8 +22,17 @@ from .errors import DomainError
 from .records import Record
 
 
-def _canonical(q):
-    w, x, y, z = q
+def unit_quat(w, x, y, z) -> tuple:
+    """(w, x, y, z) as Rotation stores it: floats, divided by the norm
+    unless that is within 1e-12 of 1 (so round trips through text
+    serialization are bit-stable), with the canonical sign.  DomainError
+    for a zero or non-finite norm."""
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if not 0.0 < n < math.inf:
+        raise DomainError(f"quaternion norm {n} is zero or non-finite")
+    if abs(n - 1.0) > 1e-12:
+        w, x, y, z = w / n, x / n, y / n, z / n
+    w, x, y, z = float(w), float(x), float(y), float(z)
     if w < 0.0:
         return (-w, -x, -y, -z)
     if w == 0.0:
@@ -76,16 +88,7 @@ class Rotation(Record):
     z: float
 
     def __init__(self, w: float, x: float, y: float, z: float):
-        n = math.sqrt(w * w + x * x + y * y + z * z)
-        if not 0.0 < n < math.inf:
-            raise DomainError(f"quaternion norm {n} is zero or non-finite")
-        if abs(n - 1.0) <= 1e-12:
-            # already unit: skip the division so round trips through text
-            # serialization are bit-stable
-            w, x, y, z = _canonical((float(w), float(x), float(y), float(z)))
-        else:
-            w, x, y, z = _canonical((float(w / n), float(x / n),
-                                     float(y / n), float(z / n)))
+        w, x, y, z = unit_quat(w, x, y, z)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -166,6 +169,13 @@ class Rotation(Record):
                         dtype=float).reshape(3, 3) @ np.asarray(v, dtype=float)
 
 
+def quat_geodesic_deg(a, b) -> float:
+    """geodesic_deg of two (w, x, y, z) tuples."""
+    diff, summ = chord_squares(a, b)
+    return min(math.degrees(4.0 * math.atan2(math.sqrt(diff), math.sqrt(summ))),
+               180.0)
+
+
 def geodesic_deg(a: Rotation, b: Rotation) -> float:
     """Rotation angle of R_a^T R_b in degrees, clamped to [0, 180].
 
@@ -175,6 +185,41 @@ def geodesic_deg(a: Rotation, b: Rotation) -> float:
     exactly zero on equal inputs, and keeps full relative precision near
     0 and 180 where the arccos form loses digits.
     """
-    diff, summ = chord_squares((a.w, a.x, a.y, a.z), (b.w, b.x, b.y, b.z))
-    return min(math.degrees(4.0 * math.atan2(math.sqrt(diff), math.sqrt(summ))),
-               180.0)
+    return quat_geodesic_deg((a.w, a.x, a.y, a.z), (b.w, b.x, b.y, b.z))
+
+
+class EulerAngles(Record):
+    """Yaw/pitch/roll in degrees under the intrinsic Y-X-Z convention.
+
+    gimbal_lock is set when |pitch| >= 89 deg; the values then come from
+    the degenerate branch (roll fixed at 0).
+    """
+
+    yaw: float
+    pitch: float
+    roll: float
+    gimbal_lock: bool = False
+
+
+def quat_euler_deg(q) -> tuple:
+    """(yaw, pitch, roll) of euler_from_rotation for a (w, x, y, z) tuple."""
+    m00, _, m02, m10, m11, m12, m20, _, m22 = matrix_entries(q)
+    pitch = math.degrees(math.asin(min(max(-m12, -1.0), 1.0)))
+    if abs(pitch) >= 89.0:
+        return math.degrees(math.atan2(-m20, m00)), pitch, 0.0
+    return (math.degrees(math.atan2(m02, m22)), pitch,
+            math.degrees(math.atan2(m10, m11)))
+
+
+def euler_from_rotation(r: Rotation) -> EulerAngles:
+    """Intrinsic Y-X-Z decomposition in degrees.
+
+    From R = R_y(yaw) R_x(pitch) R_z(roll):
+        R[1,2] = -sin(pitch)
+        R[0,2] / R[2,2] = tan(yaw)        (scaled by cos(pitch))
+        R[1,0] / R[1,1] = tan(roll)       (scaled by cos(pitch))
+    Near |pitch| = 90 deg yaw and roll are coupled; the degenerate branch
+    fixes roll = 0 and flags gimbal_lock.
+    """
+    yaw, pitch, roll = quat_euler_deg((r.w, r.x, r.y, r.z))
+    return EulerAngles(yaw, pitch, roll, gimbal_lock=abs(pitch) >= 89.0)

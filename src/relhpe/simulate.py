@@ -42,18 +42,17 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from array import array
 
 import numpy as np
 
-from .errors import DomainError, EmptyRange, InvariantViolation, ParseError, whole
+from .errors import DomainError, EmptyRange, whole
 from .geometry import (SE3Pose, axis_angle_many, compose_many,
                        geodesic_deg_many, inverse_many, multiply_many,
                        relative, rotation_from_euler_many, row_norms)
 from .poselog import PoseLog
 from .records import Record
 from .rotation import Rotation, geodesic_deg
-from .rows import csv_rows, finite_floats, row_errors
+from .tables import named_by, prediction_rows
 
 
 def _query_rng(seed, subject_id, frame_id):
@@ -464,22 +463,7 @@ def load_predictions_csv(path) -> PoseLog:
     CSV of (query_id, qw, qx, qy, qz, tx, ty, tz) rows.  ParseError naming
     the line of a duplicate id, a non-finite number or a zero or
     overflowing quaternion, and '<path>: no records' for a file without."""
-    ids, numbers = {}, array("d")
-    for lineno, row in csv_rows(path, (8,), header=("query_id", "frame_id")):
-        if row[0] in ids:
-            raise ParseError(f"{path}:{lineno}: duplicate query id {row[0]!r}")
-        with row_errors(path, lineno):
-            vals = finite_floats(row[1:])
-            w, x, y, z = vals[:4]
-            norm = math.sqrt(w * w + x * x + y * y + z * z)
-            if not 0.0 < norm < math.inf:
-                raise DomainError(f"quaternion norm {norm} is zero or non-finite")
-        ids[row[0]] = None
-        numbers.extend(vals)
-    if not ids:
-        raise ParseError(f"{path}: no records")
+    ids, numbers = prediction_rows(path)
     values = np.frombuffer(numbers).reshape(-1, 7)
-    try:
+    with named_by(path):  # an id a CSV row cannot hold
         return PoseLog("predictions", ids, values[:, :4], values[:, 4:])
-    except InvariantViolation as exc:  # an id a CSV row cannot hold
-        raise InvariantViolation(f"{path}: {exc}") from exc

@@ -13,7 +13,6 @@ import pytest
 from relhpe import (EulerAngles, Rotation, SE3Pose, euler_from_rotation,
                     export_canonical, ingest_canonical_all, rotation_from_euler)
 import relhpe.cli
-import relhpe.harness
 import relhpe.simulate
 from relhpe import reports
 from relhpe.cli import SETTINGS, build_parser, main
@@ -235,28 +234,10 @@ class TestEval:
         assert rep["geodesic_mae"] < 1e-9
         assert rep["mae"] < 1e-9
 
-    def test_scores_the_batch_it_checked(self, tmp_path, monkeypatch):
-        """eval builds the pair set's batch once, for its gap check, and
-        scores that batch."""
-        log = single_subject_log(tmp_path)
-        out = tmp_path / "e"
-        assert run(["--seed", "0", "--out", out, "pairs", log,
-                    "--pair-kind", "easy", "--neutral-thresh-deg", "1000",
-                    "--max-gap-deg", "40", "--n-pairs", "15"]) == 0
-        preds = tmp_path / "preds.csv"
-        write_perfect_predictions(log, out / "pairs_subj000.csv", preds)
-        built, pair_batch = [], relhpe.harness.pair_batch
-        monkeypatch.setattr(relhpe.harness, "pair_batch",
-                            lambda *args: built.append(args) or pair_batch(*args))
-        assert run(["--out", out, "eval", log,
-                    out / "pairs_subj000.csv", preds]) == 0
-        assert len(built) == 1
-        assert json.loads(read(out / "eval.json"))["payload"]["external"]["n"] == 15
-
     @pytest.mark.parametrize("shift, rc", [(0.0, 0), (0.9e-3, 0), (-0.9e-3, 0),
                                            (1.1e-3, 2), (-2.0, 2)])
     def test_gap_checked_against_truth(self, shift, rc, tmp_path, capsys):
-        """A pairs-CSV gap within relhpe.cli.GAP_TOLERANCE_DEG of its frames'
+        """A pairs-CSV gap within relhpe.scoring.GAP_TOLERANCE_DEG of its frames'
         gap in the truth log passes; a farther one names its file and line."""
         log = single_subject_log(tmp_path)
         out = tmp_path / "e"
@@ -551,15 +532,22 @@ def test_sweep_svg_is_built_from_the_json_payload(policy, sim_log, tmp_path):
 
 
 @pytest.mark.parametrize("command, fmt", [("sweep", None), ("sweep", "csv"),
-                                          ("loss", None)])
+                                          ("loss", None), ("eval", None)])
 def test_non_finite_report_writes_nothing(command, fmt, tmp_path, capsys):
     """A report holding inf (a translation error of 1e308 mm overflows) is
-    refused before any of its files is opened, whatever --format is."""
+    refused before any of its files is opened, whatever --format is, and
+    the refusal is the one line on stderr."""
     argv, stem = report_argv(command, tmp_path)
     if command == "sweep":
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"trans_noise_mm": 1e308, "abs_base_deg": 0, "rel_base_deg": 0}')
         argv = ["--config", cfg] + argv
+    elif command == "eval":  # tx of every truth row -1e308, of each prediction 1e308
+        for path, column, tx in ((argv[1], 7, "-1e308"), (argv[3], 5, "1e308")):
+            head, *rows = read(path).splitlines()
+            path.write_text("\n".join([head] + [
+                ",".join(cells[:column] + [tx] + cells[column + 1:])
+                for cells in (row.split(",") for row in rows)]) + "\n")
     else:
         write_stage_file(argv[1], [(1, 1e308, 0, 0, 1, 0, 0, 0, 60, 60)])
         write_stage_file(argv[2], [(1, -1e308, 0, 0, 1, 0, 0, 0, 60, 60)])
@@ -795,6 +783,14 @@ def malformed_input(case, tmp_path):
                          f"{prediction_rows[case]}\n")
         line = 3 if case == "duplicate_prediction_id" else 2
         return ["eval", log, pairs, preds], f"preds.csv:{line}:"
+    if case == "quoted_comma_truth_frame":
+        truth = tmp_path / "truth.csv"
+        truth.write_text('# poselog v1 frame=world\ns,"f,0",0,1,0,0,0,0,0,0\n')
+        pairs.write_text("anchor_id,query_id,gap_deg\n")
+        preds.write_text("f0,1,0,0,0,0,0,0\n")
+        return ["eval", truth, pairs, preds], (
+            f"error: {truth}: frame id 'f,0' starts with '#' or '\"' or holds a "
+            f"comma or line break, so it cannot be written to a CSV row\n")
     preds.write_text("query_id,qw,qx,qy,qz,tx_mm,ty_mm,tz_mm\n"
                      "zzz,1,0,0,0,0,0,0\n")
     if case == "pairs_without_anchor_id":
@@ -874,7 +870,8 @@ def malformed_input(case, tmp_path):
                                   "report_list_command", "report_object_command",
                                   "config_null_pose_glob",
                                   "config_list_calib_name", "report_string_pairs",
-                                  "report_short_pair", "report_list_metrics"])
+                                  "report_short_pair", "report_list_metrics",
+                                  "quoted_comma_truth_frame"])
 def test_malformed_input_is_a_typed_error(case, tmp_path, capsys):
     argv, named = malformed_input(case, tmp_path)
     capsys.readouterr()

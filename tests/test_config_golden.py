@@ -127,9 +127,12 @@ def _predictions_from_log(log_path, dest):
 
 
 # The pipeline's commands that run without numpy, last: (out dir, argv).
+# eval scores a single-subject truth log against another seed's poses.
 STDLIB_RUNS = (
     ("loss", ("--config", "loss.json", "--out", "loss", "loss",
               "pred_stages.csv", "true_stages.csv")),
+    ("ev", ("--seed", "9", "--out", "ev", "eval", "truth/simulated_poselog.csv",
+            "truth/pairs_subj000.csv", "preds.csv")),
     *(("rep", ("--out", "rep", "report", src)) for src in (
         "sw_fixed/sweep.json", "p_hard/pairs_subj001.json", "ev/eval.json")),
 )
@@ -159,7 +162,7 @@ def run_pipeline():
     _run("--seed", 5, "--config", "pairs.json", "--out", "p_hard",
          "pairs", log, "--pair-kind", "hard", "--n-pairs", 12)
 
-    # eval: a single-subject truth log scored against another seed's poses
+    # eval's inputs: a single-subject truth log, another seed's poses
     _run("--seed", 21, "--config", "sim.json", "--out", "truth",
          "simulate", "--subjects", 1)
     _run("--seed", 22, "--config", "sim.json", "--out", "other",
@@ -167,8 +170,6 @@ def run_pipeline():
     _predictions_from_log("other/simulated_poselog.csv", "preds.csv")
     _run("--seed", 5, "--config", "pairs.json", "--out", "truth",
          "pairs", "truth/simulated_poselog.csv", "--pair-kind", "easy")
-    _run("--seed", 9, "--out", "ev", "eval", "truth/simulated_poselog.csv",
-         "truth/pairs_subj000.csv", "preds.csv")
 
     for _, argv in STDLIB_RUNS:
         _run(*argv)

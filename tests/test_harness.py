@@ -1,6 +1,7 @@
 import math
 import os
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -527,6 +528,19 @@ class TestEvaluate:
         assert evaluate(ps, preds, log) == score(
             [TableEstimator("external", preds)],
             [pair_batch(log, build_hard_pairs(log, **kwargs))])["external"]
+
+    def test_overflowing_translation_error_is_inf_without_a_warning(self):
+        """A prediction tx of 1e308 against a truth tx of -1e308 overflows to
+        an inf error, which the report writer refuses, with no numpy
+        RuntimeWarning (an error under this suite's warning filter)."""
+        from relhpe import PairSet
+        log = make_log([euler_pose(0.0, t=(-1e308, 0, 0)), euler_pose(3.0)])
+        preds = pose_log({"f0000": euler_pose(0.0, t=(1e308, 0, 0))})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = evaluate(PairSet("x", (("f0001", "f0000", 3.0),), 0), preds, log)
+        assert rep.t_mae_mm == (math.inf, 0.0, 0.0) and rep.t_l2_mm == math.inf
+        assert rep.n == 1 and rep.mae == 0.0
 
     def test_per_sample_recomputation_oracle(self, rng):
         from relhpe import PairSet, euler_from_rotation

@@ -7,8 +7,8 @@ name it defines at module level; a public one must be exported by the
 package or used somewhere in the sources.  The README's library table
 must name only what its modules define.  The stdlib-only modules import
 nothing else when they are imported.  No module imports dataclasses,
-importing the package compiles no generated code, and commands that hash
-nothing load no hashlib.  In the CLI, only main resolves settings and
+importing the package compiles no generated code, commands that hash
+nothing load no hashlib, and `eval` loads no numpy.  In the CLI, only main resolves settings and
 creates the output directory, and only _write_report builds a report
 envelope.
 """
@@ -149,11 +149,11 @@ def test_readme_library_table_names_exist(module, names):
     assert not stale, f"README names missing from {module}: {stale}"
 
 
-# The modules that load only the standard library, so that `report` and
-# `loss` run without numpy: each may import, when it is itself imported,
-# only standard-library modules and other modules of this list.
+# The modules that load only the standard library, so that `report`,
+# `loss` and `eval` run without numpy: each may import, when it is itself
+# imported, only standard-library modules and other modules of this list.
 STDLIB_ONLY = ("camera", "cli", "errors", "losses", "records", "reports",
-               "rotation", "rows", "vocab")
+               "rotation", "rows", "scoring", "tables", "vocab")
 
 
 def _import_time_imports(body):
@@ -247,6 +247,29 @@ def test_cli_and_report_load_no_hashlib(tmp_path):
         "print(imported, hashing(), status)\n")
     assert _python(script) == "[] [] 0"
     assert (tmp_path / "eval.csv").read_text().startswith("estimator,n,")
+
+
+def test_eval_loads_no_numpy(tmp_path):
+    """An `eval` run reads and scores its pair set through scoring, which
+    loads only the standard library, so numpy is never imported."""
+    from relhpe.cli import main
+    log = tmp_path / "simulated_poselog.csv"
+    assert main(["--out", str(tmp_path), "simulate", "--subjects", "1",
+                 "--frames-per-log", "20"]) == 0
+    assert main(["--out", str(tmp_path), "pairs", str(log), "--n-pairs", "10"]) == 0
+    preds = tmp_path / "preds.csv"
+    preds.write_text("".join(  # each frame's id and pose, as its prediction
+        ",".join([cells[1], *cells[3:]]) + "\n"
+        for cells in (line.split(",") for line in log.read_text().splitlines()[1:])))
+    argv = ["--out", str(tmp_path / "e"), "eval", str(log),
+            str(tmp_path / "pairs_subj000.csv"), str(preds)]
+    script = ("import sys\n"
+              "from relhpe.cli import main\n"
+              f"status = main({argv!r})\n"
+              "print(status, 'numpy' in sys.modules)\n")
+    assert _python(script) == "0 False"
+    assert json.loads((tmp_path / "e" / "eval.json").read_text())[
+        "payload"]["external"]["n"] == 10
 
 
 # The CLI's one command runner: the call in cli.py -> the functions that

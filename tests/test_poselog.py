@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from relhpe import (PoseLog, Rotation, SE3Pose, export_canonical,
                     ingest_canonical_all)
-from relhpe import harness
+from relhpe import harness, tables
 from relhpe.camera import Intrinsics
 from relhpe.cli import _read_stage_file, main
 from relhpe.errors import (DomainError, EmptyInput, InvariantViolation,
@@ -370,7 +370,7 @@ def test_plain_files_are_read_a_block_at_a_time(wide, tmp_path, monkeypatch):
 
     def row_loop(*args):
         raise AssertionError("the row loop ran")
-    monkeypatch.setattr(harness, "csv_rows", row_loop)
+    monkeypatch.setattr(tables, "csv_rows", row_loop)
     for log, again in zip(ingest_canonical_all(path), want, strict=True):
         assert_same_log(log, again)
 
