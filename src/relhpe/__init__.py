@@ -30,7 +30,8 @@ _EXPORTS = {
     "losses": ("LossConfig", "StageBreakdown", "StagePrediction", "loss_cam",
                "loss_fov", "loss_rotation_geodesic", "loss_rotation_quat",
                "loss_translation"),
-    "simulate": ("AbsoluteSimEstimator", "NoiseModel", "PoseSampler",
+    "sampling": ("PoseSampler",),
+    "simulate": ("AbsoluteSimEstimator", "NoiseModel",
                  "RelativeSimEstimator", "load_predictions_csv", "sample_logs",
                  "simulate_absolute", "simulate_relative"),
 }

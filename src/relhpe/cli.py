@@ -19,10 +19,12 @@ and input-file hashes, so identical inputs give identical report bytes.
 
 Only the standard library and the stdlib-only reports, errors and vocab
 modules load with this module; each command imports the library modules
-it runs.  `report`, `loss` and `eval` run without numpy: `loss` reads its
-stage files through rows and computes on camera, rotation and losses, and
-`eval` reads and scores its pair set through scoring, which load only the
-standard library.
+it runs.  `report`, `loss`, `eval` and `simulate` run without numpy:
+`loss` reads its stage files through rows and computes on camera,
+rotation and losses, `eval` reads and scores its pair set through
+scoring, and `simulate` draws its logs through sampling and writes them
+through tables, which load only the standard library.  `pairs` draws its
+sample through sampling too, so it loads numpy but not numpy.random.
 """
 
 from __future__ import annotations
@@ -269,17 +271,16 @@ def cmd_sweep(args, out, cfg, s):
 
 
 def cmd_simulate(args, out, _, s):
-    from .harness import export_canonical
-    from .simulate import PoseSampler, sample_logs
+    from .sampling import PoseSampler, pose_rows
+    from .tables import write_canonical
     sampler = PoseSampler(
         yaw_range=(s["yaw_min"], s["yaw_max"]),
         pitch_range=(s["pitch_min"], s["pitch_max"]),
         roll_range=(s["roll_min"], s["roll_max"]),
         frames_per_log=s["frames_per_log"], subjects=s["subjects"],
         seed=args.seed)
-    logs = sample_logs(sampler)
     dest = os.path.join(out, "simulated_poselog.csv")
-    export_canonical(logs, dest)
+    write_canonical(dest, "world", pose_rows(sampler))
     print(f"wrote {dest} ({sampler.subjects} subjects x {sampler.frames_per_log} frames)")
 
 

@@ -204,19 +204,6 @@ def axis_angle_many(axes, angles_rad) -> np.ndarray:
                                     s * axes[:, 1], s * axes[:, 2]], axis=1))
 
 
-def rotation_from_euler_many(e) -> np.ndarray:
-    """rotation_from_euler over the rows of an (N, 3) array of yaw, pitch
-    and roll in degrees (np.radians rounds like math.radians)."""
-    h = 0.5 * np.radians(np.asarray(e, dtype=float).reshape(-1, 3))
-    c = _per_element(math.cos, h).reshape(-1, 3)
-    s = _per_element(math.sin, h).reshape(-1, 3)
-    zero = np.zeros(len(h))
-    qy = canonical_many(np.stack([c[:, 0], zero, s[:, 0], zero], axis=1))
-    qx = canonical_many(np.stack([c[:, 1], s[:, 1], zero, zero], axis=1))
-    qz = canonical_many(np.stack([c[:, 2], zero, zero, s[:, 2]], axis=1))
-    return multiply_many(multiply_many(qy, qx), qz)
-
-
 def inverse_many(p):
     """inverse over the rows of a pose array."""
     q, t = p

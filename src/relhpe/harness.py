@@ -55,7 +55,7 @@ from .poselog import PoseLog
 from .records import Record
 from .rotation import Rotation
 from .tables import (MetricReport, canonical_frame_tag, canonical_subjects,
-                     header, named_by, wrap_deg)
+                     named_by, wrap_deg, write_canonical)
 from .vocab import SWEEP_AXES
 
 _BLOCK_BYTES = 1 << 14  # text read per block by _plain_subjects
@@ -66,24 +66,18 @@ _BLOCK_BYTES = 1 << 14  # text read per block by _plain_subjects
 
 
 def export_canonical(logs, path):
-    """Write one or more PoseLogs to a canonical-format file."""
+    """Write one or more PoseLogs to a canonical-format file, through
+    tables.write_canonical."""
     if isinstance(logs, PoseLog):
         logs = [logs]
     tags = {log.frame_tag for log in logs}
     if len(tags) != 1:
         raise InvariantViolation(f"logs carry mixed frame tags: {sorted(tags)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header(tags.pop()) + "\n")
-        for log in logs:
-            columns = [log.quats, log.translations]
-            if log.intrinsics is not None:
-                columns.append(log.intrinsics)
-            for i, (frame_id, row) in enumerate(zip(
-                    log.frame_ids, np.hstack(columns).tolist())):
-                if len(row) > 7 and math.isnan(row[7]):
-                    del row[7:]  # a frame without intrinsics
-                fh.write(f"{log.subject_id},{frame_id},{i},"
-                         + ",".join(map(repr, row)) + "\n")
+    write_canonical(path, tags.pop(), (
+        (log.subject_id, log.frame_ids, np.hstack(
+            [log.quats, log.translations]
+            + ([] if log.intrinsics is None else [log.intrinsics])).tolist())
+        for log in logs))
 
 
 def _plain_subjects(path):
@@ -287,10 +281,11 @@ def _sampled_pairs(name, log: PoseLog, count, rows, n_pairs, seed) -> PairSet:
     query frame-position arrays of the candidates at the sorted indices k:
     all of them when n_pairs is at least count, else the indices
     default_rng(seed).choice(count, n_pairs, replace=False) picks, in
-    candidate order.  Only the kept pairs get a gap and become tuples."""
+    candidate order (sampling.sorted_choice, in O(n_pairs) memory).  Only
+    the kept pairs get a gap and become tuples."""
     if n_pairs < count:
-        keep = np.sort(np.random.default_rng(seed).choice(
-            count, size=n_pairs, replace=False))
+        from .sampling import sorted_choice  # a sweep loads no sampling
+        keep = np.array(sorted_choice(seed, count, n_pairs), dtype=np.int64)
     else:
         keep = np.arange(count)
     anchors, queries = rows(keep)

@@ -45,14 +45,16 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, EmptyRange, whole
+from .errors import DomainError, whole
 from .geometry import (SE3Pose, axis_angle_many, compose_many,
                        geodesic_deg_many, inverse_many, multiply_many,
-                       relative, rotation_from_euler_many, row_norms)
+                       relative, row_norms)
 from .poselog import PoseLog
 from .records import Record
 from .rotation import Rotation, geodesic_deg
 from .tables import named_by, prediction_rows
+from .vocab import (INIT_A, INIT_B, MIX_MULT_L, MIX_MULT_R, MULT_A, MULT_B,
+                    PCG64_MULT)
 
 
 def _query_rng(seed, subject_id, frame_id):
@@ -72,14 +74,6 @@ def _random_unit_vector(rng):
             return v / n
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
-# PCG64's 128-bit LCG multiplier (O'Neill, "PCG: A Family of Simple Fast
-# Space-Efficient Statistically Good Algorithms for Random Number
-# Generation", 2014)
-_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
-_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
-_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
-_PCG64_MULT = 0x2360ed051fc65da44385df649fccf645
 _M32 = 0xFFFFFFFF
 _M52 = (1 << 52) - 1
 _M64 = (1 << 64) - 1
@@ -112,10 +106,10 @@ def _seed_sequence_words(entropy):
     uint32 entropy array with E >= 4 (the pool size): eight uint32 arrays,
     the little-endian words of generate_state(4, np.uint64).  uint32 numpy
     arithmetic wraps like the reference's."""
-    hashmix = _hashmix(_INIT_A, _MULT_A)
+    hashmix = _hashmix(INIT_A, MULT_A)
 
     def mix(x, y):
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        result = MIX_MULT_L * x - MIX_MULT_R * y
         return result ^ result >> 16
 
     pool = [hashmix(column) for column in entropy.T[:4]]
@@ -126,7 +120,7 @@ def _seed_sequence_words(entropy):
     for column in entropy.T[4:]:
         for dst in range(4):
             pool[dst] = mix(pool[dst], hashmix(column))
-    hashmix = _hashmix(_INIT_B, _MULT_B)
+    hashmix = _hashmix(INIT_B, MULT_B)
     return [hashmix(pool[i % 4]) for i in range(8)]
 
 
@@ -153,10 +147,10 @@ def _pcg64_dict(state, inc) -> dict:
             "has_uint32": 0, "uinteger": 0}
 
 
-# _PCG64_MULT as uint64 words, and the 32-bit limbs of its low word
-_MULT_HI = np.uint64(_PCG64_MULT >> 64)
-_MULT_LO = np.uint64(_PCG64_MULT & _M64)
-_MULT_LIMBS = (np.uint64(_PCG64_MULT & _M32), np.uint64(_PCG64_MULT >> 32 & _M32))
+# PCG64_MULT as uint64 words, and the 32-bit limbs of its low word
+_MULT_HI = np.uint64(PCG64_MULT >> 64)
+_MULT_LO = np.uint64(PCG64_MULT & _M64)
+_MULT_LIMBS = (np.uint64(PCG64_MULT & _M32), np.uint64(PCG64_MULT >> 32 & _M32))
 
 
 def _lcg_step(hi, lo, inc_hi, inc_lo):
@@ -241,7 +235,7 @@ def _probed_tables():
     """
     bits = np.random.PCG64(0)
     gen = np.random.Generator(bits)
-    inverse = pow(_PCG64_MULT, -1, 1 << 128)
+    inverse = pow(PCG64_MULT, -1, 1 << 128)
 
     def draw(raw):
         # a state with high word 0 outputs its low word unrotated
@@ -411,51 +405,16 @@ class RelativeSimEstimator:
             batch, rel, nm.base_deg + nm.slope_deg_per_deg * gap, nm), batch.anchor)
 
 
-class PoseSampler(Record):
-    """Uniform pose sampling ranges (degrees / mm) for synthetic logs."""
-
-    yaw_range: tuple = (-75.0, 75.0)
-    pitch_range: tuple = (-60.0, 60.0)
-    roll_range: tuple = (-40.0, 40.0)
-    trans_range_mm: tuple = (-100.0, 100.0)
-    frames_per_log: int = 100
-    subjects: int = 4
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("yaw_range", "pitch_range", "roll_range", "trans_range_mm"):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise EmptyRange(f"{name}: {lo} > {hi}")
-            if not math.isfinite(hi - lo):  # nan, inf, or too wide to draw from
-                raise DomainError(f"{name}: ({lo}, {hi}) is not a finite range",
-                                  setting=name)
-        for name in ("frames_per_log", "subjects", "seed"):
-            whole(name, getattr(self, name))
-        if self.frames_per_log < 1 or self.subjects < 1:
-            raise EmptyRange("need at least one frame and one subject")
-
-
-def sample_logs(sampler: PoseSampler) -> list:
-    """Deterministic synthetic logs; frame 0 of each log is the identity pose
-    so fixed-anchor policies and neutral-reference selection are well posed.
-
-    Each later frame takes six uniform draws in order (yaw, pitch, roll
-    and the three translation components), log after log, from one
-    generator; one broadcast draw returns them all in that order.
-    """
-    rng = np.random.default_rng(sampler.seed)
-    n = sampler.frames_per_log - 1
-    lows, highs = zip(sampler.yaw_range, sampler.pitch_range, sampler.roll_range,
-                      *[sampler.trans_range_mm] * 3)
-    draws = rng.uniform(lows, highs, size=(sampler.subjects, n, 6))
-    ids = [f"f{i:04d}" for i in range(n + 1)]
-    identity = np.array([[1.0, 0.0, 0.0, 0.0]])
-    return [PoseLog(
-        f"subj{s:03d}", ids,
-        np.vstack([identity, rotation_from_euler_many(draws[s, :, :3])]),
-        np.vstack([np.zeros((1, 3)), draws[s, :, 3:]]), "world")
-        for s in range(sampler.subjects)]
+def sample_logs(sampler) -> list:
+    """The synthetic logs of a sampling.PoseSampler, as PoseLogs tagged
+    "world": the rows of sampling.pose_rows, which `simulate` writes."""
+    from .sampling import pose_rows  # a sweep loads no sampling
+    logs = []
+    for subject_id, frame_ids, rows in pose_rows(sampler):
+        values = np.array(rows)
+        logs.append(PoseLog(subject_id, frame_ids, values[:, :4], values[:, 4:],
+                            "world"))
+    return logs
 
 
 def load_predictions_csv(path) -> PoseLog:

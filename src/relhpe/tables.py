@@ -1,13 +1,15 @@
 """The text formats of pose tables and the metric record, shared by the
-numpy library and the standard-library `eval` path.
+numpy library and the standard-library `eval` and `simulate` paths.
 
 The canonical pose-log header, the checks on a log's names
 (frame_positions) and the row loops of the canonical log
 (canonical_subjects) and of the prediction table (prediction_rows) live
 here: PoseLog, harness.ingest_canonical_all and
 simulate.load_predictions_csv use them, and so does scoring, which reads
-`eval`'s files without numpy.  MetricReport, the record both scorers
-return, is here for the same reason.  Standard library only.
+`eval`'s files without numpy.  write_canonical is the one writer of a
+canonical file: harness.export_canonical and `simulate` call it.
+MetricReport, the record both scorers return, is here for the same
+reason.  Standard library only.
 """
 
 from __future__ import annotations
@@ -93,6 +95,28 @@ def named_by(path):
         yield
     except InvariantViolation as exc:
         raise InvariantViolation(f"{path}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# the writer
+
+
+def write_canonical(path, frame_tag, logs):
+    """Write a canonical file of logs tagged frame_tag: its header, then
+    for each (subject id, frame ids, rows) of logs one line per frame,
+    subject, frame id, index and the row's numbers by repr.  A row holds
+    the quaternion and the translation, or those and the intrinsics,
+    which are left out when the first of them is nan.  Each log's text is
+    written in one call."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header(frame_tag) + "\n")
+        for subject_id, frame_ids, rows in logs:
+            lines = []
+            for i, (frame_id, row) in enumerate(zip(frame_ids, rows)):
+                if len(row) > 7 and math.isnan(row[7]):
+                    row = row[:7]  # a frame without intrinsics
+                lines.append(f"{subject_id},{frame_id},{i},{','.join(map(repr, row))}\n")
+            fh.write("".join(lines))
 
 
 # ---------------------------------------------------------------------------

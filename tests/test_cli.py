@@ -13,7 +13,7 @@ import pytest
 from relhpe import (EulerAngles, Rotation, SE3Pose, euler_from_rotation,
                     export_canonical, ingest_canonical_all, rotation_from_euler)
 import relhpe.cli
-import relhpe.simulate
+import relhpe.sampling
 from relhpe import reports
 from relhpe.cli import SETTINGS, build_parser, main
 
@@ -897,7 +897,7 @@ def test_min_above_max_names_both_keys(text, expected, tmp_path, capsys):
 def test_main_does_not_hide_value_errors(tmp_path, monkeypatch):
     def fail(sampler):
         raise ValueError("not a typed error")
-    monkeypatch.setattr(relhpe.simulate, "sample_logs", fail)
+    monkeypatch.setattr(relhpe.sampling, "pose_rows", fail)
     with pytest.raises(ValueError, match="not a typed error"):
         run(["--out", tmp_path, "simulate"])
 

@@ -7,7 +7,9 @@ the SHA-256 of every output file with digests recorded before the settings
 table in relhpe.cli replaced per-command config merging.  The configs mix
 config-only keys, flags that override config values, and int values where
 the setting is a float, so precedence, conversion and the raw config echo
-are all part of the bytes.
+are all part of the bytes.  The sim_stdlib digest was recorded with
+numpy's default_rng drawing the poses, before simulate moved to
+relhpe.sampling.
 """
 
 import hashlib
@@ -73,6 +75,8 @@ GOLDEN = {
         "ad86398d6302a3b48359a781068201a7f4579d83dfb67d1eb3a9c0af9575c0d2",
     "rep/sweep.csv":
         "c63b81460efc0440565c04c591001dc654f17886b029650355c71d9e21a504ff",
+    "sim_stdlib/simulated_poselog.csv":
+        "997b53fe9df32b46f74e29cfd067bc30184c7ef92a10a7b30d321ec1527847fb",
     "sim/simulated_poselog.csv":
         "9cb86f707a0f12838be2f30baebbd3e8ced7ec23b354f8e797baf26690acdf56",
     "sim.json":
@@ -127,8 +131,11 @@ def _predictions_from_log(log_path, dest):
 
 
 # The pipeline's commands that run without numpy, last: (out dir, argv).
-# eval scores a single-subject truth log against another seed's poses.
+# eval scores a single-subject truth log against another seed's poses;
+# simulate draws from a seed of three 32-bit words (2**70 + 3).
 STDLIB_RUNS = (
+    ("sim_stdlib", ("--seed", str(2**70 + 3), "--config", "sim.json",
+                    "--out", "sim_stdlib", "simulate", "--frames-per-log", "45")),
     ("loss", ("--config", "loss.json", "--out", "loss", "loss",
               "pred_stages.csv", "true_stages.csv")),
     ("ev", ("--seed", "9", "--out", "ev", "eval", "truth/simulated_poselog.csv",

@@ -7,7 +7,8 @@ SHA-256 for every file:
 * PYTHONHASHSEED 0 and 12345 (string hashing, hence set and dict order);
 * numpy with its AVX-512 dispatch masked (NPY_DISABLE_CPU_FEATURES);
 * each other CPython 3.10-3.13 found, for the commands that run without
-  numpy (loss, eval and report), on inputs the in-process run made.
+  numpy (simulate, loss, eval and report), on inputs the in-process run
+  made.
 
 An interpreter that is not found is a skip that names it.  The BLAS kernel
 is not an axis: the bytes depend on it today (a mixed-order matmul).

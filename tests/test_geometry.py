@@ -12,8 +12,7 @@ from relhpe import (EulerAngles, Rotation, SE3Pose, apply_anchor, compose,
 from relhpe.errors import DomainError, EmptyInput, FrameMismatch
 from relhpe.geometry import (as_matrix_many, axis_angle_many, canonical_many,
                              compose_many, euler_deg_many, geodesic_deg_many,
-                             inverse_many, multiply_many, rotate_many,
-                             rotation_from_euler_many)
+                             inverse_many, multiply_many, rotate_many)
 
 from conftest import random_pose, random_rotation, yaw_pose
 
@@ -383,16 +382,6 @@ class TestBatchedHelpers:
         angles = np.array([h for _, h in rows], dtype=float)
         assert axis_angle_many(axes, angles).tolist() == [
             list(_as_tuple(Rotation.from_axis_angle(a, h))) for a, h in rows]
-
-    @given(rows=st.lists(st.tuples(*[st.one_of(
-        st.sampled_from([0.0, -0.0, 90.0, -90.0, 180.0, -180.0, 360.0, 540.0]),
-        st.floats(-720.0, 720.0))] * 3), max_size=12))
-    @example(rows=[])
-    def test_rotation_from_euler(self, rows):
-        # bytes, not ==, so a signed zero in any component counts
-        expected = [_as_tuple(rotation_from_euler(EulerAngles(*r))) for r in rows]
-        assert (rotation_from_euler_many(np.array(rows).reshape(-1, 3)).tobytes()
-                == np.array(expected, dtype=float).reshape(-1, 4).tobytes())
 
     @given(rows=st.lists(st.tuples(_quats, _vectors, _quats, _vectors), max_size=10))
     @example(rows=[])

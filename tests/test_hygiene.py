@@ -8,9 +8,10 @@ package or used somewhere in the sources.  The README's library table
 must name only what its modules define.  The stdlib-only modules import
 nothing else when they are imported.  No module imports dataclasses,
 importing the package compiles no generated code, commands that hash
-nothing load no hashlib, and `eval` loads no numpy.  In the CLI, only main resolves settings and
-creates the output directory, and only _write_report builds a report
-envelope.
+nothing load no hashlib, `eval` and `simulate` load no numpy, `pairs` no
+numpy.random, and `sweep` no relhpe.sampling.  In the CLI, only main
+resolves settings and creates the output directory, and only
+_write_report builds a report envelope.
 """
 
 import ast
@@ -18,6 +19,7 @@ import importlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -123,13 +125,32 @@ def test_no_unused_public_names():
     assert not dead, f"public names never exported or used: {dead}"
 
 
+# a library-table row: the module, then text that may itself hold a '|'
+_LIBRARY_ROW = re.compile(r"\| `(relhpe\.\w+)` \| (.*) \|")
+
+
+def _library_row(line):
+    """(module, backticked identifiers) of a README library-table row, or
+    None for a line that does not parse as one."""
+    match = _LIBRARY_ROW.fullmatch(line.strip())
+    if match is None:
+        return None
+    return match[1], [n for n in match[2].split("`")[1::2] if n.isidentifier()]
+
+
 def _readme_library_rows():
-    """(module, backticked identifiers) per `relhpe.<module>` table row."""
+    """(module, names) per README line that starts a `relhpe.<module>`
+    table row; names is None for a line that does not parse."""
     for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
-        cells = line.split("|")
-        if len(cells) == 4 and cells[1].strip().startswith("`relhpe."):
-            names = [n for n in cells[2].split("`")[1::2] if n.isidentifier()]
-            yield cells[1].strip().strip("`"), names
+        if line.startswith("| `relhpe."):
+            yield _library_row(line) or (line[:40], None)
+
+
+def test_library_row_parser_keeps_text_with_a_pipe():
+    assert _library_row("| `relhpe.rotation` | `quat_euler_deg` (`gimbal_lock` "
+                        "when |pitch| >= 89) |") == (
+        "relhpe.rotation", ["quat_euler_deg", "gimbal_lock"])
+    assert _library_row("| `relhpe.rotation` `quat_euler_deg` |") is None
 
 
 @pytest.mark.parametrize("module, names", [
@@ -138,6 +159,7 @@ def _readme_library_rows():
 def test_readme_library_table_names_exist(module, names):
     """Each name is an attribute of the module or of a class it defines, or
     a string in one of its module-level tuples (such as POLICY_KINDS)."""
+    assert names is not None, f"README row does not parse: {module!r}..."
     mod = importlib.import_module(module)
     known = set(dir(mod))
     for value in vars(mod).values():
@@ -150,10 +172,11 @@ def test_readme_library_table_names_exist(module, names):
 
 
 # The modules that load only the standard library, so that `report`,
-# `loss` and `eval` run without numpy: each may import, when it is itself
-# imported, only standard-library modules and other modules of this list.
+# `loss`, `eval` and `simulate` run without numpy: each may import, when it
+# is itself imported, only standard-library modules and other modules of
+# this list.
 STDLIB_ONLY = ("camera", "cli", "errors", "losses", "records", "reports",
-               "rotation", "rows", "scoring", "tables", "vocab")
+               "rotation", "rows", "sampling", "scoring", "tables", "vocab")
 
 
 def _import_time_imports(body):
@@ -249,27 +272,77 @@ def test_cli_and_report_load_no_hashlib(tmp_path):
     assert (tmp_path / "eval.csv").read_text().startswith("estimator,n,")
 
 
+def _modules_after(argv):
+    """The names of the modules a fresh process holds after main(argv),
+    which must exit 0."""
+    script = ("import json, sys\n"
+              "from relhpe.cli import main\n"
+              f"assert main({argv!r}) == 0\n"
+              "print(json.dumps(sorted(sys.modules)))\n")
+    return set(json.loads(_python(script)))
+
+
+def _simulated_log(tmp_path, frames=20):
+    from relhpe.cli import main
+    assert main(["--out", str(tmp_path), "simulate", "--subjects", "1",
+                 "--frames-per-log", str(frames)]) == 0
+    return tmp_path / "simulated_poselog.csv"
+
+
 def test_eval_loads_no_numpy(tmp_path):
     """An `eval` run reads and scores its pair set through scoring, which
     loads only the standard library, so numpy is never imported."""
     from relhpe.cli import main
-    log = tmp_path / "simulated_poselog.csv"
-    assert main(["--out", str(tmp_path), "simulate", "--subjects", "1",
-                 "--frames-per-log", "20"]) == 0
+    log = _simulated_log(tmp_path)
     assert main(["--out", str(tmp_path), "pairs", str(log), "--n-pairs", "10"]) == 0
     preds = tmp_path / "preds.csv"
     preds.write_text("".join(  # each frame's id and pose, as its prediction
         ",".join([cells[1], *cells[3:]]) + "\n"
         for cells in (line.split(",") for line in log.read_text().splitlines()[1:])))
-    argv = ["--out", str(tmp_path / "e"), "eval", str(log),
-            str(tmp_path / "pairs_subj000.csv"), str(preds)]
-    script = ("import sys\n"
-              "from relhpe.cli import main\n"
-              f"status = main({argv!r})\n"
-              "print(status, 'numpy' in sys.modules)\n")
-    assert _python(script) == "0 False"
+    assert "numpy" not in _modules_after([
+        "--out", str(tmp_path / "e"), "eval", str(log),
+        str(tmp_path / "pairs_subj000.csv"), str(preds)])
     assert json.loads((tmp_path / "e" / "eval.json").read_text())[
         "payload"]["external"]["n"] == 10
+
+
+def test_simulate_loads_no_numpy(tmp_path):
+    """`simulate` draws and writes its logs through sampling and tables,
+    which load only the standard library."""
+    loaded = _modules_after(["--out", str(tmp_path), "simulate",
+                             "--subjects", "2", "--frames-per-log", "30"])
+    assert "numpy" not in loaded and "relhpe.sampling" in loaded
+    assert len((tmp_path / "simulated_poselog.csv").read_text().splitlines()) == 61
+
+
+@pytest.mark.parametrize("kind", ["hard", "easy"])
+def test_pairs_loads_no_numpy_random(kind, tmp_path):
+    """A `pairs` run samples its pairs through sampling.sorted_choice, so
+    numpy.random is never imported."""
+    log = _simulated_log(tmp_path, 60)
+    loaded = _modules_after(["--out", str(tmp_path), "pairs", str(log),
+                             "--pair-kind", kind, "--neutral-thresh-deg", "60",
+                             "--extreme-thresh-deg", "30", "--max-gap-deg", "60",
+                             "--n-pairs", "10"])
+    assert "numpy" in loaded and "numpy.random" not in loaded
+    payload = json.loads((tmp_path / "pairs_subj000.json").read_text())["payload"]
+    assert payload["stats"]["count"] == 10
+
+
+# The package modules a `sweep` run loads: sampling is imported inside the
+# functions that use it (harness._sampled_pairs, simulate.sample_logs),
+# which a sweep does not run.
+SWEEP_MODULES = ["relhpe", "relhpe.anchors", "relhpe.camera", "relhpe.cli",
+                 "relhpe.errors", "relhpe.geometry", "relhpe.harness",
+                 "relhpe.poselog", "relhpe.records", "relhpe.reports",
+                 "relhpe.rotation", "relhpe.rows", "relhpe.simulate",
+                 "relhpe.tables", "relhpe.vocab"]
+
+
+def test_sweep_loads_no_sampling(tmp_path):
+    log = _simulated_log(tmp_path, 40)
+    loaded = _modules_after(["--out", str(tmp_path), "sweep", str(log)])
+    assert sorted(m for m in loaded if m.split(".")[0] == "relhpe") == SWEEP_MODULES
 
 
 # The CLI's one command runner: the call in cli.py -> the functions that

@@ -153,8 +153,8 @@ def test_defaults_fill_the_missing_fields():
      "finite threshold_deg"),
     ("simulate", "NoiseModel", {"seed": -1}, DomainError, "seed"),
     ("simulate", "NoiseModel", {"base_deg": math.nan}, DomainError, "finite"),
-    ("simulate", "PoseSampler", {"yaw_range": (1.0, -1.0)}, EmptyRange, "yaw_range"),
-    ("simulate", "PoseSampler", {"subjects": 1.5}, DomainError, "subjects"),
+    ("sampling", "PoseSampler", {"yaw_range": (1.0, -1.0)}, EmptyRange, "yaw_range"),
+    ("sampling", "PoseSampler", {"subjects": 1.5}, DomainError, "subjects"),
     ("losses", "LossConfig", {"gamma": 2.0}, DomainError, "gamma"),
     ("losses", "LossConfig", {"mode": "bogus"}, DomainError, "unknown mode"),
     ("camera", "Intrinsics", {"fx": -1.0, "fy": 1.0, "cx": 0.0, "cy": 0.0,

@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from relhpe import (PairSet, TableEstimator, ingest_canonical,
                     load_predictions_csv, pair_batch, score)
 from relhpe.errors import InvariantViolation, RelHpeError
-from relhpe.geometry import rotation_from_euler_many
 from relhpe.harness import report_from_samples
+from relhpe.sampling import euler_quat
 from relhpe.scoring import (metric_report, read_predictions, read_truth,
                             score_pairs)
 
@@ -44,6 +44,11 @@ def _cells(values):
     return ",".join(map(repr, values))
 
 
+def _quats(euler):
+    """The quaternion of each row of yaw, pitch and roll (degrees)."""
+    return np.array([euler_quat(*row) for row in euler.tolist()]).reshape(-1, 4)
+
+
 def _inputs(root, seed, n_frames, n_pairs, lock, wrap):
     """Write a truth log and a predictions CSV under root; the pairs as
     (anchor_id, query_id, 0.0) tuples.  Truth rows are off unit norm by up
@@ -58,9 +63,9 @@ def _inputs(root, seed, n_frames, n_pairs, lock, wrap):
     if wrap:
         pred_euler[:, 0] = euler[:, 0] + rng.choice([-1, 1], n_frames) * (
             180.0 - rng.uniform(0.0, 0.5, n_frames))
-    quats = rotation_from_euler_many(euler) * rng.uniform(
+    quats = _quats(euler) * rng.uniform(
         1 - 5e-4, 1 + 5e-4, (n_frames, 1))
-    pred_quats = rotation_from_euler_many(pred_euler) * rng.choice(
+    pred_quats = _quats(pred_euler) * rng.choice(
         [-3.0, -0.5, 0.25, 1.0, 2.0], (n_frames, 1))
     scales = 10.0 ** rng.integers(-3, 7, (n_frames, 3))
     t = rng.normal(size=(n_frames, 3)) * scales

@@ -15,6 +15,7 @@ import relhpe.geometry
 import relhpe.harness
 import relhpe.rotation
 import relhpe.simulate
+import relhpe.vocab
 
 from relhpe import (AbsoluteSimEstimator, AnchorPolicy, NoiseModel,
                     PoseSampler, RelativeSimEstimator, Rotation, SE3Pose,
@@ -598,7 +599,7 @@ class _SeedWords(ISeedSequence):
 
 
 _U64 = st.integers(0, 2**64 - 1)
-_INVERSE_MULT = pow(relhpe.simulate._PCG64_MULT, -1, 2**128)
+_INVERSE_MULT = pow(relhpe.vocab.PCG64_MULT, -1, 2**128)
 
 
 _INC = 2 * 0x9E3779B97F4A7C15 + 1
