@@ -17,9 +17,9 @@ _EXPORTS = {
                "crop_update_intrinsics", "fov_from_intrinsics",
                "intrinsics_from_fov", "logtan_fov", "project"),
     "geometry": ("SE3Pose", "apply_anchor", "compose", "geodesic_deg_many",
-                 "inverse", "normalize_to_anchor", "relative",
+                 "inverse", "normalize_to_anchor", "relative"),
+    "rotation": ("EulerAngles", "Rotation", "euler_from_rotation", "geodesic_deg",
                  "rotation_from_euler"),
-    "rotation": ("EulerAngles", "Rotation", "euler_from_rotation", "geodesic_deg"),
     "poselog": ("PoseLog",),
     "harness": ("PairSet", "SweepBin", "SweepReport",
                 "TableEstimator", "build_easy_pairs", "build_hard_pairs",

@@ -1,7 +1,8 @@
 """SO(3)/SE(3) algebra: rigid transforms, the relative pose formulation and
 its composition inverse, Euler angles, and the batched forms of these and
-of the geodesic metric.  The scalar Rotation, geodesic_deg, EulerAngles and
-euler_from_rotation are in rotation, which loads no numpy.
+of the geodesic metric.  The scalar Rotation, geodesic_deg, EulerAngles,
+euler_from_rotation and rotation_from_euler are in rotation, which loads
+no numpy.
 
 Conventions used throughout the package:
 
@@ -24,12 +25,13 @@ import numpy as np
 from . import rotation
 from .errors import DomainError, EmptyInput, FrameMismatch
 from .records import Record
-from .rotation import (EulerAngles, Rotation, chord_squares, hamilton,
-                       matrix_entries)
+from .rotation import Rotation, chord_squares, hamilton, matrix_entries
 
-# The Euler decomposition runs on floats beside Rotation; it stays
-# importable from here, with the conventions above.
+# The Euler angles and conversions run on floats beside Rotation; they
+# stay importable from here, with the conventions above.
+EulerAngles = rotation.EulerAngles
 euler_from_rotation = rotation.euler_from_rotation
+rotation_from_euler = rotation.rotation_from_euler
 
 
 class SE3Pose(Record):
@@ -110,17 +112,6 @@ def geodesic_deg_many(p, q) -> np.ndarray:
                                np.asarray(q, dtype=float).T)
     return np.minimum(np.degrees(4.0 * _per_element(
         math.atan2, np.sqrt(diff), np.sqrt(summ))), 180.0)
-
-
-def rotation_from_euler(e: EulerAngles) -> Rotation:
-    """Rotation from intrinsic Y-X-Z Euler angles (degrees)."""
-    hy = 0.5 * math.radians(e.yaw)
-    hp = 0.5 * math.radians(e.pitch)
-    hr = 0.5 * math.radians(e.roll)
-    qy = Rotation(math.cos(hy), 0.0, math.sin(hy), 0.0)
-    qx = Rotation(math.cos(hp), math.sin(hp), 0.0, 0.0)
-    qz = Rotation(math.cos(hr), 0.0, 0.0, math.sin(hr))
-    return qy * qx * qz
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,7 @@ from .geometry import (SE3Pose, compose_many, euler_deg_many,
 from .poselog import PoseLog
 from .records import Record
 from .rotation import Rotation
+from .sampling import sorted_choice
 from .tables import (MetricReport, canonical_frame_tag, canonical_subjects,
                      named_by, wrap_deg, write_canonical)
 from .vocab import SWEEP_AXES
@@ -284,7 +285,6 @@ def _sampled_pairs(name, log: PoseLog, count, rows, n_pairs, seed) -> PairSet:
     candidate order (sampling.sorted_choice, in O(n_pairs) memory).  Only
     the kept pairs get a gap and become tuples."""
     if n_pairs < count:
-        from .sampling import sorted_choice  # a sweep loads no sampling
         keep = np.array(sorted_choice(seed, count, n_pairs), dtype=np.int64)
     else:
         keep = np.arange(count)

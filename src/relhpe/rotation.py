@@ -1,5 +1,5 @@
 """The scalar rotation: a unit quaternion with canonical sign, its Euler
-angles, and the geodesic angle between two of them.
+angles both ways, and the geodesic angle between two of them.
 
 Quaternions are stored (w, x, y, z), unit norm, with canonical sign
 w >= 0 (if w == 0, the first nonzero component is positive); see
@@ -11,7 +11,9 @@ kernels hamilton, matrix_entries and chord_squares run on floats and on
 numpy arrays alike, so geometry's batched forms share their formulas.
 unit_quat, quat_euler_deg and quat_geodesic_deg run on (w, x, y, z)
 tuples: Rotation, euler_from_rotation and geodesic_deg wrap them, and
-scoring scores on them without building a Rotation.
+scoring scores on them without building a Rotation.  euler_quat, the
+other way, gives the tuple of Euler angles: rotation_from_euler wraps it,
+and sampling's pose sampler calls it per frame.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import math
 
 from .errors import DomainError
 from .records import Record
+
+_RADIANS = math.pi / 180.0  # math.radians(x) is x * _RADIANS
 
 
 def unit_quat(w, x, y, z) -> tuple:
@@ -209,6 +213,38 @@ def quat_euler_deg(q) -> tuple:
         return math.degrees(math.atan2(-m20, m00)), pitch, 0.0
     return (math.degrees(math.atan2(m02, m22)), pitch,
             math.degrees(math.atan2(m10, m11)))
+
+
+def euler_quat(yaw, pitch, roll) -> tuple:
+    """The (w, x, y, z) tuple of intrinsic Y-X-Z Euler angles (degrees):
+    the product qy * qx * qz of the half-angle axis quaternions, each
+    product through hamilton and unit_quat, as Rotation multiplies.
+
+    An axis quaternion (c, 0.0, s, 0.0) (likewise about x and z) skips
+    unit_quat when c != 0.  c and s are libm's cos and sin, each within an
+    ulp or so, so c*c + s*s is within 1e-15 of 1 and unit_quat divides by
+    nothing: it returns the tuple when c > 0 and its negation, zeros
+    included, when c < 0.
+    """
+    cos, sin = math.cos, math.sin
+    h = 0.5 * (yaw * _RADIANS)  # 0.5 * math.radians(yaw)
+    c, s = cos(h), sin(h)
+    qy = ((c, 0.0, s, 0.0) if c > 0.0 else (-c, -0.0, -s, -0.0) if c < 0.0
+          else unit_quat(c, 0.0, s, 0.0))
+    h = 0.5 * (pitch * _RADIANS)
+    c, s = cos(h), sin(h)
+    qx = ((c, s, 0.0, 0.0) if c > 0.0 else (-c, -s, -0.0, -0.0) if c < 0.0
+          else unit_quat(c, s, 0.0, 0.0))
+    h = 0.5 * (roll * _RADIANS)
+    c, s = cos(h), sin(h)
+    qz = ((c, 0.0, 0.0, s) if c > 0.0 else (-c, -0.0, -0.0, -s) if c < 0.0
+          else unit_quat(c, 0.0, 0.0, s))
+    return unit_quat(*hamilton(unit_quat(*hamilton(qy, qx)), qz))
+
+
+def rotation_from_euler(e: EulerAngles) -> Rotation:
+    """Rotation from intrinsic Y-X-Z Euler angles (degrees)."""
+    return Rotation(*euler_quat(e.yaw, e.pitch, e.roll))
 
 
 def euler_from_rotation(r: Rotation) -> EulerAngles:

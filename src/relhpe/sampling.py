@@ -1,9 +1,12 @@
 """The seeded draws of `simulate` and `pairs` on the standard library,
-equal bit for bit to numpy's default_rng(seed).
+equal bit for bit to numpy's default_rng(seed), and numpy's SeedSequence
+and PCG64 constants, stated here once.
 
-* seed_words is SeedSequence(seed).generate_state(4, np.uint64), on the
-  constants in vocab, which simulate's array pass also runs on.
-* PCG64 is numpy's bit generator seeded from those words: a 128-bit LCG
+* generate_state is SeedSequence(entropy).generate_state(8) of a list of
+  32-bit words (limbs gives a seed's), on ints or on uint32 arrays, one
+  SeedSequence per element: the scalar seed_words and simulate's array
+  pass over a batch's query streams both hash through it.
+* PCG64 is numpy's bit generator seeded from seed_words: a 128-bit LCG
   with XSL-RR output (O'Neill, "PCG: A Family of Simple Fast
   Space-Efficient Statistically Good Algorithms for Random Number
   Generation", 2014), with next64 and numpy's buffered next32.  Its
@@ -14,7 +17,7 @@ equal bit for bit to numpy's default_rng(seed).
   replace=False)), the pair sample of `pairs`.
 * PoseSampler and pose_rows are the synthetic logs of `simulate`: six
   uniform draws per frame, its Euler angles turned into a quaternion by
-  euler_quat, on rotation's unit_quat and hamilton.
+  rotation.euler_quat.
 
 Standard library only.
 """
@@ -25,9 +28,17 @@ import math
 
 from .errors import DomainError, EmptyRange, whole
 from .records import Record
-from .rotation import hamilton, unit_quat
-from .vocab import (INIT_A, INIT_B, MIX_MULT_L, MIX_MULT_R, MULT_A, MULT_B,
-                    PCG64_MULT)
+from .rotation import euler_quat
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx): the
+# pool is mixed from INIT_A and MULT_A, the state words drawn from INIT_B
+# and MULT_B, and two pool words combined by MIX_MULT_L and MIX_MULT_R
+INIT_A, MULT_A = 0x43b0d7e5, 0x931e8875
+INIT_B, MULT_B = 0x8b51f9dd, 0x58f38ded
+MIX_MULT_L, MIX_MULT_R = 0xca01f9dd, 0x4973f715
+
+# PCG64's 128-bit LCG multiplier (O'Neill, 2014)
+PCG64_MULT = 0x2360ed051fc65da44385df649fccf645
 
 _M32 = 0xFFFFFFFF
 _M53 = (1 << 53) - 1
@@ -35,42 +46,53 @@ _M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1
 _DOUBLED = (1 << 64) + 1  # x * _DOUBLED is x << 64 | x for a 64-bit x
 _UNIT = 2.0 ** -53  # numpy's next_double scale
-_RADIANS = math.pi / 180.0  # math.radians(x) is x * _RADIANS
 
 
-def seed_words(seed) -> tuple:
-    """SeedSequence(seed).generate_state(4, np.uint64) of a non-negative
-    int, as four ints: the entropy is the seed's 32-bit words, low first,
-    mixed into a pool of four words, then hashed into eight."""
-    entropy = [seed >> 32 * k & _M32
-               for k in range(max(1, (seed.bit_length() + 31) // 32))]
-    const = INIT_A
+def limbs(n) -> list:
+    """The 32-bit words of a non-negative int, low first (at least one)."""
+    return [n >> 32 * k & _M32 for k in range(max(1, (n.bit_length() + 31) // 32))]
 
+
+def _hashmix(const, mult):
+    """SeedSequence's hashmix, with its running hash constant starting at
+    const.  value = value ^ const, not ^=, which would XOR an array's
+    words in place."""
     def hashmix(value):
         nonlocal const
-        value ^= const
-        const = const * MULT_A & _M32
+        value = value ^ const
+        const = const * mult & _M32
         value = value * const & _M32
         return value ^ value >> 16
+    return hashmix
 
-    def mix(x, y):
-        result = MIX_MULT_L * x - MIX_MULT_R * y & _M32
-        return result ^ result >> 16
 
+def _mix(x, y):
+    result = MIX_MULT_L * x - MIX_MULT_R * y & _M32
+    return result ^ result >> 16
+
+
+def generate_state(entropy) -> list:
+    """SeedSequence(entropy).generate_state(8): the words mixed into a
+    pool of four, then hashed into eight.  The words are all ints or all
+    uint32 arrays (then at least four), one SeedSequence per element; the
+    & _M32 masks keep ints to 32 bits, as uint32 arithmetic wraps."""
+    hashmix = _hashmix(INIT_A, MULT_A)
     pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
     for src in range(4):
         for dst in range(4):
             if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
     for value in entropy[4:]:
         for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(value))
-    const, words = INIT_B, []
-    for i in range(8):
-        value = pool[i % 4] ^ const
-        const = const * MULT_B & _M32
-        value = value * const & _M32
-        words.append(value ^ value >> 16)
+            pool[dst] = _mix(pool[dst], hashmix(value))
+    hashmix = _hashmix(INIT_B, MULT_B)
+    return [hashmix(pool[i % 4]) for i in range(8)]
+
+
+def seed_words(seed) -> tuple:
+    """SeedSequence(seed).generate_state(4, np.uint64) of a non-negative
+    int, as four ints."""
+    words = generate_state(limbs(seed))
     return tuple(words[i] | words[i + 1] << 32 for i in range(0, 8, 2))
 
 
@@ -191,34 +213,6 @@ class PoseSampler(Record):
             whole(name, getattr(self, name))
         if self.frames_per_log < 1 or self.subjects < 1:
             raise EmptyRange("need at least one frame and one subject")
-
-
-def euler_quat(yaw, pitch, roll) -> tuple:
-    """geometry.rotation_from_euler(EulerAngles(yaw, pitch, roll)) as a
-    (w, x, y, z) tuple, bit for bit: Rotation(qy) * Rotation(qx) *
-    Rotation(qz) of the half-angle axis quaternions, through unit_quat
-    and hamilton.
-
-    An axis quaternion (c, 0.0, s, 0.0) (likewise about x and z) skips
-    unit_quat when c != 0.  c and s are libm's cos and sin, each within an
-    ulp or so, so c*c + s*s is within 1e-15 of 1 and unit_quat divides by
-    nothing: it returns the tuple when c > 0 and its negation, zeros
-    included, when c < 0.
-    """
-    cos, sin = math.cos, math.sin
-    h = 0.5 * (yaw * _RADIANS)  # 0.5 * math.radians(yaw)
-    c, s = cos(h), sin(h)
-    qy = ((c, 0.0, s, 0.0) if c > 0.0 else (-c, -0.0, -s, -0.0) if c < 0.0
-          else unit_quat(c, 0.0, s, 0.0))
-    h = 0.5 * (pitch * _RADIANS)
-    c, s = cos(h), sin(h)
-    qx = ((c, s, 0.0, 0.0) if c > 0.0 else (-c, -s, -0.0, -0.0) if c < 0.0
-          else unit_quat(c, s, 0.0, 0.0))
-    h = 0.5 * (roll * _RADIANS)
-    c, s = cos(h), sin(h)
-    qz = ((c, 0.0, 0.0, s) if c > 0.0 else (-c, -0.0, -0.0, -s) if c < 0.0
-          else unit_quat(c, 0.0, 0.0, s))
-    return unit_quat(*hamilton(unit_quat(*hamilton(qy, qx)), qz))
 
 
 _IDENTITY_ROW = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)

@@ -23,9 +23,10 @@ derives each query's stream once per batch and seed and shares its
 vectors between them.
 
 A batch's streams are drawn in one array pass over uint64 columns: the
-SeedSequence hash (32-bit integer arithmetic), PCG64's seeding step and
-steps (128-bit states as high and low words, the high word of a product
-from 32-bit limbs), the XSL-RR outputs, and the fast path of numpy's
+SeedSequence hash (sampling.generate_state on uint32 columns, one per
+entropy word), PCG64's seeding step and steps (128-bit states as high
+and low words, the high word of a product from 32-bit limbs), the
+XSL-RR outputs, and the fast path of numpy's
 ziggurat normal sampler (Marsaglia & Tsang, JSS 2000), which about 98% of
 draws take.  Its tables are probed from the installed numpy at first use
 (_probed_tables).  _pcg64_normals draws a row from one PCG64 set to the
@@ -52,9 +53,8 @@ from .geometry import (SE3Pose, axis_angle_many, compose_many,
 from .poselog import PoseLog
 from .records import Record
 from .rotation import Rotation, geodesic_deg
+from .sampling import PCG64_MULT, generate_state, limbs, pose_rows
 from .tables import named_by, prediction_rows
-from .vocab import (INIT_A, INIT_B, MIX_MULT_L, MIX_MULT_R, MULT_A, MULT_B,
-                    PCG64_MULT)
 
 
 def _query_rng(seed, subject_id, frame_id):
@@ -80,50 +80,6 @@ _M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1
 
 
-def _limbs(n):
-    """The 32-bit words of a non-negative int, low first (at least one)."""
-    words = [n & _M32]
-    while n > _M32:
-        n >>= 32
-        words.append(n & _M32)
-    return words
-
-
-def _hashmix(const, mult):
-    """SeedSequence's hashmix over uint32 arrays, with its running hash
-    constant starting at const."""
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * mult & _M32
-        value = value * const
-        return value ^ value >> 16
-    return hashmix
-
-
-def _seed_sequence_words(entropy):
-    """SeedSequence(row).generate_state(8) for each row of an (N, E)
-    uint32 entropy array with E >= 4 (the pool size): eight uint32 arrays,
-    the little-endian words of generate_state(4, np.uint64).  uint32 numpy
-    arithmetic wraps like the reference's."""
-    hashmix = _hashmix(INIT_A, MULT_A)
-
-    def mix(x, y):
-        result = MIX_MULT_L * x - MIX_MULT_R * y
-        return result ^ result >> 16
-
-    pool = [hashmix(column) for column in entropy.T[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for column in entropy.T[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(column))
-    hashmix = _hashmix(INIT_B, MULT_B)
-    return [hashmix(pool[i % 4]) for i in range(8)]
-
-
 def _seed_states(seed, subject_id, frame_ids) -> bytes:
     """SeedSequence([seed, *key words]).generate_state(4, np.uint64) of
     _query_rng(seed, subject_id, f) for each f, as 32 little-endian bytes
@@ -136,9 +92,9 @@ def _seed_states(seed, subject_id, frame_ids) -> bytes:
         key[16 * r:16 * r + 16] = hashlib.sha256(
             f"{subject_id}/{frame_id}".encode()).digest()[:16]
     words = np.frombuffer(key, "<u4").reshape(-1, 4)
-    entropy = np.hstack([np.tile(np.array(_limbs(seed), np.uint32),
-                                 (len(words), 1)), words])
-    return np.stack(_seed_sequence_words(entropy), axis=1).astype("<u4").tobytes()
+    entropy = [np.full(len(words), limb, np.uint32) for limb in limbs(seed)]
+    return np.stack(generate_state(entropy + list(words.T)),
+                    axis=1).astype("<u4").tobytes()
 
 
 def _pcg64_dict(state, inc) -> dict:
@@ -408,7 +364,6 @@ class RelativeSimEstimator:
 def sample_logs(sampler) -> list:
     """The synthetic logs of a sampling.PoseSampler, as PoseLogs tagged
     "world": the rows of sampling.pose_rows, which `simulate` writes."""
-    from .sampling import pose_rows  # a sweep loads no sampling
     logs = []
     for subject_id, frame_ids, rows in pose_rows(sampler):
         values = np.array(rows)

@@ -9,9 +9,10 @@ must name only what its modules define.  The stdlib-only modules import
 nothing else when they are imported.  No module imports dataclasses,
 importing the package compiles no generated code, commands that hash
 nothing load no hashlib, `eval` and `simulate` load no numpy, `pairs` no
-numpy.random, and `sweep` no relhpe.sampling.  In the CLI, only main
-resolves settings and creates the output directory, and only
-_write_report builds a report envelope.
+numpy.random, and `sweep` only the package modules it runs.  numpy's
+SeedSequence and PCG64 constants and the SeedSequence hash are written
+only in sampling.  In the CLI, only main resolves settings and creates
+the output directory, and only _write_report builds a report envelope.
 """
 
 import ast
@@ -329,20 +330,54 @@ def test_pairs_loads_no_numpy_random(kind, tmp_path):
     assert payload["stats"]["count"] == 10
 
 
-# The package modules a `sweep` run loads: sampling is imported inside the
-# functions that use it (harness._sampled_pairs, simulate.sample_logs),
-# which a sweep does not run.
+# The package modules a `sweep` run loads: sampling holds the SeedSequence
+# hash of simulate's query streams; scoring, which only `eval` runs, stays
+# unloaded.
 SWEEP_MODULES = ["relhpe", "relhpe.anchors", "relhpe.camera", "relhpe.cli",
                  "relhpe.errors", "relhpe.geometry", "relhpe.harness",
                  "relhpe.poselog", "relhpe.records", "relhpe.reports",
-                 "relhpe.rotation", "relhpe.rows", "relhpe.simulate",
-                 "relhpe.tables", "relhpe.vocab"]
+                 "relhpe.rotation", "relhpe.rows", "relhpe.sampling",
+                 "relhpe.simulate", "relhpe.tables", "relhpe.vocab"]
 
 
-def test_sweep_loads_no_sampling(tmp_path):
+def test_sweep_loads_its_modules_only(tmp_path):
     log = _simulated_log(tmp_path, 40)
     loaded = _modules_after(["--out", str(tmp_path), "sweep", str(log)])
     assert sorted(m for m in loaded if m.split(".")[0] == "relhpe") == SWEEP_MODULES
+
+
+# numpy's SeedSequence hash constants, then PCG64's multiplier
+RNG_CONSTANTS = ("INIT_A", "MULT_A", "INIT_B", "MULT_B", "MIX_MULT_L",
+                 "MIX_MULT_R", "PCG64_MULT")
+
+
+def test_seed_sequence_hash_is_written_once():
+    """sampling assigns numpy's SeedSequence and PCG64 constants; no other
+    module assigns one, writes one's value, names a hash constant or
+    defines a hashmix, so the int and the array hash are one kernel."""
+    sampling = importlib.import_module("relhpe.sampling")
+    values = {getattr(sampling, name) for name in RNG_CONSTANTS}
+    tree = ast.parse((SRC / "sampling.py").read_text(encoding="utf-8"))
+    assert set(RNG_CONSTANTS) <= {n for n, _ in _module_level_names(tree)}
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "sampling.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        stray += [f"{path.name} line {line}: assigns {name}"
+                  for name, line in _module_level_names(tree)
+                  if name in RNG_CONSTANTS]
+        for n in ast.walk(tree):
+            if (isinstance(n, ast.Constant) and type(n.value) is int
+                    and n.value in values):
+                stray.append(f"{path.name} line {n.lineno}: {n.value:#x}")
+            elif isinstance(n, ast.FunctionDef) and "hashmix" in n.name:
+                stray.append(f"{path.name} line {n.lineno}: defines {n.name}")
+            elif isinstance(n, ast.Name) and n.id in RNG_CONSTANTS[:6]:
+                stray.append(f"{path.name} line {n.lineno}: names {n.id}")
+            elif isinstance(n, ast.alias) and n.name in RNG_CONSTANTS[:6]:
+                stray.append(f"{path.name} line {n.lineno}: imports {n.name}")
+    assert not stray, f"SeedSequence hash outside sampling: {stray}"
 
 
 # The CLI's one command runner: the call in cli.py -> the functions that

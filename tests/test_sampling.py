@@ -3,6 +3,7 @@ SeedSequence's state words, PCG64's raw and 32-bit outputs, uniform
 draws, the sorted pair sample of both of numpy's choice branches, and the
 Euler quaternion of the pose sampler."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relhpe.geometry import EulerAngles, rotation_from_euler
-from relhpe.sampling import PCG64, euler_quat, seed_words, sorted_choice
+from relhpe.rotation import Rotation, euler_quat
+from relhpe.sampling import PCG64, seed_words, sorted_choice
 
 SEEDS = [0, 2**32 - 1, 2**32, 2**64, 2**70 + 3]
 _SEEDS = st.one_of(st.sampled_from(SEEDS), st.integers(0, 2**100))
@@ -100,7 +102,18 @@ def test_tail_shuffle_memory_follows_the_sample():
                      -540.0, 1e300, -1e300, 5e-324]),
     st.floats(-720.0, 720.0), st.floats(-1e18, 1e18))] * 3), max_size=12))
 def test_euler_quat_equals_rotation_from_euler(rows):
+    """euler_quat and rotation_from_euler against the product of the
+    half-angle axis Rotations, qy * qx * qz."""
+    def product(yaw, pitch, roll):
+        hy, hp, hr = (0.5 * math.radians(a) for a in (yaw, pitch, roll))
+        q = (Rotation(math.cos(hy), 0.0, math.sin(hy), 0.0)
+             * Rotation(math.cos(hp), math.sin(hp), 0.0, 0.0)
+             * Rotation(math.cos(hr), 0.0, 0.0, math.sin(hr)))
+        return q.w, q.x, q.y, q.z
+
     # bytes, not ==, so a signed zero in any component counts
-    expected = [rotation_from_euler(EulerAngles(*r)) for r in rows]
-    assert np.array([euler_quat(*r) for r in rows], dtype=float).tobytes() == (
-        np.array([(q.w, q.x, q.y, q.z) for q in expected], dtype=float).tobytes())
+    expected = np.array([product(*r) for r in rows], dtype=float).tobytes()
+    assert np.array([euler_quat(*r) for r in rows], dtype=float).tobytes() == expected
+    rotations = [rotation_from_euler(EulerAngles(*r)) for r in rows]
+    assert np.array([(q.w, q.x, q.y, q.z) for q in rotations],
+                    dtype=float).tobytes() == expected

@@ -21,7 +21,7 @@ from relhpe import (PairSet, TableEstimator, ingest_canonical,
                     load_predictions_csv, pair_batch, score)
 from relhpe.errors import InvariantViolation, RelHpeError
 from relhpe.harness import report_from_samples
-from relhpe.sampling import euler_quat
+from relhpe.rotation import euler_quat
 from relhpe.scoring import (metric_report, read_predictions, read_truth,
                             score_pairs)
 

@@ -14,8 +14,8 @@ import relhpe.cli
 import relhpe.geometry
 import relhpe.harness
 import relhpe.rotation
+import relhpe.sampling
 import relhpe.simulate
-import relhpe.vocab
 
 from relhpe import (AbsoluteSimEstimator, AnchorPolicy, NoiseModel,
                     PoseSampler, RelativeSimEstimator, Rotation, SE3Pose,
@@ -29,7 +29,7 @@ from relhpe.harness import query_batch
 from relhpe.geometry import EulerAngles, rotation_from_euler
 from relhpe.simulate import (simulate_absolute, simulate_relative,
                              _fast_normals, _pcg64_columns,
-                             _probed_tables, _query_rng, _seed_sequence_words,
+                             _probed_tables, _query_rng,
                              _seed_states, _stream_vectors, _ziggurat_tables)
 
 from conftest import (frame_records, pose_log, random_pose, random_rotation,
@@ -530,11 +530,16 @@ class TestBatchedStreams:
         st.lists(st.integers(0, 2**32 - 1), min_size=width, max_size=width),
         min_size=1, max_size=4)))
     def test_seed_sequence_words(self, rows):
-        words = _seed_sequence_words(np.array(rows, dtype=np.uint32))
-        got = np.stack(words, axis=1).astype("<u4")
-        for row, out in zip(rows, got):
+        """sampling.generate_state on uint32 columns (one row per element)
+        and on each row's ints, as _seed_states and seed_words call it."""
+        columns = list(np.array(rows, dtype=np.uint32).T)
+        got = np.stack(relhpe.sampling.generate_state(columns), axis=1)
+        assert np.stack(columns, axis=1).tolist() == rows  # not hashed in place
+        for row, out in zip(rows, got.astype("<u4")):
             expected = np.random.SeedSequence(row).generate_state(4, np.uint64)
             assert out.tobytes() == expected.astype("<u8").tobytes()
+            ints = relhpe.sampling.generate_state(row)
+            assert np.array(ints, "<u4").tobytes() == expected.astype("<u8").tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(seed=_seeds, subject=st.text(max_size=8), frame_ids=_frame_ids)
@@ -599,7 +604,7 @@ class _SeedWords(ISeedSequence):
 
 
 _U64 = st.integers(0, 2**64 - 1)
-_INVERSE_MULT = pow(relhpe.vocab.PCG64_MULT, -1, 2**128)
+_INVERSE_MULT = pow(relhpe.sampling.PCG64_MULT, -1, 2**128)
 
 
 _INC = 2 * 0x9E3779B97F4A7C15 + 1
