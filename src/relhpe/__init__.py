@@ -32,8 +32,7 @@ _EXPORTS = {
                "loss_translation"),
     "sampling": ("PoseSampler",),
     "simulate": ("AbsoluteSimEstimator", "NoiseModel",
-                 "RelativeSimEstimator", "load_predictions_csv", "sample_logs",
-                 "simulate_absolute", "simulate_relative"),
+                 "RelativeSimEstimator", "load_predictions_csv", "sample_logs"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -255,7 +255,6 @@ def cmd_sweep(args, out, cfg, s):
     from .anchors import AnchorPolicy
     from .harness import ingest_canonical_all, sweep
     from .simulate import AbsoluteSimEstimator, NoiseModel, RelativeSimEstimator
-    logs = ingest_canonical_all(args.input)
     policy = AnchorPolicy(s["policy"], s["threshold_deg"])
     estimators = [
         AbsoluteSimEstimator("sim_absolute", NoiseModel(
@@ -265,6 +264,7 @@ def cmd_sweep(args, out, cfg, s):
             base_deg=s["rel_base_deg"], slope_deg_per_deg=s["rel_slope"],
             trans_noise_mm=s["trans_noise_mm"], seed=args.seed)),
     ]
+    logs = ingest_canonical_all(args.input)  # after every setting is checked
     rep = sweep(logs, estimators, policy, s["axis"], s["bin_width_deg"])
     _write_report(args, out, "sweep", {**cfg, "axis": s["axis"], "policy": policy.kind},
                   reports.sweep_payload(rep))

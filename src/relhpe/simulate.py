@@ -15,27 +15,28 @@ RNG streams are keyed per query by (seed, subject_id, frame_id), so serial
 and parallel runs agree and identical seeds give identical reports.  A
 query's stream is numpy's: a PCG64 generator seeded by
 SeedSequence([seed, *the first four little-endian words of
-SHA-256("subject_id/frame_id")]) (_query_rng), yielding unit vectors in
-order: the rotation axis when the magnitude is > 0, then the translation
-direction when trans_noise_mm > 0.  Estimators with equal seeds therefore
-draw the same vectors, and the batched path (each estimator's predict)
+SHA-256("subject_id/frame_id")]), yielding unit vectors in order (each a
+Generator.normal(size=3) draw over its norm, drawn again while that is at
+most _MIN_NORM): the rotation axis when the magnitude is > 0, then the
+translation direction when trans_noise_mm > 0.  Estimators with equal
+seeds therefore draw the same vectors, and each estimator's predict
 derives each query's stream once per batch and seed and shares its
 vectors between them.
 
 A batch's streams are drawn in one array pass over uint64 columns: the
-SeedSequence hash (sampling.generate_state on uint32 columns, one per
-entropy word), PCG64's seeding step and steps (128-bit states as high
-and low words, the high word of a product from 32-bit limbs), the
-XSL-RR outputs, and the fast path of numpy's
-ziggurat normal sampler (Marsaglia & Tsang, JSS 2000), which about 98% of
-draws take.  Its tables are probed from the installed numpy at first use
-(_probed_tables).  _pcg64_normals draws a row from one PCG64 set to the
-row's state in the columns: on a few thousand rows to check the fast path
-(_ziggurat_tables), and for each row with a draw off the fast path (layer
-0, layer 1, or rabs at or above its layer's bound), or for every row if
-the check failed.  A row with a vector at most _MIN_NORM long is drawn
-again from _query_rng.  The scalar simulate_absolute / simulate_relative
-on _query_rng are the reference the batched path equals bit for bit.
+SeedSequence hash (_seed_states, the one place a query's key is hashed:
+sampling.generate_state on uint32 columns, one per entropy word), PCG64's
+seeding step and steps (128-bit states as high and low words, the high
+word of a product from 32-bit limbs), the XSL-RR outputs, and the fast
+path of numpy's ziggurat normal sampler (Marsaglia & Tsang, JSS 2000),
+which about 98% of draws take.  Its tables are probed from the installed
+numpy at first use and checked on a few thousand draws
+(_ziggurat_tables).  Every draw off the array pass comes from
+_row_generators, one PCG64 set to a row's state in the columns: the
+check's, each row with a draw off the fast path (layer 0, layer 1, or
+rabs at or above its layer's bound; every row if the check failed), and
+each row with a vector at most _MIN_NORM long, whose vectors are drawn
+again as the stream draws them.
 """
 
 from __future__ import annotations
@@ -47,20 +48,13 @@ import math
 import numpy as np
 
 from .errors import DomainError, whole
-from .geometry import (SE3Pose, axis_angle_many, compose_many,
-                       geodesic_deg_many, inverse_many, multiply_many,
-                       relative, row_norms)
+from .geometry import (axis_angle_many, compose_many, geodesic_deg_many,
+                       inverse_many, multiply_many, row_norms)
 from .poselog import PoseLog
 from .records import Record
-from .rotation import Rotation, geodesic_deg
+from .rotation import Rotation
 from .sampling import PCG64_MULT, generate_state, limbs, pose_rows
 from .tables import named_by, prediction_rows
-
-
-def _query_rng(seed, subject_id, frame_id):
-    digest = hashlib.sha256(f"{subject_id}/{frame_id}".encode()).digest()
-    words = [int.from_bytes(digest[i:i + 4], "little") for i in range(0, 16, 4)]
-    return np.random.default_rng([int(seed)] + words)
 
 
 _MIN_NORM = 1e-12  # a normal draw this short is drawn again
@@ -82,8 +76,9 @@ _M128 = (1 << 128) - 1
 
 def _seed_states(seed, subject_id, frame_ids) -> bytes:
     """SeedSequence([seed, *key words]).generate_state(4, np.uint64) of
-    _query_rng(seed, subject_id, f) for each f, as 32 little-endian bytes
-    per row: one SHA-256 per row, then one array pass over all rows."""
+    the stream of (seed, subject_id, f) for each frame id f, as 32
+    little-endian bytes per row: one SHA-256 per row, then one array pass
+    over all rows."""
     seed = int(seed)
     if seed < 0:
         raise DomainError(f"seed {seed} is negative")
@@ -95,12 +90,6 @@ def _seed_states(seed, subject_id, frame_ids) -> bytes:
     entropy = [np.full(len(words), limb, np.uint32) for limb in limbs(seed)]
     return np.stack(generate_state(entropy + list(words.T)),
                     axis=1).astype("<u4").tobytes()
-
-
-def _pcg64_dict(state, inc) -> dict:
-    """PCG64.state for the 128-bit state and increment."""
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
 
 
 # PCG64_MULT as uint64 words, and the 32-bit limbs of its low word
@@ -139,8 +128,8 @@ def _pcg64_columns(words):
 def _fast_normals(columns, count, tables):
     """(values, fast): count Generator.normal() draws per row of PCG64
     columns, valid where fast, that is where every draw of the row takes
-    the ziggurat's fast path under tables (see _ziggurat_tables; None
-    makes no row fast).
+    the ziggurat's fast path under tables (see _ziggurat_tables; zero
+    bounds make no row fast).
 
     Each step's XSL-RR output r is one draw, as numpy's
     random_standard_normal takes it: layer r & 0xff, sign bit 8, rabs the
@@ -149,8 +138,6 @@ def _fast_normals(columns, count, tables):
     """
     hi, lo, inc_hi, inc_lo = columns
     values = np.empty((len(hi), count))
-    if tables is None:
-        return values, np.zeros(len(hi), bool)
     wi, bound = tables
     fast = np.ones(len(hi), bool)
     for k in range(count):
@@ -165,84 +152,87 @@ def _fast_normals(columns, count, tables):
     return values, fast
 
 
-def _pcg64_normals(columns, rows, count) -> np.ndarray:
-    """(len(rows), count): count Generator.normal() draws for each of the
-    given rows of PCG64 columns, by one PCG64 set to the row's state."""
-    bits = np.random.PCG64(0)
-    gen = np.random.Generator(bits)
-    values = np.empty((len(rows), count))
-    for k, (hi, lo, inc_hi, inc_lo) in enumerate(
-            zip(*(column[rows].tolist() for column in columns))):
-        bits.state = _pcg64_dict(hi << 64 | lo, inc_hi << 64 | inc_lo)
-        values[k] = gen.normal(size=count)
-    return values
+def _row_generators(columns, rows=slice(None)):
+    """A numpy Generator on one PCG64, set in turn to the state of each of
+    the given rows of PCG64 columns (state hi, lo, inc hi, lo): every draw
+    off the array pass is made here.  The same Generator is yielded for
+    each row, so draw from it before taking the next."""
+    gen = np.random.Generator(np.random.PCG64(0))
+    for hi, lo, inc_hi, inc_lo in zip(*(column[rows].tolist() for column in columns)):
+        gen.bit_generator.state = {
+            "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+            "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}}
+        yield gen
 
 
-def _probed_tables():
-    """(wi, bound): the layer widths of numpy's ziggurat normal sampler and
-    a fast-path bound per layer, read from the installed numpy.
+@functools.cache
+def _ziggurat_tables():
+    """(wi, bound), derived once per process: the layer widths of numpy's
+    ziggurat normal sampler and a fast-path bound per layer, read from the
+    installed numpy.
 
     wi[i] is Generator.normal() of a forced raw output with layer i and
     rabs 1.  Layers 0 (the tail) and 1 always leave the fast path here
     (bound 0).  For the others, with x = wi 2**52 the widths of the
     layers, bound[i] = x[i-1] / x[i] 2**52 estimates numpy's threshold;
     it is kept only if a draw at rabs bound[i] - 1 returns its fast value
-    on one raw output, else bound[i] is 0.
+    on one raw output, else bound[i] is 0.  Every bound is 0 if
+    _fast_normals on the tables differs from Generator.normal anywhere in
+    the fast rows of 256 streams of 12 draws (every layer >= 2 takes the
+    fast path in them).
     """
-    bits = np.random.PCG64(0)
-    gen = np.random.Generator(bits)
     inverse = pow(PCG64_MULT, -1, 1 << 128)
 
-    def draw(raw):
-        # a state with high word 0 outputs its low word unrotated
-        bits.state = _pcg64_dict((raw - 1) * inverse & _M128, 1)
-        value = gen.normal()
-        return value, bits.state["state"]["state"] == raw
+    def draws(raws):
+        # (value, whether it took raw alone) per raw: with increment 1, the
+        # state before raw steps to raw, whose high word 0 outputs its low
+        # word unrotated
+        states = [(raw - 1) * inverse & _M128 for raw in raws]
+        columns = [np.array(words, np.uint64) for words in (
+            [s >> 64 for s in states], [s & _M64 for s in states],
+            [0] * len(raws), [1] * len(raws))]
+        return [(gen.normal(), gen.bit_generator.state["state"]["state"] == raw)
+                for raw, gen in zip(raws, _row_generators(columns))]
 
-    wi = np.array([draw(1 << 9 | i)[0] for i in range(256)])
+    wi = np.array([value for value, _ in draws([1 << 9 | i for i in range(256)])])
     x = wi * 2.0 ** 52
+    b = {i: int(x[i - 1] / x[i] * 2.0 ** 52) for i in range(2, 256)}
+    layers = [i for i, v in b.items() if 0 < v <= 1 << 52]
     bound = np.zeros(256, np.uint64)
-    for i in range(2, 256):
-        b = int(x[i - 1] / x[i] * 2.0 ** 52)
-        if 0 < b <= 1 << 52 and draw((b - 1) << 9 | i) == ((b - 1) * wi[i], True):
-            bound[i] = b
-    return wi, bound
-
-
-@functools.cache
-def _ziggurat_tables():
-    """_probed_tables, derived once per process, or None if _fast_normals
-    on them differs from Generator.normal anywhere in the fast rows of 256
-    streams of 12 draws (every layer >= 2 takes the fast path in them)."""
-    wi, bound = _probed_tables()
+    for i, drawn in zip(layers, draws([(b[i] - 1) << 9 | i for i in layers])):
+        if drawn == ((b[i] - 1) * wi[i], True):
+            bound[i] = b[i]
     columns = _pcg64_columns(np.random.PCG64(0).random_raw(4 * 256).reshape(-1, 4))
     values, fast = _fast_normals(columns, 12, (wi, bound))
     rows = np.flatnonzero(fast)
-    same = _pcg64_normals(columns, rows, 12).tobytes() == values[rows].tobytes()
-    return (wi, bound) if same else None
+    if any(gen.normal(size=12).tobytes() != values[r].tobytes()
+           for r, gen in zip(rows, _row_generators(columns, rows))):
+        bound[:] = 0
+    return wi, bound
 
 
 def _stream_vectors(seed, subject_id, frame_ids, depth) -> np.ndarray:
-    """(N, depth, 3): the first depth _random_unit_vector draws of
-    _query_rng(seed, subject_id, f) for each frame id f.
+    """(N, depth, 3): the first depth unit vectors of the stream of (seed,
+    subject_id, f) for each frame id f.
 
     The SeedSequence and PCG64 states of all rows come from one array
     pass, and so do the normals of every row whose draws all take the
-    ziggurat's fast path (_fast_normals); _pcg64_normals draws the others.
-    A row with a draw at most _MIN_NORM long, which the scalar path would
-    draw again, is taken from _query_rng instead.
+    ziggurat's fast path (_fast_normals); _row_generators draws the others.
+    A row with a draw at most _MIN_NORM long, which the stream draws again,
+    is drawn again from the row's state as _random_unit_vector draws it.
     """
     columns = _pcg64_columns(np.frombuffer(
         _seed_states(seed, subject_id, frame_ids), "<u8").reshape(-1, 4))
     raw, fast = _fast_normals(columns, depth * 3, _ziggurat_tables())
     slow = np.flatnonzero(~fast)
-    raw[slow] = _pcg64_normals(columns, slow, depth * 3)
+    for r, gen in zip(slow, _row_generators(columns, slow)):
+        raw[r] = gen.normal(size=depth * 3)
     raw = raw.reshape(-1, depth, 3)
     norms = row_norms(raw)  # as _random_unit_vector's np.linalg.norm
     vectors = raw / norms
-    for r in np.flatnonzero((norms <= _MIN_NORM).any(axis=(1, 2))):
-        rng = _query_rng(seed, subject_id, frame_ids[r])
-        vectors[r] = [_random_unit_vector(rng) for _ in range(depth)]
+    short = np.flatnonzero((norms <= _MIN_NORM).any(axis=(1, 2)))
+    for r, gen in zip(short, _row_generators(columns, short)):
+        vectors[r] = [_random_unit_vector(gen) for _ in range(depth)]
     return vectors
 
 
@@ -275,22 +265,19 @@ class NoiseModel(Record):
             raise DomainError(f"noise magnitude base_deg {self.base_deg} + "
                               f"slope_deg_per_deg {self.slope_deg_per_deg} x 180 "
                               f"deg is not finite")
-
-
-def _perturb(pose: SE3Pose, magnitude_deg: float, trans_mm: float, rng) -> SE3Pose:
-    rot = pose.rotation
-    if magnitude_deg > 0:
-        axis = _random_unit_vector(rng)
-        rot = Rotation.from_axis_angle(axis, math.radians(magnitude_deg)) * rot
-    t = pose.translation
-    if trans_mm > 0:
-        t = t + trans_mm * _random_unit_vector(rng)
-    return SE3Pose(rot, t, pose.frame_tag)
+        # a translation error of noise alone is trans_noise_mm times a unit
+        # vector; the square of 1e154 leaves room for rounding below the
+        # largest float, where a report's squared norm would overflow
+        if self.trans_noise_mm > 1e154:
+            raise DomainError(f"trans_noise_mm {self.trans_noise_mm} is above 1e154, "
+                              f"where a translation error's squared norm can overflow",
+                              setting="trans_noise_mm")
 
 
 def _perturb_many(batch, pose, magnitudes, nm: NoiseModel):
-    """_perturb over the rows of a pose array, drawing from the batch's
-    shared streams."""
+    """The rows of a pose array, each rotated by its magnitude (deg, when
+    > 0) about its stream's next unit vector, then moved nm.trans_noise_mm
+    along the one after (when > 0): the batch's shared streams."""
     quats, translations = pose
     rotated = magnitudes > 0
     moved = nm.trans_noise_mm > 0
@@ -309,23 +296,6 @@ def _perturb_many(batch, pose, magnitudes, nm: NoiseModel):
     return quats, translations
 
 
-def simulate_absolute(truth: SE3Pose, nm: NoiseModel, canonical_ref: Rotation,
-                      rng) -> SE3Pose:
-    """Noisy absolute prediction; error grows with distance from the canonical
-    reference orientation."""
-    mag = nm.base_deg + nm.slope_deg_per_deg * geodesic_deg(truth.rotation,
-                                                            canonical_ref)
-    return _perturb(truth, mag, nm.trans_noise_mm, rng)
-
-
-def simulate_relative(anchor: SE3Pose, query: SE3Pose, nm: NoiseModel,
-                      rng) -> SE3Pose:
-    """Noisy relative transform; error grows with the anchor-query gap."""
-    gap = geodesic_deg(anchor.rotation, query.rotation)
-    mag = nm.base_deg + nm.slope_deg_per_deg * gap
-    return _perturb(relative(query, anchor), mag, nm.trans_noise_mm, rng)
-
-
 class AbsoluteSimEstimator:
     """Absolute pose-level estimator with distance-proportional noise."""
 
@@ -335,8 +305,9 @@ class AbsoluteSimEstimator:
         self.canonical_ref = canonical_ref or Rotation.identity()
 
     def predict(self, batch):
-        """simulate_absolute for every row of a harness.QueryBatch, each
-        row on its query's stream, as a pose array."""
+        """Each query of a harness.QueryBatch perturbed on its own stream by
+        base_deg + slope_deg_per_deg x its distance from canonical_ref
+        (deg), as a pose array."""
         nm = self.noise
         distance = geodesic_deg_many(batch.query[0], self.canonical_ref.quat)
         return _perturb_many(batch, batch.query,
@@ -351,14 +322,18 @@ class RelativeSimEstimator:
         self.noise = noise
 
     def predict(self, batch):
-        """simulate_relative for every row of a harness.QueryBatch, each
-        row on its query's stream, composed onto the row's batch.anchor
-        (as geometry.apply_anchor): absolute poses, as a pose array."""
+        """Each row of a harness.QueryBatch: its true anchor-to-query
+        transform (geometry.relative) perturbed on the query's own stream
+        by base_deg + slope_deg_per_deg x the anchor-query gap (deg), then
+        composed onto the row's batch.anchor (as geometry.apply_anchor):
+        absolute poses, as a pose array."""
         nm = self.noise
         gap = geodesic_deg_many(batch.anchor_truth[0], batch.query[0])
-        rel = compose_many(batch.query, inverse_many(batch.anchor_truth))
-        return compose_many(_perturb_many(
-            batch, rel, nm.base_deg + nm.slope_deg_per_deg * gap, nm), batch.anchor)
+        # huge translations give inf, which reports refuse
+        with np.errstate(over="ignore"):
+            rel = compose_many(batch.query, inverse_many(batch.anchor_truth))
+            return compose_many(_perturb_many(
+                batch, rel, nm.base_deg + nm.slope_deg_per_deg * gap, nm), batch.anchor)
 
 
 def sample_logs(sampler) -> list:

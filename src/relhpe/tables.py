@@ -22,8 +22,9 @@ from contextlib import contextmanager
 from typing import Optional
 
 from .camera import Intrinsics
-from .errors import DomainError, InvariantViolation, ParseError
+from .errors import InvariantViolation, ParseError
 from .records import Record
+from .rotation import unit_quat
 from .rows import csv_rows, finite_floats, row_errors
 
 # A canonical pose-log file (see harness) starts with the line header(tag).
@@ -191,10 +192,7 @@ def prediction_rows(path):
             raise ParseError(f"{path}:{lineno}: duplicate query id {row[0]!r}")
         with row_errors(path, lineno):
             vals = finite_floats(row[1:])
-            w, x, y, z = vals[:4]
-            norm = math.sqrt(w * w + x * x + y * y + z * z)
-            if not 0.0 < norm < math.inf:
-                raise DomainError(f"quaternion norm {norm} is zero or non-finite")
+            unit_quat(*vals[:4])  # a zero or overflowing norm is a DomainError
         ids[row[0]] = None
         numbers.extend(vals)
     if not ids:

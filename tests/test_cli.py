@@ -538,19 +538,21 @@ def test_non_finite_report_writes_nothing(command, fmt, tmp_path, capsys):
     refused before any of its files is opened, whatever --format is, and
     the refusal is the one line on stderr."""
     argv, stem = report_argv(command, tmp_path)
+    rewrites = []  # (file, tx column, tx of the file's k-th row)
     if command == "sweep":
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"trans_noise_mm": 1e308, "abs_base_deg": 0, "rel_base_deg": 0}')
-        argv = ["--config", cfg] + argv
+        # tx of frame 0 1e308, of every later frame -1e308: the relative
+        # transform onto frame 0 (fixed_first) overflows for some frames
+        rewrites = [(argv[1], 7, lambda k: "-1e308" if k else "1e308")]
     elif command == "eval":  # tx of every truth row -1e308, of each prediction 1e308
-        for path, column, tx in ((argv[1], 7, "-1e308"), (argv[3], 5, "1e308")):
-            head, *rows = read(path).splitlines()
-            path.write_text("\n".join([head] + [
-                ",".join(cells[:column] + [tx] + cells[column + 1:])
-                for cells in (row.split(",") for row in rows)]) + "\n")
+        rewrites = [(argv[1], 7, lambda k: "-1e308"), (argv[3], 5, lambda k: "1e308")]
     else:
         write_stage_file(argv[1], [(1, 1e308, 0, 0, 1, 0, 0, 0, 60, 60)])
         write_stage_file(argv[2], [(1, -1e308, 0, 0, 1, 0, 0, 0, 60, 60)])
+    for path, column, tx in rewrites:
+        head, *rows = read(path).splitlines()
+        path.write_text("\n".join([head] + [
+            ",".join(cells[:column] + [tx(k)] + cells[column + 1:])
+            for k, cells in enumerate(row.split(",") for row in rows)]) + "\n")
     out = tmp_path / "o"
     capsys.readouterr()
     assert run(["--out", out] + (["--format", fmt] if fmt else []) + argv) == 2
@@ -666,7 +668,8 @@ def malformed_input(case, tmp_path):
         bad.write_text("# poselog v1 frame=world\ns,f0,0,1,0,0,0,0,0,0\n"
                        f"{canonical_rows[case]}\n")
         argv = (["ingest", bad] if case != "nan_log_quaternion"
-                else ["sweep", bad, "--policy", "nearest_within"])
+                else ["sweep", bad, "--policy", "nearest_within",
+                      "--threshold-deg", "10"])
         return argv, "bad.csv:3:"
     canonical_files = {"unsupported_log_version": b"# poselog v2 frame=world\n"
                                                   b"s,f0,0,1,0,0,0,0,0,0\n",
@@ -737,6 +740,9 @@ def malformed_input(case, tmp_path):
                                              "cfg.json: rel_slope: "),
                "config_negative_trans_noise": ('{"trans_noise_mm": -0.5}', "sweep",
                                                "cfg.json: trans_noise_mm: "),
+               # a finite value at which a translation error's norm overflows
+               "config_overflowing_trans_noise": ('{"trans_noise_mm": 1.5e154}',
+                                                  "sweep", "cfg.json: trans_noise_mm: "),
                "config_zero_frames": ('{"frames_per_log": 0}', "simulate",
                                       "cfg.json: frames_per_log: "),
                "config_zero_subjects": ('{"subjects": 0}', "simulate",
@@ -861,6 +867,7 @@ def malformed_input(case, tmp_path):
                                   "config_overflowing_abs_slope",
                                   "config_negative_rel_slope",
                                   "config_negative_trans_noise",
+                                  "config_overflowing_trans_noise",
                                   "config_zero_frames", "config_zero_subjects",
                                   "config_yaw_min_above_max", "zero_frames_flag",
                                   "tiny_bin_width", "anchor_not_in_truth",

@@ -11,7 +11,8 @@ importing the package compiles no generated code, commands that hash
 nothing load no hashlib, `eval` and `simulate` load no numpy, `pairs` no
 numpy.random, and `sweep` only the package modules it runs.  numpy's
 SeedSequence and PCG64 constants and the SeedSequence hash are written
-only in sampling.  In the CLI, only main resolves settings and creates
+only in sampling, and a query's noise-stream key is hashed only in
+simulate._seed_states.  In the CLI, only main resolves settings and creates
 the output directory, and only _write_report builds a report envelope.
 """
 
@@ -378,6 +379,28 @@ def test_seed_sequence_hash_is_written_once():
             elif isinstance(n, ast.alias) and n.name in RNG_CONSTANTS[:6]:
                 stray.append(f"{path.name} line {n.lineno}: imports {n.name}")
     assert not stray, f"SeedSequence hash outside sampling: {stray}"
+
+
+def test_query_stream_key_is_written_once():
+    """No module seeds a numpy generator from a key (default_rng or
+    SeedSequence), and only simulate._seed_states hashes a value directly
+    (a sha256 call with an argument, as a query's key takes it;
+    reports.file_sha256 feeds its hash a file in chunks)."""
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for stmt in tree.body:
+            name = getattr(stmt, "name", "module level")
+            for n in ast.walk(stmt):
+                if not isinstance(n, ast.Call):
+                    continue
+                called = ast.unparse(n.func).rsplit(".", 1)[-1]
+                if called in ("default_rng", "SeedSequence"):
+                    stray.append(f"{path.name} line {n.lineno}: {name} calls {called}")
+                elif (called == "sha256" and n.args
+                        and (path.name, name) != ("simulate.py", "_seed_states")):
+                    stray.append(f"{path.name} line {n.lineno}: {name} hashes a key")
+    assert not stray, f"a query stream's key outside simulate._seed_states: {stray}"
 
 
 # The CLI's one command runner: the call in cli.py -> the functions that

@@ -22,14 +22,13 @@ from relhpe import (AbsoluteSimEstimator, AnchorPolicy, NoiseModel,
                     TableEstimator, apply_anchor, build_easy_pairs,
                     build_hard_pairs,
                     euler_from_rotation, export_canonical, geodesic_deg,
-                    load_predictions_csv, pair_batch, sample_logs, score, sweep)
+                    load_predictions_csv, pair_batch, relative, sample_logs,
+                    score, sweep)
 from relhpe.errors import (DomainError, EmptyRange, InvariantViolation,
                            MissingPrediction, ParseError)
-from relhpe.harness import query_batch
+from relhpe.harness import error_arrays, query_batch, report_from_samples
 from relhpe.geometry import EulerAngles, rotation_from_euler
-from relhpe.simulate import (simulate_absolute, simulate_relative,
-                             _fast_normals, _pcg64_columns,
-                             _probed_tables, _query_rng,
+from relhpe.simulate import (_fast_normals, _pcg64_columns, _random_unit_vector,
                              _seed_states, _stream_vectors, _ziggurat_tables)
 
 from conftest import (frame_records, pose_log, random_pose, random_rotation,
@@ -41,11 +40,63 @@ def make_log(poses, subject="s1"):
     return pose_log(poses, subject, [f"f{i:04d}" for i in range(len(poses))])
 
 
+# ---------------------------------------------------------------------------
+# the scalar reference: one query at a time, each on a numpy Generator of its
+# own, which the batched predict equals bit for bit
+
+
+def _query_rng(seed, subject_id, frame_id):
+    digest = hashlib.sha256(f"{subject_id}/{frame_id}".encode()).digest()
+    words = [int.from_bytes(digest[i:i + 4], "little") for i in range(0, 16, 4)]
+    return np.random.default_rng([int(seed)] + words)
+
+
+def _perturb(pose: SE3Pose, magnitude_deg: float, trans_mm: float, rng) -> SE3Pose:
+    rot = pose.rotation
+    if magnitude_deg > 0:
+        axis = _random_unit_vector(rng)
+        rot = Rotation.from_axis_angle(axis, math.radians(magnitude_deg)) * rot
+    t = pose.translation
+    if trans_mm > 0:
+        t = t + trans_mm * _random_unit_vector(rng)
+    return SE3Pose(rot, t, pose.frame_tag)
+
+
+def simulate_absolute(truth: SE3Pose, nm: NoiseModel, canonical_ref: Rotation,
+                      rng) -> SE3Pose:
+    """Noisy absolute prediction; error grows with distance from the canonical
+    reference orientation."""
+    mag = nm.base_deg + nm.slope_deg_per_deg * geodesic_deg(truth.rotation,
+                                                            canonical_ref)
+    return _perturb(truth, mag, nm.trans_noise_mm, rng)
+
+
+def simulate_relative(anchor: SE3Pose, query: SE3Pose, nm: NoiseModel,
+                      rng) -> SE3Pose:
+    """Noisy relative transform; error grows with the anchor-query gap."""
+    gap = geodesic_deg(anchor.rotation, query.rotation)
+    mag = nm.base_deg + nm.slope_deg_per_deg * gap
+    return _perturb(relative(query, anchor), mag, nm.trans_noise_mm, rng)
+
+
 def oracle_absolute(est, subject_id, frame_id, truth):
     """The scalar reference for est's prediction of one query:
     simulate_absolute on the query's own stream."""
     return simulate_absolute(truth, est.noise, est.canonical_ref,
                              _query_rng(est.noise.seed, subject_id, frame_id))
+
+
+def predicted(est, log, queries=None, anchors=None):
+    """est.predict on a query_batch of the log (every frame, anchored on
+    itself, by default): (rotations, translations) per row."""
+    queries = range(len(log)) if queries is None else queries
+    quats, translations = est.predict(query_batch(
+        log, queries, queries if anchors is None else anchors))
+    return [Rotation(*q) for q in quats.tolist()], translations
+
+
+def truths(log):
+    return [f.pose for f in frame_records(log)]
 
 
 class TestNoiseModel:
@@ -61,8 +112,12 @@ class TestNoiseModel:
         {"base_deg": math.inf}, {"trans_noise_mm": math.inf},
         # finite parameters whose magnitude at a 180 deg gap overflows
         {"slope_deg_per_deg": 1e308}, {"base_deg": 1.7e308, "slope_deg_per_deg": 1e306},
+        # translation noise above 1e154, whose error's squared norm can overflow
+        {"trans_noise_mm": math.nextafter(1e154, math.inf)},
+        {"trans_noise_mm": 1.5e154},
     ], ids=["infinite_base", "infinite_translation", "overflowing_slope",
-            "overflowing_sum"])
+            "overflowing_sum", "translation_above_the_cut",
+            "overflowing_translation_error"])
     def test_rejects_a_magnitude_that_is_not_finite(self, kwargs):
         with pytest.raises(DomainError):
             NoiseModel(**kwargs)
@@ -73,101 +128,106 @@ class TestNoiseModel:
         with pytest.raises(DomainError, match="seed must be a non-negative integer"):
             NoiseModel(base_deg=1.0, seed=seed)
 
+    def test_largest_translation_noise_gives_finite_errors(self):
+        # the other side of the cut: a pure-noise error of 1e154 mm, whose
+        # squared norm is about 1e308
+        log = make_log([SE3Pose(random_rotation(np.random.default_rng(i)),
+                                np.zeros(3)) for i in range(50)])
+        batch = query_batch(log, range(50), [0] * 50)
+        for est in (AbsoluteSimEstimator("a", NoiseModel(trans_noise_mm=1e154)),
+                    RelativeSimEstimator("r", NoiseModel(trans_noise_mm=1e154))):
+            report = report_from_samples(*error_arrays(est.predict(batch), batch))
+            assert 0.99e154 < report.t_l2_mm < 1.01e154
+
     def test_numpy_integer_seed_is_its_int(self, rng):
-        truth = random_pose(rng)
-        est = [AbsoluteSimEstimator("a", NoiseModel(base_deg=4.0, seed=s))
-               for s in (7, np.int64(7))]
-        a, b = (oracle_absolute(e, "s1", "f0001", truth) for e in est)
-        assert a.rotation == b.rotation
+        log = make_log([random_pose(rng)])
+        a, b = (predicted(AbsoluteSimEstimator("a", NoiseModel(base_deg=4.0,
+                                                               seed=s)), log)
+                for s in (7, np.int64(7)))
+        assert a[0] == b[0]
 
     def test_zero_noise_is_identity(self, rng):
-        nm = NoiseModel()
-        for _ in range(10):
-            truth = random_pose(rng)
-            out = simulate_absolute(truth, nm, Rotation.identity(),
-                                    np.random.default_rng(0))
-            assert geodesic_deg(out.rotation, truth.rotation) == 0.0
-            assert np.array_equal(out.translation, truth.translation)
+        log = make_log([random_pose(rng) for _ in range(10)])
+        rotations, translations = predicted(AbsoluteSimEstimator("a", NoiseModel()),
+                                            log)
+        for truth, rotation, t in zip(truths(log), rotations, translations):
+            assert geodesic_deg(rotation, truth.rotation) == 0.0
+            assert np.array_equal(t, truth.translation)
 
 
 class TestExactMagnitude:
+    """Each prediction's error is the configured magnitude exactly, not a
+    draw from a distribution."""
+
     def test_absolute_base_only(self, rng):
-        # configured magnitude is applied exactly, not drawn from a
-        # distribution, so every sample sits at 5 degrees
-        nm = NoiseModel(base_deg=5.0, trans_noise_mm=3.0)
-        for i in range(200):
-            truth = random_pose(rng)
-            out = simulate_absolute(truth, nm, Rotation.identity(),
-                                    np.random.default_rng(i))
-            assert abs(geodesic_deg(out.rotation, truth.rotation) - 5.0) < 1e-9
-            assert abs(np.linalg.norm(out.translation - truth.translation)
-                       - 3.0) < 1e-9
+        # every sample sits at 5 degrees and 3 mm
+        log = make_log([random_pose(rng) for _ in range(200)])
+        est = AbsoluteSimEstimator("a", NoiseModel(base_deg=5.0, trans_noise_mm=3.0))
+        rotations, translations = predicted(est, log)
+        for truth, rotation, t in zip(truths(log), rotations, translations):
+            assert abs(geodesic_deg(rotation, truth.rotation) - 5.0) < 1e-9
+            assert abs(np.linalg.norm(t - truth.translation) - 3.0) < 1e-9
 
     def test_absolute_slope(self, rng):
-        nm = NoiseModel(base_deg=1.0, slope_deg_per_deg=0.1)
-        ref = Rotation.identity()
-        for i in range(200):
-            truth = random_pose(rng)
+        ref = random_rotation(rng)
+        log = make_log([random_pose(rng) for _ in range(200)])
+        est = AbsoluteSimEstimator("a", NoiseModel(base_deg=1.0, slope_deg_per_deg=0.1),
+                                   ref)
+        rotations, _ = predicted(est, log)
+        for truth, rotation in zip(truths(log), rotations):
             dist = geodesic_deg(truth.rotation, ref)
-            out = simulate_absolute(truth, nm, ref, np.random.default_rng(i))
-            err = geodesic_deg(out.rotation, truth.rotation)
+            err = geodesic_deg(rotation, truth.rotation)
             assert abs(err - (1.0 + 0.1 * dist)) < 1e-9
 
     def test_relative_gap_scaling(self, rng):
-        nm = NoiseModel(base_deg=0.5, slope_deg_per_deg=0.05)
-        for i in range(200):
-            anchor, query = random_pose(rng), random_pose(rng)
+        # frames 0..199 are queries, each anchored on the frame 200 later
+        log = make_log([random_pose(rng) for _ in range(400)])
+        est = RelativeSimEstimator("r", NoiseModel(base_deg=0.5,
+                                                   slope_deg_per_deg=0.05))
+        rotations, _ = predicted(est, log, range(200), range(200, 400))
+        poses = truths(log)
+        for query, anchor, rotation in zip(poses, poses[200:], rotations):
             gap = geodesic_deg(anchor.rotation, query.rotation)
-            rel = simulate_relative(anchor, query, nm, np.random.default_rng(i))
-            recovered = apply_anchor(rel, anchor)
-            err = geodesic_deg(recovered.rotation, query.rotation)
+            err = geodesic_deg(rotation, query.rotation)
             assert abs(err - (0.5 + 0.05 * gap)) < 1e-9
 
     def test_monte_carlo_mean(self, rng):
-        nm = NoiseModel(base_deg=5.0)
-        errs = []
-        for i in range(500):
-            truth = random_pose(rng)
-            out = simulate_absolute(truth, nm, Rotation.identity(),
-                                    np.random.default_rng(i))
-            errs.append(geodesic_deg(out.rotation, truth.rotation))
+        log = make_log([random_pose(rng) for _ in range(500)])
+        rotations, _ = predicted(AbsoluteSimEstimator("a", NoiseModel(base_deg=5.0)),
+                                 log)
+        errs = [geodesic_deg(rotation, truth.rotation)
+                for truth, rotation in zip(truths(log), rotations)]
         assert abs(np.mean(errs) - 5.0) < 0.2
 
 
 class TestDeterminism:
     def test_same_seed_same_prediction(self, rng):
-        truth = random_pose(rng)
-        a = AbsoluteSimEstimator("a", NoiseModel(base_deg=4.0, seed=7))
-        b = AbsoluteSimEstimator("b", NoiseModel(base_deg=4.0, seed=7))
-        pa = oracle_absolute(a, "s1", "f0001", truth)
-        pb = oracle_absolute(b, "s1", "f0001", truth)
-        assert pa.rotation == pb.rotation
-        assert np.array_equal(pa.translation, pb.translation)
+        log = make_log([random_pose(rng) for _ in range(3)])
+        a = predicted(AbsoluteSimEstimator("a", NoiseModel(4.0, trans_noise_mm=1.0,
+                                                           seed=7)), log)
+        b = predicted(AbsoluteSimEstimator("b", NoiseModel(4.0, trans_noise_mm=1.0,
+                                                           seed=7)), log)
+        assert a[0] == b[0]
+        assert a[1].tobytes() == b[1].tobytes()
 
     def test_different_seed_differs(self, rng):
-        truth = random_pose(rng)
-        a = AbsoluteSimEstimator("a", NoiseModel(base_deg=4.0, seed=7))
-        b = AbsoluteSimEstimator("b", NoiseModel(base_deg=4.0, seed=8))
-        pa = oracle_absolute(a, "s1", "f0001", truth)
-        pb = oracle_absolute(b, "s1", "f0001", truth)
-        assert pa.rotation != pb.rotation
+        log = make_log([random_pose(rng) for _ in range(3)])
+        a = predicted(AbsoluteSimEstimator("a", NoiseModel(base_deg=4.0, seed=7)), log)
+        b = predicted(AbsoluteSimEstimator("b", NoiseModel(base_deg=4.0, seed=8)), log)
+        assert all(p != q for p, q in zip(a[0], b[0]))
 
     def test_stream_independent_of_order(self, rng):
-        # per-query streams come from (seed, subject, frame), not call order
-        truth1, truth2 = random_pose(rng), random_pose(rng)
+        # per-query streams come from (seed, subject, frame), not batch order
+        log = make_log([random_pose(rng), random_pose(rng)])
         est = AbsoluteSimEstimator("e", NoiseModel(base_deg=3.0, seed=1))
-        forward = [oracle_absolute(est, "s", "fA", truth1),
-                   oracle_absolute(est, "s", "fB", truth2)]
-        backward = [oracle_absolute(est, "s", "fB", truth2),
-                    oracle_absolute(est, "s", "fA", truth1)]
-        assert forward[0].rotation == backward[1].rotation
-        assert forward[1].rotation == backward[0].rotation
+        forward, backward = (predicted(est, log, order) for order in ([0, 1], [1, 0]))
+        assert forward[0] == backward[0][::-1]
 
     def test_query_rng_distinct_streams(self):
-        a = _query_rng(0, "s1", "f1").uniform()
-        b = _query_rng(0, "s1", "f2").uniform()
-        c = _query_rng(1, "s1", "f1").uniform()
-        assert a != b and a != c
+        # another frame or another seed is another stream
+        a, b = _stream_vectors(0, "s1", ["f1", "f2"], 1)
+        c, = _stream_vectors(1, "s1", ["f1"], 1)
+        assert a.tobytes() != b.tobytes() and a.tobytes() != c.tobytes()
 
 
 class TestSampleLogs:
@@ -451,8 +511,8 @@ _noise = st.builds(NoiseModel, base_deg=st.sampled_from([0.0, 0.5, 3.0]),
 
 
 class TestBatchedEstimators:
-    """The batched path equals the scalar simulate_absolute/simulate_relative
-    driven by each query's _query_rng, bit for bit."""
+    """The batched path equals the scalar reference simulate_absolute /
+    simulate_relative driven by each query's _query_rng, bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(abs_noise=_noise, rel_noise=_noise, n=st.integers(0, 10),
@@ -517,13 +577,13 @@ def _scalar_vectors(seed, subject_id, frame_ids, depth):
     rows = []
     for frame_id in frame_ids:
         rng = _query_rng(seed, subject_id, frame_id)
-        rows.append([relhpe.simulate._random_unit_vector(rng) for _ in range(depth)])
+        rows.append([_random_unit_vector(rng) for _ in range(depth)])
     return np.array(rows, dtype=float).reshape(-1, depth, 3)
 
 
 class TestBatchedStreams:
     """Streams seeded in batches equal numpy's SeedSequence and PCG64 and
-    the scalar _query_rng path."""
+    the scalar reference _query_rng."""
 
     @settings(max_examples=100, deadline=None)
     @given(rows=st.integers(4, 9).flatmap(lambda width: st.lists(
@@ -571,14 +631,11 @@ class TestBatchedStreams:
         # with the redraw bound at 1, about a fifth of the draws are
         # redrawn, shifting the rest of their streams
         monkeypatch.setattr(relhpe.simulate, "_MIN_NORM", 1.0)
-        calls = []
-        scalar_rng = relhpe.simulate._query_rng
-        monkeypatch.setattr(relhpe.simulate, "_query_rng",
-                            lambda *key: calls.append(key) or scalar_rng(*key))
+        redrawn = _recorded_rows(monkeypatch)
         log = make_log([random_pose(np.random.default_rng(5)) for _ in range(40)])
         est = AbsoluteSimEstimator("a", NoiseModel(2.0, 0.1, 1.5, seed=9))
         quats, translations = est.predict(query_batch(log, range(40), range(40)))
-        assert 0 < len(calls) < 40
+        assert 0 < len(redrawn[1]) < 40
         expected = [oracle_absolute(est, log.subject_id, f.frame_id, f.pose)
                     for f in frame_records(log)]
         assert quats.tolist() == [list(p.rotation.quat) for p in expected]
@@ -589,6 +646,16 @@ class TestBatchedStreams:
             _query_rng(-1, "s", "f0000")
         with pytest.raises(ValueError):
             _seed_states(-1, "s", ["f0000"])
+
+
+def _recorded_rows(monkeypatch):
+    """A list that gets, per _row_generators call, the rows it is asked to
+    draw (in _stream_vectors: the slow rows, then the short ones)."""
+    calls = []
+    row_generators = relhpe.simulate._row_generators
+    monkeypatch.setattr(relhpe.simulate, "_row_generators", lambda columns, rows: (
+        calls.append(rows.tolist()) or row_generators(columns, rows)))
+    return calls
 
 
 class _SeedWords(ISeedSequence):
@@ -661,7 +728,7 @@ class TestZigguratTables:
             assert int(bits.random_raw()) == raw
 
     def test_widths_equal_generator(self):
-        wi, _ = _probed_tables()
+        wi, _ = _ziggurat_tables()
         assert wi.shape == (256,)
         for i in range(256):
             assert _numpy_normal(1 << 9 | i)[0] == wi[i]
@@ -673,7 +740,7 @@ class TestZigguratTables:
                 (-1.0 if sign else 1.0) * rabs * wi[i], True)
 
     def test_bounds_at_most_numpys(self):
-        _, bound = _probed_tables()
+        _, bound = _ziggurat_tables()
         assert bound[0] == bound[1] == 0
         for i in range(2, 256):
             lo, hi = 0, 2**52  # numpy's threshold: the least rabs not fast
@@ -688,33 +755,31 @@ class TestZigguratTables:
 
     def test_derived_once_and_checked(self):
         assert _ziggurat_tables() is _ziggurat_tables()
-        wi, bound = _ziggurat_tables()
-        probed = _probed_tables()
-        assert wi.tobytes() == probed[0].tobytes()
-        assert bound.tobytes() == probed[1].tobytes()
+        # the check on the draws of 256 streams kept every probed bound
+        _, bound = _ziggurat_tables()
+        assert bound[:2].tolist() == [0, 0] and bound[2:].all()
 
     @pytest.mark.parametrize("layer", [2, 97, 255])
     def test_a_wrong_width_sends_every_row_to_the_per_row_path(
             self, layer, monkeypatch):
-        probed = relhpe.simulate._probed_tables
+        fast_normals = relhpe.simulate._fast_normals
 
-        def corrupted():
-            wi, bound = probed()
+        def corrupted(columns, count, tables):
+            wi, bound = tables
+            wi = wi.copy()
             wi[layer] = np.nextafter(wi[layer], 1.0)
-            return wi, bound
+            return fast_normals(columns, count, (wi, bound))
 
-        monkeypatch.setattr(relhpe.simulate, "_probed_tables", corrupted)
+        monkeypatch.setattr(relhpe.simulate, "_fast_normals", corrupted)
         _ziggurat_tables.cache_clear()
         try:
-            assert _ziggurat_tables() is None
-            per_row = []
-            state_dict = relhpe.simulate._pcg64_dict
-            monkeypatch.setattr(relhpe.simulate, "_pcg64_dict",
-                                lambda *a: per_row.append(a) or state_dict(*a))
+            _, bound = _ziggurat_tables()
+            assert not bound.any()  # the check failed: no row is fast
+            per_row = _recorded_rows(monkeypatch)
             frame_ids = [f"f{i:04d}" for i in range(50)]
             assert (_stream_vectors(5, "s1", frame_ids, 2).tobytes()
                     == _scalar_vectors(5, "s1", frame_ids, 2).tobytes())
-            assert len(per_row) == len(frame_ids)
+            assert per_row == [list(range(50)), []]
         finally:
             _ziggurat_tables.cache_clear()
 
@@ -769,15 +834,14 @@ class TestArrayPass:
     @pytest.mark.parametrize("seed", [2, 2**33 + 17])
     def test_short_norm_rows_fall_back(self, seed, monkeypatch):
         monkeypatch.setattr(relhpe.simulate, "_MIN_NORM", 1.0)
-        redrawn = []
-        scalar_rng = relhpe.simulate._query_rng
-        monkeypatch.setattr(relhpe.simulate, "_query_rng",
-                            lambda *key: redrawn.append(key[2]) or scalar_rng(*key))
+        calls = _recorded_rows(monkeypatch)
         frame_ids = [f"f{i:05d}" for i in range(4000)]
         _, fast = _fast_rows(seed, frame_ids, 6)
         vectors = _stream_vectors(seed, "subj001", frame_ids, 2)
+        slow, redrawn = calls
+        assert slow == np.flatnonzero(~fast).tolist()
         # rows whose draws all took the fast path, redrawn for a short norm
-        assert {frame_ids[r] for r in np.flatnonzero(fast)} & set(redrawn)
+        assert set(np.flatnonzero(fast).tolist()) & set(redrawn)
         assert len(redrawn) < len(frame_ids)
         assert vectors.tobytes() == _scalar_vectors(seed, "subj001", frame_ids,
                                                     2).tobytes()
@@ -785,9 +849,9 @@ class TestArrayPass:
 
 class TestSweepCallCounts:
     """A CLI sweep runs as one array pass per log: no scalar geodesic or
-    Euler call, no per-query _query_rng (the streams are seeded in
-    batches), and one noise stream seeded per paired query when the two
-    estimators share the seed."""
+    Euler call, and one noise stream seeded per paired query when the two
+    estimators share the seed (the streams are seeded in batches; no
+    module calls numpy's default_rng, see test_hygiene.py)."""
 
     @pytest.mark.parametrize("argv", [
         ["--policy", "fixed_first"],
@@ -796,7 +860,7 @@ class TestSweepCallCounts:
         ["--policy", "nearest_within", "--threshold-deg", "10",
          "--axis", "absolute_query_pose"]])
     def test_counts(self, argv, tmp_path, monkeypatch):
-        calls = {"geodesic_deg": 0, "euler_from_rotation": 0, "_query_rng": 0}
+        calls = {"geodesic_deg": 0, "euler_from_rotation": 0}
         seeded = []  # the frame id of every stream seeded
         seed_states = relhpe.simulate._seed_states
 
@@ -815,8 +879,7 @@ class TestSweepCallCounts:
         modules = (relhpe.rotation, relhpe.geometry, relhpe.anchors,
                    relhpe.harness, relhpe.simulate, relhpe.cli)
         home = {"geodesic_deg": relhpe.rotation,
-                "euler_from_rotation": relhpe.geometry,
-                "_query_rng": relhpe.simulate}
+                "euler_from_rotation": relhpe.geometry}
         for name in calls:
             fn = getattr(home[name], name)
             for module in modules:
@@ -830,6 +893,5 @@ class TestSweepCallCounts:
         paired = json.loads((tmp_path / "sweep.json").read_text())[
             "payload"]["total_paired"]
         assert paired > 100
-        assert calls == {"geodesic_deg": 0, "euler_from_rotation": 0,
-                         "_query_rng": 0}
+        assert calls == {"geodesic_deg": 0, "euler_from_rotation": 0}
         assert len(seeded) == paired
