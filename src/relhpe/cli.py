@@ -11,11 +11,13 @@ the flag or '<config file>: <key>' a bad value came from, also when the
 library rejects it (a DomainError naming its setting).  All angle I/O at
 this surface is in degrees.
 
-main resolves a command's settings and creates --out once, before the
-command runs; each cmd_<name>(args, out, config, settings) (report takes
-only args and out) returns nothing.  Every report goes through
-_write_report, which embeds the config echo, the seed, the format version
-and input-file hashes, so identical inputs give identical report bytes.
+main resolves a command's settings before the command runs; each
+cmd_<name>(args, out, config, settings) (report takes only args and out)
+returns nothing.  --out is created (reports.out_path) only once a file's
+text is built, so a run that fails before then leaves none behind.  Every
+report goes through _write_report, which embeds the config echo, the
+seed, the format version and input-file hashes, so identical inputs give
+identical report bytes.
 
 Only the standard library and the stdlib-only reports, errors and vocab
 modules load with this module; each command imports the library modules
@@ -37,7 +39,7 @@ import os
 import sys
 
 from . import reports
-from .errors import ParseError, RelHpeError, StageCountMismatch
+from .errors import DomainError, ParseError, RelHpeError, StageCountMismatch
 from .vocab import MODES, POLICY_KINDS, SWEEP_AXES
 
 EXIT_USAGE = 2
@@ -209,7 +211,7 @@ def cmd_ingest(args, out, _, s):
         logs = [ingest_biwi(args.input, s["pose_glob"], s["calib_name"])]
     else:
         logs = ingest_canonical_all(args.input)
-    dest = os.path.join(out, "poselog.csv")
+    dest = reports.out_path(out, "poselog.csv")
     export_canonical(logs, dest)
     n_frames = sum(len(l) for l in logs)
     arr = euler_deg_many(np.concatenate([log.quats for log in logs]))
@@ -251,18 +253,28 @@ def cmd_eval(args, out, cfg, _):
           f"roll={rep.roll_mae:.4f} mae={rep.mae:.4f} geodesic={rep.geodesic_mae:.4f}")
 
 
+def _noise_model(s, prefix, seed):
+    """The NoiseModel of the sweep settings <prefix>_base_deg,
+    <prefix>_slope and trans_noise_mm; its DomainError names the setting
+    by its key."""
+    from .simulate import NoiseModel
+    keys = {"base_deg": f"{prefix}_base_deg", "slope_deg_per_deg": f"{prefix}_slope"}
+    try:
+        return NoiseModel(**{name: s[key] for name, key in keys.items()},
+                          trans_noise_mm=s["trans_noise_mm"], seed=seed)
+    except DomainError as exc:
+        exc.setting = keys.get(exc.setting, exc.setting)
+        raise
+
+
 def cmd_sweep(args, out, cfg, s):
     from .anchors import AnchorPolicy
     from .harness import ingest_canonical_all, sweep
-    from .simulate import AbsoluteSimEstimator, NoiseModel, RelativeSimEstimator
+    from .simulate import AbsoluteSimEstimator, RelativeSimEstimator
     policy = AnchorPolicy(s["policy"], s["threshold_deg"])
     estimators = [
-        AbsoluteSimEstimator("sim_absolute", NoiseModel(
-            base_deg=s["abs_base_deg"], slope_deg_per_deg=s["abs_slope"],
-            trans_noise_mm=s["trans_noise_mm"], seed=args.seed)),
-        RelativeSimEstimator("sim_relative", NoiseModel(
-            base_deg=s["rel_base_deg"], slope_deg_per_deg=s["rel_slope"],
-            trans_noise_mm=s["trans_noise_mm"], seed=args.seed)),
+        AbsoluteSimEstimator("sim_absolute", _noise_model(s, "abs", args.seed)),
+        RelativeSimEstimator("sim_relative", _noise_model(s, "rel", args.seed)),
     ]
     logs = ingest_canonical_all(args.input)  # after every setting is checked
     rep = sweep(logs, estimators, policy, s["axis"], s["bin_width_deg"])
@@ -279,7 +291,7 @@ def cmd_simulate(args, out, _, s):
         roll_range=(s["roll_min"], s["roll_max"]),
         frames_per_log=s["frames_per_log"], subjects=s["subjects"],
         seed=args.seed)
-    dest = os.path.join(out, "simulated_poselog.csv")
+    dest = reports.out_path(out, "simulated_poselog.csv")
     write_canonical(dest, "world", pose_rows(sampler))
     print(f"wrote {dest} ({sampler.subjects} subjects x {sampler.frames_per_log} frames)")
 
@@ -391,9 +403,7 @@ def main(argv=None) -> int:
     try:
         args.seed = _checked("--seed", _count, args.seed)
         resolved = _settings(args) if args.command in SETTINGS else ()
-        out = args.out or "."
-        os.makedirs(out, exist_ok=True)
-        args.func(args, out, *resolved)
+        args.func(args, args.out or ".", *resolved)
         return 0
     except (RelHpeError, OSError) as exc:
         # a library DomainError about one setting is named by its source

@@ -1,13 +1,9 @@
 """Benchmark harness: pose-log ingestion (canonical format plus a BIWI-style
 adapter), easy/hard pair construction and scoring, metrics, and binned sweeps.
 
-Canonical pose-log file format (UTF-8, comma separated, '.' decimal point):
-
-    # poselog v1 frame=<frame_tag>
-    subject_id,frame_id,index,qw,qx,qy,qz,tx_mm,ty_mm,tz_mm[,fx,fy,cx,cy,width,height]
-
-One record per line; the six intrinsics fields are optional per record.
-Blank rows and '#' comment rows are skipped (see rows.csv_rows).
+The canonical pose-log format, its one reader and its one writer are in
+tables; ingest_canonical_all builds PoseLogs from the reader's columns and
+export_canonical writes a PoseLog's columns through the writer.
 
 BIWI-style subject directory: one text file per frame holding the 3x3
 rotation matrix (three rows) followed by the translation vector, plus a
@@ -25,10 +21,7 @@ re-expressed in the RGB camera frame (frame_tag "rgb").
 Logs and prediction tables are PoseLogs, handled as columns: the readers
 build them from arrays, export_canonical writes the columns, and the pair
 builders, query batches, TableEstimator and sweep (on anchors.anchor_arrays)
-index them, so none of these builds an object per frame.  A plain canonical
-file is read a block of lines at a time; any other, and one with a bad row,
-row by row (tables.canonical_subjects), so the first bad row or byte is
-named by its line.
+index them, so none of these builds an object per frame.
 """
 
 from __future__ import annotations
@@ -36,10 +29,7 @@ from __future__ import annotations
 import glob as globmod
 import math
 import os
-from array import array
-from contextlib import suppress
 from functools import cached_property
-from itertools import groupby
 
 import numpy as np
 
@@ -48,18 +38,16 @@ from .camera import Intrinsics
 from .errors import (DomainError, FrameMismatch, InsufficientFrames,
                      InvariantViolation, MalformedPoseFile, MissingCalibration,
                      MissingPrediction, MissingPredictions, ParseError,
-                     RelHpeError, whole)
+                     whole)
 from .geometry import (SE3Pose, compose_many, euler_deg_many,
                        geodesic_deg_many, medoid_index, pairs_within_deg)
 from .poselog import PoseLog
 from .records import Record
 from .rotation import Rotation
 from .sampling import sorted_choice
-from .tables import (MetricReport, canonical_frame_tag, canonical_subjects,
-                     named_by, wrap_deg, write_canonical)
+from .tables import (MetricReport, canonical_subjects, named_by, wrap_deg,
+                     write_canonical)
 from .vocab import SWEEP_AXES
-
-_BLOCK_BYTES = 1 << 14  # text read per block by _plain_subjects
 
 
 # ---------------------------------------------------------------------------
@@ -81,68 +69,10 @@ def export_canonical(logs, path):
         for log in logs))
 
 
-def _plain_subjects(path):
-    """ingest_canonical_all's subjects read a block of whole lines at a
-    time, or None once a block is not plain or fails a row check.  A plain
-    block is ASCII without '"', '#' or '\r', and each line ends in '\n' and
-    holds 9 commas, or each 15 (and is under two blocks long, far below
-    csv.field_size_limit()), so csv_rows would read the same cells."""
-    subjects, rest = {}, b""
-    with open(path, "rb") as fh:
-        if not (head := fh.readline()).isascii() or b'"' in head or b"\r" in head:
-            return None
-        while chunk := fh.read(_BLOCK_BYTES):
-            block, _, rest = (rest + chunk).rpartition(b"\n")
-            lines, commas = block.count(b"\n") + 1, block.count(b",")
-            width = commas // lines + 1
-            if (width not in (10, 16) or commas != (width - 1) * lines
-                    or not block.isascii() or b'"' in block or b"#" in block
-                    or b"\r" in block):
-                return None
-            # each '\n' starts a cell: a line has `width` cells if all are first
-            cells = block.decode("ascii").replace("\n", ",\n").split(",")
-            names, frame_ids = "".join(cells[0::width]).split("\n"), cells[1::width]
-            try:
-                indices = list(map(int, cells[2::width]))
-                del cells[0::width], cells[0::width - 1], cells[0::width - 2]
-                vals = np.array(list(map(float, cells))).reshape(lines, width - 3)
-            except ValueError:
-                return None
-            w, x, y, z = vals[:, :4].T
-            with np.errstate(over="ignore"):  # a huge number fails the norm
-                norm = np.sqrt(w * w + x * x + y * y + z * z)
-            if not (len(names) == lines and np.isfinite(vals).all()
-                    and (abs(norm - 1.0) <= 1e-3).all()
-                    and (width == 10 or (vals[:, [7, 8, 11, 12]] > 0).all())):
-                return None
-            rows = np.hstack([vals, np.full((lines, 16 - width), math.nan)])
-            start = 0
-            for subject, run in groupby(names):
-                stop = start + len(list(run))
-                ids, numbers = subjects.setdefault(subject, ({}, array("d")))
-                if indices[start:stop] != list(range(len(ids), len(ids) + stop - start)):
-                    return None
-                ids.update(dict.fromkeys(frame_ids[start:stop]))
-                if len(ids) != indices[stop - 1] + 1:  # a frame id seen before
-                    return None
-                numbers.frombytes(rows[start:stop].tobytes())
-                start = stop
-    return None if rest else subjects
-
-
 def ingest_canonical_all(path) -> list:
-    """Parse a canonical file into one PoseLog per subject (file order)."""
-    frame_tag = canonical_frame_tag(path)
-    subjects = _plain_subjects(path)
-    if subjects is not None:
-        with suppress(RelHpeError):  # the row loop then names the fault
-            return _canonical_logs(path, subjects, frame_tag)
-    return _canonical_logs(path, canonical_subjects(path), frame_tag)
-
-
-def _canonical_logs(path, subjects, frame_tag) -> list:
-    if not subjects:
-        raise ParseError(f"{path}: no records")
+    """Parse a canonical file into one PoseLog per subject (file order),
+    read by tables.canonical_subjects."""
+    frame_tag, subjects = canonical_subjects(path)
     logs = []
     with named_by(path):
         for subject, (ids, numbers) in subjects.items():

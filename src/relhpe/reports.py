@@ -55,22 +55,32 @@ def _json_text(data) -> str:  # ValueError for nan or inf, which JSON lacks
     return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def out_path(out, name) -> str:
+    """<out>/<name>, once the directory out exists.  A command asks for a
+    path only when the text it writes there is built, so a run that fails
+    before then leaves no output directory behind."""
+    os.makedirs(out, exist_ok=True)
+    return os.path.join(out, name)
+
+
 def write_report(out, stem, env, extensions):
     """Write <out>/<stem>.<ext> for each extension in order, 'json' the
     envelope env and any other the text FILES builds from its payload, and
     print 'wrote <path>' for each.  Every text is built, and env encoded
-    whatever the extensions, before a file is opened: a report holding nan
-    or inf writes nothing and is a RelHpeError naming its first file."""
-    paths = [os.path.join(out, f"{stem}.{ext}") for ext in extensions]
+    whatever the extensions, before a file or out is made: a report
+    holding nan or inf writes nothing and is a RelHpeError naming its
+    first file."""
+    names = [f"{stem}.{ext}" for ext in extensions]
     try:
         json_text = _json_text(env)
     except ValueError:
-        raise RelHpeError(f"{paths[0]}: not written, the report holds nan "
-                          "or inf") from None
+        raise RelHpeError(f"{os.path.join(out, names[0])}: not written, the "
+                          "report holds nan or inf") from None
     build = FILES[env["command"]]
     texts = [json_text if ext == "json" else globals()[build[ext]](env["payload"])
              for ext in extensions]
-    for path, text in zip(paths, texts):
+    for name, text in zip(names, texts):
+        path = out_path(out, name)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(f"wrote {path}")

@@ -46,7 +46,7 @@ def csv_rows(path, widths, header=()):
 
 def finite_floats(cells) -> list:
     """The cells as floats; ValueError on a non-number, nan or inf."""
-    vals = [float(c) for c in cells]
+    vals = list(map(float, cells))
     if not all(map(math.isfinite, vals)):
         raise ValueError("non-finite number")
     return vals

@@ -18,8 +18,8 @@ from .errors import ParseError
 from .reports import PAIRS_CSV_COLUMNS
 from .rotation import quat_euler_deg, quat_geodesic_deg, unit_quat
 from .rows import csv_rows, row_errors
-from .tables import (MetricReport, canonical_frame_tag, canonical_subjects,
-                     frame_positions, named_by, prediction_rows, wrap_deg)
+from .tables import (MetricReport, canonical_subjects, frame_positions,
+                     named_by, prediction_rows, wrap_deg)
 
 # How far (degrees) a pairs-CSV gap may lie from the gap of its frames in
 # the truth log.  `pairs` writes the gap geodesic_deg_many gives, with repr,
@@ -55,10 +55,7 @@ class PoseTable:
 def read_truth(path) -> PoseTable:
     """harness.ingest_canonical of a single-subject canonical file, with
     its checks and errors, as a PoseTable."""
-    frame_tag = canonical_frame_tag(path)
-    subjects = canonical_subjects(path)
-    if not subjects:
-        raise ParseError(f"{path}: no records")
+    frame_tag, subjects = canonical_subjects(path)
     tables = [PoseTable(path, subject, ids, numbers, 13, frame_tag)
               for subject, (ids, numbers) in subjects.items()]
     if len(tables) != 1:

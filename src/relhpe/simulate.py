@@ -264,7 +264,7 @@ class NoiseModel(Record):
         if not math.isfinite(self.base_deg + self.slope_deg_per_deg * 180.0):
             raise DomainError(f"noise magnitude base_deg {self.base_deg} + "
                               f"slope_deg_per_deg {self.slope_deg_per_deg} x 180 "
-                              f"deg is not finite")
+                              f"deg is not finite", setting="slope_deg_per_deg")
         # a translation error of noise alone is trans_noise_mm times a unit
         # vector; the square of 1e154 leaves room for rounding below the
         # largest float, where a report's squared norm would overflow

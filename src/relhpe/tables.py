@@ -1,15 +1,22 @@
 """The text formats of pose tables and the metric record, shared by the
 numpy library and the standard-library `eval` and `simulate` paths.
 
-The canonical pose-log header, the checks on a log's names
-(frame_positions) and the row loops of the canonical log
-(canonical_subjects) and of the prediction table (prediction_rows) live
-here: PoseLog, harness.ingest_canonical_all and
-simulate.load_predictions_csv use them, and so does scoring, which reads
-`eval`'s files without numpy.  write_canonical is the one writer of a
-canonical file: harness.export_canonical and `simulate` call it.
-MetricReport, the record both scorers return, is here for the same
-reason.  Standard library only.
+The canonical pose-log format (UTF-8, comma separated, '.' decimal point):
+
+    # poselog v1 frame=<frame_tag>
+    subject_id,frame_id,index,qw,qx,qy,qz,tx_mm,ty_mm,tz_mm[,fx,fy,cx,cy,width,height]
+
+One record per line; the six intrinsics fields are optional per record.
+Blank rows and '#' comment rows are skipped (see rows.csv_rows).
+
+The format's rules live here only: the header, the checks on a log's
+names (frame_positions, which PoseLog runs), the one reader
+(canonical_subjects: harness.ingest_canonical_all and scoring.read_truth)
+and the one writer (write_canonical: harness.export_canonical and
+`simulate`).  The prediction table's row loop (prediction_rows) and
+MetricReport, the record both scorers return, are here for the same
+reason: scoring reads `eval`'s files without numpy.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import math
 import re
 from array import array
 from contextlib import contextmanager
+from itertools import groupby
 from typing import Optional
 
 from .camera import Intrinsics
@@ -27,11 +35,20 @@ from .records import Record
 from .rotation import unit_quat
 from .rows import csv_rows, finite_floats, row_errors
 
-# A canonical pose-log file (see harness) starts with the line header(tag).
+# A canonical pose-log file starts with the line header(tag).
 HEADER_PREFIX = "# poselog"
 FORMAT_VERSION = "v1"
 
 _NO_INTRINSICS = (math.nan,) * 6  # the intrinsics columns of a row without
+
+# A canonical row's cells without and with intrinsics, how far its
+# quaternion's norm may lie from 1, and which of its 13 numbers must be
+# positive (fx, fy, width, height).
+_WIDTHS = (10, 16)
+_NORM_TEXT = "1e-3"
+_NORM_TOLERANCE = float(_NORM_TEXT)
+_SIZES = (7, 8, 11, 12)
+_BLOCK_BYTES = 1 << 14  # text read per block by _plain_subjects
 
 
 def header(frame_tag: str) -> str:
@@ -124,7 +141,7 @@ def write_canonical(path, frame_tag, logs):
 # readers
 
 
-def canonical_frame_tag(path) -> str:
+def _frame_tag(path) -> str:
     """The frame tag in a canonical file's header line ('world' if it
     names none); ParseError if the first line is no supported header."""
     # csv_rows names the line of a bad byte
@@ -142,27 +159,46 @@ def canonical_frame_tag(path) -> str:
     return frame_tag
 
 
-def canonical_subjects(path) -> dict:
-    """The rows of a canonical file, read one at a time through csv_rows:
-    subject -> (its frame ids as keys, in file order; 13 numbers a row,
+def _quat_norm(w, x, y, z) -> float:
+    return math.sqrt(w * w + x * x + y * y + z * z)
+
+
+def canonical_subjects(path) -> tuple:
+    """(frame tag, subjects) of a canonical file: the header's frame tag,
+    and subject -> (its frame ids as keys, in file order; 13 numbers a row,
     the quaternion, the translation and the intrinsics or six nan).
-    ParseError '<path>:<line>: ...' at the first bad row: a number that is
-    not finite, a quaternion norm more than 1e-3 from 1 (InvariantViolation),
-    intrinsics that Intrinsics rejects, a repeated frame id or an index
-    out of sequence."""
+
+    ParseError '<path>: ...' for a first line that is no supported header
+    or a file without records, and '<path>:<line>: ...' at the first bad
+    row: a number that is not finite, a quaternion norm more than 1e-3
+    from 1 (InvariantViolation), intrinsics that Intrinsics rejects, a
+    repeated frame id or an index out of sequence.  A plain file is read a
+    block of lines at a time; any other, and one with a block that fails
+    a check, row by row, which names the first bad row or byte."""
+    frame_tag = _frame_tag(path)
+    subjects = _plain_subjects(path)
+    if subjects is None:
+        subjects = _row_subjects(path)
+    if not subjects:
+        raise ParseError(f"{path}: no records")
+    return frame_tag, subjects
+
+
+def _row_subjects(path) -> dict:
+    """canonical_subjects' subjects, read one row at a time through
+    csv_rows; ParseError at the first bad row."""
     subjects = {}
-    for lineno, cols in csv_rows(path, (10, 16)):
+    for lineno, cols in csv_rows(path, _WIDTHS):
         subject, frame_id = cols[0], cols[1]
         with row_errors(path, lineno):
             index, vals = int(cols[2]), finite_floats(cols[3:])
-            w, x, y, z = vals[:4]
-            norm = math.sqrt(w * w + x * x + y * y + z * z)
-            if not abs(norm - 1.0) <= 1e-3:
+            norm = _quat_norm(*vals[:4])
+            if not abs(norm - 1.0) <= _NORM_TOLERANCE:
                 raise InvariantViolation(
                     f"{path}:{lineno}: quaternion norm {norm:.6f} deviates "
-                    f"from 1 by more than 1e-3")
+                    f"from 1 by more than {_NORM_TEXT}")
             # finite_floats leaves only the sizes' sign to check
-            if len(vals) == 13 and not min(vals[7], vals[8], vals[11], vals[12]) > 0:
+            if len(vals) == 13 and not min(vals[c] for c in _SIZES) > 0:
                 Intrinsics(*vals[7:])  # raises, naming the fault
         if subject not in subjects:
             subjects[subject] = ({}, array("d"))
@@ -178,6 +214,62 @@ def canonical_subjects(path) -> dict:
         if len(vals) == 7:
             numbers.extend(_NO_INTRINSICS)
     return subjects
+
+
+def _plain_subjects(path):
+    """canonical_subjects' subjects read a block of whole lines at a time,
+    with _row_subjects' row checks, or None once the file or a block is not
+    plain or a row fails a check.  A plain block is ASCII without '"', '#'
+    or '\r', and each line ends in '\n' and holds 9 commas, or each 15, so
+    csv_rows would read the same cells.  A line is then under two blocks
+    long, and a file is plain only while csv.field_size_limit() admits a
+    cell that long and the header line, which csv_rows reads as a cell."""
+    subjects, rest = {}, b""
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        if (not head.isascii() or b'"' in head or b"\r" in head
+                or max(len(head), 2 * _BLOCK_BYTES) > csv.field_size_limit()):
+            return None
+        while chunk := fh.read(_BLOCK_BYTES):
+            block, _, rest = (rest + chunk).rpartition(b"\n")
+            lines, commas = block.count(b"\n") + 1, block.count(b",")
+            width = commas // lines + 1
+            if (width not in _WIDTHS or commas != (width - 1) * lines
+                    or not block.isascii() or b'"' in block or b"#" in block
+                    or b"\r" in block):
+                return None
+            # each '\n' starts a cell: a line has `width` cells if all are first
+            cells = block.decode("ascii").replace("\n", ",\n").split(",")
+            names, frame_ids = "".join(cells[0::width]).split("\n"), cells[1::width]
+            if len(names) != lines:
+                return None
+            try:
+                indices = list(map(int, cells[2::width]))
+                del cells[0::width], cells[0::width - 1], cells[0::width - 2]
+                vals = finite_floats(cells)
+            except ValueError:
+                return None
+            n = width - 3  # numbers a line
+            norms = map(_quat_norm, vals[0::n], vals[1::n], vals[2::n], vals[3::n])
+            if not (all(abs(norm - 1.0) <= _NORM_TOLERANCE for norm in norms)
+                    and (n == 7 or min(min(vals[c::n]) for c in _SIZES) > 0)):
+                return None
+            if n == 7:  # the intrinsics of a row without are six nan
+                vals, short = [math.nan] * (13 * lines), vals
+                for c in range(7):
+                    vals[c::13] = short[c::7]
+            start = 0
+            for subject, run in groupby(names):
+                stop = start + len(list(run))
+                ids, numbers = subjects.setdefault(subject, ({}, array("d")))
+                if indices[start:stop] != list(range(len(ids), len(ids) + stop - start)):
+                    return None
+                ids.update(dict.fromkeys(frame_ids[start:stop]))
+                if len(ids) != indices[stop - 1] + 1:  # a frame id seen before
+                    return None
+                numbers.fromlist(vals[13 * start:13 * stop])
+                start = stop
+    return None if rest else subjects
 
 
 def prediction_rows(path):

@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -65,3 +66,25 @@ def frame_records(log):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def write_biwi_fixture(root, poses_depth, kmat, rot, trans, dims=(640, 480)):
+    """A BIWI-style subject directory: rgb.cal of the RGB intrinsic matrix
+    kmat, the depth-to-RGB rotation rot and translation trans, and the
+    image size dims; then one frame_<i>_pose.txt per depth-frame pose."""
+    os.makedirs(root, exist_ok=True)
+    with open(os.path.join(root, "rgb.cal"), "w") as fh:
+        for row in kmat:
+            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+        fh.write("\n")
+        for row in rot:
+            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+        fh.write(" ".join(repr(float(v)) for v in trans) + "\n")
+        fh.write(f"{dims[0]} {dims[1]}\n")
+    for i, pose in enumerate(poses_depth):
+        m = pose.rotation.as_matrix()
+        with open(os.path.join(root, f"frame_{i:05d}_pose.txt"), "w") as fh:
+            for row in m:
+                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+            fh.write("\n")
+            fh.write(" ".join(repr(float(v)) for v in pose.translation) + "\n")

@@ -26,8 +26,9 @@ from relhpe.camera import CameraPose
 from relhpe.harness import PairSet
 from relhpe.reports import pairs_csv, pairs_payload
 
-from conftest import frame_records, pose_log, random_pose, random_rotation
-from test_harness import easy_fixture_log, hard_fixture_log, write_biwi_fixture
+from conftest import (frame_records, pose_log, random_pose, random_rotation,
+                      write_biwi_fixture)
+from test_harness import easy_fixture_log, hard_fixture_log
 
 
 @contextlib.contextmanager

@@ -17,8 +17,8 @@ import relhpe.sampling
 from relhpe import reports
 from relhpe.cli import SETTINGS, build_parser, main
 
-from test_harness import write_biwi_fixture
-from conftest import frame_records, pose_log, random_pose, yaw_pose
+from conftest import (frame_records, pose_log, random_pose,
+                      write_biwi_fixture, yaw_pose)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -159,7 +159,8 @@ class TestPairs:
 
     def test_later_subject_failing_writes_nothing(self, tmp_path, capsys):
         """Every subject's pair set is built before a file is written: a
-        subject without extreme frames leaves no file of an earlier one."""
+        subject without extreme frames leaves no file of an earlier one,
+        and no output directory."""
         log = tmp_path / "two.csv"
         export_canonical([pose_log([yaw_pose(d) for d in (0, 5, 10, 50, 60, 70)], "A"),
                           pose_log([yaw_pose(d) for d in (0, 5, 10, 20, 30)], "B")],
@@ -169,7 +170,7 @@ class TestPairs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: log 'B': ")
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     def test_hashes_input_once(self, tmp_path, monkeypatch):
         """A 4-subject pairs run hashes its log once, and every subject's
@@ -535,8 +536,9 @@ def test_sweep_svg_is_built_from_the_json_payload(policy, sim_log, tmp_path):
                                           ("loss", None), ("eval", None)])
 def test_non_finite_report_writes_nothing(command, fmt, tmp_path, capsys):
     """A report holding inf (a translation error of 1e308 mm overflows) is
-    refused before any of its files is opened, whatever --format is, and
-    the refusal is the one line on stderr."""
+    refused before any of its files is opened or the output directory is
+    made, whatever --format is, and the refusal is the one line on
+    stderr."""
     argv, stem = report_argv(command, tmp_path)
     rewrites = []  # (file, tx column, tx of the file's k-th row)
     if command == "sweep":
@@ -559,7 +561,7 @@ def test_non_finite_report_writes_nothing(command, fmt, tmp_path, capsys):
     first = out / f"{stem}.{fmt or 'json'}"
     assert capsys.readouterr().err == (
         f"error: {first}: not written, the report holds nan or inf\n")
-    assert os.listdir(out) == []
+    assert not out.exists()
 
 
 def test_stdout_of_each_command(sim_log, tmp_path, capsys):
@@ -735,7 +737,9 @@ def malformed_input(case, tmp_path):
                "config_negative_abs_base": ('{"abs_base_deg": -1}', "sweep",
                                             "cfg.json: abs_base_deg: "),
                "config_overflowing_abs_slope": ('{"abs_slope": 1e308}', "sweep",
-                                                "slope_deg_per_deg 1e+308 x 180"),
+                                                "cfg.json: abs_slope: "),
+               "config_overflowing_rel_slope": ('{"rel_slope": 1e308}', "sweep",
+                                                "cfg.json: rel_slope: "),
                "config_negative_rel_slope": ('{"rel_slope": -0.1}', "sweep",
                                              "cfg.json: rel_slope: "),
                "config_negative_trans_noise": ('{"trans_noise_mm": -0.5}', "sweep",
@@ -865,6 +869,7 @@ def malformed_input(case, tmp_path):
                                   "negative_threshold_flag",
                                   "config_negative_abs_base",
                                   "config_overflowing_abs_slope",
+                                  "config_overflowing_rel_slope",
                                   "config_negative_rel_slope",
                                   "config_negative_trans_noise",
                                   "config_overflowing_trans_noise",
@@ -886,6 +891,7 @@ def test_malformed_input_is_a_typed_error(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("text, expected", [

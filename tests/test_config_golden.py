@@ -10,15 +10,24 @@ the setting is a float, so precedence, conversion and the raw config echo
 are all part of the bytes.  The sim_stdlib digest was recorded with
 numpy's default_rng drawing the poses, before simulate moved to
 relhpe.sampling.
+
+The pipeline also ingests its simulated log and a BIWI-style fixture
+with a non-identity depth-to-RGB transform.  Their digests were recorded
+while harness still read a canonical file through its own numpy block
+reader, before tables.canonical_subjects became the one reader.  Like the
+other numpy outputs, the BIWI log's bytes depend on the BLAS kernel: its
+digest was recorded on OpenBLAS's default (SkylakeX) kernel on x86-64.
 """
 
 import hashlib
 import json
 
-from relhpe import ingest_canonical_all
+import numpy as np
+
+from relhpe import EulerAngles, ingest_canonical_all, rotation_from_euler
 from relhpe.cli import main
 
-from conftest import frame_records
+from conftest import frame_records, random_pose, write_biwi_fixture
 
 SIM_CONFIG = {"subjects": 2, "frames_per_log": 60, "yaw_min": -70,
               "yaw_max": 70.0, "pitch_min": -35.0, "pitch_max": 35,
@@ -37,10 +46,28 @@ STAGES_TRUE = ("1,0.0,0.0,0.0,1.0,0.0,0.0,0.0,60.0,60.0",
                "3,0.0,0.0,0.0,1.0,0.0,0.0,0.0,60.0,60.0")
 
 GOLDEN = {
+    "biwi/s01/frame_00000_pose.txt":
+        "1112c91332b28410259ea4f468c6dc58b7a08143dbf033c0996f2d7561ae8776",
+    "biwi/s01/frame_00001_pose.txt":
+        "be6e0d4c15bd68729603f56333d8f69b745d9b2f91665441dea7a47296575b94",
+    "biwi/s01/frame_00002_pose.txt":
+        "372fcee271c131a35113a4c36ce7e88893b6003e114d80209e65f060078e9014",
+    "biwi/s01/frame_00003_pose.txt":
+        "911d7322b8234dc76d9f7aeae95fb98427b2df583e1123af84a94040d09fe340",
+    "biwi/s01/frame_00004_pose.txt":
+        "4a8a4e86ee2dde32226c2147aa5071cfc9d48e8ad7b6a8e092a8463391471605",
+    "biwi/s01/frame_00005_pose.txt":
+        "263d0a08391bd542ff717673ed79b3bc92dd9cc115bb84a4b16855f0e5a469a7",
+    "biwi/s01/rgb.cal":
+        "0e6a5dbdbf53016bace4256a4910a79c2663b64f37a29d8d49693406a1b9976f",
     "ev/eval.csv":
         "650fe572c7bc9376b4f6d57bf95f237c6dd06c57cc1f357ddf6ed436d2782dc3",
     "ev/eval.json":
         "0cbfcbdcc0ebe3f1788d9fe0b7203ac470f3fdc63bf857f21346724d3a961685",
+    "ing/poselog.csv":
+        "9cb86f707a0f12838be2f30baebbd3e8ced7ec23b354f8e797baf26690acdf56",
+    "ing_biwi/poselog.csv":
+        "4f8ca346587a562aa0efe05138d81e116f28c161859581a8e124d231d1f3f074",
     "loss/loss.json":
         "7cddbcd874c3f2d8bb62c6b865439ddb327bd7c79f193a31556f6b9f78bc4efe",
     "loss.json":
@@ -168,6 +195,14 @@ def run_pipeline():
          "pairs", log, "--pair-kind", "easy")
     _run("--seed", 5, "--config", "pairs.json", "--out", "p_hard",
          "pairs", log, "--pair-kind", "hard", "--n-pairs", 12)
+    _run("--out", "ing", "ingest", log)
+
+    rng = np.random.default_rng(7)
+    write_biwi_fixture("biwi/s01", [random_pose(rng, frame="depth") for _ in range(6)],
+                       [[520.0, 0, 315], [0, 518.0, 242], [0, 0, 1]],
+                       rotation_from_euler(EulerAngles(3.0, -2.0, 1.5)).as_matrix(),
+                       [-25.0, 4.0, 12.0])
+    _run("--out", "ing_biwi", "ingest", "biwi/s01", "--input-format", "biwi")
 
     # eval's inputs: a single-subject truth log, another seed's poses
     _run("--seed", 21, "--config", "sim.json", "--out", "truth",

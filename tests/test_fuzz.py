@@ -23,9 +23,8 @@ from relhpe import SE3Pose, export_canonical
 from relhpe.camera import Intrinsics
 from relhpe.cli import main
 
-from conftest import frame_records, pose_log, yaw_pose
+from conftest import frame_records, pose_log, write_biwi_fixture, yaw_pose
 from test_cli import write_stage_file
-from test_harness import write_biwi_fixture
 
 TOKENS = [b",", b"\n", b"#", b'"', b"nan", b"inf", b"1e400", b"\xff"]
 

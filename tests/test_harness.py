@@ -27,7 +27,8 @@ from relhpe.errors import (DomainError, InsufficientFrames, InvariantViolation,
                            MalformedPoseFile, MissingCalibration,
                            MissingPrediction, ParseError, UnknownFrame)
 
-from conftest import frame_records, pose_log, random_pose, yaw_pose
+from conftest import (frame_records, pose_log, random_pose,
+                      write_biwi_fixture, yaw_pose)
 
 
 def euler_pose(yaw, pitch=0.0, roll=0.0, t=(0, 0, 0), frame="world"):
@@ -169,25 +170,6 @@ class TestCanonicalFormat:
 
 # ---------------------------------------------------------------------------
 # BIWI-style adapter
-
-
-def write_biwi_fixture(root, poses_depth, kmat, rot, trans, dims=(640, 480)):
-    os.makedirs(root, exist_ok=True)
-    with open(os.path.join(root, "rgb.cal"), "w") as fh:
-        for row in kmat:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-        fh.write("\n")
-        for row in rot:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-        fh.write(" ".join(repr(float(v)) for v in trans) + "\n")
-        fh.write(f"{dims[0]} {dims[1]}\n")
-    for i, pose in enumerate(poses_depth):
-        m = pose.rotation.as_matrix()
-        with open(os.path.join(root, f"frame_{i:05d}_pose.txt"), "w") as fh:
-            for row in m:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-            fh.write("\n")
-            fh.write(" ".join(repr(float(v)) for v in pose.translation) + "\n")
 
 
 class TestBiwiAdapter:

@@ -12,8 +12,10 @@ nothing load no hashlib, `eval` and `simulate` load no numpy, `pairs` no
 numpy.random, and `sweep` only the package modules it runs.  numpy's
 SeedSequence and PCG64 constants and the SeedSequence hash are written
 only in sampling, and a query's noise-stream key is hashed only in
-simulate._seed_states.  In the CLI, only main resolves settings and creates
-the output directory, and only _write_report builds a report envelope.
+simulate._seed_states.  In the CLI, only main resolves settings, no
+function creates the output directory (reports.out_path does, once a
+file's text is built), and only _write_report builds a report envelope.
+The canonical pose-log format's row widths are written only in tables.
 """
 
 import ast
@@ -404,10 +406,11 @@ def test_query_stream_key_is_written_once():
 
 
 # The CLI's one command runner: the call in cli.py -> the functions that
-# alone may make it.  main resolves settings and creates --out before a
-# command runs; _write_report builds every report's envelope and writes
-# it, and cmd_report re-emits a CSV from an envelope it read.
-CLI_RUNNER_CALLS = {"_settings": {"main"}, "os.makedirs": {"main"},
+# alone may make it.  main resolves settings before a command runs, and
+# none creates --out (reports.out_path does, when a file's text is
+# built); _write_report builds every report's envelope and writes it, and
+# cmd_report re-emits a CSV from an envelope it read.
+CLI_RUNNER_CALLS = {"_settings": {"main"}, "os.makedirs": set(),
                     "reports.envelope": {"_write_report"},
                     "reports.write_report": {"_write_report", "cmd_report"}}
 
@@ -427,3 +430,17 @@ def test_cli_has_one_command_runner():
                     and name.startswith("cmd_")):
                 bad.append(f"line {n.lineno}: {name} returns a value")
     assert not bad, f"cli.py: outside the one command runner: {bad}"
+
+
+def test_canonical_widths_are_written_in_tables_only():
+    """The canonical row widths, the tuple (10, 16), appear in tables
+    alone: no other module restates the format to read it."""
+    stray = []
+    for path in MODULES:
+        if path.name == "tables.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        stray += [f"{path.name} line {n.lineno}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Tuple)
+                  and [getattr(e, "value", None) for e in n.elts] == [10, 16]]
+    assert not stray, f"canonical row widths outside tables: {stray}"

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from relhpe import (PoseLog, Rotation, SE3Pose, export_canonical,
                     ingest_canonical_all)
-from relhpe import harness, tables
+from relhpe import scoring, tables
 from relhpe.camera import Intrinsics
 from relhpe.cli import _read_stage_file, main
 from relhpe.errors import (DomainError, EmptyInput, InvariantViolation,
@@ -348,7 +348,7 @@ def plain_body(subjects, wide=False, seed=0):
 
 def block_start(body, k=1):
     """The row that starts block k + 1 of a body read after its header."""
-    return body[:k * harness._BLOCK_BYTES].count(b"\n")
+    return body[:k * tables._BLOCK_BYTES].count(b"\n")
 
 
 HEADER = b"# poselog v1 frame=world\n"
@@ -365,7 +365,7 @@ def test_plain_files_are_read_a_block_at_a_time(wide, tmp_path, monkeypatch):
             for s in range(2)]
     path = tmp_path / "log.csv"
     export_canonical(logs, path)
-    assert path.stat().st_size > 3 * harness._BLOCK_BYTES
+    assert path.stat().st_size > 3 * tables._BLOCK_BYTES
     want = reference_ingest(path)
 
     def row_loop(*args):
@@ -373,6 +373,51 @@ def test_plain_files_are_read_a_block_at_a_time(wide, tmp_path, monkeypatch):
     monkeypatch.setattr(tables, "csv_rows", row_loop)
     for log, again in zip(ingest_canonical_all(path), want, strict=True):
         assert_same_log(log, again)
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_eval_reads_a_plain_truth_log_a_block_at_a_time(wide, tmp_path, monkeypatch):
+    """scoring.read_truth of a one-subject plain file over several blocks
+    never calls csv_rows, and its PoseTable holds the row loop's ids and
+    numbers byte for byte."""
+    rng = np.random.default_rng(1)
+    k = [Intrinsics(500, 510, 320, 240, 640, 480) if wide else None] * 400
+    log = pose_log([random_pose(rng) for _ in range(400)], "subj", intrinsics=k)
+    path = tmp_path / "log.csv"
+    export_canonical(log, path)
+    assert path.stat().st_size > 3 * tables._BLOCK_BYTES
+    (subject, (ids, numbers)), = tables._row_subjects(path).items()
+
+    def row_loop(*args):
+        raise AssertionError("the row loop ran")
+    monkeypatch.setattr(tables, "csv_rows", row_loop)
+    table = scoring.read_truth(path)
+    assert table.subject_id == subject == "subj"
+    assert list(table.positions) == list(ids) and table.width == 13
+    assert table.numbers.tobytes() == numbers.tobytes()
+
+
+@pytest.mark.parametrize("limit, subject, tag, line", [
+    (25, "s" * 30, "world", 2),  # the limit admits the header and numbers
+    (2 * tables._BLOCK_BYTES, "s", "t" * 2 * tables._BLOCK_BYTES, 1),
+], ids=["subject_id", "header"])
+def test_cells_over_the_csv_field_limit_leave_the_file_to_the_row_loop(
+        limit, subject, tag, line, tmp_path):
+    """Under a csv.field_size_limit() below a plain file's subject id, or
+    its header line, the row loop's ParseError names that line, as the
+    reference's does."""
+    path = tmp_path / "log.csv"
+    path.write_bytes(f"# poselog v1 frame={tag}\n".encode()
+                     + plain_body([subject] * 1000))
+    saved = csv.field_size_limit()
+    csv.field_size_limit(limit)
+    try:
+        _, (kind, message) = outcome(ingest_canonical_all, path)
+        assert (kind, message) == outcome(reference_ingest, path)[1]
+        assert message.startswith(
+            f"{path}:{line}: field larger than field limit ({limit})")
+    finally:
+        csv.field_size_limit(saved)
 
 
 def edit_row(body, row, change):
