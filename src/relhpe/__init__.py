@@ -21,11 +21,11 @@ _EXPORTS = {
     "rotation": ("EulerAngles", "Rotation", "euler_from_rotation", "geodesic_deg",
                  "rotation_from_euler"),
     "poselog": ("PoseLog",),
-    "harness": ("PairSet", "SweepBin", "SweepReport",
-                "TableEstimator", "build_easy_pairs", "build_hard_pairs",
-                "evaluate", "export_canonical", "ingest_biwi", "ingest_canonical",
-                "ingest_canonical_all", "neutral_reference", "pair_batch",
-                "score", "sweep"),
+    "harness": ("PairSet", "SweepBin", "SweepReport", "build_easy_pairs",
+                "build_hard_pairs", "export_canonical", "ingest_biwi",
+                "ingest_canonical", "ingest_canonical_all", "neutral_reference",
+                "pair_batch", "score", "sweep"),
+    "scoring": ("evaluate",),
     "tables": ("MetricReport", "wrap_deg"),
     "losses": ("LossConfig", "StageBreakdown", "StagePrediction", "loss_cam",
                "loss_fov", "loss_rotation_geodesic", "loss_rotation_quat",

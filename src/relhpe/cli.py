@@ -17,7 +17,8 @@ returns nothing.  --out is created (reports.out_path) only once a file's
 text is built, so a run that fails before then leaves none behind.  Every
 report goes through _write_report, which embeds the config echo, the
 seed, the format version and input-file hashes, so identical inputs give
-identical report bytes.
+identical report bytes; reports.write_report moves a report's files
+into place only once all are written.
 
 Only the standard library and the stdlib-only reports, errors and vocab
 modules load with this module; each command imports the library modules

@@ -1,5 +1,7 @@
 """Benchmark harness: pose-log ingestion (canonical format plus a BIWI-style
-adapter), easy/hard pair construction and scoring, metrics, and binned sweeps.
+adapter), easy/hard pair construction, estimator scoring, metrics, and
+binned sweeps.  A prediction table over a pair set is scored by
+scoring.evaluate.
 
 The canonical pose-log format, its one reader and its one writer are in
 tables; ingest_canonical_all builds PoseLogs from the reader's columns and
@@ -20,8 +22,8 @@ re-expressed in the RGB camera frame (frame_tag "rgb").
 
 Logs and prediction tables are PoseLogs, handled as columns: the readers
 build them from arrays, export_canonical writes the columns, and the pair
-builders, query batches, TableEstimator and sweep (on anchors.anchor_arrays)
-index them, so none of these builds an object per frame.
+builders, query batches and sweep (on anchors.anchor_arrays) index them,
+so none of these builds an object per frame.
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ from .anchors import AnchorPolicy, anchor_arrays
 from .camera import Intrinsics
 from .errors import (DomainError, FrameMismatch, InsufficientFrames,
                      InvariantViolation, MalformedPoseFile, MissingCalibration,
-                     MissingPrediction, MissingPredictions, ParseError,
-                     whole)
+                     MissingPredictions, ParseError, whole)
 from .geometry import (SE3Pose, compose_many, euler_deg_many,
                        geodesic_deg_many, medoid_index, pairs_within_deg)
 from .poselog import PoseLog
@@ -314,15 +315,6 @@ def error_arrays(pred, batch):
         return angles, pred_t - true_t
 
 
-def evaluate(pairs: PairSet, predictions: PoseLog, truth: PoseLog) -> MetricReport:
-    """Per-axis MAE, geodesic MAE, and translation error over a pair set.
-
-    predictions is a PoseLog of predicted absolute poses keyed by query id.
-    """
-    return score([TableEstimator("external", predictions)],
-                 [pair_batch(truth, pairs)])["external"]
-
-
 # ---------------------------------------------------------------------------
 # binned sweeps
 
@@ -395,24 +387,6 @@ def pair_batch(log: PoseLog, pairs: PairSet) -> QueryBatch:
     a pair's query or anchor is not a frame of the log."""
     return query_batch(log, [log.position(q) for _, q, _ in pairs.pairs],
                        [log.position(a) for a, _, _ in pairs.pairs])
-
-
-class TableEstimator:
-    """Estimator backed by a fixed prediction table, a PoseLog of absolute
-    poses keyed by query id (e.g. simulate.load_predictions_csv of real
-    model outputs)."""
-
-    def __init__(self, id, predictions: PoseLog):
-        self.id = id
-        self.predictions = predictions
-
-    def predict(self, batch):
-        """Each row's stored prediction; MissingPrediction if one is missing."""
-        table = self.predictions
-        missing = [f for f in batch.frame_ids if f not in table]
-        if missing:
-            raise MissingPrediction(missing[0])
-        return _rows(table, [table.position(f) for f in batch.frame_ids])
 
 
 def _pooled_errors(estimators, batches) -> dict:

@@ -66,3 +66,9 @@ class PoseLog:
         if frame_id not in self._position:
             raise UnknownFrame(f"log {self.subject_id!r} has no frame {frame_id!r}")
         return self._position[frame_id]
+
+    def pose(self, frame_id: str) -> tuple:
+        """(quaternion, translation) of a frame as tuples of floats, as
+        scoring.PoseTable.pose gives them; UnknownFrame if it is missing."""
+        i = self.position(frame_id)
+        return tuple(self.quats[i].tolist()), tuple(self.translations[i].tolist())

@@ -69,7 +69,10 @@ def write_report(out, stem, env, extensions):
     print 'wrote <path>' for each.  Every text is built, and env encoded
     whatever the extensions, before a file or out is made: a report
     holding nan or inf writes nothing and is a RelHpeError naming its
-    first file."""
+    first file, and so is a file path that is a directory.  Each file is
+    written under a temporary name beside it, and all are moved into
+    place only once all are written; a failure removes them and any
+    directory of out that this call made, so out is left as it was."""
     names = [f"{stem}.{ext}" for ext in extensions]
     try:
         json_text = _json_text(env)
@@ -79,10 +82,29 @@ def write_report(out, stem, env, extensions):
     build = FILES[env["command"]]
     texts = [json_text if ext == "json" else globals()[build[ext]](env["payload"])
              for ext in extensions]
-    for name, text in zip(names, texts):
-        path = out_path(out, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    for name in names:
+        if os.path.isdir(path := os.path.join(out, name)):
+            raise RelHpeError(f"{path}: not written, it is a directory")
+    made, parent = [], os.path.abspath(out)  # the directories out_path makes
+    while not os.path.exists(parent):
+        made.append(parent)
+        parent = os.path.dirname(parent)
+    paths = [out_path(out, name) for name in names]
+    temps = [f"{path}.{os.getpid()}.tmp" for path in paths]
+    try:
+        for temp, text in zip(temps, texts):
+            with open(temp, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
+            if os.path.lexists(temp):
+                os.remove(temp)
+        for directory in made:  # innermost first
+            os.rmdir(directory)
+        raise
+    for path in paths:
         print(f"wrote {path}")
 
 

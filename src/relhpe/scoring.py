@@ -1,20 +1,20 @@
-"""The `eval` command without numpy: its three files read into plain
-tables and tuples, and the pair set scored on (w, x, y, z) tuples through
-rotation's kernels.
+"""The one scorer of a prediction table over a pair set, on (w, x, y, z)
+tuples through rotation's kernels, and the `eval` command's three files
+read into plain tables and tuples, without numpy.
 
+score_pairs reads PoseTables (`eval`) and PoseLogs (evaluate) alike, by
+pose(frame_id), and equals harness.report_from_samples of error_arrays bit
+for bit: each mean adds in the order numpy's mean does (metric_report).
 read_truth and read_predictions run the row loops and name checks of
 tables, which harness.ingest_canonical and simulate.load_predictions_csv
 run too, so they accept and refuse the same files with the same messages.
-score_pairs equals harness.score over a TableEstimator bit for bit: each
-mean adds in the order numpy's mean does (metric_report).  cli imports
-this module inside cmd_eval only, so no other command loads it.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import ParseError
+from .errors import MissingPrediction, ParseError
 from .reports import PAIRS_CSV_COLUMNS
 from .rotation import quat_euler_deg, quat_geodesic_deg, unit_quat
 from .rows import csv_rows, row_errors
@@ -159,10 +159,10 @@ def metric_report(rows) -> MetricReport:
                         (tx, ty, tz), _pairwise_sum(norms, 0, n) / n)
 
 
-def score_pairs(pairs, truth: PoseTable, preds: PoseTable) -> MetricReport:
+def score_pairs(pairs, truth, preds) -> MetricReport:
     """The MetricReport of preds' pose of each pair's query against its
-    truth, in pair order: harness.score of a TableEstimator over the
-    pair_batch, bit for bit."""
+    truth, in pair order: harness.report_from_samples of the error_arrays
+    of the pair_batch, bit for bit."""
     rows = []
     for _, query_id, _ in pairs:
         (q, t), (p, u) = truth.pose(query_id), preds.pose(query_id)
@@ -171,3 +171,17 @@ def score_pairs(pairs, truth: PoseTable, preds: PoseTable) -> MetricReport:
         rows.append((abs(wrap_deg(yaw)), abs(wrap_deg(pitch)), abs(wrap_deg(roll)),
                      quat_geodesic_deg(p, q), u[0] - t[0], u[1] - t[1], u[2] - t[2]))
     return metric_report(rows)
+
+
+def evaluate(pairs, predictions, truth) -> MetricReport:
+    """Per-axis MAE, geodesic MAE and translation error of a prediction
+    table over a PairSet, both tables PoseLogs, through score_pairs.
+    UnknownFrame for the first query, then the first anchor, that truth
+    lacks (as harness.pair_batch checks), then MissingPrediction for the
+    first query that predictions lacks."""
+    for frame_id in [q for _, q, _ in pairs.pairs] + [a for a, _, _ in pairs.pairs]:
+        truth.position(frame_id)  # UnknownFrame if truth lacks it
+    for _, query_id, _ in pairs.pairs:
+        if query_id not in predictions:
+            raise MissingPrediction(query_id)
+    return score_pairs(pairs.pairs, truth, predictions)

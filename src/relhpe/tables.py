@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import re
 from array import array
 from contextlib import contextmanager
@@ -125,16 +126,26 @@ def write_canonical(path, frame_tag, logs):
     subject, frame id, index and the row's numbers by repr.  A row holds
     the quaternion and the translation, or those and the intrinsics,
     which are left out when the first of them is nan.  Each log's text is
-    written in one call."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header(frame_tag) + "\n")
-        for subject_id, frame_ids, rows in logs:
-            lines = []
-            for i, (frame_id, row) in enumerate(zip(frame_ids, rows)):
-                if len(row) > 7 and math.isnan(row[7]):
-                    row = row[:7]  # a frame without intrinsics
-                lines.append(f"{subject_id},{frame_id},{i},{','.join(map(repr, row))}\n")
-            fh.write("".join(lines))
+    written in one call, to a temporary name beside path that replaces
+    path once every log is written; on a failure it is removed and path
+    is left as it was."""
+    temp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "w", encoding="utf-8") as fh:
+            fh.write(header(frame_tag) + "\n")
+            for subject_id, frame_ids, rows in logs:
+                lines = []
+                for i, (frame_id, row) in enumerate(zip(frame_ids, rows)):
+                    if len(row) > 7 and math.isnan(row[7]):
+                        row = row[:7]  # a frame without intrinsics
+                    lines.append(f"{subject_id},{frame_id},{i},"
+                                 f"{','.join(map(repr, row))}\n")
+                fh.write("".join(lines))
+        os.replace(temp, path)
+    except BaseException:
+        if os.path.lexists(temp):
+            os.remove(temp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -143,12 +154,16 @@ def write_canonical(path, frame_tag, logs):
 
 def _frame_tag(path) -> str:
     """The frame tag in a canonical file's header line ('world' if it
-    names none); ParseError if the first line is no supported header."""
+    names none); ParseError if the first line is no supported header, or
+    is longer than csv.field_size_limit(), past which it is not read."""
+    limit = csv.field_size_limit()
     # csv_rows names the line of a bad byte
     with open(path, encoding="utf-8", errors="replace") as fh:
-        first = fh.readline().rstrip("\n")
+        first = fh.readline(limit + 1).rstrip("\n")
     if not first.startswith(HEADER_PREFIX):
         raise ParseError(f"{path}: missing '{HEADER_PREFIX}' header line")
+    if len(first) > limit:  # csv_rows's error, without reading it whole
+        raise ParseError(f"{path}:1: field larger than field limit ({limit})")
     words = first.split()
     if len(words) < 3 or words[2] != FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported format version in header: {first!r}")
@@ -226,7 +241,7 @@ def _plain_subjects(path):
     cell that long and the header line, which csv_rows reads as a cell."""
     subjects, rest = {}, b""
     with open(path, "rb") as fh:
-        head = fh.readline()
+        head = fh.readline(csv.field_size_limit() + 1)
         if (not head.isascii() or b'"' in head or b"\r" in head
                 or max(len(head), 2 * _BLOCK_BYTES) > csv.field_size_limit()):
             return None

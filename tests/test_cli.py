@@ -61,6 +61,16 @@ class TestSimulate:
         assert read(tmp_path / "a" / "simulated_poselog.csv") != \
             read(tmp_path / "b" / "simulated_poselog.csv")
 
+    def test_log_path_occupied_changes_nothing(self, tmp_path, capsys):
+        """With the log's path a directory, simulate exits 2 and leaves no
+        other file in --out."""
+        (tmp_path / "simulated_poselog.csv").mkdir()
+        capsys.readouterr()
+        assert run(["--out", tmp_path, "simulate", "--subjects", "1",
+                    "--frames-per-log", "10"]) == 2
+        assert capsys.readouterr().out == ""
+        assert tree(tmp_path) == {"simulated_poselog.csv": None}
+
 
 class TestIngest:
     def test_canonical_reexport_identical(self, sim_log, tmp_path, capsys):
@@ -562,6 +572,77 @@ def test_non_finite_report_writes_nothing(command, fmt, tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {first}: not written, the report holds nan or inf\n")
     assert not out.exists()
+
+
+def tree(root):
+    """{path under root: its bytes, or None for a directory}, recursively."""
+    return {p.relative_to(root).as_posix(): None if p.is_dir() else p.read_bytes()
+            for p in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize("command, ext", [
+    ("pairs", "json"), ("pairs", "csv"), ("eval", "json"), ("eval", "csv"),
+    ("sweep", "json"), ("sweep", "csv"), ("sweep", "svg"), ("loss", "json"),
+    ("report", "csv")])
+def test_occupied_report_path_changes_nothing(command, ext, tmp_path, capsys):
+    """With one report file's path a directory, a report command exits 2
+    with one line on stderr, prints no `wrote` line and leaves --out as it
+    was: the files of an older report set keep their bytes."""
+    if command == "report":
+        argv, stem = report_argv("eval", tmp_path)
+        assert run(["--out", tmp_path / "e", *argv]) == 0
+        argv = ["report", tmp_path / "e" / f"{stem}.json"]
+    else:
+        argv, stem = report_argv(command, tmp_path)
+    out = tmp_path / "o"
+    out.mkdir()
+    for other in ("json", "csv", "svg"):
+        (out / f"{stem}.{other}").write_text(f"older {other}\n")
+    (out / f"{stem}.{ext}").unlink()
+    (out / f"{stem}.{ext}").mkdir()
+    (out / f"{stem}.{ext}" / "kept").write_text("kept\n")
+    before = tree(out)
+    capsys.readouterr()
+    assert run(["--out", out, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {out / f'{stem}.{ext}'}: not written, it is a directory\n")
+    assert tree(out) == before
+
+
+@pytest.mark.parametrize("older", [False, True], ids=["new_out", "older_set"])
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_failed_file_write_leaves_out_as_it_was(failing, older, sim_log, tmp_path,
+                                                capsys, monkeypatch):
+    """A sweep whose JSON, CSV or SVG write fails, after the file is
+    opened, exits 2 and prints no `wrote` line.  It leaves no file behind,
+    removes the directories of --out that it made, and leaves an older
+    report set's bytes as they were."""
+    out = tmp_path / "new" / "o"
+    if older:
+        assert run(["--seed", "1", "--out", out, "sweep", sim_log]) == 0
+    before = tree(tmp_path)
+    opened = []
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        if mode == "w":
+            opened.append(path)
+            if len(opened) > failing:
+                fh.close()
+                raise OSError(f"no space left writing {os.path.basename(path)}")
+        return fh
+
+    monkeypatch.setattr(reports, "open", failing_open, raising=False)
+    capsys.readouterr()
+    assert run(["--out", out, "sweep", sim_log]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no space left writing sweep.")
+    assert len(opened) == failing + 1
+    assert tree(tmp_path) == before
+    assert (tmp_path / "new").exists() == older
 
 
 def test_stdout_of_each_command(sim_log, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""The package's 56 public names, loaded on first use: each is the object
+"""The package's 55 public names, loaded on first use: each is the object
 its own module defines."""
 
 import sys
@@ -10,7 +10,7 @@ EXPORTED = [
     "CropSpec", "EulerAngles", "Intrinsics", "LossConfig",
     "MetricReport", "NoiseModel", "PairSet", "PoseLog", "PoseSampler",
     "RelativeSimEstimator", "Rotation", "SE3Pose", "StageBreakdown",
-    "StagePrediction", "SweepBin", "SweepReport", "TableEstimator",
+    "StagePrediction", "SweepBin", "SweepReport",
     "anchor_arrays", "apply_anchor", "build_easy_pairs", "build_hard_pairs",
     "compose", "compose_crops", "crop_update_intrinsics", "euler_from_rotation",
     "evaluate", "export_canonical", "fov_from_intrinsics", "geodesic_deg",
@@ -24,7 +24,7 @@ EXPORTED = [
 
 
 def test_all_lists_the_exported_names():
-    assert len(EXPORTED) == 56
+    assert len(EXPORTED) == 55
     assert sorted(relhpe.__all__) == EXPORTED
     assert set(EXPORTED) <= set(dir(relhpe))
 

@@ -13,7 +13,7 @@ import relhpe.anchors
 import relhpe.harness
 from relhpe import (AbsoluteSimEstimator, AnchorPolicy, EulerAngles,
                     NoiseModel, PoseLog, PoseSampler, RelativeSimEstimator, Rotation, SE3Pose,
-                    TableEstimator, anchor_arrays, build_easy_pairs,
+                    anchor_arrays, build_easy_pairs,
                     build_hard_pairs, compose, evaluate, export_canonical,
                     geodesic_deg, geodesic_deg_many, ingest_biwi,
                     ingest_canonical, ingest_canonical_all,
@@ -21,6 +21,7 @@ from relhpe import (AbsoluteSimEstimator, AnchorPolicy, EulerAngles,
                     rotation_from_euler, sample_logs, score, sweep, wrap_deg)
 from relhpe.anchors import POLICY_KINDS
 from relhpe.camera import Intrinsics
+from relhpe.harness import error_arrays, report_from_samples
 from relhpe.rotation import hamilton
 from relhpe.rows import csv_rows
 from relhpe.errors import (DomainError, InsufficientFrames, InvariantViolation,
@@ -500,16 +501,34 @@ class TestEvaluate:
         with pytest.raises(MissingPrediction, match="'f0001'"):
             evaluate(ps, pose_log({"f0000": euler_pose(0.0)}), log)
 
-    def test_equals_score_of_a_table_estimator(self, rng):
+    @pytest.mark.parametrize("pairs, error, frame", [
+        ((("f0000", "f0009", 3.0),), UnknownFrame, "f0009"),
+        ((("f0008", "f0001", 3.0), ("f0000", "f0009", 0.0)), UnknownFrame, "f0009"),
+        ((("f0009", "f0000", 3.0),), UnknownFrame, "f0009"),
+        ((("f0000", "f0001", 3.0), ("f0009", "f0000", 0.0)), UnknownFrame, "f0009"),
+        ((("f0001", "f0000", 3.0), ("f0000", "f0001", 0.0)), MissingPrediction,
+         "f0001"),
+    ], ids=["query", "query_before_anchor", "anchor", "anchor_before_prediction",
+            "prediction"])
+    def test_frame_checks(self, pairs, error, frame):
+        """UnknownFrame for the first query the truth log lacks, then for
+        the first anchor; only then MissingPrediction for the first query
+        without a prediction."""
+        from relhpe import PairSet
+        log = make_log([euler_pose(0.0), euler_pose(3.0)])
+        with pytest.raises(error, match=f"'{frame}'"):
+            evaluate(PairSet("x", pairs, 0), pose_log({"f0000": euler_pose(0.0)}),
+                     log)
+
+    def test_equals_the_numpy_scorer(self, rng):
         log = hard_fixture_log()
         preds = pose_log({f.frame_id: random_pose(rng) for f in frame_records(log)})
-        kwargs = {"neutral_thresh_deg": 15.0, "extreme_thresh_deg": 45.0,
-                  "n_pairs": 100, "seed": 3}
-        ps = build_hard_pairs(log, **kwargs)
+        ps = build_hard_pairs(log, neutral_thresh_deg=15.0, extreme_thresh_deg=45.0,
+                              n_pairs=100, seed=3)
         assert len(ps.pairs) == 100  # drawn from 20 x 10 candidates
-        assert evaluate(ps, preds, log) == score(
-            [TableEstimator("external", preds)],
-            [pair_batch(log, build_hard_pairs(log, **kwargs))])["external"]
+        rows = [preds.position(q) for _, q, _ in ps.pairs]
+        assert evaluate(ps, preds, log) == report_from_samples(*error_arrays(
+            (preds.quats[rows], preds.translations[rows]), pair_batch(log, ps)))
 
     def test_overflowing_translation_error_is_inf_without_a_warning(self):
         """A prediction tx of 1e308 against a truth tx of -1e308 overflows to

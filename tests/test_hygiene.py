@@ -8,14 +8,15 @@ package or used somewhere in the sources.  The README's library table
 must name only what its modules define.  The stdlib-only modules import
 nothing else when they are imported.  No module imports dataclasses,
 importing the package compiles no generated code, commands that hash
-nothing load no hashlib, `eval` and `simulate` load no numpy, `pairs` no
-numpy.random, and `sweep` only the package modules it runs.  numpy's
-SeedSequence and PCG64 constants and the SeedSequence hash are written
-only in sampling, and a query's noise-stream key is hashed only in
-simulate._seed_states.  In the CLI, only main resolves settings, no
-function creates the output directory (reports.out_path does, once a
-file's text is built), and only _write_report builds a report envelope.
-The canonical pose-log format's row widths are written only in tables.
+nothing load no hashlib, `eval`, `simulate` and relhpe.evaluate load no
+numpy, `pairs` no numpy.random, and `sweep` only the package modules it
+runs.  numpy's SeedSequence and PCG64 constants and the SeedSequence
+hash are written only in sampling, and a query's noise-stream key is
+hashed only in simulate._seed_states.  In the CLI, only main resolves
+settings, no function creates the output directory (reports.out_path
+does, once a file's text is built), and only _write_report builds a
+report envelope.  The canonical pose-log format's row widths are written
+only in tables.
 """
 
 import ast
@@ -308,6 +309,15 @@ def test_eval_loads_no_numpy(tmp_path):
         str(tmp_path / "pairs_subj000.csv"), str(preds)])
     assert json.loads((tmp_path / "e" / "eval.json").read_text())[
         "payload"]["external"]["n"] == 10
+
+
+def test_evaluate_loads_no_numpy():
+    """relhpe.evaluate is scoring's, so looking it up loads no numpy."""
+    script = ("import sys\n"
+              "import relhpe, relhpe.scoring\n"
+              "print(relhpe.evaluate is relhpe.scoring.evaluate,\n"
+              "      'numpy' in sys.modules)\n")
+    assert _python(script) == "True False"
 
 
 def test_simulate_loads_no_numpy(tmp_path):

@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import math
+import os
 import struct
 import tracemalloc
 
@@ -418,6 +419,52 @@ def test_cells_over_the_csv_field_limit_leave_the_file_to_the_row_loop(
             f"{path}:{line}: field larger than field limit ({limit})")
     finally:
         csv.field_size_limit(saved)
+
+
+def test_an_overlong_header_line_is_refused_unread(tmp_path):
+    """A 4 MB first line is refused with the row loop's message for it,
+    and with a traced peak below 1 MB: neither reader reads the header
+    past csv.field_size_limit() characters.  A header of exactly that
+    many is read."""
+    limit = csv.field_size_limit()
+    path = tmp_path / "log.csv"
+    path.write_bytes(b"# poselog v1 frame=world " + b"x" * (4 << 20) + b"\n"
+                     + plain_body(["s"] * 10))
+    tracemalloc.start()
+    try:
+        _, (kind, message) = outcome(tables.canonical_subjects, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (kind, message) == (
+        ParseError, f"{path}:1: field larger than field limit ({limit})")
+    assert peak < 1e6, peak
+    tag = "t" * (limit - len("# poselog v1 frame="))
+    path.write_bytes(f"# poselog v1 frame={tag}\n".encode() + plain_body(["s"] * 10))
+    assert tables.canonical_subjects(path)[0] == tag
+    path.write_bytes(f"# poselog v1 frame={tag}t\n".encode() + plain_body(["s"] * 10))
+    assert outcome(tables.canonical_subjects, path)[1] == (kind, message)
+
+
+def test_write_canonical_replaces_its_file_only_once_whole(tmp_path):
+    """A write that fails partway leaves the file as it was and no other
+    file beside it; one that completes replaces it."""
+    path = tmp_path / "log.csv"
+    path.write_text("older\n")
+    row = [1.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0]
+
+    def failing_logs():
+        yield "s", ["f0"], [row]
+        raise OSError("no space left")
+
+    with pytest.raises(OSError, match="no space left"):
+        tables.write_canonical(path, "world", failing_logs())
+    assert path.read_text() == "older\n"
+    assert os.listdir(tmp_path) == ["log.csv"]
+    tables.write_canonical(path, "world", [("s", ["f0"], [row])])
+    assert path.read_text() == ("# poselog v1 frame=world\n"
+                                "s,f0,0,1.0,0.0,0.0,0.0,1.0,2.0,3.0\n")
+    assert os.listdir(tmp_path) == ["log.csv"]
 
 
 def edit_row(body, row, change):

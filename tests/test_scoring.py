@@ -1,9 +1,10 @@
 """The standard-library eval path (relhpe.scoring) against the numpy one.
 
-score_pairs over read_truth and read_predictions must equal harness.score
-of a TableEstimator over pair_batch bit for bit, in every MetricReport
-field, and metric_report must equal harness.report_from_samples on the
-same error rows: the means add in numpy's orders.  The stdlib readers
+score_pairs over read_truth and read_predictions, and evaluate over
+PoseLogs, must equal the numpy scorer (harness.report_from_samples of
+harness.error_arrays over pair_batch) bit for bit, in every MetricReport
+field, and metric_report must equal report_from_samples on the same error
+rows: the means add in numpy's orders.  The stdlib readers
 must accept and refuse what ingest_canonical and load_predictions_csv do,
 with the same messages.  Draws are derandomized.
 """
@@ -17,10 +18,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relhpe import (PairSet, TableEstimator, ingest_canonical,
-                    load_predictions_csv, pair_batch, score)
+from relhpe import (PairSet, evaluate, ingest_canonical,
+                    load_predictions_csv, pair_batch)
 from relhpe.errors import InvariantViolation, RelHpeError
-from relhpe.harness import report_from_samples
+from relhpe.harness import error_arrays, report_from_samples
 from relhpe.rotation import euler_quat
 from relhpe.scoring import (metric_report, read_predictions, read_truth,
                             score_pairs)
@@ -49,11 +50,13 @@ def _quats(euler):
     return np.array([euler_quat(*row) for row in euler.tolist()]).reshape(-1, 4)
 
 
-def _inputs(root, seed, n_frames, n_pairs, lock, wrap):
+def _inputs(root, seed, n_frames, n_pairs, lock, wrap, overflow=False):
     """Write a truth log and a predictions CSV under root; the pairs as
     (anchor_id, query_id, 0.0) tuples.  Truth rows are off unit norm by up
     to 5e-4, prediction rows scaled and sign-flipped; lock sets some
-    pitches to +-89..90 deg, wrap puts prediction yaws near 180 deg off."""
+    pitches to +-89..90 deg, wrap puts prediction yaws near 180 deg off,
+    and overflow sets frame 0's tx to -1e308 in the truth and 1e308 in
+    the prediction and makes it the first pair's query."""
     rng = np.random.default_rng(seed)
     euler = rng.uniform([-180, -90, -180], [180, 90, 180], (n_frames, 3))
     if lock:
@@ -70,6 +73,8 @@ def _inputs(root, seed, n_frames, n_pairs, lock, wrap):
     scales = 10.0 ** rng.integers(-3, 7, (n_frames, 3))
     t = rng.normal(size=(n_frames, 3)) * scales
     pred_t = t + rng.normal(size=(n_frames, 3)) * scales[::-1]
+    if overflow:
+        t[0, 0], pred_t[0, 0] = -1e308, 1e308
     ids = [f"f{i}" for i in range(n_frames)]
     _write(os.path.join(root, "truth.csv"), "# poselog v1 frame=world\n" + "".join(
         f"s,{f},{i},{_cells(q)},{_cells(v)}\n"
@@ -78,26 +83,44 @@ def _inputs(root, seed, n_frames, n_pairs, lock, wrap):
         f"{f},{_cells(q)},{_cells(v)}\n"
         for f, q, v in zip(ids, pred_quats.tolist(), pred_t.tolist())))
     picks = rng.integers(0, n_frames, (n_pairs, 2)).tolist()
+    if overflow and picks:
+        picks[0][1] = 0
     return [(ids[a], ids[q], 0.0) for a, q in picks]
+
+
+def numpy_score(pairs, truth, preds):
+    """The numpy scorer of the PoseLog preds over the pairs against the
+    PoseLog truth: the prediction rows of the pairs' queries, in pair
+    order, through error_arrays and report_from_samples."""
+    rows = [preds.position(q) for _, q, _ in pairs]
+    return report_from_samples(*error_arrays(
+        (preds.quats[rows], preds.translations[rows]),
+        pair_batch(truth, PairSet("p", tuple(pairs), 0))))
 
 
 @DIFFERENTIAL
 @given(seed=st.integers(0, 2 ** 32 - 1), n_frames=st.integers(1, 40),
-       n_pairs=st.sampled_from(SIZES), lock=st.booleans(), wrap=st.booleans())
-@example(seed=0, n_frames=3, n_pairs=0, lock=False, wrap=False)
-@example(seed=1, n_frames=40, n_pairs=1001, lock=True, wrap=True)
-def test_score_pairs_equals_harness_score(seed, n_frames, n_pairs, lock, wrap):
+       n_pairs=st.sampled_from(SIZES), lock=st.booleans(), wrap=st.booleans(),
+       overflow=st.booleans())
+@example(seed=0, n_frames=3, n_pairs=0, lock=False, wrap=False, overflow=False)
+@example(seed=1, n_frames=40, n_pairs=1001, lock=True, wrap=True, overflow=False)
+@example(seed=2, n_frames=1, n_pairs=3, lock=False, wrap=False, overflow=True)
+def test_score_pairs_equals_harness_score(seed, n_frames, n_pairs, lock, wrap,
+                                          overflow):
+    """score_pairs and evaluate equal the numpy scorer in repr; an overflow
+    gives an inf report, with no RuntimeWarning (an error in this suite)."""
     with tempfile.TemporaryDirectory() as root:
-        pairs = _inputs(root, seed, n_frames, n_pairs, lock, wrap)
+        pairs = _inputs(root, seed, n_frames, n_pairs, lock, wrap, overflow)
         truth_path, preds_path = (os.path.join(root, name)
                                   for name in ("truth.csv", "preds.csv"))
         truth, preds = ingest_canonical(truth_path), load_predictions_csv(preds_path)
-        want = score([TableEstimator("external", preds)],
-                     [pair_batch(truth, PairSet("p", tuple(pairs), 0))])["external"]
+        want = numpy_score(pairs, truth, preds)
         got = score_pairs(pairs, read_truth(truth_path), read_predictions(preds_path))
     assert repr(got) == repr(want)
+    assert repr(evaluate(PairSet("p", tuple(pairs), 0), preds, truth)) == repr(want)
     assert got.n == n_pairs
     assert (got.t_mae_mm is None) == (n_pairs == 0)
+    assert (got.t_l2_mm == math.inf) == (overflow and n_pairs > 0)
 
 
 # magnitudes far apart, so that another summation order changes the sum;

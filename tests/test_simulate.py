@@ -19,13 +19,13 @@ import relhpe.simulate
 
 from relhpe import (AbsoluteSimEstimator, AnchorPolicy, NoiseModel,
                     PoseSampler, RelativeSimEstimator, Rotation, SE3Pose,
-                    TableEstimator, apply_anchor, build_easy_pairs,
+                    apply_anchor, build_easy_pairs,
                     build_hard_pairs,
                     euler_from_rotation, export_canonical, geodesic_deg,
                     load_predictions_csv, pair_batch, relative, sample_logs,
                     score, sweep)
 from relhpe.errors import (DomainError, EmptyRange, InvariantViolation,
-                           MissingPrediction, ParseError)
+                           ParseError)
 from relhpe.harness import error_arrays, query_batch, report_from_samples
 from relhpe.geometry import EulerAngles, rotation_from_euler
 from relhpe.simulate import (_fast_normals, _pcg64_columns, _random_unit_vector,
@@ -325,21 +325,6 @@ def _log_bytes(logs):
             for log in logs]
 
 
-class TestTableEstimator:
-    def test_lookup(self, rng):
-        stored = random_pose(rng)
-        est = TableEstimator("t", pose_log({"f0000": stored}))
-        quats, translations = est.predict(
-            query_batch(make_log([random_pose(rng)]), [0], [0]))
-        assert Rotation(*quats[0]) == stored.rotation
-        assert np.array_equal(translations[0], stored.translation)
-
-    def test_missing(self, rng):
-        est = TableEstimator("t", pose_log({"f0001": random_pose(rng)}))
-        with pytest.raises(MissingPrediction, match="'f0000'"):
-            est.predict(query_batch(make_log([random_pose(rng)]), [0], [0]))
-
-
 class TestEndToEnd:
     def _logs(self):
         return sample_logs(PoseSampler(frames_per_log=60, subjects=2, seed=9))
@@ -555,19 +540,6 @@ class TestBatchedEstimators:
         assert quats.tolist() == [
             list(oracle_absolute(est, log.subject_id, f.frame_id, f.pose)
                  .rotation.quat) for f in frame_records(log)]
-
-    def test_table_estimator(self, rng):
-        log = make_log([random_pose(rng) for _ in range(4)])
-        stored = {f.frame_id: random_pose(rng) for f in frame_records(log)}
-        est = TableEstimator("t", pose_log(stored))
-        quats, translations = est.predict(query_batch(log, [2, 0], [0, 0]))
-        assert quats.tolist() == [list(stored[k].rotation.quat)
-                                  for k in ("f0002", "f0000")]
-        assert translations.tolist() == [stored[k].translation.tolist()
-                                         for k in ("f0002", "f0000")]
-        with pytest.raises(MissingPrediction):
-            TableEstimator("t", pose_log({"f0000": stored["f0000"]})).predict(
-                query_batch(log, [1], [0]))
 
 
 _frame_ids = st.lists(st.text(max_size=8), min_size=1, max_size=6)
