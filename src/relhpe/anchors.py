@@ -7,8 +7,9 @@ Four regimes:
 * nearest_within    - the same-log frame minimizing the geodesic gap,
                       accepted only below a threshold; otherwise the query
                       stays unpaired.  Only the frames that pass an exact
-                      screen (geometry.pairs_within_deg) reach the geodesic
-                      kernel, in blocks of 16 queries: memory O(16 x N).
+                      screen (geometry.pairs_within_deg: sorted windows,
+                      then a dot-product floor) reach the geodesic kernel;
+                      memory O(geometry.SCREEN_ROWS x N).
 * temporal_previous - frame i-1 anchors frame i; frame 0 is unpaired.
 * external_predicted - anchor frame as fixed_first, but the anchor pose
                       comes from an external estimator's prediction
@@ -68,8 +69,9 @@ def anchor_arrays(log: PoseLog, policy: AnchorPolicy) -> AnchorArrays:
         gap[1:] = geodesic_deg_many(quats[:-1], quats[1:])
     else:  # nearest_within
         for rows, cols, gaps in pairs_within_deg(quats, policy.threshold_deg):
-            # by row, then gap; the stable sort keeps the lowest frame index
-            # first among equal gaps, as argmin would
+            # a row's pairs come in one yield, columns ascending; by row,
+            # then gap, the stable sort keeps the lowest frame index first
+            # among equal gaps, as argmin would
             order = np.lexsort((gaps, rows))
             rows, first = np.unique(rows[order], return_index=True)
             best = order[first]

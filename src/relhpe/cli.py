@@ -17,8 +17,8 @@ returns nothing.  --out is created (reports.out_path) only once a file's
 text is built, so a run that fails before then leaves none behind.  Every
 report goes through _write_report, which embeds the config echo, the
 seed, the format version and input-file hashes, so identical inputs give
-identical report bytes; reports.write_report moves a report's files
-into place only once all are written.
+identical report bytes; reports.write_report moves a run's files (every
+subject's, for pairs) into place only once all are written.
 
 Only the standard library and the stdlib-only reports, errors and vocab
 modules load with this module; each command imports the library modules
@@ -182,21 +182,21 @@ def _settings(args):
     return cfg, settings
 
 
-def _write_report(args, out, stem, config_echo, payload):
-    """Write the report of args.command: the envelope of payload with the
-    config echo, the seed and the SHA-256 of each positional input
-    (COMMANDS), then the files reports.FILES builds from payload.  The
-    hashes are taken at a run's first report and kept on args, so pairs
-    hashes its input once for all its subjects.  Of JSON and CSV, --format
+def _write_report(args, out, sets):
+    """Write the reports of args.command, one per (stem, config echo,
+    payload) of sets, all or none: each the envelope of its payload with
+    its config echo, the seed and the SHA-256 of each positional input
+    (COMMANDS), then the files reports.FILES builds from the payload.  The
+    inputs are hashed once for all the sets.  Of JSON and CSV, --format
     keeps the one it names when the command writes both."""
     files = ("json", *reports.FILES[args.command])
-    if not hasattr(args, "hashes"):
-        args.hashes = {path: reports.file_sha256(path) for path in
-                       (getattr(args, name) for name, _ in COMMANDS[args.command][2])}
-    env = reports.envelope(args.command, config_echo, args.seed, args.hashes, payload)
-    reports.write_report(out, stem, env, [
-        ext for ext in files if args.format in (None, ext)
-        or ext not in ("json", "csv") or "csv" not in files])
+    hashes = {path: reports.file_sha256(path) for path in
+              (getattr(args, name) for name, _ in COMMANDS[args.command][2])}
+    extensions = [ext for ext in files if args.format in (None, ext)
+                  or ext not in ("json", "csv") or "csv" not in files]
+    reports.write_report(out, [
+        (stem, reports.envelope(args.command, config_echo, args.seed, hashes, payload),
+         extensions) for stem, config_echo, payload in sets])
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +224,8 @@ def cmd_ingest(args, out, _, s):
 
 
 def cmd_pairs(args, out, cfg, s):
-    """Build every subject's pair set, then write them: a subject that
-    fails leaves no file of another."""
+    """Build every subject's pair set, then write them all or none: a
+    subject that fails, to build or to write, leaves no file of another."""
     from .harness import build_easy_pairs, build_hard_pairs, ingest_canonical_all
     built = []
     for log in ingest_canonical_all(args.input):
@@ -236,9 +236,8 @@ def cmd_pairs(args, out, cfg, s):
             ps = build_easy_pairs(log, s["neutral_thresh_deg"],
                                   s["max_gap_deg"], s["n_pairs"], args.seed)
         built.append((log.subject_id, reports.pairs_payload(ps)))
-    for subject, payload in built:
-        _write_report(args, out, f"pairs_{subject}", {**cfg, "subject": subject},
-                      payload)
+    _write_report(args, out, [(f"pairs_{subject}", {**cfg, "subject": subject}, payload)
+                              for subject, payload in built])
 
 
 def cmd_eval(args, out, cfg, _):
@@ -249,7 +248,7 @@ def cmd_eval(args, out, cfg, _):
     preds = read_predictions(args.predictions)
     check_pairs(args.pairs, lines, pairs, truth, args.predictions, preds)
     rep = score_pairs(pairs, truth, preds)
-    _write_report(args, out, "eval", cfg, reports.metric_payload({"external": rep}))
+    _write_report(args, out, [("eval", cfg, reports.metric_payload({"external": rep}))])
     print(f"n={rep.n} yaw={rep.yaw_mae:.4f} pitch={rep.pitch_mae:.4f} "
           f"roll={rep.roll_mae:.4f} mae={rep.mae:.4f} geodesic={rep.geodesic_mae:.4f}")
 
@@ -279,8 +278,8 @@ def cmd_sweep(args, out, cfg, s):
     ]
     logs = ingest_canonical_all(args.input)  # after every setting is checked
     rep = sweep(logs, estimators, policy, s["axis"], s["bin_width_deg"])
-    _write_report(args, out, "sweep", {**cfg, "axis": s["axis"], "policy": policy.kind},
-                  reports.sweep_payload(rep))
+    _write_report(args, out, [("sweep", {**cfg, "axis": s["axis"], "policy": policy.kind},
+                                reports.sweep_payload(rep))])
 
 
 def cmd_simulate(args, out, _, s):
@@ -325,8 +324,8 @@ def cmd_loss(args, out, cfg, s):
     stages = [StagePrediction(k, p, t)
               for (k, p), (_, t) in zip(pred_stages, true_stages)]
     total, breakdown = loss_cam(stages, lc)
-    _write_report(args, out, "loss", {**cfg, "mode": lc.mode, "gamma": lc.gamma},
-                  reports.loss_payload(total, breakdown))
+    _write_report(args, out, [("loss", {**cfg, "mode": lc.mode, "gamma": lc.gamma},
+                                reports.loss_payload(total, breakdown))])
     print(f"total: {total:.12g}")
     for b in breakdown:
         print(f"  stage {b.stage_index}: weight={b.weight:.6g} "
@@ -341,7 +340,7 @@ def cmd_report(args, out):
         raise RelHpeError(f"{args.input}: cannot regenerate from a {command!r} report")
     stem = os.path.splitext(os.path.basename(args.input))[0]
     try:
-        reports.write_report(out, stem, env, ["csv"])
+        reports.write_report(out, [(stem, env, ["csv"])])
     except (LookupError, TypeError, csv.Error) as exc:
         raise RelHpeError(f"{args.input}: malformed {command} report "
                           f"({type(exc).__name__}: {exc})") from exc

@@ -226,92 +226,193 @@ def euler_deg_many(q) -> np.ndarray:
 #
 # The decisions over every pair of a log's frames (the nearest frame within
 # a threshold, the frames within a gap, the medoid) are made by
-# geodesic_deg_many, one math.atan2 per pair.  A cheap screen first drops
+# geodesic_deg_many, one math.atan2 per pair.  Cheap screens first drop
 # the pairs or rows that provably cannot change the decision; the exact
 # kernel then decides on the rest, so results equal the unscreened ones.
+#
+# Bounds, for rows within 1e-12 of unit norm (as Rotation makes them).  Let
+# u and v be two rows divided by their norms, and phi the angle in R^4
+# between u and +-v, whichever sign makes it at most 90 deg; their rotation
+# angle is theta = 2 phi, a metric on rotations (the quaternion and
+# rotation-angle metrics are equivalent: Huynh, "Metrics for 3D Rotations",
+# JMIV 2009).
+#
+# * The exact kernel.  For rows a = n_a u and b = n_b v with
+#   n = (n_a + n_b) / 2 and d = (n_a - n_b) / 2, u - v and u + v are
+#   orthogonal, so |a - b|^2 = n^2 |u - v|^2 + d^2 |u + v|^2 and
+#   |a + b|^2 = n^2 |u + v|^2 + d^2 |u - v|^2.  With phi <= 90 deg,
+#   4 atan2(|a - b|, |a + b|) is thus within 4 |d| / n (4e-12 rad)
+#   above theta and within O(d^2) below it, plus a few ulp of rounding.
+# * The screen value c = |u . v| (_abs_dots).  Normalizing costs a few ulp
+#   per component, and the four-term dot then lies within delta = 1e-15
+#   of cos phi.  The screens sign-align the rows (w >= 0); negating a row
+#   is exact, so c is the same bits either way.
+# * Threshold.  A pair whose exact angle is <= t deg has
+#   phi <= t / 2 + 1e-14 rad, so c >= cos(t / 2) - 1e-14: keeping the
+#   pairs with c >= floor = cos(t / 2) - WITHIN_DOT_SLACK keeps all of
+#   them.  For t >= 180, floor < 0 and every pair is kept.
+# * Window (pairs_within_deg; fixed-radius near neighbours by sorting:
+#   Bentley, Stanat & Williams, IPL 1977).  If c >= floor, then
+#   s u . v >= floor - delta for s = 1 or s = -1, and as |u|^2 and |v|^2
+#   are within delta of 1, |u - s v|^2 = |u|^2 + |v|^2 - 2 s u . v
+#   <= 2 - 2 floor + 4 delta, so |u - s v| <= r + 2 sqrt(delta) with
+#   r = sqrt(2 - 2 floor).  Every coordinate k then has
+#   |u_k - s v_k| <= |u - s v| <= reach = r + WINDOW_MARGIN, the margin
+#   (1e-6) over ten times 2 sqrt(delta) plus the rounding of r and of
+#   u_k +- reach.  With the rows sorted on u_k, the partners of a block of
+#   rows whose u_k span [lo, hi] thus lie in the column window
+#   [lo - reach, hi + reach] (s = 1) or in the mirrored one
+#   [-hi - reach, -lo + reach] (s = -1).  And s = -1 needs
+#   u_w + v_w <= |u + v| <= reach with both terms >= 0, so the mirrored
+#   window is screened only for a block holding a row with u_w <= reach
+#   (rotations near 180 deg).  The two windows are merged when they
+#   overlap, so no pair is screened twice.
+# * Mean.  arccos is decreasing and concave on [0, 1], so moving its
+#   argument by delta moves it by at most arccos(1 - delta), about
+#   sqrt(2 delta): each screened distance d~ = 2 arccos(min(c, 1)) lies
+#   within e = 2 sqrt(2e-15) rad + 4e-12 rad ~ 5.1e-6 deg of theta, and a
+#   screened row mean E~ within e plus its summation error
+#   (N 2^-53 180 deg, 2e-8 deg at N = 10^6) of the exact mean E.
+#   MEDOID_SCREEN_ERR_DEG (1e-5) bounds both errors.  A row whose E~
+#   exceeds the least one by more than twice that has an exact mean above
+#   the exact mean of the screened argmin, so it cannot be the medoid; the
+#   candidates for the exact means are the rows with
+#   E~ <= min E~ + MEDOID_MARGIN_DEG, the margin about ten times that.
+# * Medoid pruning (medoid_index; Newling & Fleuret, "A Sub-Quadratic Exact
+#   Medoid Algorithm", AISTATS 2017).  For rows p and j, the triangle
+#   inequality theta(j, x) >= |theta(p, x) - theta(p, j)|, averaged over
+#   every row x, gives E_j >= |E_p - theta(p, j)|; with the errors above,
+#   E~_j >= |E~_p - d~(p, j)| - 3 MEDOID_SCREEN_ERR_DEG (the float
+#   arithmetic of the bound adds about 1e-14 deg, inside the slack of
+#   err).  medoid_index screens rows in blocks, keeps for every row j the
+#   largest bound LB_j = max |E~_p - d~(p, j)| over the screened rows p,
+#   and screens next only rows with LB_j - 3 err <= best + margin, best the
+#   least E~ so far.  A row never screened thus has
+#   E~_j > best + margin >= min E~ + margin, so it is no candidate; nor is
+#   it the argmin of E~, whose E~ is <= best.  So best ends as min E~, and
+#   the screened rows with E~ <= best + margin are exactly the candidates
+#   of a screen of every row.  Each E~ is the same row sum, in the same
+#   order, as such a screen takes it, so the two agree bit for bit.
 
-SCREEN_ROWS = 16                # rows per screen block
-WITHIN_DOT_SLACK = 1e-12        # see screen_blocks, "threshold"
-MEDOID_MARGIN_DEG = 1e-4        # see screen_blocks, "mean"
+SCREEN_ROWS = 16                # a block holds at most SCREEN_ROWS x N values
+WITHIN_DOT_SLACK = 1e-12        # see "threshold" above
+WINDOW_MARGIN = 1e-6            # see "window"
+MEDOID_SCREEN_ERR_DEG = 1e-5    # see "mean"
+MEDOID_MARGIN_DEG = 1e-4        # see "mean"
 
 
-def screen_blocks(quats):
-    """Screen values between every two rows of quats: yields (start, c)
-    per block of at most SCREEN_ROWS rows, where c[i, j] =
-    |u[start + i] . u[j]| and u is the rows divided by their norms.
-    Memory is O(SCREEN_ROWS x len(quats)).
-
-    Bounds, for rows within 1e-12 of unit norm (as Rotation makes them).
-    Let phi be the angle in R^4 between the sign-aligned unit directions
-    of two rows; their rotation angle is theta = 2 phi (the quaternion
-    and rotation-angle metrics are equivalent: Huynh, "Metrics for 3D
-    Rotations", JMIV 2009).
-
-    * The exact kernel.  For rows a = n_a u and b = n_b v with
-      n = (n_a + n_b) / 2 and d = (n_a - n_b) / 2, u - v and u + v are
-      orthogonal, so |a - b|^2 = n^2 |u - v|^2 + d^2 |u + v|^2 and
-      |a + b|^2 = n^2 |u + v|^2 + d^2 |u - v|^2.  With phi <= 90 deg,
-      4 atan2(|a - b|, |a + b|) is thus within 4 |d| / n (4e-12 rad)
-      above theta and within O(d^2) below it, plus a few ulp of rounding.
-    * The screen.  Normalizing costs a few ulp per component, and the
-      four-term dot then lies within delta = 1e-15 of cos phi.
-    * Threshold.  A pair whose exact angle is <= t deg has
-      phi <= t / 2 + 1e-14 rad, so c >= cos(t / 2) - 1e-14: keeping the
-      pairs with c >= cos(t / 2) - WITHIN_DOT_SLACK keeps all of them.
-      For t >= 180 every pair is kept.
-    * Mean.  arccos is decreasing and concave on [0, 1], so moving its
-      argument by delta moves it by at most arccos(1 - delta), about
-      sqrt(2 delta): each 2 arccos(min(c, 1)) lies within
-      e = 2 sqrt(2e-15) rad + 4e-12 rad ~ 5.1e-6 deg of the exact angle,
-      and a row mean of them within e plus its summation error
-      (N 2^-53 180 deg, 2e-8 deg at N = 10^6) of the exact mean.  A row
-      whose screened mean exceeds the least one by more than twice that
-      has an exact mean above the exact mean of the screened argmin, so
-      it cannot be the medoid; MEDOID_MARGIN_DEG is about ten times the
-      bound.
-    """
+def _unit_columns(quats) -> np.ndarray:
+    """The rows of quats divided by their norms and sign-aligned (w >= 0),
+    as the (4, N) C-contiguous array of their columns."""
     u = np.asarray(quats, dtype=float).reshape(-1, 4)
     u = u / np.sqrt((u * u).sum(axis=1))[:, None]
-    vw, vx, vy, vz = np.ascontiguousarray(u.T)
-    for start in range(0, len(u), SCREEN_ROWS):
-        # elementwise, not a BLAS matmul: no BLAS work buffers to allocate
-        uw, ux, uy, uz = u[start:start + SCREEN_ROWS].T[:, :, None]
-        yield start, np.abs(uw * vw + ux * vx + uy * vy + uz * vz)
+    u[u[:, 0] < 0.0] *= -1.0
+    return np.ascontiguousarray(u.T)
+
+
+def _abs_dots(rows, cols, out, spare):
+    """out[i, j] = |rows[:, i] . cols[:, j]| for (4, m, 1) rows and (4, n)
+    cols, summed w, x, y, z in that order; spare is a second (m, n) buffer.
+    Elementwise, not a BLAS matmul: no BLAS work buffers to allocate."""
+    np.multiply(rows[0], cols[0], out=out)
+    for k in (1, 2, 3):
+        out += np.multiply(rows[k], cols[k], out=spare)
+    np.abs(out, out=out)
 
 
 def pairs_within_deg(quats, max_deg):
     """Every ordered pair (i, j), i != j, of rows of quats whose
-    geodesic_deg_many is <= max_deg, with that gap.  Yields (rows, cols,
-    gaps) arrays per block of SCREEN_ROWS rows, in row-major order; only
-    the pairs that pass the threshold screen (see screen_blocks) go to
-    the exact kernel.
+    geodesic_deg_many is <= max_deg, with that gap, yielded as (rows, cols,
+    gaps) arrays.  Each row's pairs come in one yield, columns ascending;
+    rows come in the order of the sorted windows.  Only the pairs that
+    pass the window and threshold screens (see above) go to the exact
+    kernel; memory O(SCREEN_ROWS x N).
     """
     if not max_deg >= 0:  # no gap is negative (or below nan)
         return
     quats = np.asarray(quats, dtype=float)
+    u = _unit_columns(quats)
+    n = u.shape[1]
+    if not n:
+        return
     floor = math.cos(math.radians(min(max_deg, 180.0)) / 2.0) - WITHIN_DOT_SLACK
-    for start, c in screen_blocks(quats):
-        keep = c >= floor
-        diagonal = np.arange(len(keep))
-        keep[diagonal, start + diagonal] = False
-        rows, cols = keep.nonzero()
-        rows += start
+    reach = math.sqrt(2.0 - 2.0 * floor) + WINDOW_MARGIN
+    # sorted on the widest coordinate, whose windows hold the fewest rows
+    k = int((u.max(axis=1) - u.min(axis=1)).argmax())
+    order = u[k].argsort(kind="stable")
+    u = u[:, order]
+    key = u[k]
+    lo, hi = key.searchsorted(key - reach), key.searchsorted(key + reach, "right")
+    mirror_lo = key.searchsorted(-key - reach)
+    mirror_hi = key.searchsorted(-key + reach, "right")
+    near = np.cumsum(u[0] <= reach)  # rows up to each that need the mirror
+    budget = SCREEN_ROWS * n
+    dots, spare, keep = np.empty(budget), np.empty(budget), np.empty(budget, bool)
+    a = 0
+    while a < n:
+        # windows of the blocks [a, b) for each candidate last row b - 1;
+        # a block of more rows than budget // (hi[a] - lo[a]) cannot fit
+        last = np.arange(a, min(n, a + budget // (hi[a] - lo[a])))
+        l1, h1 = lo[a], hi[last]
+        mirrored = near[last] > (near[a - 1] if a else 0)
+        l2 = np.where(mirrored, mirror_lo[last], 0)
+        h2 = np.where(mirrored, np.maximum(mirror_hi[a], l2), 0)
+        width = h1 - l1 + h2 - l2 - np.maximum(
+            np.minimum(h1, h2) - np.maximum(l1, l2), 0)  # the union's
+        # the most rows whose windows hold at most budget values (one
+        # row's window holds at most n)
+        i = np.count_nonzero((last - a + 1) * width <= budget) - 1
+        b, h1, l2, h2 = a + i + 1, h1[i], l2[i], h2[i]
+        if l2 < h2 and l2 <= h1 and l1 <= h2:  # overlapping: one window
+            l1, h1, l2, h2 = min(l1, l2), max(h1, h2), 0, 0
+        cols = np.concatenate((np.arange(l1, h1), np.arange(l2, h2)))
+        size, shape = (b - a) * len(cols), (b - a, len(cols))
+        c = dots[:size].reshape(shape)
+        _abs_dots(u[:, a:b, None], u[:, cols], c, spare[:size].reshape(shape))
+        r, j = np.greater_equal(c, floor, out=keep[:size].reshape(shape)).nonzero()
+        r += a
+        j = cols[j]
+        other = r != j
+        rows, cols = order[r[other]], order[j[other]]
         gaps = geodesic_deg_many(quats[rows], quats[cols])
-        within = gaps <= max_deg
+        within = np.flatnonzero(gaps <= max_deg)
+        within = within[np.lexsort((cols[within], rows[within]))]
         yield rows[within], cols[within], gaps[within]
+        a = b
 
 
 def medoid_index(quats) -> int:
     """Index of the row minimizing the mean geodesic_deg_many to all rows
     (sum / N, the sum taken left to right in row order), lowest index on
-    ties.  The exact mean is taken only for the rows whose screened mean is
-    within MEDOID_MARGIN_DEG of the least (see screen_blocks).
+    ties.  Rows are screened in blocks of SCREEN_ROWS, in index order, each
+    against every row; a row is screened only while its lower bound can
+    still reach the least screened mean (see above, "medoid pruning"), and
+    the exact mean is taken only for the rows whose screened mean is within
+    MEDOID_MARGIN_DEG of the least.  Memory O(SCREEN_ROWS x N).
     """
-    n = len(quats)
-    screened = np.concatenate([np.arccos(np.minimum(c, 1.0)).sum(axis=1)
-                               for _, c in screen_blocks(quats)])
-    screened *= math.degrees(2.0) / n
-    rows = np.flatnonzero(screened <= screened.min() + MEDOID_MARGIN_DEG)
+    u = _unit_columns(quats)
+    n = u.shape[1]
+    to_deg = math.degrees(2.0)
+    screened = np.full(n, math.inf)  # each row's screened mean, once screened
+    bound = np.zeros(n)  # its largest lower bound so far; inf once screened
+    dots, spare = np.empty((SCREEN_ROWS, n)), np.empty((SCREEN_ROWS, n))
+    least = math.inf
+    block = np.arange(min(n, SCREEN_ROWS))
+    while len(block):
+        c = dots[:len(block)]
+        _abs_dots(u[:, block, None], u, c, spare[:len(block)])
+        np.arccos(np.minimum(c, 1.0, out=c), out=c)
+        means = c.sum(axis=1)
+        means *= to_deg / n
+        screened[block] = means
+        least = min(least, means.min())
+        c *= to_deg
+        c -= means[:, None]
+        np.maximum(bound, np.abs(c, out=c).max(axis=0), out=bound)
+        bound[block] = math.inf
+        block = np.flatnonzero(bound <= least + MEDOID_MARGIN_DEG
+                               + 3.0 * MEDOID_SCREEN_ERR_DEG)[:SCREEN_ROWS]
+    rows = np.flatnonzero(screened <= least + MEDOID_MARGIN_DEG)
     means = []
     for i in rows.tolist():
         total = 0.0  # not the built-in sum, compensated from CPython 3.12

@@ -199,7 +199,8 @@ def neutral_reference(log: PoseLog) -> Rotation:
     """Per-subject neutral rotation: the frame minimizing the mean geodesic
     distance to all other frames (lowest index on ties).  Deterministic and
     annotation-free.  An exact screen (geometry.medoid_index) leaves the
-    exact mean to the frames that can win; memory O(16 x N).
+    exact mean to the frames that can win, and screens only the frames
+    whose lower bound can still win; memory O(geometry.SCREEN_ROWS x N).
     """
     return Rotation(*log.quats[medoid_index(log.quats)].tolist())
 
@@ -266,8 +267,8 @@ def build_easy_pairs(log: PoseLog, neutral_thresh_deg=15.0, max_gap_deg=8.0,
     The candidates are the ordered pairs of distinct neutral frames at gap
     <= max_gap_deg, anchor-major in log order; an exact screen
     (geometry.pairs_within_deg) sends only the pairs that can qualify to
-    the geodesic kernel, in blocks of 16 anchors: memory O(16 x N) beyond
-    the candidates' position arrays.
+    the geodesic kernel: memory O(geometry.SCREEN_ROWS x N) beyond the
+    candidates' position arrays.
     """
     whole("n_pairs", n_pairs)
     whole("seed", seed)
@@ -276,7 +277,9 @@ def build_easy_pairs(log: PoseLog, neutral_thresh_deg=15.0, max_gap_deg=8.0,
     for r, c, _ in pairs_within_deg(log.quats[neutral], max_gap_deg):
         rows.append(r)
         cols.append(c)
-    anchors, queries = neutral[np.concatenate(rows)], neutral[np.concatenate(cols)]
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    by_anchor = np.lexsort((cols, rows))
+    anchors, queries = neutral[rows[by_anchor]], neutral[cols[by_anchor]]
     if not len(anchors):
         raise InsufficientFrames(
             f"log {log.subject_id!r}: no frame pairs under gap {max_gap_deg} deg "

@@ -63,25 +63,29 @@ def out_path(out, name) -> str:
     return os.path.join(out, name)
 
 
-def write_report(out, stem, env, extensions):
-    """Write <out>/<stem>.<ext> for each extension in order, 'json' the
-    envelope env and any other the text FILES builds from its payload, and
-    print 'wrote <path>' for each.  Every text is built, and env encoded
-    whatever the extensions, before a file or out is made: a report
-    holding nan or inf writes nothing and is a RelHpeError naming its
-    first file, and so is a file path that is a directory.  Each file is
-    written under a temporary name beside it, and all are moved into
-    place only once all are written; a failure removes them and any
-    directory of out that this call made, so out is left as it was."""
-    names = [f"{stem}.{ext}" for ext in extensions]
-    try:
-        json_text = _json_text(env)
-    except ValueError:
-        raise RelHpeError(f"{os.path.join(out, names[0])}: not written, the "
-                          "report holds nan or inf") from None
-    build = FILES[env["command"]]
-    texts = [json_text if ext == "json" else globals()[build[ext]](env["payload"])
-             for ext in extensions]
+def write_report(out, sets):
+    """Write every report set (stem, env, extensions) of sets as one: for
+    each, <out>/<stem>.<ext> for each extension in order, 'json' the
+    envelope env and any other the text FILES builds from its payload.
+    Every text of every set is built, and each env encoded whatever its
+    extensions, before a file or out is made: a report holding nan or inf
+    writes nothing and is a RelHpeError naming its set's first file, and so
+    is a file path that is a directory.  Each file is written under a
+    temporary name beside it, and all are moved into place only once all
+    are written; a failure removes them and any directory of out that this
+    call made, so out is left as it was.  Then 'wrote <path>' is printed
+    for each file."""
+    names, texts = [], []
+    for stem, env, extensions in sets:
+        try:
+            json_text = _json_text(env)
+        except ValueError:
+            raise RelHpeError(f"{os.path.join(out, f'{stem}.{extensions[0]}')}: "
+                              "not written, the report holds nan or inf") from None
+        build = FILES[env["command"]]
+        names += [f"{stem}.{ext}" for ext in extensions]
+        texts += [json_text if ext == "json" else globals()[build[ext]](env["payload"])
+                  for ext in extensions]
     for name in names:
         if os.path.isdir(path := os.path.join(out, name)):
             raise RelHpeError(f"{path}: not written, it is a directory")

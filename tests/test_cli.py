@@ -182,6 +182,48 @@ class TestPairs:
         assert captured.err.startswith("error: log 'B': ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("occupied", ["pairs_subj000.csv", "pairs_subj001.json",
+                                          "pairs_subj001.csv"])
+    def test_occupied_subject_path_writes_no_subject(self, occupied, sim_log, tmp_path,
+                                                     capsys):
+        """With one subject's report path a directory, pairs exits 2 with one
+        line on stderr, prints no `wrote` line and writes no file of any
+        subject: --out is left as it was."""
+        argv = ["pairs", sim_log, "--pair-kind", "hard"]
+        assert run(["--out", tmp_path / "free", *argv]) == 0
+        out = tmp_path / "o" / "p"
+        (out / occupied).mkdir(parents=True)
+        before = tree(tmp_path / "o")
+        capsys.readouterr()
+        assert run(["--out", out, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {out / occupied}: not written, it is a directory\n"
+        assert tree(tmp_path / "o") == before
+
+    @pytest.mark.parametrize("failing", [1, 2, 3])
+    def test_failed_later_subject_write_leaves_no_out(self, failing, sim_log, tmp_path,
+                                                      capsys, monkeypatch):
+        """A pairs run whose write fails at a later file (subject 0's CSV,
+        subject 1's JSON or CSV) exits 2, prints no `wrote` line, leaves no
+        file of any subject and removes the --out it made."""
+        opened = []
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            if mode == "w":
+                opened.append(path)
+                if len(opened) > failing:
+                    raise OSError(f"no space left writing {os.path.basename(path)}")
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(reports, "open", failing_open, raising=False)
+        out = tmp_path / "o" / "p"
+        capsys.readouterr()
+        assert run(["--out", out, "pairs", sim_log, "--pair-kind", "hard"]) == 2
+        assert capsys.readouterr().out == ""
+        assert len(opened) == failing + 1
+        assert not (tmp_path / "o").exists()
+
     def test_hashes_input_once(self, tmp_path, monkeypatch):
         """A 4-subject pairs run hashes its log once, and every subject's
         report carries that hash."""
