@@ -13,12 +13,12 @@ this surface is in degrees.
 
 main resolves a command's settings before the command runs; each
 cmd_<name>(args, out, config, settings) (report takes only args and out)
-returns nothing.  --out is created (reports.out_path) only once a file's
-text is built, so a run that fails before then leaves none behind.  Every
-report goes through _write_report, which embeds the config echo, the
-seed, the format version and input-file hashes, so identical inputs give
-identical report bytes; reports.write_report moves a run's files (every
-subject's, for pairs) into place only once all are written.
+returns nothing.  Every file goes through reports.write_files, which
+makes --out only to write and moves a run's files (each subject's, for
+pairs) into place only once all are written: a failed run leaves --out as
+it was.  Every report goes through _write_report, which embeds the config
+echo, the seed, the format version and input-file hashes, so identical
+inputs give identical report bytes.
 
 Only the standard library and the stdlib-only reports, errors and vocab
 modules load with this module; each command imports the library modules
@@ -212,7 +212,7 @@ def cmd_ingest(args, out, _, s):
         logs = [ingest_biwi(args.input, s["pose_glob"], s["calib_name"])]
     else:
         logs = ingest_canonical_all(args.input)
-    dest = reports.out_path(out, "poselog.csv")
+    dest = os.path.join(out, "poselog.csv")
     export_canonical(logs, dest)
     n_frames = sum(len(l) for l in logs)
     arr = euler_deg_many(np.concatenate([log.quats for log in logs]))
@@ -284,15 +284,15 @@ def cmd_sweep(args, out, cfg, s):
 
 def cmd_simulate(args, out, _, s):
     from .sampling import PoseSampler, pose_rows
-    from .tables import write_canonical
+    from .tables import canonical_text
     sampler = PoseSampler(
         yaw_range=(s["yaw_min"], s["yaw_max"]),
         pitch_range=(s["pitch_min"], s["pitch_max"]),
         roll_range=(s["roll_min"], s["roll_max"]),
         frames_per_log=s["frames_per_log"], subjects=s["subjects"],
         seed=args.seed)
-    dest = reports.out_path(out, "simulated_poselog.csv")
-    write_canonical(dest, "world", pose_rows(sampler))
+    [dest] = reports.write_files(out, [("simulated_poselog.csv",
+                                        canonical_text("world", pose_rows(sampler)))])
     print(f"wrote {dest} ({sampler.subjects} subjects x {sampler.frames_per_log} frames)")
 
 

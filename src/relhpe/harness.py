@@ -3,9 +3,9 @@ adapter), easy/hard pair construction, estimator scoring, metrics, and
 binned sweeps.  A prediction table over a pair set is scored by
 scoring.evaluate.
 
-The canonical pose-log format, its one reader and its one writer are in
+The canonical pose-log format, its one reader and its text are in
 tables; ingest_canonical_all builds PoseLogs from the reader's columns and
-export_canonical writes a PoseLog's columns through the writer.
+export_canonical writes their text through reports.write_files.
 
 BIWI-style subject directory: one text file per frame holding the 3x3
 rotation matrix (three rows) followed by the translation vector, plus a
@@ -37,17 +37,18 @@ import numpy as np
 
 from .anchors import AnchorPolicy, anchor_arrays
 from .camera import Intrinsics
-from .errors import (DomainError, FrameMismatch, InsufficientFrames,
-                     InvariantViolation, MalformedPoseFile, MissingCalibration,
-                     MissingPredictions, ParseError, whole)
+from .errors import (DomainError, EmptyInput, FrameMismatch,
+                     InsufficientFrames, InvariantViolation, MalformedPoseFile,
+                     MissingCalibration, MissingPredictions, ParseError, whole)
 from .geometry import (SE3Pose, compose_many, euler_deg_many,
                        geodesic_deg_many, medoid_index, pairs_within_deg)
 from .poselog import PoseLog
 from .records import Record
+from .reports import write_files
 from .rotation import Rotation
 from .sampling import sorted_choice
-from .tables import (MetricReport, canonical_subjects, named_by, wrap_deg,
-                     write_canonical)
+from .tables import (MetricReport, canonical_subjects, canonical_text, named_by,
+                     wrap_deg)
 from .vocab import SWEEP_AXES
 
 
@@ -56,18 +57,22 @@ from .vocab import SWEEP_AXES
 
 
 def export_canonical(logs, path):
-    """Write one or more PoseLogs to a canonical-format file, through
-    tables.write_canonical."""
+    """Write one or more PoseLogs to a canonical-format file, all or
+    nothing: tables.canonical_text through reports.write_files, which
+    makes path's directory if need be.  EmptyInput for no log."""
     if isinstance(logs, PoseLog):
         logs = [logs]
+    if not logs:
+        raise EmptyInput("export_canonical: at least one log is needed")
     tags = {log.frame_tag for log in logs}
     if len(tags) != 1:
         raise InvariantViolation(f"logs carry mixed frame tags: {sorted(tags)}")
-    write_canonical(path, tags.pop(), (
+    text = canonical_text(tags.pop(), (
         (log.subject_id, log.frame_ids, np.hstack(
             [log.quats, log.translations]
             + ([] if log.intrinsics is None else [log.intrinsics])).tolist())
         for log in logs))
+    write_files(os.path.dirname(path), [(os.path.basename(path), text)])
 
 
 def ingest_canonical_all(path) -> list:

@@ -55,50 +55,28 @@ def _json_text(data) -> str:  # ValueError for nan or inf, which JSON lacks
     return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def out_path(out, name) -> str:
-    """<out>/<name>, once the directory out exists.  A command asks for a
-    path only when the text it writes there is built, so a run that fails
-    before then leaves no output directory behind."""
-    os.makedirs(out, exist_ok=True)
-    return os.path.join(out, name)
-
-
-def write_report(out, sets):
-    """Write every report set (stem, env, extensions) of sets as one: for
-    each, <out>/<stem>.<ext> for each extension in order, 'json' the
-    envelope env and any other the text FILES builds from its payload.
-    Every text of every set is built, and each env encoded whatever its
-    extensions, before a file or out is made: a report holding nan or inf
-    writes nothing and is a RelHpeError naming its set's first file, and so
-    is a file path that is a directory.  Each file is written under a
-    temporary name beside it, and all are moved into place only once all
-    are written; a failure removes them and any directory of out that this
-    call made, so out is left as it was.  Then 'wrote <path>' is printed
-    for each file."""
-    names, texts = [], []
-    for stem, env, extensions in sets:
-        try:
-            json_text = _json_text(env)
-        except ValueError:
-            raise RelHpeError(f"{os.path.join(out, f'{stem}.{extensions[0]}')}: "
-                              "not written, the report holds nan or inf") from None
-        build = FILES[env["command"]]
-        names += [f"{stem}.{ext}" for ext in extensions]
-        texts += [json_text if ext == "json" else globals()[build[ext]](env["payload"])
-                  for ext in extensions]
-    for name in names:
-        if os.path.isdir(path := os.path.join(out, name)):
+def write_files(out, files) -> list:
+    """Write each (name, chunks) of files to <out>/<name>, all or none,
+    and return the paths: the one place that stages and commits files.  A
+    path that is a directory is a RelHpeError before anything is made.
+    The chunks (strings, drawn lazily if need be) are written under a
+    temporary name beside each file, and all are moved into place only
+    once all are written; a failure removes them and any directory of out
+    that this call made, so out is left as it was."""
+    paths = [os.path.join(out, name) for name, _ in files]
+    for path in paths:
+        if os.path.isdir(path):
             raise RelHpeError(f"{path}: not written, it is a directory")
-    made, parent = [], os.path.abspath(out)  # the directories out_path makes
+    made, parent = [], os.path.abspath(out)
     while not os.path.exists(parent):
         made.append(parent)
         parent = os.path.dirname(parent)
-    paths = [out_path(out, name) for name in names]
+    os.makedirs(out or os.curdir, exist_ok=True)
     temps = [f"{path}.{os.getpid()}.tmp" for path in paths]
     try:
-        for temp, text in zip(temps, texts):
+        for temp, (_, chunks) in zip(temps, files):
             with open(temp, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         for temp, path in zip(temps, paths):
             os.replace(temp, path)
     except BaseException:
@@ -108,7 +86,29 @@ def write_report(out, sets):
         for directory in made:  # innermost first
             os.rmdir(directory)
         raise
-    for path in paths:
+    return paths
+
+
+def write_report(out, sets):
+    """Write every report set (stem, env, extensions) of sets as one
+    through write_files: <out>/<stem>.<ext> for each extension in order,
+    'json' the envelope env and any other the text FILES builds from its
+    payload.  Every text is built first, each env encoded whatever its
+    extensions: a report holding nan or inf writes nothing and is a
+    RelHpeError naming its set's first file.  Then 'wrote <path>' is
+    printed for each file."""
+    files = []
+    for stem, env, extensions in sets:
+        try:
+            json_text = _json_text(env)
+        except ValueError:
+            raise RelHpeError(f"{os.path.join(out, f'{stem}.{extensions[0]}')}: "
+                              "not written, the report holds nan or inf") from None
+        build = FILES[env["command"]]
+        files += [(f"{stem}.{ext}", [json_text if ext == "json"
+                                     else globals()[build[ext]](env["payload"])])
+                  for ext in extensions]
+    for path in write_files(out, files):
         print(f"wrote {path}")
 
 

@@ -12,18 +12,17 @@ Blank rows and '#' comment rows are skipped (see rows.csv_rows).
 The format's rules live here only: the header, the checks on a log's
 names (frame_positions, which PoseLog runs), the one reader
 (canonical_subjects: harness.ingest_canonical_all and scoring.read_truth)
-and the one writer (write_canonical: harness.export_canonical and
-`simulate`).  The prediction table's row loop (prediction_rows) and
-MetricReport, the record both scorers return, are here for the same
-reason: scoring reads `eval`'s files without numpy.  Standard library
-only.
+and the one text of a file (canonical_text, which harness.export_canonical
+and `simulate` write through reports.write_files).  The prediction
+table's row loop (prediction_rows) and MetricReport, the record both
+scorers return, are here for the same reason: scoring reads `eval`'s
+files without numpy.  Standard library only.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
 import re
 from array import array
 from contextlib import contextmanager
@@ -117,35 +116,26 @@ def named_by(path):
 
 
 # ---------------------------------------------------------------------------
-# the writer
+# the text of a file
 
 
-def write_canonical(path, frame_tag, logs):
-    """Write a canonical file of logs tagged frame_tag: its header, then
-    for each (subject id, frame ids, rows) of logs one line per frame,
-    subject, frame id, index and the row's numbers by repr.  A row holds
-    the quaternion and the translation, or those and the intrinsics,
-    which are left out when the first of them is nan.  Each log's text is
-    written in one call, to a temporary name beside path that replaces
-    path once every log is written; on a failure it is removed and path
-    is left as it was."""
-    temp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(temp, "w", encoding="utf-8") as fh:
-            fh.write(header(frame_tag) + "\n")
-            for subject_id, frame_ids, rows in logs:
-                lines = []
-                for i, (frame_id, row) in enumerate(zip(frame_ids, rows)):
-                    if len(row) > 7 and math.isnan(row[7]):
-                        row = row[:7]  # a frame without intrinsics
-                    lines.append(f"{subject_id},{frame_id},{i},"
-                                 f"{','.join(map(repr, row))}\n")
-                fh.write("".join(lines))
-        os.replace(temp, path)
-    except BaseException:
-        if os.path.lexists(temp):
-            os.remove(temp)
-        raise
+def canonical_text(frame_tag, logs):
+    """The text of a canonical file of logs tagged frame_tag, in chunks:
+    its header line, then for each (subject id, frame ids, rows) of logs
+    one chunk of one line per frame, subject, frame id, index and the
+    row's numbers by repr.  A row holds the quaternion and the
+    translation, or those and the intrinsics, which are left out when the
+    first of them is nan.  A generator: each log is drawn and its text
+    built only as the chunks are written (reports.write_files)."""
+    yield header(frame_tag) + "\n"
+    for subject_id, frame_ids, rows in logs:
+        lines = []
+        for i, (frame_id, row) in enumerate(zip(frame_ids, rows)):
+            if len(row) > 7 and math.isnan(row[7]):
+                row = row[:7]  # a frame without intrinsics
+            lines.append(f"{subject_id},{frame_id},{i},"
+                         f"{','.join(map(repr, row))}\n")
+        yield "".join(lines)
 
 
 # ---------------------------------------------------------------------------

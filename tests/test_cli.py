@@ -62,13 +62,14 @@ class TestSimulate:
             read(tmp_path / "b" / "simulated_poselog.csv")
 
     def test_log_path_occupied_changes_nothing(self, tmp_path, capsys):
-        """With the log's path a directory, simulate exits 2 and leaves no
-        other file in --out."""
+        """With the log's path a directory, simulate exits 2 with the one
+        line the reports print and leaves no other file in --out."""
         (tmp_path / "simulated_poselog.csv").mkdir()
         capsys.readouterr()
         assert run(["--out", tmp_path, "simulate", "--subjects", "1",
                     "--frames-per-log", "10"]) == 2
-        assert capsys.readouterr().out == ""
+        assert capsys.readouterr() == ("", f"error: {tmp_path / 'simulated_poselog.csv'}"
+                                           ": not written, it is a directory\n")
         assert tree(tmp_path) == {"simulated_poselog.csv": None}
 
 
@@ -537,9 +538,14 @@ EASY = ["--pair-kind", "easy", "--neutral-thresh-deg", "1000", "--max-gap-deg", 
 
 
 def report_argv(command, tmp_path):
-    """argv of a pairs, eval, sweep or loss run on small inputs, and the
-    stem of its report files."""
+    """argv of a pairs, eval, sweep, loss, ingest or simulate run on small
+    inputs, and the stem of its report or pose-log files."""
+    if command == "simulate":
+        return ["simulate", "--subjects", "1", "--frames-per-log", "10"], \
+            "simulated_poselog"
     log = single_subject_log(tmp_path)
+    if command == "ingest":
+        return ["ingest", log], "poselog"
     if command == "pairs":
         return ["pairs", log, *EASY], "pairs_subj000"
     if command == "sweep":
@@ -625,11 +631,11 @@ def tree(root):
 @pytest.mark.parametrize("command, ext", [
     ("pairs", "json"), ("pairs", "csv"), ("eval", "json"), ("eval", "csv"),
     ("sweep", "json"), ("sweep", "csv"), ("sweep", "svg"), ("loss", "json"),
-    ("report", "csv")])
+    ("report", "csv"), ("simulate", "csv"), ("ingest", "csv")])
 def test_occupied_report_path_changes_nothing(command, ext, tmp_path, capsys):
-    """With one report file's path a directory, a report command exits 2
-    with one line on stderr, prints no `wrote` line and leaves --out as it
-    was: the files of an older report set keep their bytes."""
+    """With one report or pose-log file's path a directory, a command exits
+    2 with one line on stderr, prints no `wrote` line and leaves --out as
+    it was: the files of an older report set keep their bytes."""
     if command == "report":
         argv, stem = report_argv("eval", tmp_path)
         assert run(["--out", tmp_path / "e", *argv]) == 0
@@ -654,16 +660,23 @@ def test_occupied_report_path_changes_nothing(command, ext, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("older", [False, True], ids=["new_out", "older_set"])
-@pytest.mark.parametrize("failing", [0, 1, 2])
-def test_failed_file_write_leaves_out_as_it_was(failing, older, sim_log, tmp_path,
-                                                capsys, monkeypatch):
-    """A sweep whose JSON, CSV or SVG write fails, after the file is
-    opened, exits 2 and prints no `wrote` line.  It leaves no file behind,
-    removes the directories of --out that it made, and leaves an older
-    report set's bytes as they were."""
+@pytest.mark.parametrize("command, failing", [
+    ("sweep", 0), ("sweep", 1), ("sweep", 2), ("simulate", 0), ("ingest", 0)],
+    ids=["0", "1", "2", "simulate", "ingest"])
+def test_failed_file_write_leaves_out_as_it_was(command, failing, older, sim_log,
+                                                tmp_path, capsys, monkeypatch):
+    """A sweep whose JSON, CSV or SVG write fails, or a simulate or ingest
+    whose pose-log write fails, after the file is opened, exits 2 and
+    prints no `wrote` line.  It leaves no file behind, removes the
+    directories of --out that it made, and leaves an older run's bytes as
+    they were."""
+    argv, stem = {"sweep": (["sweep", sim_log], "sweep"),
+                  "simulate": (["simulate", "--frames-per-log", "10"],
+                               "simulated_poselog"),
+                  "ingest": (["ingest", sim_log], "poselog")}[command]
     out = tmp_path / "new" / "o"
     if older:
-        assert run(["--seed", "1", "--out", out, "sweep", sim_log]) == 0
+        assert run(["--seed", "1", "--out", out, *argv]) == 0
     before = tree(tmp_path)
     opened = []
 
@@ -678,10 +691,10 @@ def test_failed_file_write_leaves_out_as_it_was(failing, older, sim_log, tmp_pat
 
     monkeypatch.setattr(reports, "open", failing_open, raising=False)
     capsys.readouterr()
-    assert run(["--out", out, "sweep", sim_log]) == 2
+    assert run(["--out", out, *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: no space left writing sweep.")
+    assert captured.err.startswith(f"error: no space left writing {stem}.")
     assert len(opened) == failing + 1
     assert tree(tmp_path) == before
     assert (tmp_path / "new").exists() == older

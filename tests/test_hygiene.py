@@ -13,10 +13,11 @@ numpy, `pairs` no numpy.random, and `sweep` only the package modules it
 runs.  numpy's SeedSequence and PCG64 constants and the SeedSequence
 hash are written only in sampling, and a query's noise-stream key is
 hashed only in simulate._seed_states.  In the CLI, only main resolves
-settings, no function creates the output directory (reports.out_path
-does, once a file's text is built), and only _write_report builds a
-report envelope.  The canonical pose-log format's row widths are written
-only in tables.
+settings, no function creates the output directory (reports.write_files
+does, when it writes), and only _write_report builds a report envelope.
+Files are staged under a '.tmp' name, directories made and files moved
+into place only in reports.write_files.  The canonical pose-log format's
+row widths are written only in tables.
 """
 
 import ast
@@ -417,12 +418,14 @@ def test_query_stream_key_is_written_once():
 
 # The CLI's one command runner: the call in cli.py -> the functions that
 # alone may make it.  main resolves settings before a command runs, and
-# none creates --out (reports.out_path does, when a file's text is
-# built); _write_report builds every report's envelope and writes it, and
-# cmd_report re-emits a CSV from an envelope it read.
+# none creates --out (reports.write_files does, when it writes);
+# _write_report builds every report's envelope and writes it, cmd_report
+# re-emits a CSV from an envelope it read, and cmd_simulate writes its
+# pose log (cmd_ingest's goes through harness.export_canonical).
 CLI_RUNNER_CALLS = {"_settings": {"main"}, "os.makedirs": set(),
                     "reports.envelope": {"_write_report"},
-                    "reports.write_report": {"_write_report", "cmd_report"}}
+                    "reports.write_report": {"_write_report", "cmd_report"},
+                    "reports.write_files": {"cmd_simulate"}}
 
 
 def test_cli_has_one_command_runner():
@@ -454,3 +457,26 @@ def test_canonical_widths_are_written_in_tables_only():
                   if isinstance(n, ast.Tuple)
                   and [getattr(e, "value", None) for e in n.elts] == [10, 16]]
     assert not stray, f"canonical row widths outside tables: {stray}"
+
+
+# The calls that make directories or move files into place.
+STAGING_CALLS = ("os.makedirs", "os.mkdir", "os.rename", "os.replace")
+
+
+def test_files_are_staged_and_committed_in_write_files_only():
+    """os.makedirs, os.mkdir, os.rename and os.replace are called, and the
+    '.tmp' staging name is spelled, in reports.write_files alone: no other
+    function writes a file of its own all or nothing."""
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for stmt in tree.body:
+            if (path.name, getattr(stmt, "name", None)) == ("reports.py", "write_files"):
+                continue
+            for n in ast.walk(stmt):
+                if isinstance(n, ast.Call) and ast.unparse(n.func) in STAGING_CALLS:
+                    stray.append(f"{path.name} line {n.lineno}: {ast.unparse(n.func)}")
+                elif (isinstance(n, ast.Constant) and isinstance(n.value, str)
+                        and ".tmp" in n.value):
+                    stray.append(f"{path.name} line {n.lineno}: {n.value!r}")
+    assert not stray, f"files staged outside reports.write_files: {stray}"

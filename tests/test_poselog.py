@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from relhpe import (PoseLog, Rotation, SE3Pose, export_canonical,
                     ingest_canonical_all)
-from relhpe import scoring, tables
+from relhpe import reports, scoring, tables
 from relhpe.camera import Intrinsics
 from relhpe.cli import _read_stage_file, main
 from relhpe.errors import (DomainError, EmptyInput, InvariantViolation,
@@ -446,9 +446,10 @@ def test_an_overlong_header_line_is_refused_unread(tmp_path):
     assert outcome(tables.canonical_subjects, path)[1] == (kind, message)
 
 
-def test_write_canonical_replaces_its_file_only_once_whole(tmp_path):
-    """A write that fails partway leaves the file as it was and no other
-    file beside it; one that completes replaces it."""
+def test_canonical_write_replaces_its_file_only_once_whole(tmp_path):
+    """tables.canonical_text written through reports.write_files: a write
+    whose logs fail partway leaves the file as it was and no other file
+    beside it; one that completes replaces it."""
     path = tmp_path / "log.csv"
     path.write_text("older\n")
     row = [1.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0]
@@ -457,14 +458,53 @@ def test_write_canonical_replaces_its_file_only_once_whole(tmp_path):
         yield "s", ["f0"], [row]
         raise OSError("no space left")
 
+    def write(logs):
+        return reports.write_files(tmp_path, [
+            ("log.csv", tables.canonical_text("world", logs))])
+
     with pytest.raises(OSError, match="no space left"):
-        tables.write_canonical(path, "world", failing_logs())
+        write(failing_logs())
     assert path.read_text() == "older\n"
     assert os.listdir(tmp_path) == ["log.csv"]
-    tables.write_canonical(path, "world", [("s", ["f0"], [row])])
+    assert write([("s", ["f0"], [row])]) == [str(path)]
     assert path.read_text() == ("# poselog v1 frame=world\n"
                                 "s,f0,0,1.0,0.0,0.0,0.0,1.0,2.0,3.0\n")
     assert os.listdir(tmp_path) == ["log.csv"]
+
+
+def test_export_canonical_makes_its_directory_and_removes_it_on_failure(
+        tmp_path, monkeypatch):
+    """export_canonical into a directory that does not exist creates it,
+    and the one above it; a write that fails after the file is opened
+    removes both again and leaves nothing behind.  A bare file name is
+    written in the working directory."""
+    log = pose_log([SE3Pose(Rotation(1.0, 0.0, 0.0, 0.0), np.zeros(3))])
+    path = tmp_path / "new" / "dir" / "log.csv"
+
+    def failing_open(name, mode="r", *args, **kwargs):
+        open(name, mode, *args, **kwargs).close()
+        raise OSError("no space left")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(reports, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="no space left"):
+            export_canonical(log, path)
+    assert os.listdir(tmp_path) == []
+    export_canonical(log, path)
+    assert os.listdir(path.parent) == ["log.csv"]
+    assert_same_log(ingest_canonical_all(path)[0], log)
+    monkeypatch.chdir(path.parent)
+    export_canonical(log, "bare.csv")
+    assert (path.parent / "bare.csv").read_bytes() == path.read_bytes()
+
+
+def test_export_canonical_of_no_log_is_empty_input(tmp_path):
+    """No log is an EmptyInput, not a mixed-frame-tag InvariantViolation,
+    and writes nothing: a header-only file would be read back as 'no
+    records'."""
+    with pytest.raises(EmptyInput, match="at least one log is needed"):
+        export_canonical([], tmp_path / "new" / "log.csv")
+    assert os.listdir(tmp_path) == []
 
 
 def edit_row(body, row, change):
