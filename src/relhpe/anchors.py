@@ -7,9 +7,11 @@ Four regimes:
 * nearest_within    - the same-log frame minimizing the geodesic gap,
                       accepted only below a threshold; otherwise the query
                       stays unpaired.  Only the frames that pass an exact
-                      screen (geometry.pairs_within_deg: sorted windows,
-                      then a dot-product floor) reach the geodesic kernel;
-                      memory O(geometry.SCREEN_ROWS x N).
+                      screen (geometry.screened_pairs: sorted windows,
+                      then a dot-product floor) and whose screened gap is
+                      within geometry.MEDOID_MARGIN_DEG of their query's
+                      least reach the geodesic kernel; memory
+                      O(geometry.SCREEN_ROWS x N).
 * temporal_previous - frame i-1 anchors frame i; frame 0 is unpaired.
 * external_predicted - anchor frame as fixed_first, but the anchor pose
                       comes from an external estimator's prediction
@@ -26,8 +28,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, FrameMismatch
-from .geometry import (SE3Pose, apply_anchor, geodesic_deg_many,
-                       pairs_within_deg, relative)
+from .geometry import (MEDOID_MARGIN_DEG, SE3Pose, apply_anchor,
+                       geodesic_deg_many, relative, screened_pairs)
 from .poselog import PoseLog
 from .records import Record
 from .rotation import geodesic_deg
@@ -68,11 +70,19 @@ def anchor_arrays(log: PoseLog, policy: AnchorPolicy) -> AnchorArrays:
         anchor[1:] = np.arange(n - 1)
         gap[1:] = geodesic_deg_many(quats[:-1], quats[1:])
     else:  # nearest_within
-        for rows, cols, gaps in pairs_within_deg(quats, policy.threshold_deg):
-            # a row's pairs come in one yield, columns ascending; by row,
-            # then gap, the stable sort keeps the lowest frame index first
-            # among equal gaps, as argmin would
-            order = np.lexsort((gaps, rows))
+        least = np.full(n, math.inf)  # each row's least screened gap
+        for rows, cols, dots in screened_pairs(quats, policy.threshold_deg):
+            # a row's pairs come in one yield; only those within
+            # MEDOID_MARGIN_DEG of its least screened gap can hold its
+            # nearest frame (geometry, "nearest")
+            screened = np.arccos(np.minimum(dots, 1.0)) * math.degrees(2.0)
+            np.minimum.at(least, rows, screened)
+            keep = screened <= least[rows] + MEDOID_MARGIN_DEG
+            rows, cols = rows[keep], cols[keep]
+            gaps = geodesic_deg_many(quats[rows], quats[cols])
+            # by row, then gap, then frame index: each row's first is its
+            # argmin, the lowest frame index among equal gaps
+            order = np.lexsort((cols, gaps, rows))
             rows, first = np.unique(rows[order], return_index=True)
             best = order[first]
             ok = gaps[best] < policy.threshold_deg

@@ -226,9 +226,9 @@ def cmd_ingest(args, out, _, s):
 def cmd_pairs(args, out, cfg, s):
     """Build every subject's pair set, then write them all or none: a
     subject that fails, to build or to write, leaves no file of another."""
-    from .harness import build_easy_pairs, build_hard_pairs, ingest_canonical_all
+    from .harness import build_easy_pairs, build_hard_pairs, canonical_logs
     built = []
-    for log in ingest_canonical_all(args.input):
+    for log in canonical_logs(args.input):  # each log built as it is taken
         if s["pair_kind"] == "hard":
             ps = build_hard_pairs(log, s["neutral_thresh_deg"],
                                   s["extreme_thresh_deg"], s["n_pairs"], args.seed)
@@ -269,14 +269,15 @@ def _noise_model(s, prefix, seed):
 
 def cmd_sweep(args, out, cfg, s):
     from .anchors import AnchorPolicy
-    from .harness import ingest_canonical_all, sweep
+    from .harness import canonical_logs, sweep
     from .simulate import AbsoluteSimEstimator, RelativeSimEstimator
     policy = AnchorPolicy(s["policy"], s["threshold_deg"])
     estimators = [
         AbsoluteSimEstimator("sim_absolute", _noise_model(s, "abs", args.seed)),
         RelativeSimEstimator("sim_relative", _noise_model(s, "rel", args.seed)),
     ]
-    logs = ingest_canonical_all(args.input)  # after every setting is checked
+    # read after every setting is checked; sweep builds one log at a time
+    logs = canonical_logs(args.input)
     rep = sweep(logs, estimators, policy, s["axis"], s["bin_width_deg"])
     _write_report(args, out, [("sweep", {**cfg, "axis": s["axis"], "policy": policy.kind},
                                 reports.sweep_payload(rep))])

@@ -278,6 +278,17 @@ def euler_deg_many(q) -> np.ndarray:
 #   the exact mean of the screened argmin, so it cannot be the medoid; the
 #   candidates for the exact means are the rows with
 #   E~ <= min E~ + MEDOID_MARGIN_DEG, the margin about ten times that.
+# * Nearest (anchors.anchor_arrays under nearest_within).  A row's anchor
+#   is the other row j of least exact gap g_j, the lowest index on ties,
+#   taken only when g_j < t.  By "mean", each screened gap
+#   d~ = 2 arccos(min(c, 1)) lies within MEDOID_SCREEN_ERR_DEG (err) of
+#   the exact gap g.  If the least g is below t, every row j that attains
+#   it passes the threshold screen, and for the screened pair k of least
+#   d~, d~_j <= g_j + err <= g_k + err <= d~_k + 2 err, and 2 err is
+#   below MEDOID_MARGIN_DEG.  So the exact kernel, run only on the
+#   screened pairs within that margin of their row's least d~, sees every
+#   row at the least gap, and its argmin (lowest index on ties) is the
+#   row's anchor; if the least g is not below t, no pair it sees is.
 # * Medoid pruning (medoid_index; Newling & Fleuret, "A Sub-Quadratic Exact
 #   Medoid Algorithm", AISTATS 2017).  For rows p and j, the triangle
 #   inequality theta(j, x) >= |theta(p, x) - theta(p, j)|, averaged over
@@ -298,7 +309,7 @@ SCREEN_ROWS = 16                # a block holds at most SCREEN_ROWS x N values
 WITHIN_DOT_SLACK = 1e-12        # see "threshold" above
 WINDOW_MARGIN = 1e-6            # see "window"
 MEDOID_SCREEN_ERR_DEG = 1e-5    # see "mean"
-MEDOID_MARGIN_DEG = 1e-4        # see "mean"
+MEDOID_MARGIN_DEG = 1e-4        # see "mean" and "nearest"
 
 
 def _unit_columns(quats) -> np.ndarray:
@@ -320,17 +331,16 @@ def _abs_dots(rows, cols, out, spare):
     np.abs(out, out=out)
 
 
-def pairs_within_deg(quats, max_deg):
-    """Every ordered pair (i, j), i != j, of rows of quats whose
-    geodesic_deg_many is <= max_deg, with that gap, yielded as (rows, cols,
-    gaps) arrays.  Each row's pairs come in one yield, columns ascending;
-    rows come in the order of the sorted windows.  Only the pairs that
-    pass the window and threshold screens (see above) go to the exact
-    kernel; memory O(SCREEN_ROWS x N).
+def screened_pairs(quats, max_deg):
+    """The ordered pairs (i, j), i != j, of rows of quats that pass the
+    window and threshold screens for max_deg (see above), with their
+    screen values |u . v|, yielded as (rows, cols, dots) arrays: a superset
+    of the pairs whose geodesic_deg_many is <= max_deg.  Each row's pairs
+    come in one yield, next to each other; rows come in the order of the
+    sorted windows.  Memory O(SCREEN_ROWS x N).
     """
     if not max_deg >= 0:  # no gap is negative (or below nan)
         return
-    quats = np.asarray(quats, dtype=float)
     u = _unit_columns(quats)
     n = u.shape[1]
     if not n:
@@ -370,15 +380,28 @@ def pairs_within_deg(quats, max_deg):
         c = dots[:size].reshape(shape)
         _abs_dots(u[:, a:b, None], u[:, cols], c, spare[:size].reshape(shape))
         r, j = np.greater_equal(c, floor, out=keep[:size].reshape(shape)).nonzero()
+        values = c[r, j]
         r += a
         j = cols[j]
         other = r != j
-        rows, cols = order[r[other]], order[j[other]]
+        yield order[r[other]], order[j[other]], values[other]
+        a = b
+
+
+def pairs_within_deg(quats, max_deg):
+    """Every ordered pair (i, j), i != j, of rows of quats whose
+    geodesic_deg_many is <= max_deg, with that gap, yielded as (rows, cols,
+    gaps) arrays.  Each row's pairs come in one yield, columns ascending;
+    rows come in the order of the sorted windows.  Only the pairs that
+    pass the window and threshold screens (screened_pairs) go to the exact
+    kernel; memory O(SCREEN_ROWS x N).
+    """
+    quats = np.asarray(quats, dtype=float)
+    for rows, cols, _ in screened_pairs(quats, max_deg):
         gaps = geodesic_deg_many(quats[rows], quats[cols])
         within = np.flatnonzero(gaps <= max_deg)
         within = within[np.lexsort((cols[within], rows[within]))]
         yield rows[within], cols[within], gaps[within]
-        a = b
 
 
 def medoid_index(quats) -> int:

@@ -4,8 +4,9 @@ binned sweeps.  A prediction table over a pair set is scored by
 scoring.evaluate.
 
 The canonical pose-log format, its one reader and its text are in
-tables; ingest_canonical_all builds PoseLogs from the reader's columns and
-export_canonical writes their text through reports.write_files.
+tables; canonical_logs builds PoseLogs from the reader's columns, one as
+each is taken, and export_canonical writes their text through
+reports.write_files.
 
 BIWI-style subject directory: one text file per frame holding the 3x3
 rotation matrix (three rows) followed by the translation vector, plus a
@@ -75,19 +76,29 @@ def export_canonical(logs, path):
     write_files(os.path.dirname(path), [(os.path.basename(path), text)])
 
 
-def ingest_canonical_all(path) -> list:
-    """Parse a canonical file into one PoseLog per subject (file order),
-    read by tables.canonical_subjects."""
+def canonical_logs(path):
+    """One PoseLog per subject of a canonical file (file order), as an
+    iterator.  The whole file is read and checked by
+    tables.canonical_subjects when this is called; each PoseLog is built
+    only when it is taken, and its subject's read columns are dropped as
+    it is, so a caller that keeps no log holds one at a time.  A refusal
+    that only PoseLog makes comes when its subject is taken."""
     frame_tag, subjects = canonical_subjects(path)
-    logs = []
-    with named_by(path):
-        for subject, (ids, numbers) in subjects.items():
-            values = np.frombuffer(numbers).reshape(-1, 13)
-            k = values[:, 7:]
-            logs.append(PoseLog(
-                subject, ids, values[:, :4], values[:, 4:7], frame_tag,
-                None if np.isnan(k[:, 0]).all() else k))
-    return logs
+
+    def build(subject):
+        ids, numbers = subjects.pop(subject)
+        values = np.frombuffer(numbers).reshape(-1, 13)
+        k = values[:, 7:]
+        with named_by(path):
+            return PoseLog(subject, ids, values[:, :4], values[:, 4:7], frame_tag,
+                           None if np.isnan(k[:, 0]).all() else k)
+
+    return map(build, list(subjects))
+
+
+def ingest_canonical_all(path) -> list:
+    """Parse a canonical file into one PoseLog per subject (file order)."""
+    return list(canonical_logs(path))
 
 
 def ingest_canonical(path) -> PoseLog:
@@ -412,9 +423,13 @@ def _pooled_errors(estimators, batches) -> dict:
     for batch in batches:
         for est in estimators:
             chunks[est.id].append(error_arrays(est.predict(batch), batch))
-    return {est_id: (np.concatenate([np.empty((0, 4))] + [a for a, _ in per_batch]),
-                     np.concatenate([np.empty((0, 3))] + [d for _, d in per_batch]))
-            for est_id, per_batch in chunks.items()}
+        del batch  # dropped before the next one is built
+    pooled = {}
+    for est_id in list(chunks):  # each estimator's chunks dropped once joined
+        per_batch = chunks.pop(est_id)
+        pooled[est_id] = (np.concatenate([np.empty((0, 4))] + [a for a, _ in per_batch]),
+                          np.concatenate([np.empty((0, 3))] + [d for _, d in per_batch]))
+    return pooled
 
 
 def score(estimators, batches) -> dict:
@@ -443,7 +458,9 @@ def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
     log's batch is scored, MissingPredictions when there is none, and
     FrameMismatch when the table is tagged with another frame than the log.
     logs and estimators may be any iterables, or a lone PoseLog and a lone
-    estimator.
+    estimator.  Each log is taken only after the last one's batch was
+    scored, and none is kept, so an iterator such as canonical_logs holds
+    one log at a time.
     """
     if not isinstance(policy, AnchorPolicy):
         raise DomainError(f"a sweep needs an anchor policy (an AnchorPolicy), "
@@ -464,29 +481,28 @@ def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
     unpaired = []  # per log
     tables = anchor_predictions or {}
 
-    def batches():  # one log's batch at a time
-        for log in logs:
-            rows = anchor_arrays(log, policy)
-            queries = sorted(np.flatnonzero(rows.anchor >= 0).tolist(),
-                             key=log.frame_ids.__getitem__)
-            unpaired.append(len(log) - len(queries))
-            if axis == "anchor_query_gap":
-                values.append(rows.gap_deg[queries])
-            else:
-                values.append(_distances_to_reference(log)[queries])
-            anchor = None
-            if policy.kind == "external_predicted":
-                table, first = tables.get(log.subject_id), log.frame_ids[0]
-                where = f"anchor frame {first!r} of log {log.subject_id!r}"
-                if table is None or first not in table:
-                    raise MissingPredictions(f"no prediction for {where}")
-                if table.frame_tag != log.frame_tag:
-                    raise FrameMismatch(f"prediction for {where} is tagged "
-                                        f"{table.frame_tag!r}, log is {log.frame_tag!r}")
-                anchor = _rows(table, [table.position(first)] * len(queries))
-            yield query_batch(log, queries, rows.anchor[queries], anchor)
+    def batch(log):  # taken one log at a time, and holds none
+        rows = anchor_arrays(log, policy)
+        queries = sorted(np.flatnonzero(rows.anchor >= 0).tolist(),
+                         key=log.frame_ids.__getitem__)
+        unpaired.append(len(log) - len(queries))
+        if axis == "anchor_query_gap":
+            values.append(rows.gap_deg[queries])
+        else:
+            values.append(_distances_to_reference(log)[queries])
+        anchor = None
+        if policy.kind == "external_predicted":
+            table, first = tables.get(log.subject_id), log.frame_ids[0]
+            where = f"anchor frame {first!r} of log {log.subject_id!r}"
+            if table is None or first not in table:
+                raise MissingPredictions(f"no prediction for {where}")
+            if table.frame_tag != log.frame_tag:
+                raise FrameMismatch(f"prediction for {where} is tagged "
+                                    f"{table.frame_tag!r}, log is {log.frame_tag!r}")
+            anchor = _rows(table, [table.position(first)] * len(queries))
+        return query_batch(log, queries, rows.anchor[queries], anchor)
 
-    errors = _pooled_errors(estimators, batches())
+    errors = _pooled_errors(estimators, map(batch, logs))
 
     values = np.concatenate(values)
     max_value = values.max() if len(values) else 0.0
@@ -497,7 +513,8 @@ def sweep(logs, estimators, policy: AnchorPolicy, axis: str,
     counts = np.bincount(which, minlength=n_bins).tolist()
     spans = [(end - n, end) for n, end in zip(counts, np.cumsum(counts).tolist())]
     reports = [{} for _ in spans]
-    for est_id, (angles, dts) in errors.items():
+    for est_id in list(errors):  # each estimator's rows dropped once binned
+        angles, dts = errors.pop(est_id)
         angles, dts = angles[order], dts[order]
         for (lo, hi), by_id in zip(spans, reports):
             by_id[est_id] = report_from_samples(angles[lo:hi], dts[lo:hi])

@@ -82,10 +82,9 @@ def _seed_states(seed, subject_id, frame_ids) -> bytes:
     seed = int(seed)
     if seed < 0:
         raise DomainError(f"seed {seed} is negative")
-    key = bytearray(16 * len(frame_ids))
-    for r, frame_id in enumerate(frame_ids):
-        key[16 * r:16 * r + 16] = hashlib.sha256(
-            f"{subject_id}/{frame_id}".encode()).digest()[:16]
+    sha256 = hashlib.sha256
+    key = b"".join([sha256(f"{subject_id}/{frame_id}".encode()).digest()[:16]
+                    for frame_id in frame_ids])
     words = np.frombuffer(key, "<u4").reshape(-1, 4)
     entropy = [np.full(len(words), limb, np.uint32) for limb in limbs(seed)]
     return np.stack(generate_state(entropy + list(words.T)),

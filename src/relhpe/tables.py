@@ -11,7 +11,7 @@ Blank rows and '#' comment rows are skipped (see rows.csv_rows).
 
 The format's rules live here only: the header, the checks on a log's
 names (frame_positions, which PoseLog runs), the one reader
-(canonical_subjects: harness.ingest_canonical_all and scoring.read_truth)
+(canonical_subjects: harness.canonical_logs and scoring.read_truth)
 and the one text of a file (canonical_text, which harness.export_canonical
 and `simulate` write through reports.write_files).  The prediction
 table's row loop (prediction_rows) and MetricReport, the record both

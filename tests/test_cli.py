@@ -820,6 +820,18 @@ def malformed_input(case, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(canonical_files[case])
         return ["ingest", bad], "bad.csv"
+    if case.startswith("third_subject_quoted_comma_frame"):
+        # the row reader lets the id through; PoseLog refuses it once the
+        # first two subjects were scored
+        assert run(["--out", tmp_path / "sim", "simulate", "--subjects", 3,
+                    "--frames-per-log", 40]) == 0
+        bad = tmp_path / "bad.csv"
+        text = read(tmp_path / "sim" / "simulated_poselog.csv")
+        bad.write_text(text.replace("subj002,f0000,", 'subj002,"f,0000",'))
+        command = case.rsplit("_", 1)[1]
+        return [command, bad], (
+            f"error: {bad}: frame id 'f,0000' starts with '#' or '\"' or holds "
+            f"a comma or line break, so it cannot be written to a CSV row\n")
     calibrations = {"nan_biwi_calibration": (np.eye(3), np.eye(3), [0, 0, math.nan]),
                     "non_orthonormal_calibration": (np.eye(3), np.diag([2.0, 3.0, 1.0]),
                                                     np.zeros(3)),
@@ -1019,7 +1031,9 @@ def malformed_input(case, tmp_path):
                                   "config_null_pose_glob",
                                   "config_list_calib_name", "report_string_pairs",
                                   "report_short_pair", "report_list_metrics",
-                                  "quoted_comma_truth_frame"])
+                                  "quoted_comma_truth_frame",
+                                  "third_subject_quoted_comma_frame_sweep",
+                                  "third_subject_quoted_comma_frame_pairs"])
 def test_malformed_input_is_a_typed_error(case, tmp_path, capsys):
     argv, named = malformed_input(case, tmp_path)
     capsys.readouterr()

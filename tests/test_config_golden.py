@@ -26,6 +26,7 @@ import numpy as np
 
 from relhpe import EulerAngles, ingest_canonical_all, rotation_from_euler
 from relhpe.cli import main
+from relhpe.harness import canonical_logs
 
 from conftest import frame_records, random_pose, write_biwi_fixture
 
@@ -224,7 +225,20 @@ def digests(root) -> dict:
             for path in sorted(p for p in root.rglob("*") if p.is_file())}
 
 
+def columns(log):
+    return (log.subject_id, log.frame_tag, log.frame_ids, log.quats.tobytes(),
+            log.translations.tobytes(),
+            None if log.intrinsics is None else log.intrinsics.tobytes())
+
+
 def test_config_driven_outputs_unchanged(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run_pipeline()
     assert digests(tmp_path) == GOLDEN
+    # the logs canonical_logs builds one at a time, as ingest_canonical_all
+    # lists them, on a simulated log and on a BIWI one with intrinsics
+    for path in ("sim/simulated_poselog.csv", "ing_biwi/poselog.csv"):
+        listed = ingest_canonical_all(path)
+        assert [columns(log) for log in canonical_logs(path)] == \
+            [columns(log) for log in listed]
+    assert listed[0].intrinsics is not None

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import tracemalloc
@@ -21,7 +22,8 @@ from relhpe import (AbsoluteSimEstimator, AnchorPolicy, EulerAngles,
                     rotation_from_euler, sample_logs, score, sweep, wrap_deg)
 from relhpe.anchors import POLICY_KINDS
 from relhpe.camera import Intrinsics
-from relhpe.harness import error_arrays, report_from_samples
+from relhpe.harness import (QueryBatch, canonical_logs, error_arrays,
+                            report_from_samples)
 from relhpe.rotation import hamilton
 from relhpe.rows import csv_rows
 from relhpe.errors import (DomainError, InsufficientFrames, InvariantViolation,
@@ -641,6 +643,39 @@ class TestScore:
         sweep(small_logs(4), [Probe("p"), *two_estimators()],
               AnchorPolicy("fixed_first"), "anchor_query_gap")
         assert len(batches) == 4 and alive == [1] * 4
+
+    @pytest.mark.parametrize("policy, axis", [
+        (AnchorPolicy("fixed_first"), "anchor_query_gap"),
+        (AnchorPolicy("nearest_within", 10.0), "absolute_query_pose")])
+    def test_sweep_of_canonical_logs_holds_one_log_at_a_time(self, policy, axis,
+                                                             tmp_path):
+        """While an estimator predicts, no earlier subject's PoseLog from
+        canonical_logs is alive: each is built when sweep takes it, and
+        dropped once its batch is built.  When sweep takes the next log,
+        no QueryBatch is alive either."""
+        path = tmp_path / "log.csv"
+        export_canonical(small_logs(4), path)
+        built, alive, batches = [], [], []
+
+        def taken(logs):
+            for log in logs:
+                built.append(weakref.ref(log))
+                yield log
+                gc.collect()
+                batches.append(sum(isinstance(o, QueryBatch) for o in gc.get_objects()))
+
+        class Probe(TruthEstimator):
+            def predict(self, batch):
+                gc.collect()
+                alive.append([ref() is not None for ref in built])
+                return batch.query
+
+        rep = sweep(taken(canonical_logs(path)), [Probe("p"), *two_estimators()],
+                    policy, axis)
+        assert alive == [[False] * k + [True] for k in range(4)]
+        assert batches == [0] * 4
+        assert rep == sweep(ingest_canonical_all(path), [Probe("p"), *two_estimators()],
+                            policy, axis)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ settings, no function creates the output directory (reports.write_files
 does, when it writes), and only _write_report builds a report envelope.
 Files are staged under a '.tmp' name, directories made and files moved
 into place only in reports.write_files.  The canonical pose-log format's
-row widths are written only in tables.
+row widths are written only in tables.  `pairs` and `sweep` read their log
+through harness.canonical_logs, one PoseLog at a time.
 """
 
 import ast
@@ -443,6 +444,34 @@ def test_cli_has_one_command_runner():
                     and name.startswith("cmd_")):
                 bad.append(f"line {n.lineno}: {name} returns a value")
     assert not bad, f"cli.py: outside the one command runner: {bad}"
+
+
+# The commands that take a pose-log file subject by subject read it through
+# harness.canonical_logs, which builds each PoseLog only when it is taken,
+# so they hold one log at a time; only cmd_ingest, which writes every log,
+# lists them with ingest_canonical_all.
+ONE_LOG_AT_A_TIME = ("cmd_pairs", "cmd_sweep")
+
+
+def test_pairs_and_sweep_read_one_log_at_a_time():
+    """cli.cmd_pairs and cli.cmd_sweep call canonical_logs, imported from
+    harness, and no cli function but cmd_ingest calls
+    ingest_canonical_all."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    calls, imports = {}, {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef):
+            nodes = list(ast.walk(stmt))
+            calls[stmt.name] = {ast.unparse(n.func) for n in nodes
+                                if isinstance(n, ast.Call)}
+            imports[stmt.name] = {(n.module, a.name) for n in nodes
+                                  if isinstance(n, ast.ImportFrom) for a in n.names}
+    for name in ONE_LOG_AT_A_TIME:
+        assert "canonical_logs" in calls[name], name
+        assert ("harness", "canonical_logs") in imports[name], name
+    listing = {name for name, called in calls.items()
+               if "ingest_canonical_all" in called}
+    assert listing <= {"cmd_ingest"}, f"cli.py: listing every log: {listing}"
 
 
 def test_canonical_widths_are_written_in_tables_only():

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import relhpe.anchors
 import relhpe.geometry
 from relhpe import (AnchorPolicy, EulerAngles, Rotation, SE3Pose,
                     anchor_arrays, build_easy_pairs, build_hard_pairs,
@@ -295,6 +296,14 @@ class TestScreenedEqualsUnscreened:
         assert screened_pairs(quats, max_deg) == pairs_oracle(quats, max_deg)
         assert medoid_index(quats) == medoid_oracle(quats)
 
+    @settings(deadline=None, max_examples=300)
+    @given(quats=half_turns(), threshold=st.sampled_from([0.5, 1.0, 3.0, 6.0, 10.0, 20.0]))
+    def test_nearest_within_on_half_turns(self, quats, threshold):
+        """Anchors across the sort's mirror, where a row's nearest frame may
+        only be in the mirrored window."""
+        log = make_log([Rotation(*row) for row in quats.tolist()])
+        assert assigned(log, threshold) == nearest_oracle(log, threshold)
+
     @settings(deadline=None)
     @given(rotation=_rotations, flip=st.booleans(),
            max_deg=st.sampled_from([0.0, 10.0, 180.0, 400.0]))
@@ -390,6 +399,20 @@ class TestEdges:
         assert expected != 0
         assert medoid_index(quats) == expected
 
+    @pytest.mark.parametrize("threshold", [1.0, 10.0])
+    def test_nearest_within_on_a_shuffled_log_with_copies(self, threshold, rng):
+        """A simulated log shuffled, with copies of some frames put back at
+        other positions: a copy ties its original at gap 0, so the lower
+        index wins, and each other frame keeps its nearest."""
+        quats = sample_logs(PoseSampler(frames_per_log=300, subjects=1, seed=6))[0].quats
+        rows = list(quats[rng.permutation(len(quats))])
+        for i, j in rng.integers(0, len(rows), (20, 2)).tolist():
+            rows.insert(j, rows[i])
+        log = make_log([Rotation(*row) for row in np.array(rows).tolist()])
+        got = assigned(log, threshold)
+        assert got == nearest_oracle(log, threshold)
+        assert sum(gap == 0.0 and anchor is not None for _, anchor, gap in got) >= 20
+
     def test_easy_candidates_anchor_major_across_yields(self):
         """Rows come in window order across yields; the easy-pair builder
         still lists its candidates anchor-major in log order."""
@@ -433,6 +456,24 @@ class TestWork:
             medoid_index(log.quats)
             assert sum(m for _, (m, _) in calls) < 0.5 * n
             assert all(w == n for _, (_, w) in calls)
+
+    def test_nearest_within_runs_the_kernel_on_a_row_or_so(self, monkeypatch):
+        """On simulated 600-frame logs at 10 degrees, anchor choice sends at
+        most one pair per frame to the exact kernel: only the screened
+        pairs within MEDOID_MARGIN_DEG of their row's least screened gap.
+        Sending every pair within the threshold took about two per frame."""
+        sent, kernel = [], relhpe.geometry.geodesic_deg_many
+
+        def counted(p, q):
+            sent.append(len(q))
+            return kernel(p, q)
+        for module in (relhpe.anchors, relhpe.geometry):
+            monkeypatch.setattr(module, "geodesic_deg_many", counted)
+        for log in sample_logs(PoseSampler(frames_per_log=600, subjects=4, seed=21)):
+            sent.clear()
+            out = anchor_arrays(log, AnchorPolicy("nearest_within", 10.0))
+            assert (out.anchor >= 0).sum() > len(log) // 2
+            assert sum(sent) <= len(log)
 
     def test_memory_stays_per_block_at_180_degrees(self):
         """At 180 degrees every one of the N^2 pairs qualifies, yet the
